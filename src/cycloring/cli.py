@@ -2,7 +2,8 @@
 
 Subcommands: cyclo, reduce, matrix, scaled-inv, expansion, sweep, verify.
 Coefficient I/O is degree-ascending everywhere. Exit codes: 0 success,
-1 failed check, 2 usage error, 3 unsupported modulus.
+1 failed check (including a failed internal self-check, reported on stderr
+without a traceback), 2 usage error, 3 unsupported modulus.
 """
 from __future__ import annotations
 
@@ -273,6 +274,10 @@ def main(argv=None) -> int:
         return 2
     except CycloringError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        # an internal exact self-check (e.g. a*u = scale) failed
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,10 @@ and comes with guaranteed coefficient bounds:
   * M = p^s q^t, q^t | (i - j):  scale p, bounded by p - 1.
 
 Every constructed inverse is re-verified by one ring multiplication before
-it is returned.
+it is returned. Exhaustive sweeps (norm_profile) construct only the M - 1
+gap inverses u(g, 0) and obtain every other pair by the gap-shift identity
+u(i, j) = x^{-j} u(i - j, 0); each pair is still checked, by a batched exact
+product.
 """
 from __future__ import annotations
 
@@ -23,8 +26,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclotomic import (CycloModulus, PrimePower, RingElement, TwoPrime,
-                         _rem_vector, monomial_diff, ring_mul)
+                         _rem_vector, monomial_diff, reduction_matrix, ring_mul)
 from .errors import BadRange, NotApplicable, ZeroElement
 from .poly import IntPoly, exact_div, resultant_bezout
 
@@ -239,25 +244,93 @@ class NormProfile:
         return self.case_max[case][0]
 
 
+def check_gap_block(m: CycloModulus, B: np.ndarray, g: int, block: np.ndarray,
+                    scale: int, bound: int) -> np.ndarray:
+    """Batched exact check of the pairs (j + g, j), one per row of block.
+
+    Row j of block must be a reduced u with (x^{j+g} - x^j) * u = scale
+    (mod Phi_M) and max-norm(u) <= bound. The product is formed per row as
+    two cyclic rolls in Z[x]/(x^M - 1) and reduced with B, the non-identity
+    block of R_M = [I | B], as int64. Returns the row norms; raises
+    AssertionError naming M and (i, j) of the first pair that fails.
+    """
+    M, phi = m.M, m.phi
+    n = block.shape[0]
+    full = np.zeros((n, M), dtype=np.int64)
+    full[:, :phi] = block
+    j = np.arange(n)[:, None]
+    k = np.arange(M)[None, :]
+    prod = (np.take_along_axis(full, (k - j - g) % M, axis=1)
+            - np.take_along_axis(full, (k - j) % M, axis=1))
+    residual = prod[:, :phi] + prod[:, phi:] @ B.T
+    residual[:, 0] -= scale
+    bad = np.flatnonzero(residual.any(axis=1))
+    if bad.size:
+        jj = int(bad[0])
+        raise AssertionError(
+            f"batched check failed: (x^i - x^j)*u != {scale} for M={M}, "
+            f"(i, j)=({jj + g}, {jj})")
+    norms = np.abs(block).max(axis=1)
+    over = np.flatnonzero(norms > bound)
+    if over.size:
+        jj = int(over[0])
+        raise AssertionError(
+            f"batched check failed: norm {int(norms[jj])} > bound {bound} "
+            f"for M={M}, (i, j)=({jj + g}, {jj})")
+    return norms
+
+
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
+
+    Only the M - 1 gap inverses u(g, 0) are constructed (each verified by
+    construct_scaled_inverse). All pairs of gap g follow as the rotations
+    x^{-j} u(g, 0), reduced together by one integer matmul, and every pair
+    is then checked by a batched exact product (check_gap_block). Rows,
+    maxima and witnesses come out in the order of a plain `for i: for j < i`
+    sweep, keeping the first pair to reach each case maximum.
 
     Rows where the constructed scale is not provably minimal (scale shares a
     factor with the content of u) are flagged; a cross-check against the
     generic route is then the caller's decision.
     """
+    M, phi, sh = m.M, m.phi, m.shape
+    # int64 is exact: every base norm is at most its case bound, which is
+    # at most q - 1 (p - 1 for p^s), as _verify checked; entries of B lie in
+    # {-1, 0, 1} and B has M - phi columns. Reduced rotations are then at
+    # most (M - phi + 1) * bound, and reduced products at most
+    # 2 * (M - phi + 1)^2 * bound.
+    top = (sh.q if isinstance(sh, TwoPrime) else sh.p) - 1
+    if 2 * (M - phi + 1) ** 2 * top >= 2 ** 63:
+        raise AssertionError(f"int64 bound fails for the sweep of M={M}")
+    B = reduction_matrix(m).entries[:, phi:].astype(np.int64)
+    if np.abs(B).max() > 1:
+        raise AssertionError(f"R_M entry outside {{-1, 0, 1}} for M={M}")
+    gaps = [None]
+    for g in range(1, M):
+        si = construct_scaled_inverse(g, 0, m)
+        base = np.zeros(M, dtype=np.int64)
+        base[:phi] = si.u.coeffs
+        rot = base[(np.arange(M - g)[:, None] + np.arange(M)[None, :]) % M]
+        block = rot[:, :phi] + rot[:, phi:] @ B.T
+        norms = check_gap_block(m, B, g, block, si.scale, si.bound)
+        if si.scale == 1:
+            minimal = [True] * (M - g)
+        else:
+            minimal = (block % si.scale != 0).any(axis=1).tolist()
+        gaps.append((si.scale, si.case, norms.tolist(), minimal))
     rows = []
     case_max: dict = {}
     flagged = []
-    for i in range(1, m.M):
+    for i in range(1, M):
         for j in range(i):
-            si = construct_scaled_inverse(i, j, m)
-            row = ProfileRow(i, j, si.scale, si.norm, si.case)
+            scale, case, norms, minimal = gaps[i - j]
+            row = ProfileRow(i, j, scale, norms[j], case)
             rows.append(row)
-            best = case_max.get(si.case)
+            best = case_max.get(case)
             if best is None or row.norm > best[0]:
-                case_max[si.case] = (row.norm, i, j)
-            if not si.minimal:
+                case_max[case] = (row.norm, i, j)
+            if not minimal[j]:
                 flagged.append(row)
     return NormProfile(m, tuple(rows), case_max, tuple(flagged))
 

@@ -9,6 +9,7 @@ seeded generator, so a report is reproducible given (seed, trials).
 """
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -275,16 +276,21 @@ def _suite_matrix(m, rng, trials):
 def _suite_theorems(m, rng, trials):
     col = _Collector()
     sh = m.shape
+    # one exhaustive sweep serves both construction_exhaustive and
+    # scale_minimality; a sweep that raises fails each of them by name
+    profile = functools.cache(lambda: scaled_inverse.norm_profile(m))
 
     def exhaustive():
-        for i in range(1, m.M):
-            for j in range(i):
-                si = scaled_inverse.construct_scaled_inverse(i, j, m)
-                case, scale, bound = _expected_case(m, i, j)
-                if si.case != case or si.scale != scale:
-                    return f"(i,j)=({i},{j}): case {si.case} scale {si.scale}"
-                if si.norm > bound:
-                    return f"(i,j)=({i},{j}): norm {si.norm} > bound {bound}"
+        rows = profile().rows
+        if [(r.i, r.j) for r in rows] != [(i, j) for i in range(1, m.M)
+                                          for j in range(i)]:
+            return "sweep rows do not cover every (i,j) once, in order"
+        for r in rows:
+            case, scale, bound = _expected_case(m, r.i, r.j)
+            if r.case != case or r.scale != scale:
+                return f"(i,j)=({r.i},{r.j}): case {r.case} scale {r.scale}"
+            if r.norm > bound:
+                return f"(i,j)=({r.i},{r.j}): norm {r.norm} > bound {bound}"
         return True
 
     col.run("construction_exhaustive", exhaustive)
@@ -315,8 +321,7 @@ def _suite_theorems(m, rng, trials):
         col.run("near_tight_witness", near_tight)
 
     def minimality():
-        profile = scaled_inverse.norm_profile(m)
-        for row in profile.flagged:
+        for row in profile().flagged:
             gen = scaled_inverse.generic_scaled_inverse(
                 cyclotomic.monomial_diff(row.i, row.j, m))
             if gen.scale == row.scale:

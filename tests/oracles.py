@@ -1,14 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's closed forms: the cyclotomic
-polynomial comes from the iterated divisor loop on x^n - 1, and the
-resultant from a fraction-free determinant of the Sylvester matrix.
+polynomial comes from the iterated divisor loop on x^n - 1, the resultant
+from a fraction-free determinant of the Sylvester matrix, and the norm
+profile from one constructed and verified inverse per (i, j) pair.
 """
 from __future__ import annotations
 
 import functools
 
+from cycloring.cyclotomic import CycloModulus
 from cycloring.poly import IntPoly, divrem
+from cycloring.scaled_inverse import (NormProfile, ProfileRow,
+                                      construct_scaled_inverse)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,3 +79,21 @@ def diophantine_bit(i: int, p: int, q: int) -> int:
     """1 if alpha*p + beta*q = i has no nonnegative solution, else 0."""
     return 0 if any((i - alpha * p) % q == 0
                     for alpha in range(i // p + 1)) else 1
+
+
+def norm_profile_per_pair(m: CycloModulus) -> NormProfile:
+    """norm_profile by constructing and verifying every (i, j) one at a time."""
+    rows = []
+    case_max: dict = {}
+    flagged = []
+    for i in range(1, m.M):
+        for j in range(i):
+            si = construct_scaled_inverse(i, j, m)
+            row = ProfileRow(i, j, si.scale, si.norm, si.case)
+            rows.append(row)
+            best = case_max.get(si.case)
+            if best is None or row.norm > best[0]:
+                case_max[si.case] = (row.norm, i, j)
+            if not si.minimal:
+                flagged.append(row)
+    return NormProfile(m, tuple(rows), case_max, tuple(flagged))

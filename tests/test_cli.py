@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cycloring import cli, make_modulus, reduction_matrix
+from cycloring import scaled_inverse as sinv
 
 
 def run(capsys, *argv):
@@ -142,6 +143,21 @@ class TestSweep:
         obj = json.loads(out)
         assert obj["case_max"]["coprime"]["norm"] == 2
         assert obj["flagged"] == []
+
+
+class TestSelfCheckFailure:
+    def test_sweep_reports_without_traceback(self, capsys, monkeypatch):
+        def broken(m):
+            raise AssertionError(f"batched check failed for M={m.M}, "
+                                 f"(i, j)=(1, 0)")
+
+        monkeypatch.setattr(sinv, "norm_profile", broken)
+        code, out, err = run(capsys, "sweep", "15")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: self-check failed: ")
+        assert "M=15, (i, j)=(1, 0)" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

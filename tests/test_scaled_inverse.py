@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 
 from cycloring import (InverseCase, alternative_coprime_form,
                        construct_scaled_inverse, element, generic_scaled_inverse,
                        make_modulus, monomial_diff, monomial_reduce,
-                       norm_profile, reduce, ring_mul,
+                       norm_profile, reduce, reduction_matrix, ring_mul,
                        scaled_inverse_prime_power, scaled_inverse_two_prime)
 from cycloring.errors import BadRange, NotApplicable, ZeroElement
 from cycloring.poly import IntPoly, exact_div
+from cycloring.scaled_inverse import check_gap_block
+from oracles import norm_profile_per_pair
 
 
 def one(m):
@@ -212,6 +215,49 @@ class TestNormProfile:
     @pytest.mark.parametrize("M", [9, 15, 21, 33, 35])
     def test_nothing_flagged(self, M):
         assert norm_profile(make_modulus(M)).flagged == ()
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 6, 8, 9, 12, 15, 16, 25, 27, 33,
+                                   35, 45, 63, 75])
+    def test_matches_per_pair_sweep(self, M):
+        # all four cases, p = 2, prime M, s > 1 and t > 1
+        m = make_modulus(M)
+        got, want = norm_profile(m), norm_profile_per_pair(m)
+        assert got.rows == want.rows
+        assert list(got.case_max.items()) == list(want.case_max.items())
+        assert got.flagged == want.flagged
+
+
+class TestCheckGapBlock:
+    M, G = 15, 3   # p | gap: scale 5, bound 4
+
+    def _block(self):
+        # reduced inverses of x^(j+G) - x^j, built pair by pair
+        m = make_modulus(self.M)
+        sis = [construct_scaled_inverse(j + self.G, j, m)
+               for j in range(self.M - self.G)]
+        B = reduction_matrix(m).entries[:, m.phi:].astype(np.int64)
+        block = np.array([si.u.coeffs for si in sis], dtype=np.int64)
+        return m, B, block, sis[0].scale, sis[0].bound
+
+    def test_accepts_true_block(self):
+        m, B, block, scale, bound = self._block()
+        norms = check_gap_block(m, B, self.G, block, scale, bound)
+        assert norms.tolist() == [int(np.abs(r).max()) for r in block]
+
+    def test_rejects_one_coefficient_off_by_one(self):
+        m, B, block, scale, bound = self._block()
+        block[6, 3] += 1
+        with pytest.raises(AssertionError,
+                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)"):
+            check_gap_block(m, B, self.G, block, scale, bound)
+
+    def test_rejects_norm_above_bound(self):
+        m, B, block, scale, bound = self._block()
+        norms = np.abs(block).max(axis=1)
+        j, low = int(np.argmax(norms)), int(norms.max()) - 1
+        with pytest.raises(AssertionError, match=rf"> bound {low} for M=15, "
+                                                 rf"\(i, j\)=\({j + self.G}, {j}\)"):
+            check_gap_block(m, B, self.G, block, scale, low)
 
 
 class TestNegativeResultantNormalization:
