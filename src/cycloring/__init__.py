@@ -6,16 +6,17 @@ structure, checks the structural facts behind those bounds by brute force,
 and measures expansion factors of monomials. Everything is integer-exact.
 """
 
-from .cyclotomic import (BlockRanges, CycloModulus, PrimePower, ReductionMatrix,
-                         RingElement, TwoPrime, element, kron_check,
-                         make_modulus, monomial_diff, monomial_reduce, reduce,
-                         reduction_matrix, ring_mul)
+from .cyclotomic import (MAX_MODULUS, BlockRanges, CycloModulus, PrimePower,
+                         ReductionMatrix, RingElement, TwoPrime, element,
+                         kron_check, make_modulus, monomial_diff,
+                         monomial_reduce, reduce, reduction_matrix, ring_mul)
 from .errors import (BadRange, CycloringError, InexactDivision, ModulusMismatch,
-                     NotApplicable, NotCoprime, OutOfRange, PatternViolation,
-                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
+                     ModulusTooLarge, NotApplicable, NotCoprime, OutOfRange,
+                     PatternViolation, UnsupportedModulus, ZeroElement,
+                     ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
-from .poly import IntPoly, RatPoly, X, divrem, exact_div, resultant_bezout
+from .poly import IntPoly, RatPoly, divrem, exact_div, resultant_bezout
 from .scaled_inverse import (InverseCase, NormProfile, ProfileRow, ScaledInverse,
                              alternative_coprime_form, construct_scaled_inverse,
                              generic_scaled_inverse, norm_profile,

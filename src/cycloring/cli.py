@@ -3,7 +3,8 @@
 Subcommands: cyclo, reduce, matrix, scaled-inv, expansion, sweep, verify.
 Coefficient I/O is degree-ascending everywhere. Exit codes: 0 success,
 1 failed check (including a failed internal self-check, reported on stderr
-without a traceback), 2 usage error, 3 unsupported modulus.
+without a traceback), 2 usage error (including M above the supported
+ceiling, refused before any work), 3 unsupported modulus.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from . import expansion as expansion_mod
 from . import scaled_inverse as sinv
 from . import verify as verify_mod
 from .cyclotomic import make_modulus, monomial_diff, reduce, reduction_matrix
-from .errors import (BadRange, CycloringError, InexactDivision, NotApplicable,
-                     OutOfRange, UnsupportedModulus, ZeroElement,
-                     ZeroPolynomial)
+from .errors import (BadRange, CycloringError, InexactDivision,
+                     ModulusTooLarge, NotApplicable, OutOfRange,
+                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
 from .poly import IntPoly
 
 
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BadRange, OutOfRange, NotApplicable, ZeroElement, ZeroPolynomial,
-            InexactDivision) as exc:
+            InexactDivision, ModulusTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CycloringError as exc:

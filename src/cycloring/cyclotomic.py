@@ -1,9 +1,15 @@
 """Cyclotomic moduli Phi_M(x) for M = p^s or M = p^s q^t, with reduction.
 
-A CycloModulus validates the shape of M, carries Phi_M(x), and caches all M
-reduction-matrix columns (x^j mod Phi_M). The column cache is built once, by
-a multiply-by-x recurrence, so monomial reduction is an O(1) lookup and the
-matrix columns form a code path independent of Euclidean long division.
+A CycloModulus validates the shape of M and carries Phi_M(x). The M
+reduction-matrix columns (x^j mod Phi_M) are built lazily, on the first
+call that needs them (monomial_reduce, reduction_matrix, expansion), by a
+multiply-by-x recurrence; after that, monomial reduction is an O(1) lookup
+and the matrix columns form a code path independent of Euclidean long
+division. Reduction, ring products and the constructive inverses never
+build the columns.
+
+make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
+a bounded cache of the moduli it built.
 """
 from __future__ import annotations
 
@@ -13,8 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModulusMismatch, NotApplicable, UnsupportedModulus
+from .errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
+                     UnsupportedModulus)
 from .poly import IntPoly, exact_div
+
+# Largest supported M. Up to here trial division takes at most 2^10 steps
+# and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
+# about 10^9 trial divisions.
+MAX_MODULUS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -48,10 +60,11 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 
 class CycloModulus:
-    """Validated cyclotomic modulus with cached Phi_M and matrix columns."""
+    """Validated cyclotomic modulus carrying Phi_M; the reduction-matrix
+    columns are built on first use."""
 
     __slots__ = ("M", "shape", "phi", "poly", "radical", "inflation",
-                 "_columns", "_tail")
+                 "_column_cache", "_tail")
 
     def __init__(self, M, shape, phi, poly, radical, inflation):
         self.M = M
@@ -62,7 +75,14 @@ class CycloModulus:
         self.inflation = inflation
         # nonzero coefficients of Phi_M below its leading term, for division
         self._tail = tuple((i, c) for i, c in enumerate(poly.coeffs[:-1]) if c)
-        self._columns = self._build_columns()
+        self._column_cache = None
+
+    @property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """All M columns x^j mod Phi_M, j = 0..M-1 (M * phi slots)."""
+        if self._column_cache is None:
+            self._column_cache = self._build_columns()
+        return self._column_cache
 
     def _build_columns(self):
         phi = self.phi
@@ -91,11 +111,17 @@ class CycloModulus:
         return f"CycloModulus(M={self.M}, shape={self.shape}, phi={self.phi})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def make_modulus(M: int) -> CycloModulus:
-    """Build the modulus for M = p^s or p^s q^t; UnsupportedModulus otherwise."""
+    """Build the modulus for M = p^s or p^s q^t; UnsupportedModulus otherwise.
+
+    M above MAX_MODULUS raises ModulusTooLarge before M is factorized.
+    """
     if M < 2:
         raise UnsupportedModulus(f"M={M} is below 2")
+    if M > MAX_MODULUS:
+        raise ModulusTooLarge(
+            f"M={M} exceeds the supported ceiling M <= {MAX_MODULUS}")
     factors = _factorize(M)
     if len(factors) == 1:
         (p, s), = factors

@@ -24,6 +24,10 @@ class UnsupportedModulus(CycloringError, ValueError):
     """M is not of the form p^s or p^s q^t with p, q prime."""
 
 
+class ModulusTooLarge(CycloringError, ValueError):
+    """M is above the supported ceiling; refused before any factorization."""
+
+
 class ModulusMismatch(CycloringError, ValueError):
     """Ring elements from different moduli were combined."""
 

@@ -21,9 +21,9 @@ DEFAULT_SEED = 1729
 
 
 def _window(m: CycloModulus, k: int) -> np.ndarray:
-    entries = np.array(m._columns, dtype=np.int64).T
-    idx = [(k + l) % m.M for l in range(m.phi)]
-    return entries[:, idx]
+    cols = m._columns
+    return np.array([cols[(k + l) % m.M] for l in range(m.phi)],
+                    dtype=np.int64).T
 
 
 def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement]:
@@ -92,12 +92,20 @@ def max_expansion_factor(m: CycloModulus) -> ExpansionReport:
     asserted against it, and the distinguished witness exponent must attain
     the maximum.
     """
-    entries = np.abs(np.array(m._columns, dtype=np.int64).T)
-    doubled = np.concatenate([entries, entries], axis=1)
-    csum = np.concatenate([np.zeros((m.phi, 1), dtype=np.int64),
-                           doubled.cumsum(axis=1)], axis=1)
-    window_sums = csum[:, m.phi:m.phi + m.M] - csum[:, :m.M]
-    per_k = tuple(int(v) for v in window_sums.max(axis=0))
+    M, phi = m.M, m.phi
+    # Row c of cols is column c of R_M (numpy refuses an entry outside
+    # int8). Its entries lie in {-1, 0, 1}, checked here, so csum[c], the sum
+    # of rows 0 .. c-1 of |R_M|, is at most M <= 2^20 and exact in int32.
+    cols = np.array(m._columns, dtype=np.int8)
+    if cols.min() < -1 or cols.max() > 1:
+        raise AssertionError(f"R_M entry outside {{-1, 0, 1}} for M={M}")
+    csum = np.zeros((M + 1, phi), dtype=np.int32)
+    np.cumsum(np.abs(cols), axis=0, dtype=np.int32, out=csum[1:])
+    del cols
+    # window of k: columns k .. k + phi - 1, wrapping mod M past k = M - phi
+    inner = (csum[phi:] - csum[:M - phi + 1]).max(axis=1)
+    wrapped = (csum[M] - csum[M - phi + 1:M] + csum[1:phi]).max(axis=1)
+    per_k = tuple(int(v) for v in np.concatenate([inner, wrapped]))
     max_factor = max(per_k)
 
     expected = closed_form_max(m)

@@ -5,6 +5,12 @@ is 2x^2 + 1. Coefficients are Python ints, so everything is arbitrary
 precision. The zero polynomial is the empty sequence and has degree -inf,
 which keeps it distinct from nonzero constants (degree 0).
 
+Products of two polynomials use signed Kronecker substitution: each factor
+is packed into one Python int, the two ints are multiplied by CPython's
+Karatsuba, and the coefficients are read back as digits. The digit width
+comes from an exact bound on the product coefficients, so the result is
+exact at any precision.
+
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
 """
@@ -88,29 +94,24 @@ class IntPoly:
             return IntPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPoly(out)
+        # Signed Kronecker substitution: evaluate both factors at X = 2^(8w),
+        # multiply the two big ints, and read the product's coefficients back
+        # as base-X digits. Every product coefficient lies in [-bound, bound];
+        # adding bound to each gives digits in [0, 2 * bound], and w bytes
+        # make X > 2 * bound, so no digit carries into the next.
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        bound = ma * mb * min(len(a), len(b))
+        w = ((2 * bound).bit_length() + 7) // 8
+        n = len(a) + len(b) - 1
+        prod = _kron_pack(a, ma, w) * _kron_pack(b, mb, w)
+        buf = (prod + bound * _repunit(n, w)).to_bytes(n * w, "little")
+        return IntPoly([int.from_bytes(buf[k:k + w], "little") - bound
+                        for k in range(0, n * w, w)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> IntPoly:
         """Multiply by x^k."""
@@ -191,7 +192,19 @@ class IntPoly:
         return " ".join(parts)
 
 
-X = IntPoly((0, 1))
+def _repunit(n: int, w: int) -> int:
+    """1 + X + ... + X^(n-1) at X = 2^(8w)."""
+    return int.from_bytes(b"\x01".ljust(w, b"\x00") * n, "little")
+
+
+def _kron_pack(coeffs: tuple[int, ...], mag: int, w: int) -> int:
+    """sum c_i X^i at X = 2^(8w), given mag = max |c_i| and 2 * mag < X.
+
+    Each digit is packed as c_i + mag >= 0 in one bytes join, then the offset
+    mag * (1 + X + ... + X^(n-1)) is taken off the whole number.
+    """
+    digits = b"".join((c + mag).to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(digits, "little") - mag * _repunit(len(coeffs), w)
 
 
 def divrem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:

@@ -13,11 +13,13 @@ and comes with guaranteed coefficient bounds:
   * M = p^s q^t, p^s | (i - j):  scale q, bounded by q - 1;
   * M = p^s q^t, q^t | (i - j):  scale p, bounded by p - 1.
 
-Every constructed inverse is re-verified by one ring multiplication before
-it is returned. Exhaustive sweeps (norm_profile) construct only the M - 1
-gap inverses u(g, 0) and obtain every other pair by the gap-shift identity
-u(i, j) = x^{-j} u(i - j, 0); each pair is still checked, by a batched exact
-product.
+Every inverse is re-verified by an exact product before it is returned: a
+generic one by a ring multiplication, a constructed one by
+(x^i - x^j) * u = x^i u - x^j u, two cyclic rotations of u modulo x^M - 1
+followed by one reduction mod Phi_M. Exhaustive sweeps (norm_profile)
+construct only the M - 1 gap inverses u(g, 0) and obtain every other pair by
+the gap-shift identity u(i, j) = x^{-j} u(i - j, 0); each pair is still
+checked, by a batched exact product.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import (CycloModulus, PrimePower, RingElement, TwoPrime,
-                         _rem_vector, monomial_diff, reduction_matrix, ring_mul)
+                         _rem_vector, reduction_matrix, ring_mul)
 from .errors import BadRange, NotApplicable, ZeroElement
 from .poly import IntPoly, exact_div, resultant_bezout
 
@@ -62,15 +64,30 @@ class ScaledInverse:
         return self.u.max_norm()
 
 
-def _verify(a: RingElement, si: ScaledInverse):
-    prod = ring_mul(a, si.u)
-    want = (si.scale,) + (0,) * (a.modulus.phi - 1)
+def _verify(prod: RingElement, si: ScaledInverse):
+    # prod is the exact product a * si.u; it must be the constant si.scale
+    m = prod.modulus
+    want = (si.scale,) + (0,) * (m.phi - 1)
     if prod.coeffs != want:
         raise AssertionError(
-            f"constructed inverse failed a*u = {si.scale} for M={a.modulus.M}")
+            f"constructed inverse failed a*u = {si.scale} for M={m.M}")
     if si.bound is not None and si.u.max_norm() > si.bound:
         raise AssertionError(
-            f"norm bound {si.bound} violated for M={a.modulus.M}")
+            f"norm bound {si.bound} violated for M={m.M}")
+
+
+def _diff_product(i: int, j: int, u: RingElement) -> RingElement:
+    """(x^i - x^j) * u mod Phi_M, for 0 <= j, i < M.
+
+    Phi_M divides x^M - 1, so the product is formed in Z[x]/(x^M - 1) as
+    two cyclic rotations of u and then reduced once; this is the identity
+    check_gap_block applies to whole gaps.
+    """
+    m = u.modulus
+    full = u.coeffs + (0,) * (m.M - m.phi)
+    xi = full[m.M - i:] + full[:m.M - i]
+    xj = full[m.M - j:] + full[:m.M - j]
+    return RingElement(m, tuple(_rem_vector([a - b for a, b in zip(xi, xj)], m)))
 
 
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
@@ -97,7 +114,7 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
         raise AssertionError("scale does not match the denominator lcm of "
                              "the rational Bezout cofactor")
     si = ScaledInverse(u, scale, None, InverseCase.GENERIC, minimal=True)
-    _verify(a, si)
+    _verify(ring_mul(a, si.u), si)
     return si
 
 
@@ -169,7 +186,7 @@ def scaled_inverse_prime_power(i: int, j: int, m: CycloModulus) -> ScaledInverse
     u = _fold_negated(m, core, beta, m.M - j)
     si = ScaledInverse(u, p, p - 1, InverseCase.PRIME_POWER,
                        minimal=_content_coprime(u, p))
-    _verify(monomial_diff(i, j, m), si)
+    _verify(_diff_product(i, j, u), si)
     return si
 
 
@@ -201,7 +218,7 @@ def scaled_inverse_two_prime(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     u = _fold_negated(m, core, gamma, m.M - j)
     si = ScaledInverse(u, scale, bound, case,
                        minimal=_content_coprime(u, scale))
-    _verify(monomial_diff(i, j, m), si)
+    _verify(_diff_product(i, j, u), si)
     return si
 
 

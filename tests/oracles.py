@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's closed forms: the cyclotomic
 polynomial comes from the iterated divisor loop on x^n - 1, the resultant
-from a fraction-free determinant of the Sylvester matrix, and the norm
-profile from one constructed and verified inverse per (i, j) pair.
+from a fraction-free determinant of the Sylvester matrix, the norm
+profile from one constructed and verified inverse per (i, j) pair, and
+polynomial products from the schoolbook double loop.
 """
 from __future__ import annotations
 
@@ -13,6 +14,19 @@ from cycloring.cyclotomic import CycloModulus
 from cycloring.poly import IntPoly, divrem
 from cycloring.scaled_inverse import (NormProfile, ProfileRow,
                                       construct_scaled_inverse)
+
+
+def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a * b by the O(len a * len b) double loop, skipping zero coefficients."""
+    if a.is_zero() or b.is_zero():
+        return IntPoly()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[i + j] += x * y
+    return IntPoly(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cycloring import cli, make_modulus, reduction_matrix
+from cycloring import cli, cyclotomic, make_modulus, reduction_matrix
 from cycloring import scaled_inverse as sinv
 
 
@@ -33,6 +33,16 @@ class TestCyclo:
         code, _, err = run(capsys, "cyclo", "30")
         assert code == 3
         assert "prime factors" in err
+
+    @pytest.mark.parametrize("cmd", ["cyclo", "sweep", "verify"])
+    def test_huge_modulus_exit_2(self, capsys, monkeypatch, cmd):
+        def factorize(n):
+            raise AssertionError(f"factorized {n}")
+        monkeypatch.setattr(cyclotomic, "_factorize", factorize)
+        code, out, err = run(capsys, cmd, str(2 ** 61 - 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ModulusTooLarge: ")
+        assert "ceiling M <= 1048576" in err
 
 
 class TestReduce:

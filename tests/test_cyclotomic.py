@@ -8,7 +8,9 @@ import cycloring
 from cycloring import (PrimePower, TwoPrime, element,
                        kron_check, make_modulus, monomial_diff,
                        monomial_reduce, reduce, reduction_matrix, ring_mul)
-from cycloring.errors import ModulusMismatch, NotApplicable, UnsupportedModulus
+from cycloring import cyclotomic
+from cycloring.errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
+                              UnsupportedModulus)
 from cycloring.poly import IntPoly
 
 from oracles import cyclotomic_divisor_loop
@@ -50,6 +52,22 @@ class TestMakeModulus:
             assert m.poly == cyclotomic_divisor_loop(m.M), f"M={m.M}"
             assert m.poly.degree == m.phi
             assert m.poly.coeffs[0] == 1
+
+    def test_huge_modulus_refused_before_factorizing(self, monkeypatch):
+        def factorize(n):
+            raise AssertionError(f"factorized {n}")
+        monkeypatch.setattr(cyclotomic, "_factorize", factorize)
+        with pytest.raises(ModulusTooLarge, match="ceiling M <= 1048576"):
+            make_modulus(2 ** 61 - 1)
+        with pytest.raises(ModulusTooLarge):
+            make_modulus(cycloring.MAX_MODULUS + 1)
+
+    def test_ceiling_itself_accepted(self):
+        m = make_modulus(cycloring.MAX_MODULUS)
+        assert m.shape == PrimePower(2, 20) and m.phi == 2 ** 19
+
+    def test_cache_is_bounded(self):
+        assert make_modulus.cache_info().maxsize is not None
 
     def test_shape_metadata(self):
         m = make_modulus(45)

@@ -58,6 +58,14 @@ class TestMaxFactor:
         assert max(report.per_k) == expect
         assert report.per_k[report.witness_k] == expect
 
+    @pytest.mark.parametrize("M", [2, 4, 6, 9, 15, 16, 21, 45, 63, 75])
+    def test_per_k_matches_windowed_columns(self, M):
+        # the cumulative-sum sweep against one explicit window per k
+        m = make_modulus(M)
+        report = max_expansion_factor(m)
+        assert report.per_k == tuple(monomial_expansion_factor(k, m)[0]
+                                     for k in range(M))
+
     def test_even_two_prime_reported_not_asserted(self):
         # p = 2 breaks the doubling witness; M = 6 tops out at 2, not 2p = 4
         report = max_expansion_factor(make_modulus(6))

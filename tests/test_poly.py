@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from cycloring.poly import IntPoly, RatPoly, divrem, exact_div, resultant_bezout
 from cycloring.errors import InexactDivision, NotCoprime, ZeroPolynomial
 
-from oracles import cyclotomic_divisor_loop, diophantine_bit, resultant_oracle
+from oracles import (cyclotomic_divisor_loop, diophantine_bit, resultant_oracle,
+                     schoolbook_mul)
 
 
 def P(*coeffs):
@@ -44,6 +47,61 @@ class TestBasics:
         assert str(P(1, -1, 0, 1, -1, 1, 0, -1, 1)) \
             == "x^8 - x^7 + x^5 - x^4 + x^3 - x + 1"
         assert str(IntPoly()) == "0"
+
+
+class TestKroneckerMul:
+    """IntPoly * IntPoly (Kronecker substitution) against the schoolbook loop."""
+
+    @staticmethod
+    def _random(rng, n, mag):
+        return IntPoly([rng.randint(-mag, mag) for _ in range(n)])
+
+    def test_lengths_1_to_64_big_mixed_signs(self):
+        rng = random.Random(20261018)
+        for la in range(1, 65):
+            for mag in (1, 5, 10 ** 30):
+                lb = rng.randint(1, 64)
+                a, b = self._random(rng, la, mag), self._random(rng, lb, mag)
+                assert a * b == schoolbook_mul(a, b), (la, lb, mag)
+                assert b * a == schoolbook_mul(a, b), (la, lb, mag)
+
+    @pytest.mark.parametrize("c", [1, -1, 7, -10 ** 30])
+    def test_constant_operand(self, c):
+        a = self._random(random.Random(c), 40, 10 ** 30)
+        assert IntPoly((c,)) * a == schoolbook_mul(IntPoly((c,)), a)
+        assert a * IntPoly((c,)) == a * c
+
+    def test_two_term_operands(self):
+        rng = random.Random(2)
+        u = self._random(rng, 64, 10 ** 30)
+        for two in (P(1, 0, 0, -1), P(-1, 1), P(0, 10 ** 30, -10 ** 30),
+                    IntPoly.monomial(63, -3) - 5):
+            assert two * u == schoolbook_mul(two, u)
+            assert u * two == schoolbook_mul(u, two)
+
+    def test_extreme_digits(self):
+        # every product coefficient at +bound and at -bound
+        for sa, sb in ((1, 1), (1, -1)):
+            a = IntPoly([sa * 10 ** 30] * 17)
+            b = IntPoly([sb * 10 ** 30] * 17)
+            assert a * b == schoolbook_mul(a, b)
+
+    def test_zero_operands(self):
+        a = P(3, -1, 4)
+        assert (a * IntPoly()).is_zero() and (IntPoly() * a).is_zero()
+        assert (IntPoly() * IntPoly()).is_zero()
+
+    def test_dense_phi_1458(self):
+        rng = random.Random(1458)
+        a, b = self._random(rng, 1458, 5), self._random(rng, 1458, 5)
+        assert a * b == schoolbook_mul(a, b)
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=24),
+           st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=24))
+    @settings(max_examples=200)
+    def test_matches_schoolbook_property(self, ac, bc):
+        a, b = IntPoly(ac), IntPoly(bc)
+        assert a * b == schoolbook_mul(a, b)
 
 
 class TestExactDiv:

@@ -1,14 +1,17 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
-from cycloring import (InverseCase, alternative_coprime_form,
+from cycloring import (InverseCase, RingElement, alternative_coprime_form,
                        construct_scaled_inverse, element, generic_scaled_inverse,
                        make_modulus, monomial_diff, monomial_reduce,
                        norm_profile, reduce, reduction_matrix, ring_mul,
                        scaled_inverse_prime_power, scaled_inverse_two_prime)
 from cycloring.errors import BadRange, NotApplicable, ZeroElement
 from cycloring.poly import IntPoly, exact_div
-from cycloring.scaled_inverse import check_gap_block
+from cycloring.scaled_inverse import _diff_product, _verify, check_gap_block
 from oracles import norm_profile_per_pair
 
 
@@ -258,6 +261,55 @@ class TestCheckGapBlock:
         with pytest.raises(AssertionError, match=rf"> bound {low} for M=15, "
                                                  rf"\(i, j\)=\({j + self.G}, {j}\)"):
             check_gap_block(m, B, self.G, block, scale, low)
+
+
+class TestRotationVerify:
+    """The constructive route's check: (x^i - x^j) * u by two rotations."""
+
+    @pytest.mark.parametrize("M", [35, 63, 125, 323, 1024, 1147, 2187])
+    def test_matches_ring_mul(self, M):
+        m = make_modulus(M)
+        rng = random.Random(M)
+        us = [RingElement(m, tuple(rng.randint(-9, 9) for _ in range(m.phi)))
+              for _ in range(4)]
+        for n in range(200):
+            i = rng.randrange(1, M)
+            j = rng.randrange(i)
+            u = us[n % len(us)]
+            assert _diff_product(i, j, u) == ring_mul(monomial_diff(i, j, m), u)
+
+    @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
+    def test_rejects_one_coefficient_off_by_one(self, M, i, j):
+        m = make_modulus(M)
+        si = construct_scaled_inverse(i, j, m)
+        _verify(_diff_product(i, j, si.u), si)
+        coeffs = list(si.u.coeffs)
+        coeffs[m.phi // 2] += 1
+        bad = dataclasses.replace(si, u=RingElement(m, tuple(coeffs)))
+        with pytest.raises(AssertionError, match=rf"a\*u = {si.scale} for M={M}$"):
+            _verify(_diff_product(i, j, bad.u), bad)
+
+    @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
+    def test_rejects_norm_above_bound(self, M, i, j):
+        m = make_modulus(M)
+        si = construct_scaled_inverse(i, j, m)
+        low = dataclasses.replace(si, bound=si.norm - 1)
+        with pytest.raises(AssertionError,
+                           match=rf"norm bound {si.norm - 1} violated for M={M}$"):
+            _verify(_diff_product(i, j, si.u), low)
+
+    @pytest.mark.parametrize("M", [125, 1147])
+    def test_constructs_and_products_leave_columns_unbuilt(self, M):
+        m = make_modulus.__wrapped__(M)   # a fresh, uncached instance
+        rng = random.Random(M)
+        for _ in range(20):
+            i = rng.randrange(1, M)
+            construct_scaled_inverse(i, rng.randrange(i), m)
+        a = RingElement(m, tuple(rng.randint(-5, 5) for _ in range(m.phi)))
+        ring_mul(a, a)
+        assert m._column_cache is None
+        monomial_reduce(1, m)
+        assert m._column_cache is not None
 
 
 class TestNegativeResultantNormalization:
