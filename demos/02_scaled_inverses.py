@@ -5,8 +5,8 @@ Scaled inverses of x^i - x^j
 x^i - x^j is a zero divisor nowhere mod Phi_M (M = p^s or p^s q^t), but its
 inverse usually needs a scale: the smallest positive integer c such that
 (x^i - x^j) * u = c has an integer-coefficient solution u. The constructive
-route builds u by one exact polynomial division and guarantees both the
-scale and a coefficient bound; the generic route recovers the same element
+route reads u off the paper's case table, as a quotient by x^d - 1, and
+guarantees both the scale and a coefficient bound; the generic route recovers the same element
 through resultants and rational Bezout coefficients.
 """
 from cycloring import (construct_scaled_inverse, generic_scaled_inverse,

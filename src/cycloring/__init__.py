@@ -19,8 +19,7 @@ from .expansion import (ExpansionReport, max_expansion_factor,
 from .poly import IntPoly, RatPoly, divrem, exact_div, resultant_bezout
 from .scaled_inverse import (InverseCase, NormProfile, ProfileRow, ScaledInverse,
                              alternative_coprime_form, construct_scaled_inverse,
-                             generic_scaled_inverse, norm_profile,
-                             scaled_inverse_prime_power, scaled_inverse_two_prime)
+                             generic_scaled_inverse, norm_profile)
 from .structure import (DiophantineTable, PatternClass, band_form,
                         column_family_sum, diff_quotient_coeffs,
                         high_monomial_form, inflated_pattern_check,

@@ -30,6 +30,17 @@ def _parse_coeffs(text: str) -> IntPoly:
             f"--poly wants comma-separated integers: {exc}") from None
 
 
+def _parse_trials(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--trials wants an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--trials must be >= 1, got {value}")
+    return value
+
+
 def _print_json(obj):
     print(json.dumps(obj, indent=2))
 
@@ -253,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("M", type=int)
     p.add_argument("--suite",
                    choices=("all",) + verify_mod.SUITE_NAMES, default="all")
-    p.add_argument("--trials", type=int, default=verify_mod.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_parse_trials,
+                   default=verify_mod.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)

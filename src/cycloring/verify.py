@@ -297,7 +297,7 @@ def _suite_theorems(m, rng, trials):
 
     if isinstance(sh, PrimePower):
         def tightness():
-            si = scaled_inverse.scaled_inverse_prime_power(1, 0, m)
+            si = scaled_inverse.construct_scaled_inverse(1, 0, m)
             return si.norm == sh.p - 1 and si.u.coeffs[0] == -(sh.p - 1)
 
         col.run("tightness_at_unit_gap", tightness)
@@ -306,7 +306,7 @@ def _suite_theorems(m, rng, trials):
             p = sh.p
             i = m.inflation * (p - 1)
             j = m.inflation * (p - 2)
-            si = scaled_inverse.scaled_inverse_two_prime(i, j, m)
+            si = scaled_inverse.construct_scaled_inverse(i, j, m)
             alt = scaled_inverse.alternative_coprime_form(m)
             alt_vec = list(alt.coeffs) + [0] * (m.phi - len(alt.coeffs))
             const = alt.coeffs[0] if alt.coeffs else 0
@@ -408,6 +408,8 @@ _SUITES = {
 def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run the requested suites against M and collect a report."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = make_modulus(M)
     names = SUITE_NAMES if suite == "all" else (suite,)
     rng = np.random.default_rng(seed)

@@ -3,16 +3,17 @@
 These deliberately avoid the library's closed forms: the cyclotomic
 polynomial comes from the iterated divisor loop on x^n - 1, the resultant
 from a fraction-free determinant of the Sylvester matrix, the norm
-profile from one constructed and verified inverse per (i, j) pair, and
-polynomial products from the schoolbook double loop.
+profile from one constructed and verified inverse per (i, j) pair,
+polynomial products from the schoolbook double loop, and constructive
+inverses from the paper's formulas by long division.
 """
 from __future__ import annotations
 
 import functools
 
-from cycloring.cyclotomic import CycloModulus
-from cycloring.poly import IntPoly, divrem
-from cycloring.scaled_inverse import (NormProfile, ProfileRow,
+from cycloring.cyclotomic import CycloModulus, PrimePower, RingElement, reduce
+from cycloring.poly import IntPoly, divrem, exact_div
+from cycloring.scaled_inverse import (InverseCase, NormProfile, ProfileRow,
                                       construct_scaled_inverse)
 
 
@@ -111,3 +112,46 @@ def norm_profile_per_pair(m: CycloModulus) -> NormProfile:
             if not si.minimal:
                 flagged.append(row)
     return NormProfile(m, tuple(rows), case_max, tuple(flagged))
+
+
+def _largest_power_dividing(k: int, p: int) -> int:
+    d = 1
+    while k % (d * p) == 0:
+        d *= p
+    return d
+
+
+def construct_by_long_division(i: int, j: int, m: CycloModulus
+                               ) -> tuple[RingElement, int, int, InverseCase]:
+    """(u, scale, bound, case) of x^i - x^j from the paper's formulas.
+
+    u = -x^{M-j} V(x^{k/d}) mod Phi_M with V = (N - c)/(x^d - 1) and
+    k = i - j, the numerator N built by inflating prime-power cyclotomic
+    polynomials and V found by exact long division. Exponents are folded
+    mod M before reduce, so a large k/d stays cheap.
+    """
+    M, sh, k = m.M, m.shape, i - j
+    if isinstance(sh, PrimePower):
+        p = sh.p
+        case, num, scale, bound = InverseCase.PRIME_POWER, m.poly - p, p, p - 1
+        d = _largest_power_dividing(k, p)
+    else:
+        p, s, q, t = sh.p, sh.s, sh.q, sh.t
+        phi_ps = IntPoly((1,) * p).inflate(p ** (s - 1))
+        phi_qt = IntPoly((1,) * q).inflate(q ** (t - 1))
+        if k % p ** s == 0:
+            case, num, scale, bound = (InverseCase.P_DIVIDES_SHIFT,
+                                       phi_qt.inflate(p ** s) - q, q, q - 1)
+            d = p ** s * _largest_power_dividing(k, q)
+        elif k % q ** t == 0:
+            case, num, scale, bound = (InverseCase.Q_DIVIDES_SHIFT,
+                                       phi_ps.inflate(q ** t) - p, p, p - 1)
+            d = q ** t * _largest_power_dividing(k, p)
+        else:
+            case, num, scale, bound = InverseCase.COPRIME, m.poly - 1, 1, p - 1
+            d = _largest_power_dividing(k, p) * _largest_power_dividing(k, q)
+    v = exact_div(num, IntPoly.monomial(d) - 1)
+    folded = [0] * M
+    for e, c in enumerate(v.coeffs):
+        folded[(e * (k // d) + M - j) % M] -= c
+    return reduce(IntPoly(folded), m), scale, bound, case

@@ -20,7 +20,7 @@ from cycloring import (InverseCase, alternative_coprime_form, cli,
                        construct_scaled_inverse, element, generic_scaled_inverse,
                        make_modulus, max_expansion_factor, monomial_diff,
                        monomial_reduce, randomized_expansion_check, reduce,
-                       reduction_matrix, ring_mul, scaled_inverse_prime_power)
+                       reduction_matrix, ring_mul)
 from cycloring.poly import IntPoly, resultant_bezout
 
 PRIME_POWER_MODULI = (4, 8, 16, 9, 27, 25, 49, 121)
@@ -63,7 +63,7 @@ def test_c1_prime_power_exhaustive():
         m = make_modulus(M)
         p = m.shape.p
         for i, j in _pairs(M):
-            si = scaled_inverse_prime_power(i, j, m)
+            si = construct_scaled_inverse(i, j, m)
             prod = ring_mul(monomial_diff(i, j, m), si.u)
             assert prod.coeffs == (p,) + (0,) * (m.phi - 1), (M, i, j)
             assert si.norm <= p - 1, (M, i, j)
@@ -74,7 +74,7 @@ def test_c1_prime_power_exhaustive():
 def test_c2_prime_power_tightness():
     for M in PRIME_POWER_MODULI:
         m = make_modulus(M)
-        si = scaled_inverse_prime_power(1, 0, m)
+        si = construct_scaled_inverse(1, 0, m)
         assert si.norm == m.shape.p - 1, M
         assert abs(si.u.coeffs[0]) == m.shape.p - 1, M
 

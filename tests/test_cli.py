@@ -5,6 +5,7 @@ import pytest
 
 from cycloring import cli, cyclotomic, make_modulus, reduction_matrix
 from cycloring import scaled_inverse as sinv
+from cycloring import verify as verify_mod
 
 
 def run(capsys, *argv):
@@ -214,3 +215,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["nonsense", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_usage_error(self, capsys, trials):
+        # zero trials would report stride_subset_norm as passed unchecked
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "15", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_run_verify_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_mod.run_verify(15, trials=trials)

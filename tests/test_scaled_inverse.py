@@ -1,18 +1,19 @@
 import dataclasses
+import gc
 import random
 
 import numpy as np
 import pytest
 
-from cycloring import (InverseCase, RingElement, alternative_coprime_form,
-                       construct_scaled_inverse, element, generic_scaled_inverse,
-                       make_modulus, monomial_diff, monomial_reduce,
-                       norm_profile, reduce, reduction_matrix, ring_mul,
-                       scaled_inverse_prime_power, scaled_inverse_two_prime)
-from cycloring.errors import BadRange, NotApplicable, ZeroElement
+from cycloring import (CycloModulus, InverseCase, RingElement,
+                       alternative_coprime_form, construct_scaled_inverse,
+                       element, generic_scaled_inverse, make_modulus,
+                       monomial_diff, monomial_reduce, norm_profile, reduce,
+                       reduction_matrix, ring_mul)
+from cycloring.errors import BadRange, ZeroElement
 from cycloring.poly import IntPoly, exact_div
 from cycloring.scaled_inverse import _diff_product, _verify, check_gap_block
-from oracles import norm_profile_per_pair
+from oracles import construct_by_long_division, norm_profile_per_pair
 
 
 def one(m):
@@ -56,7 +57,7 @@ class TestGeneric:
 class TestPrimePower:
     def test_worked_example_m4(self):
         m = make_modulus(4)
-        si = scaled_inverse_prime_power(1, 0, m)
+        si = construct_scaled_inverse(1, 0, m)
         assert si.u.coeffs == (-1, -1)
         assert si.scale == 2 and si.bound == 1
         assert si.case == InverseCase.PRIME_POWER
@@ -65,7 +66,7 @@ class TestPrimePower:
     def test_tightness_at_unit_gap(self, M):
         m = make_modulus(M)
         p = m.shape.p
-        si = scaled_inverse_prime_power(1, 0, m)
+        si = construct_scaled_inverse(1, 0, m)
         assert si.norm == p - 1
         assert si.u.coeffs[0] == -(p - 1)
 
@@ -73,11 +74,7 @@ class TestPrimePower:
     def test_bad_range(self, i, j):
         m = make_modulus(9)
         with pytest.raises(BadRange):
-            scaled_inverse_prime_power(i, j, m)
-
-    def test_wrong_shape(self):
-        with pytest.raises(NotApplicable):
-            scaled_inverse_prime_power(1, 0, make_modulus(15))
+            construct_scaled_inverse(i, j, m)
 
     @pytest.mark.parametrize("M,i,j", [(4, 1, 0), (9, 5, 2), (27, 20, 11),
                                        (25, 17, 2), (8, 6, 2), (121, 77, 11)])
@@ -93,7 +90,7 @@ class TestPrimePower:
         v = exact_div(m.poly.inflate(beta) - p,
                       IntPoly.monomial(p ** alpha * beta) - 1)
         literal = reduce(-v.shift(M - j), m)
-        assert scaled_inverse_prime_power(i, j, m).u == literal
+        assert construct_scaled_inverse(i, j, m).u == literal
 
     @pytest.mark.parametrize("M", [4, 9, 25, 27, 121])
     def test_core_quotient_equals_weighted_comb_sum(self, M):
@@ -114,14 +111,14 @@ class TestPrimePower:
 class TestTwoPrime:
     def test_coprime_case_m15(self):
         m = make_modulus(15)
-        si = scaled_inverse_two_prime(2, 1, m)
+        si = construct_scaled_inverse(2, 1, m)
         assert si.case == InverseCase.COPRIME
         assert si.scale == 1 and si.bound == 2
         assert si.u.to_poly() == IntPoly((-1, -1, 0, -1, 0, 0, -1))
 
     def test_p_divides_case_m15(self):
         m = make_modulus(15)
-        si = scaled_inverse_two_prime(3, 0, m)
+        si = construct_scaled_inverse(3, 0, m)
         assert si.case == InverseCase.P_DIVIDES_SHIFT
         assert si.scale == 5 and si.bound == 4
         v = exact_div(IntPoly((1, 1, 1, 1, 1)).inflate(3) - 5,
@@ -130,13 +127,13 @@ class TestTwoPrime:
 
     def test_q_divides_case_m15(self):
         m = make_modulus(15)
-        si = scaled_inverse_two_prime(5, 0, m)
+        si = construct_scaled_inverse(5, 0, m)
         assert si.case == InverseCase.Q_DIVIDES_SHIFT
         assert si.scale == 3 and si.bound == 2
 
     def test_small_even_modulus(self):
         m = make_modulus(6)
-        si = scaled_inverse_two_prime(2, 0, m)
+        si = construct_scaled_inverse(2, 0, m)
         assert si.case == InverseCase.P_DIVIDES_SHIFT
         assert si.scale == 3
         assert si.u.to_poly() == IntPoly((-1, -1))
@@ -145,7 +142,7 @@ class TestTwoPrime:
         m = make_modulus(45)
         for i in range(1, 45):
             for j in range(i):
-                si = scaled_inverse_two_prime(i, j, m)
+                si = construct_scaled_inverse(i, j, m)
                 k = i - j
                 if k % 9 == 0:
                     assert si.case == InverseCase.P_DIVIDES_SHIFT
@@ -163,20 +160,16 @@ class TestTwoPrime:
         p = m.shape.p
         i = m.inflation * (p - 1)
         j = m.inflation * (p - 2)
-        si = scaled_inverse_two_prime(i, j, m)
+        si = construct_scaled_inverse(i, j, m)
         assert si.norm >= p - 2
         alt = alternative_coprime_form(m)
         assert alt.coeffs[0] == -(p - 2) if p > 2 else alt.coeffs[0] == 0
         padded = tuple(alt.coeffs) + (0,) * (m.phi - len(alt.coeffs))
         assert padded == si.u.coeffs
 
-    def test_wrong_shape(self):
-        with pytest.raises(NotApplicable):
-            scaled_inverse_two_prime(1, 0, make_modulus(9))
-
     def test_bad_range(self):
         with pytest.raises(BadRange):
-            scaled_inverse_two_prime(15, 0, make_modulus(15))
+            construct_scaled_inverse(15, 0, make_modulus(15))
 
 
 class TestOracleEquivalence:
@@ -189,6 +182,47 @@ class TestOracleEquivalence:
                 gen = generic_scaled_inverse(monomial_diff(i, j, m))
                 assert con.scale == gen.scale, (i, j)
                 assert con.u == gen.u, (i, j)
+
+
+class TestLongDivisionOracle:
+    """The table-driven construction against the paper's formulas by long
+    division; the moduli cover all four cases, p = 2, s > 1 and t > 1."""
+
+    @staticmethod
+    def _check(m, pairs):
+        for i, j in pairs:
+            si = construct_scaled_inverse(i, j, m)
+            assert (si.u, si.scale, si.bound, si.case) == \
+                construct_by_long_division(i, j, m), (m.M, i, j)
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 9, 27, 6, 12, 18, 45, 75, 63, 100])
+    def test_every_pair(self, M):
+        self._check(make_modulus(M), ((i, j) for i in range(1, M)
+                                      for j in range(i)))
+
+    @pytest.mark.parametrize("M", [200, 675, 1024, 1147, 2187])
+    def test_seeded_pairs(self, M):
+        rng = random.Random(M)
+        pairs = []
+        for _ in range(300):
+            i = rng.randrange(1, M)
+            pairs.append((i, rng.randrange(i)))
+        self._check(make_modulus(M), pairs)
+
+
+class TestModulusLifetime:
+    def test_constructs_keep_no_modulus_alive(self):
+        # 2057 = 11^2 * 17; no other test builds it
+        m = make_modulus.__wrapped__(2057)
+        rng = random.Random(2057)
+        for _ in range(30):
+            i = rng.randrange(1, m.M)
+            construct_scaled_inverse(i, rng.randrange(i), m)
+        del m
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, CycloModulus) and o.M == 2057]
+        assert alive == []
 
 
 class TestNormProfile:
