@@ -1,12 +1,19 @@
 """Cyclotomic moduli Phi_M(x) for M = p^s or M = p^s q^t, with reduction.
 
-A CycloModulus validates the shape of M and carries Phi_M(x). The M
-reduction-matrix columns (x^j mod Phi_M) are built lazily, on the first
-call that needs them (monomial_reduce, reduction_matrix, expansion), by a
-multiply-by-x recurrence; after that, monomial reduction is an O(1) lookup
-and the matrix columns form a code path independent of Euclidean long
-division. Reduction, ring products and the constructive inverses never
-build the columns.
+A CycloModulus validates the shape of M, carries Phi_M(x) and is immutable.
+All reduction mod Phi_M runs through _reduce_rows. With y = x^M',
+M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
+with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
+Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D, an exact
+division done from the low end by prefix sums. For p^s this is
+v[:phi] - tile(v[phi:], p - 1); for p^s q^t it is a shift-subtract by y^p
+and a window sum of q blocks, then a shift-subtract by y and prefix sums
+over the residue classes mod p and mod q, on a whole batch of rows at once.
+Rows are int64 when every step provably fits: with |v| <= b after folding
+mod x^M - 1, no entry exceeds 2b for p^s, nor 4pq^2 b for p^s q^t (window
+sums 2qb, times 1 - y 4qb, then prefix sums of q and of p - 1 terms), and
+object arrays of Python ints, exact at any size, otherwise. Long division
+(poly.divrem) is the independent check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
 a bounded cache of the moduli it built.
@@ -21,7 +28,7 @@ import numpy as np
 
 from .errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                      UnsupportedModulus)
-from .poly import IntPoly, exact_div
+from .poly import IntPoly, divrem, exact_div
 
 # Largest supported M. Up to here trial division takes at most 2^10 steps
 # and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
@@ -60,11 +67,9 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 
 class CycloModulus:
-    """Validated cyclotomic modulus carrying Phi_M; the reduction-matrix
-    columns are built on first use."""
+    """Validated cyclotomic modulus carrying Phi_M."""
 
-    __slots__ = ("M", "shape", "phi", "poly", "radical", "inflation",
-                 "_column_cache", "_tail")
+    __slots__ = ("M", "shape", "phi", "poly", "radical", "inflation")
 
     def __init__(self, M, shape, phi, poly, radical, inflation):
         self.M = M
@@ -73,33 +78,6 @@ class CycloModulus:
         self.poly = poly
         self.radical = radical
         self.inflation = inflation
-        # nonzero coefficients of Phi_M below its leading term, for division
-        self._tail = tuple((i, c) for i, c in enumerate(poly.coeffs[:-1]) if c)
-        self._column_cache = None
-
-    @property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """All M columns x^j mod Phi_M, j = 0..M-1 (M * phi slots)."""
-        if self._column_cache is None:
-            self._column_cache = self._build_columns()
-        return self._column_cache
-
-    def _build_columns(self):
-        phi = self.phi
-        # x^phi mod Phi_M as a length-phi vector (Phi_M is monic)
-        top = [-c for c in self.poly.coeffs[:phi]]
-        cols = []
-        cur = [0] * phi
-        cur[0] = 1
-        for _ in range(self.M):
-            cols.append(tuple(cur))
-            carry = cur[phi - 1]
-            cur = [0] + cur[:phi - 1]
-            if carry:
-                for i, c in enumerate(top):
-                    if c:
-                        cur[i] += carry * c
-        return tuple(cols)
 
     def __eq__(self, other):
         return isinstance(other, CycloModulus) and self.M == other.M
@@ -206,42 +184,71 @@ def element(m: CycloModulus, coeffs) -> RingElement:
     return reduce(IntPoly(coeffs), m)
 
 
-def _rem_vector(vec: list[int], m: CycloModulus) -> list[int]:
-    # in-place Euclidean remainder by the monic Phi_M; vec length <= M
-    phi = m.phi
-    for d in range(len(vec) - 1, phi - 1, -1):
-        c = vec[d]
-        if c:
-            vec[d] = 0
-            for i, fc in m._tail:
-                vec[d - phi + i] -= c * fc
-    vec = vec[:phi]
-    vec.extend([0] * (phi - len(vec)))
-    return vec
+def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
+    """V (a sequence or 2-D array) as 2-D rows: int64 when the module's bound
+    holds for headroom * max|V| * (folds mod x^M - 1), else object."""
+    try:
+        A = np.atleast_2d(np.asarray(V, dtype=np.int64))
+    except OverflowError:
+        A = np.atleast_2d(np.asarray(V, dtype=object))
+    big = max(int(A.max()), -int(A.min())) if A.size else 0
+    sh = m.shape
+    growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
+    bound = headroom * (-(-A.shape[1] // m.M) or 1) * big * growth
+    return A.astype(np.int64 if bound < 2 ** 63 else object, copy=False)
+
+
+def _times_one_minus(X: np.ndarray, s: int) -> np.ndarray:
+    """X * (1 - y^s) mod y^n - 1, with y one step along axis 1 (length n)."""
+    return X - np.concatenate((X[:, -s:], X[:, :-s]), axis=1)
+
+
+def _times_cofactor(A: np.ndarray, m: CycloModulus) -> np.ndarray:
+    """Each length-M row of A times D(y) mod x^M - 1: the multiply half of
+    _reduce_rows. A row is 0 mod Phi_M exactly when its image is 0."""
+    n = A.shape[0]
+    Y = A.reshape(n, m.radical, m.inflation)
+    if isinstance(m.shape, PrimePower):
+        return _times_one_minus(Y, 1).reshape(n, m.M)
+    # W(1) = 0, so the prefix sums of W are W / (1 - y) mod y^pq - 1
+    W = _times_one_minus(Y, m.shape.p)
+    return _times_one_minus(W.cumsum(axis=1), m.shape.q).reshape(n, m.M)
+
+
+def _reduce_rows(V, m: CycloModulus) -> np.ndarray:
+    """The (n, phi) remainders mod Phi_M of the rows of V (see _as_rows),
+    read mod x^M - 1: exponents fold mod M first."""
+    M, phi = m.M, m.phi
+    A = _as_rows(V, m)
+    n, L = A.shape
+    if L != M:
+        folds = -(-L // M) or 1
+        A = np.concatenate([A, np.zeros((n, folds * M - L), A.dtype)], axis=1)
+        A = A.reshape(n, folds, M).sum(axis=1)
+    sh = m.shape
+    if isinstance(sh, PrimePower):
+        # y^(p-1) = -(1 + y + ... + y^(p-2)) mod Phi_p(y)
+        return A[:, :phi] - np.tile(A[:, phi:], sh.p - 1)
+    p, q, w = sh.p, sh.q, m.inflation
+    Z = _times_cofactor(A, m).reshape(n, p * q, w)
+    # F = Z (1 - y) = r (1 - y^p)(1 - y^q), below y^pq (F_pq is not needed)
+    F = Z.copy()
+    F[:, 1:] -= Z[:, :-1]
+    # divide by 1 - y^p, then by 1 - y^q: prefix sums over residue classes
+    G = F.reshape(n, q, p, w).cumsum(axis=1).reshape(n, p * q, w)
+    G = G[:, :(p - 1) * q].reshape(n, p - 1, q, w).cumsum(axis=1)
+    return G.reshape(n, (p - 1) * q, w)[:, :(p - 1) * (q - 1)].reshape(n, phi)
 
 
 def reduce(a: IntPoly, m: CycloModulus) -> RingElement:
-    """Unique representative of a mod Phi_M with degree < phi(M).
-
-    Exponents are first folded mod M (valid since Phi_M divides x^M - 1),
-    then one Euclidean division by the monic Phi_M finishes the job. The
-    result equals the plain long-division remainder.
-    """
-    coeffs = a.coeffs
-    if len(coeffs) > m.M:
-        folded = [0] * m.M
-        for e, c in enumerate(coeffs):
-            if c:
-                folded[e % m.M] += c
-        vec = folded
-    else:
-        vec = list(coeffs)
-    return RingElement(m, tuple(_rem_vector(vec, m)))
+    """Unique representative of a mod Phi_M with degree < phi(M), equal to
+    the long-division remainder; exponents fold mod M first."""
+    return RingElement(m, tuple(_reduce_rows(a.coeffs, m)[0].tolist()))
 
 
 def monomial_reduce(k: int, m: CycloModulus) -> RingElement:
     """x^k mod Phi_M for any integer k; the exponent is normalized mod M."""
-    return RingElement(m, m._columns[k % m.M])
+    return reduce(IntPoly.monomial(k % m.M), m)
 
 
 def monomial_diff(i: int, j: int, m: CycloModulus) -> RingElement:
@@ -278,7 +285,7 @@ class ReductionMatrix:
     blocks: BlockRanges | None
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.entries[:, j])
+        return tuple(self.entries[:, j].tolist())
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(int(c)) for c in row)
@@ -297,11 +304,13 @@ class ReductionMatrix:
 
 
 def reduction_matrix(m: CycloModulus) -> ReductionMatrix:
-    """Materialize R_M. Entries of supported shapes all lie in {-1, 0, 1},
-    so the two-prime case is stored with 8-bit entries; correctness never
-    relies on the narrow storage."""
-    dtype = np.int8 if isinstance(m.shape, TwoPrime) else np.int64
-    entries = np.array(m._columns, dtype=dtype).T
+    """Materialize R_M = R_rad kron I_M' (x^(aM' + b) = y^a x^b), stored as
+    int8; entries lie in {-1, 0, 1}, asserted on R_rad."""
+    rad = m.radical
+    base = _reduce_rows(np.eye(rad, dtype=np.int64), make_modulus(rad)).T
+    if np.abs(base).max() > 1:
+        raise AssertionError(f"R_{rad} entry outside {{-1, 0, 1}}")
+    entries = np.kron(base.astype(np.int8), np.eye(m.inflation, dtype=np.int8))
     entries.setflags(write=False)
     blocks = None
     sh = m.shape
@@ -313,10 +322,13 @@ def reduction_matrix(m: CycloModulus) -> ReductionMatrix:
 
 
 def kron_check(m: CycloModulus) -> bool:
-    """Whether R_M equals R_rad(M) kron I_{M/rad(M)}; needs a non-squarefree M."""
+    """Whether R_M, built as R_rad kron I_M', equals long division of every
+    x^k by Phi_M; needs a non-squarefree M."""
     if m.inflation == 1:
         raise NotApplicable(f"M={m.M} is squarefree")
-    base = reduction_matrix(make_modulus(m.radical)).entries.astype(np.int64)
-    expect = np.kron(base, np.eye(m.inflation, dtype=np.int64))
-    got = reduction_matrix(m).entries.astype(np.int64)
-    return np.array_equal(got, expect)
+    R = reduction_matrix(m).entries
+    for k in range(m.M):
+        rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
+        if R[:len(rem), k].tolist() != list(rem) or R[len(rem):, k].any():
+            return False
+    return True

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import (CycloModulus, PrimePower, RingElement,
-                         monomial_reduce, ring_mul)
+                         monomial_reduce, reduction_matrix, ring_mul)
 
 DEFAULT_SEED = 1729
 
 
 def _window(m: CycloModulus, k: int) -> np.ndarray:
-    cols = m._columns
-    return np.array([cols[(k + l) % m.M] for l in range(m.phi)],
-                    dtype=np.int64).T
+    cols = (k + np.arange(m.phi)) % m.M
+    return reduction_matrix(m).entries[:, cols].astype(np.int64)
 
 
 def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement]:
@@ -93,12 +92,10 @@ def max_expansion_factor(m: CycloModulus) -> ExpansionReport:
     the maximum.
     """
     M, phi = m.M, m.phi
-    # Row c of cols is column c of R_M (numpy refuses an entry outside
-    # int8). Its entries lie in {-1, 0, 1}, checked here, so csum[c], the sum
-    # of rows 0 .. c-1 of |R_M|, is at most M <= 2^20 and exact in int32.
-    cols = np.array(m._columns, dtype=np.int8)
-    if cols.min() < -1 or cols.max() > 1:
-        raise AssertionError(f"R_M entry outside {{-1, 0, 1}} for M={M}")
+    # Row c of cols is column c of R_M. Its entries lie in {-1, 0, 1}, as
+    # reduction_matrix asserts, so csum[c], the sum of rows 0 .. c-1 of
+    # |R_M|, is at most M <= 2^20 and exact in int32.
+    cols = reduction_matrix(m).entries.T
     csum = np.zeros((M + 1, phi), dtype=np.int32)
     np.cumsum(np.abs(cols), axis=0, dtype=np.int32, out=csum[1:])
     del cols

@@ -38,7 +38,8 @@ from itertools import accumulate
 import numpy as np
 
 from .cyclotomic import (CycloModulus, PrimePower, RingElement, TwoPrime,
-                         _rem_vector, reduction_matrix, ring_mul)
+                         _as_rows, _reduce_rows, _times_cofactor,
+                         _times_one_minus, ring_mul)
 from .errors import BadRange, NotApplicable, ZeroElement
 from .poly import IntPoly, exact_div, resultant_bezout
 
@@ -84,17 +85,13 @@ def _verify(prod: RingElement, si: ScaledInverse):
 
 
 def _diff_product(i: int, j: int, u: RingElement) -> RingElement:
-    """(x^i - x^j) * u mod Phi_M, for 0 <= j, i < M.
-
-    Phi_M divides x^M - 1, so the product is formed in Z[x]/(x^M - 1) as
-    two cyclic rotations of u and then reduced once; this is the identity
-    check_gap_block applies to whole gaps.
-    """
+    """(x^i - x^j) * u mod Phi_M, for 0 <= j, i < M: two cyclic rotations of
+    u in Z[x]/(x^M - 1), reduced once."""
     m = u.modulus
-    full = u.coeffs + (0,) * (m.M - m.phi)
-    xi = full[m.M - i:] + full[:m.M - i]
-    xj = full[m.M - j:] + full[:m.M - j]
-    return RingElement(m, tuple(_rem_vector([a - b for a, b in zip(xi, xj)], m)))
+    # headroom 2: x^i u - x^j u, two windows of [u, u] padded to 2M
+    full = _as_rows(2 * (u.coeffs + (0,) * (m.M - m.phi)), m, 2)[0]
+    prod = full[m.M - i:2 * m.M - i] - full[m.M - j:2 * m.M - j]
+    return RingElement(m, tuple(_reduce_rows(prod, m)[0].tolist()))
 
 
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
@@ -172,6 +169,10 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     mod Phi_M, where Q = (N - c)/(x^d - 1). The quotient comes from the
     stride recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so
     the recurrence continued past deg Q must give d zeros.
+
+    The scale is minimal. It is 1, or a prime p (or q) with the bound
+    scale - 1, which _verify checks; a nonzero u with every |coefficient|
+    below a prime scale has content prime to it, so no smaller scale works.
     """
     M = m.M
     if not 0 <= j < i < M:
@@ -194,21 +195,10 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     for e, v in enumerate(neg[:top]):
         if v:
             acc[(e * g + shift) % M] += v
-    u = RingElement(m, tuple(_rem_vector(acc, m)))
-    si = ScaledInverse(u, scale, bound, case,
-                       minimal=_content_coprime(u, scale))
+    u = RingElement(m, tuple(_reduce_rows(acc, m)[0].tolist()))
+    si = ScaledInverse(u, scale, bound, case, minimal=True)
     _verify(_diff_product(i, j, u), si)
     return si
-
-
-def _content_coprime(u: RingElement, scale: int) -> bool:
-    # If gcd(cont(u), scale) = 1, no smaller positive scale can admit an
-    # integral inverse, so the constructed scale is the minimal one. When
-    # the norm bound scale-1 holds this is automatic: coefficients smaller
-    # than the scale in absolute value cannot all be divisible by it.
-    if scale == 1:
-        return True
-    return math.gcd(u.to_poly().content(), scale) == 1
 
 
 @dataclass(frozen=True)
@@ -233,27 +223,30 @@ class NormProfile:
         return self.case_max[case][0]
 
 
-def check_gap_block(m: CycloModulus, B: np.ndarray, g: int, block: np.ndarray,
-                    scale: int, bound: int) -> np.ndarray:
+def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
+                    bound: int) -> np.ndarray:
     """Batched exact check of the pairs (j + g, j), one per row of block.
 
     Row j of block must be a reduced u with (x^{j+g} - x^j) * u = scale
-    (mod Phi_M) and max-norm(u) <= bound. The product is formed per row as
-    two cyclic rolls in Z[x]/(x^M - 1) and reduced with B, the non-identity
-    block of R_M = [I | B], as int64. Returns the row norms; raises
-    AssertionError naming M and (i, j) of the first pair that fails.
+    (mod Phi_M) and max-norm(u) <= bound. The product is formed per row in
+    Z[x]/(x^M - 1); it is scale mod Phi_M exactly when (product - scale) * D
+    is 0 mod x^M - 1 (see cyclotomic), so no division is needed. Returns
+    the row norms; raises AssertionError naming M and (i, j) of the first
+    pair that fails.
     """
     M, phi = m.M, m.phi
     n = block.shape[0]
-    full = np.zeros((n, M), dtype=np.int64)
-    full[:, :phi] = block
-    j = np.arange(n)[:, None]
-    k = np.arange(M)[None, :]
-    prod = (np.take_along_axis(full, (k - j - g) % M, axis=1)
-            - np.take_along_axis(full, (k - j) % M, axis=1))
-    residual = prod[:, :phi] + prod[:, phi:] @ B.T
-    residual[:, 0] -= scale
-    bad = np.flatnonzero(residual.any(axis=1))
+    # headroom: |(x^(j+g) - x^j) u - scale| <= (2 + scale) max|u| for u != 0
+    rows = _as_rows(block, m, 2 + scale)
+    pad = np.zeros((n + 1, M), dtype=rows.dtype)
+    pad[:n, :phi] = rows
+    # row j of xj starts at column M - j of [u_j, u_j], so it is x^j u_j
+    xj = np.tile(pad, 2).ravel()[M:M + n * (2 * M - 1)]
+    xj = xj.reshape(n, 2 * M - 1)[:, :M]
+    # the negated residual: (x^j - x^(j+g)) u_j + scale
+    res = _times_one_minus(xj, g)
+    res[:, 0] += scale
+    bad = np.flatnonzero(_times_cofactor(res, m).any(axis=1))
     if bad.size:
         jj = int(bad[0])
         raise AssertionError(
@@ -274,8 +267,8 @@ def norm_profile(m: CycloModulus) -> NormProfile:
 
     Only the M - 1 gap inverses u(g, 0) are constructed (each verified by
     construct_scaled_inverse). All pairs of gap g follow as the rotations
-    x^{-j} u(g, 0), reduced together by one integer matmul, and every pair
-    is then checked by a batched exact product (check_gap_block). Rows,
+    x^{-j} u(g, 0), reduced together as the rows of one array, and every
+    pair is then checked by a batched exact product (check_gap_block). Rows,
     maxima and witnesses come out in the order of a plain `for i: for j < i`
     sweep, keeping the first pair to reach each case maximum.
 
@@ -283,26 +276,16 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     factor with the content of u) are flagged; a cross-check against the
     generic route is then the caller's decision.
     """
-    M, phi, sh = m.M, m.phi, m.shape
-    # int64 is exact: every base norm is at most its case bound, which is
-    # at most q - 1 (p - 1 for p^s), as _verify checked; entries of B lie in
-    # {-1, 0, 1} and B has M - phi columns. Reduced rotations are then at
-    # most (M - phi + 1) * bound, and reduced products at most
-    # 2 * (M - phi + 1)^2 * bound.
-    top = (sh.q if isinstance(sh, TwoPrime) else sh.p) - 1
-    if 2 * (M - phi + 1) ** 2 * top >= 2 ** 63:
-        raise AssertionError(f"int64 bound fails for the sweep of M={M}")
-    B = reduction_matrix(m).entries[:, phi:].astype(np.int64)
-    if np.abs(B).max() > 1:
-        raise AssertionError(f"R_M entry outside {{-1, 0, 1}} for M={M}")
+    M, phi = m.M, m.phi
     gaps = [None]
     for g in range(1, M):
         si = construct_scaled_inverse(g, 0, m)
         base = np.zeros(M, dtype=np.int64)
         base[:phi] = si.u.coeffs
-        rot = base[(np.arange(M - g)[:, None] + np.arange(M)[None, :]) % M]
-        block = rot[:, :phi] + rot[:, phi:] @ B.T
-        norms = check_gap_block(m, B, g, block, si.scale, si.bound)
+        # row j starts at base[j], so it is x^{-j} u(g, 0) mod x^M - 1
+        rot = np.tile(base, M - g + 1)[:(M - g) * (M + 1)]
+        block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
+        norms = check_gap_block(m, g, block, si.scale, si.bound)
         if si.scale == 1:
             minimal = [True] * (M - g)
         else:

@@ -1,7 +1,11 @@
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycloring
 
@@ -11,7 +15,9 @@ from cycloring import (PrimePower, TwoPrime, element,
 from cycloring import cyclotomic
 from cycloring.errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                               UnsupportedModulus)
-from cycloring.poly import IntPoly
+from cycloring.cyclotomic import _as_rows, _reduce_rows
+from cycloring.poly import IntPoly, divrem
+from cycloring.verify import run_verify
 
 from oracles import cyclotomic_divisor_loop
 
@@ -227,3 +233,118 @@ class TestElementValidation:
     def test_kron_not_applicable_for_prime(self):
         with pytest.raises(NotApplicable):
             kron_check(make_modulus(7))
+
+
+def divrem_remainder(coeffs, m):
+    """The long-division remainder of coeffs mod Phi_M as a length-phi tuple."""
+    rem = divrem(IntPoly(coeffs), m.poly)[1].coeffs
+    return rem + (0,) * (m.phi - len(rem))
+
+
+DIFFERENTIAL_MODULI = [2, 4, 8, 9, 27, 125, 1024, 2187, 6, 12, 45, 63, 75,
+                       143, 675, 1147, 2057]
+SUPPORTED_UPTO_300 = [m.M for m in all_supported_upto(300)]
+
+
+class TestReduceAgainstLongDivision:
+    """The cofactor reduction against the remainder of poly.divrem."""
+
+    @pytest.mark.parametrize("M", DIFFERENTIAL_MODULI)
+    def test_lengths_and_magnitudes(self, M):
+        m = make_modulus(M)
+        rng = random.Random(M)
+        for length in (1, m.phi, M, 2 * M + 3):
+            for mag in (0, 7, 10 ** 30):
+                coeffs = [rng.randint(-mag, mag) for _ in range(length)]
+                got = reduce(IntPoly(coeffs), m)
+                assert got.coeffs == divrem_remainder(coeffs, m), (length, mag)
+                assert all(type(c) is int for c in got.coeffs)
+
+    @pytest.mark.parametrize("M", [63, 1147, 2187])
+    def test_all_zero_and_extreme_entries(self, M):
+        m = make_modulus(M)
+        assert reduce(IntPoly([0] * (2 * M + 3)), m).is_zero()
+        assert reduce(IntPoly(()), m).is_zero()
+        for big in (2 ** 63 - 1, -2 ** 63, 2 ** 64, -10 ** 30):
+            coeffs = [big, -1] * M + [big]
+            assert reduce(IntPoly(coeffs), m).coeffs == divrem_remainder(coeffs, m)
+
+    @given(st.sampled_from(SUPPORTED_UPTO_300),
+           st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=700))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_divrem_property(self, M, coeffs):
+        m = make_modulus(M)
+        assert reduce(IntPoly(coeffs), m).coeffs == divrem_remainder(coeffs, m)
+
+    @pytest.mark.parametrize("M", [35, 125, 143, 675])
+    @pytest.mark.parametrize("mag", [9, 10 ** 30])
+    def test_batched_rows_equal_single_rows(self, M, mag):
+        m = make_modulus(M)
+        rng = random.Random(M + mag)
+        V = np.array([[rng.randint(-mag, mag) for _ in range(M)]
+                      for _ in range(12)], dtype=object)
+        batch = _reduce_rows(V, m)
+        assert batch.shape == (12, m.phi)
+        for r in range(12):
+            assert batch[r].tolist() == _reduce_rows(list(V[r]), m)[0].tolist()
+            assert tuple(batch[r].tolist()) == divrem_remainder(list(V[r]), m)
+
+    @pytest.mark.parametrize("M", [35, 1147, 2187])
+    def test_int64_only_under_the_written_bound(self, M):
+        m = make_modulus(M)
+        sh = m.shape
+        growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
+        big = (2 ** 63 - 1) // growth
+        assert _as_rows([big, -1], m).dtype == np.int64
+        assert _as_rows([big + 1, -1], m).dtype == object
+        assert _as_rows([big, 0] * M, m).dtype == object   # two folds
+        assert _as_rows([big // 2], m, headroom=2).dtype == np.int64
+        assert _as_rows([big // 2 + 1], m, headroom=2).dtype == object
+
+    @pytest.mark.parametrize("M", [9, 35, 1024, 1147])
+    def test_monomial_reduce_outside_zero_to_m(self, M):
+        m = make_modulus(M)
+        for k in (M, M + 1, 2 * M - 1, 3 * M + 5):
+            assert monomial_reduce(k, m).coeffs == divrem_remainder(
+                IntPoly.monomial(k).coeffs, m)
+        for k in (-1, -M, -M - 3, -5 * M + 2):
+            shifted = k + M * (-k // M + 1)
+            assert monomial_reduce(k, m).coeffs == divrem_remainder(
+                IntPoly.monomial(shifted).coeffs, m)
+
+    def test_monomial_reduce_at_a_large_prime_stays_small(self):
+        tracemalloc.start()
+        try:
+            got = monomial_reduce(5, make_modulus.__wrapped__(4099))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.coeffs[5] == 1 and sum(map(abs, got.coeffs)) == 1
+        assert peak < 5 * 2 ** 20, f"peak {peak} bytes"
+
+
+class TestReductionMatrixChecksStayIndependent:
+    """kron_check and verify's column check read long division, so a wrong
+    entry in R_M fails them even though R_M is built from R_rad."""
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        good = cyclotomic.reduction_matrix
+
+        def flip(m):
+            R = good(m)
+            entries = R.entries.copy()
+            entries[0, -1] = 1 - entries[0, -1]
+            return cyclotomic.ReductionMatrix(m, entries, R.blocks)
+
+        monkeypatch.setattr(cyclotomic, "reduction_matrix", flip)
+
+    @pytest.mark.parametrize("M", [9, 63])
+    def test_kron_check_rejects_flipped_entry(self, flipped, M):
+        assert kron_check(make_modulus(M)) is False
+
+    @pytest.mark.parametrize("M", [15, 63, 125])
+    def test_verify_rejects_flipped_entry(self, flipped, M):
+        report = run_verify(M, suite="matrix", trials=10)
+        failed = {c.name for s in report.suites for c in s.checks if not c.passed}
+        assert "columns_match_long_division" in failed

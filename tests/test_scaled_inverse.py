@@ -1,18 +1,20 @@
 import dataclasses
 import gc
+import math
 import random
 
 import numpy as np
 import pytest
 
-from cycloring import (CycloModulus, InverseCase, RingElement,
+from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
                        alternative_coprime_form, construct_scaled_inverse,
                        element, generic_scaled_inverse, make_modulus,
                        monomial_diff, monomial_reduce, norm_profile, reduce,
-                       reduction_matrix, ring_mul)
+                       ring_mul)
 from cycloring.errors import BadRange, ZeroElement
 from cycloring.poly import IntPoly, exact_div
-from cycloring.scaled_inverse import _diff_product, _verify, check_gap_block
+from cycloring.scaled_inverse import (_case, _diff_product, _verify,
+                                      check_gap_block)
 from oracles import construct_by_long_division, norm_profile_per_pair
 
 
@@ -272,29 +274,39 @@ class TestCheckGapBlock:
         m = make_modulus(self.M)
         sis = [construct_scaled_inverse(j + self.G, j, m)
                for j in range(self.M - self.G)]
-        B = reduction_matrix(m).entries[:, m.phi:].astype(np.int64)
         block = np.array([si.u.coeffs for si in sis], dtype=np.int64)
-        return m, B, block, sis[0].scale, sis[0].bound
+        return m, block, sis[0].scale, sis[0].bound
 
     def test_accepts_true_block(self):
-        m, B, block, scale, bound = self._block()
-        norms = check_gap_block(m, B, self.G, block, scale, bound)
+        m, block, scale, bound = self._block()
+        norms = check_gap_block(m, self.G, block, scale, bound)
         assert norms.tolist() == [int(np.abs(r).max()) for r in block]
 
     def test_rejects_one_coefficient_off_by_one(self):
-        m, B, block, scale, bound = self._block()
+        m, block, scale, bound = self._block()
         block[6, 3] += 1
         with pytest.raises(AssertionError,
                            match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)"):
-            check_gap_block(m, B, self.G, block, scale, bound)
+            check_gap_block(m, self.G, block, scale, bound)
+
+    @pytest.mark.parametrize("big", [2 ** 62, 10 ** 30])
+    def test_rejects_coefficient_too_large_for_int64(self, big):
+        # the product of such a row would overflow int64; the check must
+        # switch to exact Python ints and still name the pair
+        m, block, scale, bound = self._block()
+        rows = block if big < 2 ** 63 else block.astype(object)
+        rows[6, 3] += big
+        with pytest.raises(AssertionError,
+                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)"):
+            check_gap_block(m, self.G, rows, scale, bound)
 
     def test_rejects_norm_above_bound(self):
-        m, B, block, scale, bound = self._block()
+        m, block, scale, bound = self._block()
         norms = np.abs(block).max(axis=1)
         j, low = int(np.argmax(norms)), int(norms.max()) - 1
         with pytest.raises(AssertionError, match=rf"> bound {low} for M=15, "
                                                  rf"\(i, j\)=\({j + self.G}, {j}\)"):
-            check_gap_block(m, B, self.G, block, scale, low)
+            check_gap_block(m, self.G, block, scale, low)
 
 
 class TestRotationVerify:
@@ -332,18 +344,41 @@ class TestRotationVerify:
                            match=rf"norm bound {si.norm - 1} violated for M={M}$"):
             _verify(_diff_product(i, j, si.u), low)
 
-    @pytest.mark.parametrize("M", [125, 1147])
-    def test_constructs_and_products_leave_columns_unbuilt(self, M):
-        m = make_modulus.__wrapped__(M)   # a fresh, uncached instance
-        rng = random.Random(M)
-        for _ in range(20):
-            i = rng.randrange(1, M)
-            construct_scaled_inverse(i, rng.randrange(i), m)
-        a = RingElement(m, tuple(rng.randint(-5, 5) for _ in range(m.phi)))
-        ring_mul(a, a)
-        assert m._column_cache is None
-        monomial_reduce(1, m)
-        assert m._column_cache is not None
+
+class TestCaseTableImpliesMinimality:
+    """Constructed inverses are marked minimal without a content gcd: the
+    table gives scale 1, or a prime scale whose bound is scale - 1."""
+
+    MODULI = [4, 9, 27, 125, 6, 12, 15, 35, 45, 63, 143, 675]
+
+    @staticmethod
+    def _is_prime(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    @pytest.mark.parametrize("M", MODULI)
+    def test_every_shift(self, M):
+        m = make_modulus(M)
+        seen = set()
+        for k in range(1, M):
+            case, _, _, _, scale, bound = _case(k, m)
+            seen.add(case)
+            assert scale == 1 or (bound == scale - 1 and self._is_prime(scale)), k
+        if isinstance(m.shape, TwoPrime):
+            assert InverseCase.COPRIME in seen
+
+    def test_moduli_cover_all_four_cases(self):
+        seen = {_case(k, make_modulus(M))[0]
+                for M in self.MODULI for k in range(1, M)}
+        assert seen == set(InverseCase) - {InverseCase.GENERIC}
+
+    @pytest.mark.parametrize("M", [12, 35, 125])
+    def test_constructed_inverses_have_content_prime_to_scale(self, M):
+        m = make_modulus(M)
+        for i in range(1, M):
+            for j in range(i):
+                si = construct_scaled_inverse(i, j, m)
+                assert si.minimal
+                assert math.gcd(si.u.to_poly().content(), si.scale) == 1
 
 
 class TestNegativeResultantNormalization:
