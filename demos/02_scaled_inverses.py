@@ -7,7 +7,7 @@ inverse usually needs a scale: the smallest positive integer c such that
 (x^i - x^j) * u = c has an integer-coefficient solution u. The constructive
 route reads u off the paper's case table, as a quotient by x^d - 1, and
 guarantees both the scale and a coefficient bound; the generic route recovers the same element
-through resultants and rational Bezout coefficients.
+from the resultant and an integral Bezout cofactor, divided by their common content.
 """
 from cycloring import (construct_scaled_inverse, generic_scaled_inverse,
                        make_modulus, monomial_diff)

@@ -16,7 +16,7 @@ from .errors import (BadRange, CycloringError, InexactDivision, ModulusMismatch,
                      ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
-from .poly import IntPoly, RatPoly, divrem, exact_div, resultant_bezout
+from .poly import IntPoly, divrem, exact_div, resultant_bezout
 from .scaled_inverse import (InverseCase, NormProfile, ProfileRow, ScaledInverse,
                              alternative_coprime_form, construct_scaled_inverse,
                              generic_scaled_inverse, norm_profile)

@@ -20,9 +20,10 @@ from .cyclotomic import (CycloModulus, PrimePower, RingElement,
 DEFAULT_SEED = 1729
 
 
-def _window(m: CycloModulus, k: int) -> np.ndarray:
+def _window(entries: np.ndarray, k: int, m: CycloModulus) -> np.ndarray:
+    """Columns k .. k + phi - 1 (mod M) of R_M, given its entries."""
     cols = (k + np.arange(m.phi)) % m.M
-    return reduction_matrix(m).entries[:, cols].astype(np.int64)
+    return entries[:, cols].astype(np.int64)
 
 
 def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement]:
@@ -33,7 +34,12 @@ def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement
     re-verified by one ring multiplication.
     """
     k %= m.M
-    win = _window(m, k)
+    return _factor_and_witness(k, m, _window(reduction_matrix(m).entries, k, m))
+
+
+def _factor_and_witness(k: int, m: CycloModulus,
+                        win: np.ndarray) -> tuple[int, RingElement]:
+    """monomial_expansion_factor for 0 <= k < M, given the window of k."""
     row_l1 = np.abs(win).sum(axis=1)
     row = int(row_l1.argmax())
     factor = int(row_l1[row])
@@ -95,15 +101,15 @@ def max_expansion_factor(m: CycloModulus) -> ExpansionReport:
     # Row c of cols is column c of R_M. Its entries lie in {-1, 0, 1}, as
     # reduction_matrix asserts, so csum[c], the sum of rows 0 .. c-1 of
     # |R_M|, is at most M <= 2^20 and exact in int32.
-    cols = reduction_matrix(m).entries.T
+    entries = reduction_matrix(m).entries
     csum = np.zeros((M + 1, phi), dtype=np.int32)
-    np.cumsum(np.abs(cols), axis=0, dtype=np.int32, out=csum[1:])
-    del cols
+    np.cumsum(np.abs(entries.T), axis=0, dtype=np.int32, out=csum[1:])
     # window of k: columns k .. k + phi - 1, wrapping mod M past k = M - phi
     inner = (csum[phi:] - csum[:M - phi + 1]).max(axis=1)
     wrapped = (csum[M] - csum[M - phi + 1:M] + csum[1:phi]).max(axis=1)
     per_k = tuple(int(v) for v in np.concatenate([inner, wrapped]))
     max_factor = max(per_k)
+    del csum  # M * phi int32, not needed by the witness window below
 
     expected = closed_form_max(m)
     if expected is not None and max_factor != expected:
@@ -116,7 +122,7 @@ def max_expansion_factor(m: CycloModulus) -> ExpansionReport:
             f"witness exponent {wk} does not attain the maximum for M={m.M}")
     if wk is None:
         wk = int(np.argmax(per_k))
-    factor, witness = monomial_expansion_factor(wk, m)
+    factor, witness = _factor_and_witness(wk, m, _window(entries, wk, m))
     assert factor == max_factor
     return ExpansionReport(m, per_k, max_factor, wk, witness)
 
@@ -129,8 +135,8 @@ def randomized_expansion_check(k: int, m: CycloModulus, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k %= m.M
-    factor, witness = monomial_expansion_factor(k, m)
-    win = _window(m, k)
+    win = _window(reduction_matrix(m).entries, k, m)
+    factor, witness = _factor_and_witness(k, m, win)
     rng = np.random.default_rng(seed)
     half = trials // 2
     gs = rng.integers(-1, 2, size=(trials, m.phi))

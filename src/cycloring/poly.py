@@ -1,4 +1,4 @@
-"""Exact dense polynomial arithmetic over Z and Q.
+"""Exact dense polynomial arithmetic over Z.
 
 Polynomials are coefficient sequences in ascending degree: ``IntPoly([1, 0, 2])``
 is 2x^2 + 1. Coefficients are Python ints, so everything is arbitrary
@@ -11,14 +11,18 @@ Karatsuba, and the coefficients are read back as digits. The digit width
 comes from an exact bound on the product coefficients, so the result is
 exact at any precision.
 
+The resultant and Bezout cofactor are computed mod 61-bit primes, joined
+by the CRT up to the Hadamard bound and certified by one exact division
+(resultant_bezout).
+
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import InexactDivision, NotCoprime, ZeroPolynomial
 
@@ -43,10 +47,6 @@ class IntPoly:
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
         return IntPoly((0,) * k + (c,))
-
-    @staticmethod
-    def constant(c: int) -> IntPoly:
-        return IntPoly((c,))
 
     @property
     def degree(self) -> int | float:
@@ -245,135 +245,123 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-class RatPoly:
-    """Dense polynomial with exact rational coefficients.
+_TOP_PRIME = 2 ** 61 - 1
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Fraction keeps every coefficient in lowest terms with a positive
-    denominator, which is the canonical form relied on by scale-minimality
-    checks.
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 3.3 * 10^24 with these bases."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    e = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^e, d odd
+    d = (n - 1) >> e
+    return all(pow(b, d, n) == 1
+               or any(pow(b, d << i, n) == n - 1 for i in range(e))
+               for b in _MR_BASES)
+
+
+@functools.lru_cache(maxsize=None)
+def _prime(k: int) -> int:
+    """The k-th prime counting down from 2^61 - 1 (_prime(0) = 2^61 - 1).
+
+    Called with k = 0, 1, 2, ... in order, so each call recurses one level.
+    The cache holds one int per prime ever needed, about log2(H)/61 of them.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        self.coeffs = coeffs[:end]
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def denominator_lcm(self) -> int:
-        """lcm of the lowest-terms denominators; 1 for the zero polynomial."""
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-        return out
-
-    def scaled_by(self, c) -> RatPoly:
-        return RatPoly(tuple(x * c for x in self.coeffs))
-
-    def to_int_poly(self) -> IntPoly:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise InexactDivision("rational coefficients are not integral")
-        return IntPoly(tuple(int(c) for c in self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"RatPoly({[str(c) for c in self.coeffs]})"
+    n = _prime(k - 1) - 2 if k else _TOP_PRIME
+    while not _is_prime(n):
+        n -= 2
+    return n
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    # a, b trimmed coefficient lists over Q, b nonzero
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(r) - 1 < db:
-        return [], r
-    q = [Fraction(0)] * (len(r) - db)
-    for d in range(len(r) - 1, db - 1, -1):
-        c = r[d]
-        if not c:
-            continue
-        qc = c / lead
-        q[d - db] = qc
-        for i in range(db + 1):
-            r[d - db + i] -= qc * b[i]
-    while r and not r[-1]:
-        r.pop()
-    while q and not q[-1]:
-        q.pop()
-    return q, r
+def _trim(v: list[int]) -> list[int]:
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
-def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly, RatPoly]:
-    """Resultant and Bezout coefficients of a against f.
+def _bezout_image(a: tuple[int, ...], f: tuple[int, ...], ell: int):
+    """res(a, f) and the Bezout cofactor s mod a prime ell, by the EEA over F_ell.
 
-    Returns (r, s, st) with r = res(a, f) a nonzero integer,
-    s*a = r (mod f) with deg s < deg f over Z, and st = s/r the unique
-    rational cofactor with st*a = 1 (mod f).
+    a and f are ascending coefficient tuples with len(a) < len(f). Returns
+    (r, s) with r = res(a, f) mod ell and s, of length deg f, the residues
+    of the integral cofactor with s*a = r (mod f). Returns None when ell
+    divides lc(a)*lc(f), where reduction mod ell drops a degree, and
+    (0, None) when ell | r, where the remainder chain dies early.
+    """
+    if not a[-1] % ell or not f[-1] % ell:
+        return None
+    n = len(f) - 1
+    r0, r1 = [c % ell for c in f], [c % ell for c in a]
+    s0, s1 = [], [1]
+    acc = 1
+    while len(r1) > 1:
+        # r0 = q*r1 + rem and s0 - q*s1 in one pass over the quotient terms,
+        # reduced mod ell once at the end
+        d0, d1 = len(r0) - 1, len(r1) - 1
+        inv = pow(r1[-1], -1, ell)
+        s0 += [0] * (d0 - d1 + len(s1) - len(s0))
+        for e in range(d0 - d1, -1, -1):
+            qc = r0[e + d1] % ell * inv % ell
+            r0[e:e + d1] = [x - qc * y for x, y in zip(r0[e:e + d1], r1)]
+            s0[e:e + len(s1)] = [x - qc * y
+                                 for x, y in zip(s0[e:e + len(s1)], s1)]
+        rem = _trim([x % ell for x in r0[:d1]])
+        if not rem:
+            return 0, None
+        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
+        acc = acc * (-1) ** (d0 * d1) * pow(r1[-1], d0 - len(rem) + 1, ell) % ell
+        r0, r1, s0, s1 = r1, rem, s1, _trim([x % ell for x in s0])
+    # r1 is the nonzero constant c with s1*a = c (mod f), and res(r0, c) = c^deg r0
+    c = r1[0]
+    r = acc * pow(c, len(r0) - 1, ell) * (-1) ** ((len(a) - 1) * n) % ell
+    t = r * pow(c, -1, ell) % ell
+    return r, [x * t % ell for x in s1] + [0] * (n - len(s1))
 
-    Computed by the extended Euclidean algorithm over Q, tracking the
-    resultant through the remainder chain. Requires deg a < deg f and
-    gcd(a, f) = 1 over Q; a nontrivial gcd raises NotCoprime.
+
+def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
+    """Resultant and integral Bezout cofactor of a against f.
+
+    Returns (r, s) with r = res(a, f) a nonzero integer and s*a = r (mod f)
+    over Z, deg s < deg f. Requires deg a < deg f; a zero a or a common
+    factor of a and f raises NotCoprime.
+
+    Multimodular: r and s are found mod 61-bit primes ell (counting down
+    from 2^61 - 1, skipping ell | lc(a)*lc(f)) by _bezout_image and joined
+    by the CRT into symmetric residues. Every |s_i| and |r| is a Sylvester
+    minor, at most the Hadamard bound H = |a|_2^deg f * |f|_2^deg a, so the
+    primes stop once their product passes 2H. Primes with ell | r are
+    skipped; once those alone pass 2H, r = 0 and NotCoprime is raised. The
+    result is certified by one exact division of s*a - r by f.
     """
     if a.is_zero():
         raise NotCoprime("a vanishes mod f, no Bezout relation exists")
     if not a.degree < f.degree:
         raise ValueError("resultant_bezout requires deg(a) < deg(f)")
-
-    deg_a = len(a.coeffs) - 1
-    deg_f = len(f.coeffs) - 1
-
-    r0 = [Fraction(c) for c in f.coeffs]
-    r1 = [Fraction(c) for c in a.coeffs]
-    s0: list[Fraction] = []
-    s1 = [Fraction(1)]
-    res_acc = Fraction(1)
-
-    while len(r1) - 1 > 0:
-        q, r2 = _frac_divmod(r0, r1)
-        if not r2:
-            raise NotCoprime("gcd(a, f) is nonconstant; f is not irreducible")
-        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
-        d0, d1, d2 = len(r0) - 1, len(r1) - 1, len(r2) - 1
-        res_acc *= Fraction(-1) ** (d0 * d1) * r1[-1] ** (d0 - d2)
-        # cofactor recurrence s2 = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for iq, cq in enumerate(q):
-            if cq:
-                for isx, cs in enumerate(s1):
-                    prod[iq + isx] += cq * cs
-        s2 = [x - y for x, y in itertools.zip_longest(s0, prod, fillvalue=Fraction(0))]
-        while s2 and not s2[-1]:
-            s2.pop()
-        r0, r1, s0, s1 = r1, r2, s1, s2
-
-    c = r1[0]  # nonzero constant: last element of the remainder chain
-    res_f_a = res_acc * c ** (len(r0) - 1)
-    r_frac = Fraction(-1) ** (deg_a * deg_f) * res_f_a
-    if r_frac.denominator != 1:
-        raise AssertionError("resultant of integer polynomials must be integral")
-    r = int(r_frac)
-
-    st = RatPoly(tuple(x / c for x in s1))
-    s = st.scaled_by(r).to_int_poly()
-
-    # defensive exactness check: s*a - r must vanish mod f
-    _, rem = divrem(s * a - r, f)
-    if not rem.is_zero():
+    ac, fc = a.coeffs, f.coeffs
+    n = len(fc) - 1
+    # (2H)^2, compared with the squared prime products
+    need = 4 * sum(c * c for c in ac) ** n * sum(c * c for c in fc) ** (len(ac) - 1)
+    r, s, mod, dead = 0, [0] * n, 1, 1
+    for ell in map(_prime, itertools.count()):
+        image = _bezout_image(ac, fc, ell)
+        if image is None:
+            continue
+        rl, sl = image
+        if sl is None:
+            dead *= ell
+            if dead * dead > need:
+                raise NotCoprime("gcd(a, f) is nonconstant; f is not irreducible")
+            continue
+        # CRT: the new value is congruent to the old mod `mod` and to the image mod ell
+        inv = pow(mod % ell, -1, ell)
+        r += mod * ((rl - r) * inv % ell)
+        s = [x + mod * ((y - x) * inv % ell) for x, y in zip(s, sl)]
+        mod *= ell
+        if mod * mod > need:
+            break
+    half = mod // 2
+    r = r - mod if r > half else r
+    s = IntPoly([x - mod if x > half else x for x in s])
+    if not divrem(s * a - r, f)[1].is_zero():
         raise AssertionError("Bezout identity verification failed")
-    return r, s, st
+    return r, s

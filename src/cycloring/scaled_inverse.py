@@ -1,12 +1,13 @@
 """Scaled inverses of x^i - x^j in Z[x]/Phi_M(x).
 
 Two routes are provided. The generic route works for any nonzero ring
-element: it runs the resultant/Bezout machinery over Q and scales away the
-common content, which provably yields the inverse with the minimal positive
-scale. The constructive route covers a = x^i - x^j only. With k = i - j it
-returns u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where
-N, c, d, the scale and the guaranteed coefficient bound come from the
-paper's case table (_case):
+element: it takes the integral resultant/Bezout pair (r, s), computed mod
+61-bit primes and joined by the CRT, and divides out gcd(r, cont(s)), which
+provably yields the inverse with the minimal positive scale. The
+constructive route covers a = x^i - x^j only. With k = i - j it returns
+u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where N, c,
+d, the scale and the guaranteed coefficient bound come from the paper's
+case table (_case):
 
   case             N(x)                c  d                   scale  bound
   PRIME_POWER      Phi_M               p  p^v_p(k)            p      p-1
@@ -97,27 +98,24 @@ def _diff_product(i: int, j: int, u: RingElement) -> RingElement:
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     """Scaled inverse of any nonzero element, via resultant and Bezout.
 
-    With r = res(a, Phi_M), s the integral Bezout cofactor and
-    d = gcd(r, cont(s)), the element s/d is the scaled inverse with scale
-    r/d. The scale is minimal: it equals the lcm of the lowest-terms
-    denominators of the rational cofactor, which is asserted.
+    resultant_bezout gives r = res(a, Phi_M) and an integral s with
+    s*a = r (mod Phi_M). With g = gcd(r, cont(s)), signed like r, u = s/g
+    is the scaled inverse with scale r/g > 0, and that scale is minimal.
+    Let c0 be the minimal scale and a*u0 = c0; then gcd(c0, cont(u0)) = 1,
+    or dividing both by a common prime would give a smaller scale. In the
+    domain Z[x]/Phi_M any integral pair with a*s = r has c0*s = r*u0, so
+    c0 | r (c0 divides r*cont(u0) and is prime to cont(u0)), and with
+    k = r/c0, s = k*u0. Hence |g| = |k| * gcd(c0, cont(u0)) = |k| and
+    r/g = c0.
     """
     if a.is_zero():
         raise ZeroElement("the zero element has no scaled inverse")
     m = a.modulus
-    r, s, st = resultant_bezout(a.to_poly(), m.poly)
-    if r < 0:
-        r, s = -r, -s
-    d = math.gcd(r, s.content())
-    scale = r // d
-    u_poly = s.scalar_exact_div(d)
-    coeffs = list(u_poly.coeffs)
-    coeffs.extend([0] * (m.phi - len(coeffs)))
-    u = RingElement(m, tuple(coeffs))
-    if scale != st.denominator_lcm():
-        raise AssertionError("scale does not match the denominator lcm of "
-                             "the rational Bezout cofactor")
-    si = ScaledInverse(u, scale, None, InverseCase.GENERIC, minimal=True)
+    r, s = resultant_bezout(a.to_poly(), m.poly)
+    g = math.gcd(r, s.content()) * (1 if r > 0 else -1)
+    u = s.scalar_exact_div(g).coeffs
+    si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
+                       None, InverseCase.GENERIC, minimal=True)
     _verify(ring_mul(a, si.u), si)
     return si
 

@@ -4,15 +4,20 @@ These deliberately avoid the library's closed forms: the cyclotomic
 polynomial comes from the iterated divisor loop on x^n - 1, the resultant
 from a fraction-free determinant of the Sylvester matrix, the norm
 profile from one constructed and verified inverse per (i, j) pair,
-polynomial products from the schoolbook double loop, and constructive
-inverses from the paper's formulas by long division.
+polynomial products from the schoolbook double loop, constructive
+inverses from the paper's formulas by long division, and the resultant
+with its Bezout cofactor from the extended Euclidean algorithm over Q.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+from fractions import Fraction
 
 from cycloring.cyclotomic import CycloModulus, PrimePower, RingElement, reduce
-from cycloring.poly import IntPoly, divrem, exact_div
+from cycloring.errors import InexactDivision, NotCoprime
+from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.scaled_inverse import (InverseCase, NormProfile, ProfileRow,
                                       construct_scaled_inverse)
 
@@ -155,3 +160,137 @@ def construct_by_long_division(i: int, j: int, m: CycloModulus
     for e, c in enumerate(v.coeffs):
         folded[(e * (k // d) + M - j) % M] -= c
     return reduce(IntPoly(folded), m), scale, bound, case
+
+
+class RatPoly:
+    """Dense polynomial with exact rational coefficients.
+
+    Fraction keeps every coefficient in lowest terms with a positive
+    denominator, which is the canonical form relied on by scale-minimality
+    checks.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        self.coeffs = coeffs[:end]
+
+    @property
+    def degree(self) -> int | float:
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def denominator_lcm(self) -> int:
+        """lcm of the lowest-terms denominators; 1 for the zero polynomial."""
+        out = 1
+        for c in self.coeffs:
+            out = out * c.denominator // math.gcd(out, c.denominator)
+        return out
+
+    def scaled_by(self, c) -> RatPoly:
+        return RatPoly(tuple(x * c for x in self.coeffs))
+
+    def to_int_poly(self) -> IntPoly:
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise InexactDivision("rational coefficients are not integral")
+        return IntPoly(tuple(int(c) for c in self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"RatPoly({[str(c) for c in self.coeffs]})"
+
+
+def _frac_divmod(a: list[Fraction], b: list[Fraction]):
+    # a, b trimmed coefficient lists over Q, b nonzero
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    if len(r) - 1 < db:
+        return [], r
+    q = [Fraction(0)] * (len(r) - db)
+    for d in range(len(r) - 1, db - 1, -1):
+        c = r[d]
+        if not c:
+            continue
+        qc = c / lead
+        q[d - db] = qc
+        for i in range(db + 1):
+            r[d - db + i] -= qc * b[i]
+    while r and not r[-1]:
+        r.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, r
+
+
+def fraction_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly, RatPoly]:
+    """Resultant and Bezout coefficients of a against f, over Q.
+
+    Returns (r, s, st) with r = res(a, f) a nonzero integer,
+    s*a = r (mod f) with deg s < deg f over Z, and st = s/r the unique
+    rational cofactor with st*a = 1 (mod f).
+
+    Computed by the extended Euclidean algorithm over Q, tracking the
+    resultant through the remainder chain. Requires deg a < deg f and
+    gcd(a, f) = 1 over Q; a nontrivial gcd raises NotCoprime.
+    """
+    if a.is_zero():
+        raise NotCoprime("a vanishes mod f, no Bezout relation exists")
+    if not a.degree < f.degree:
+        raise ValueError("fraction_bezout requires deg(a) < deg(f)")
+
+    deg_a = len(a.coeffs) - 1
+    deg_f = len(f.coeffs) - 1
+
+    r0 = [Fraction(c) for c in f.coeffs]
+    r1 = [Fraction(c) for c in a.coeffs]
+    s0: list[Fraction] = []
+    s1 = [Fraction(1)]
+    res_acc = Fraction(1)
+
+    while len(r1) - 1 > 0:
+        q, r2 = _frac_divmod(r0, r1)
+        if not r2:
+            raise NotCoprime("gcd(a, f) is nonconstant; f is not irreducible")
+        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
+        d0, d1, d2 = len(r0) - 1, len(r1) - 1, len(r2) - 1
+        res_acc *= Fraction(-1) ** (d0 * d1) * r1[-1] ** (d0 - d2)
+        # cofactor recurrence s2 = s0 - q*s1
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
+        for iq, cq in enumerate(q):
+            if cq:
+                for isx, cs in enumerate(s1):
+                    prod[iq + isx] += cq * cs
+        s2 = [x - y for x, y in itertools.zip_longest(s0, prod, fillvalue=Fraction(0))]
+        while s2 and not s2[-1]:
+            s2.pop()
+        r0, r1, s0, s1 = r1, r2, s1, s2
+
+    c = r1[0]  # nonzero constant: last element of the remainder chain
+    res_f_a = res_acc * c ** (len(r0) - 1)
+    r_frac = Fraction(-1) ** (deg_a * deg_f) * res_f_a
+    if r_frac.denominator != 1:
+        raise AssertionError("resultant of integer polynomials must be integral")
+    r = int(r_frac)
+
+    st = RatPoly(tuple(x / c for x in s1))
+    s = st.scaled_by(r).to_int_poly()
+
+    # defensive exactness check: s*a - r must vanish mod f
+    _, rem = divrem(s * a - r, f)
+    if not rem.is_zero():
+        raise AssertionError("Bezout identity verification failed")
+    return r, s, st

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloring.poly import IntPoly, RatPoly, divrem, exact_div, resultant_bezout
+from cycloring import poly
+from cycloring.poly import (IntPoly, _bezout_image, _is_prime, _prime, divrem,
+                            exact_div, resultant_bezout)
 from cycloring.errors import InexactDivision, NotCoprime, ZeroPolynomial
 
-from oracles import (cyclotomic_divisor_loop, diophantine_bit, resultant_oracle,
-                     schoolbook_mul)
+from oracles import (RatPoly, cyclotomic_divisor_loop, diophantine_bit,
+                     fraction_bezout, resultant_oracle, schoolbook_mul)
 
 
 def P(*coeffs):
@@ -169,17 +171,19 @@ class TestRevContentInflate:
 
 class TestResultantBezout:
     def test_worked_example(self):
-        r, s, st_ = resultant_bezout(P(-1, 1), P(1, 0, 1))
+        r, s = resultant_bezout(P(-1, 1), P(1, 0, 1))
         assert r == 2
         assert s == P(-1, -1)
+        _, _, st_ = fraction_bezout(P(-1, 1), P(1, 0, 1))
         assert st_ == RatPoly((Fraction(-1, 2), Fraction(-1, 2)))
 
     def test_unit(self):
-        r, s, st_ = resultant_bezout(P(1), P(1, 0, 1))
+        r, s = resultant_bezout(P(1), P(1, 0, 1))
+        _, _, st_ = fraction_bezout(P(1), P(1, 0, 1))
         assert r == 1 and s == P(1) and st_ == RatPoly((1,))
 
     def test_monomial_inverse(self):
-        r, s, _ = resultant_bezout(P(0, 1), P(1, 0, 1))
+        r, s = resultant_bezout(P(0, 1), P(1, 0, 1))
         assert r == 1 and s == P(0, -1)
 
     def test_zero_a_not_coprime(self):
@@ -203,16 +207,139 @@ class TestResultantBezout:
         if a.is_zero() or f.degree < 1 or not a.degree < f.degree:
             return
         try:
-            r, s, st_ = resultant_bezout(a, f)
+            r, s = resultant_bezout(a, f)
         except NotCoprime:
             assert resultant_oracle(a, f) == 0
             return
         assert r == resultant_oracle(a, f)
-        # r * stilde recovers s exactly, and s*a = r holds mod f
+        # r * stilde from the rational EEA recovers s exactly, and s*a = r
+        # holds mod f
+        _, _, st_ = fraction_bezout(a, f)
         assert st_.scaled_by(r).to_int_poly() == s
         _, rem = divrem(s * a - r, f)
         assert rem.is_zero()
         assert s.degree < f.degree
+
+
+def record_images(monkeypatch):
+    """Patch poly._bezout_image to log (prime, result) for each call."""
+    calls = []
+    image = poly._bezout_image
+
+    def logged(a, f, ell):
+        out = image(a, f, ell)
+        calls.append((ell, out))
+        return out
+
+    monkeypatch.setattr(poly, "_bezout_image", logged)
+    return calls
+
+
+class TestMultimodular:
+    def test_primes_count_down_from_mersenne_61(self):
+        assert _prime(0) == 2 ** 61 - 1
+        ps = [_prime(k) for k in range(4)]
+        assert ps == sorted(ps, reverse=True)
+        for lo, hi in zip(ps[1:], ps):
+            assert all(not _is_prime(n) for n in range(lo + 1, hi))
+        assert all(p.bit_length() == 61 for p in ps)
+
+    def test_miller_rabin_small_and_composite(self):
+        small = [n for n in range(200) if _is_prime(n)]
+        assert small == [n for n in range(2, 200)
+                         if all(n % d for d in range(2, n))]
+        # strong pseudoprimes to several of the bases
+        for n in (3215031751, 3825123056546413051, (2 ** 61 - 1) * 3):
+            assert not _is_prime(n)
+
+    def test_skip_when_prime_divides_resultant(self):
+        # res(x - 2, x^2 + 1) = 5: the chain dies mod 5
+        assert resultant_oracle(P(-2, 1), P(1, 0, 1)) == 5
+        assert _bezout_image((-2, 1), (1, 0, 1), 5) == (0, None)
+        # mod 7 the image is r = 5, s = -x - 2, since (x - 2)(-x - 2) = 5
+        assert _bezout_image((-2, 1), (1, 0, 1), 7) == (5, [5, 6])
+
+    def test_skip_when_prime_divides_leading_coefficient(self):
+        assert _bezout_image((1, 5), (1, 0, 1), 5) is None
+        assert _bezout_image((1, 1), (1, 0, 5), 5) is None
+        assert _bezout_image((1, 1), (1, 0, 5), 7) is not None
+
+    def test_image_matches_integral_pair(self):
+        rng = random.Random(11)
+        f = cyclotomic_divisor_loop(21)
+        for _ in range(20):
+            a = IntPoly([rng.randint(-9, 9) for _ in range(12)])
+            r, s = resultant_bezout(a, f)
+            s_pad = s.coeffs + (0,) * (12 - len(s.coeffs))
+            # |lc(a)| <= 9 and f is monic, so no prime here is skipped for
+            # its leading coefficient
+            for ell in (_prime(0), 101, 10007):
+                image = _bezout_image(a.coeffs, f.coeffs, ell)
+                if r % ell == 0:
+                    assert image == (0, None)
+                else:
+                    assert image == (r % ell, [c % ell for c in s_pad])
+
+    def test_unlucky_primes_skipped_in_the_loop(self, monkeypatch):
+        ell = 2 ** 61 - 1
+        calls = record_images(monkeypatch)
+        # lc(a) = ell: the first prime is skipped for its leading coefficient
+        a, f = P(1, ell), P(1, 0, 1)
+        r, s = resultant_bezout(a, f)
+        assert calls[0] == (ell, None)
+        assert r == resultant_oracle(a, f)
+        assert divrem(s * a - r, f)[1].is_zero()
+        # res(x - 1, x^2 + ell - 1) = ell: the first prime divides r
+        calls.clear()
+        a, f = P(-1, 1), P(ell - 1, 0, 1)
+        r, s = resultant_bezout(a, f)
+        assert calls[0] == (ell, (0, None))
+        assert abs(r) == ell == abs(resultant_oracle(a, f))
+        assert divrem(s * a - r, f)[1].is_zero()
+
+    def test_not_coprime_only_through_the_bound(self, monkeypatch):
+        # a and f share x - 1, and the Hadamard bound needs two primes
+        common = P(-1, 1)
+        a = common * P(7, 1000, 0, 1)
+        f = common * P(-3, 999, 0, 0, 1000, 1)
+        na = sum(c * c for c in a.coeffs)
+        nf = sum(c * c for c in f.coeffs)
+        need = 4 * na ** f.degree * nf ** a.degree
+        calls = record_images(monkeypatch)
+        with pytest.raises(NotCoprime):
+            resultant_bezout(a, f)
+        assert all(out == (0, None) for _, out in calls)
+        dead = 1
+        for k, (ell, _) in enumerate(calls):
+            assert ell == _prime(k)
+            assert dead * dead <= need
+            dead *= ell
+        assert dead * dead > need
+        assert len(calls) == 2
+
+    def test_prime_count_follows_the_bound(self, monkeypatch):
+        f = cyclotomic_divisor_loop(63)
+        a = IntPoly([(-1) ** k * (k % 6) for k in range(36)])
+        need = (4 * sum(c * c for c in a.coeffs) ** 36
+                * sum(c * c for c in f.coeffs) ** a.degree)
+        calls = record_images(monkeypatch)
+        resultant_bezout(a, f)
+        mod = 1
+        for ell, _ in calls:
+            assert mod * mod <= need
+            mod *= ell
+        assert mod * mod > need
+
+    def test_certificate_failure_raises(self, monkeypatch):
+        image = poly._bezout_image
+
+        def corrupt(a, f, ell):
+            r, s = image(a, f, ell)
+            return r, [s[0] + 1] + s[1:]
+
+        monkeypatch.setattr(poly, "_bezout_image", corrupt)
+        with pytest.raises(AssertionError, match="Bezout identity"):
+            resultant_bezout(P(-1, 1), P(1, 0, 1))
 
 
 class TestInvariants:
