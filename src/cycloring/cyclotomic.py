@@ -1,6 +1,7 @@
 """Cyclotomic moduli Phi_M(x) for M = p^s or M = p^s q^t, with reduction.
 
-A CycloModulus validates the shape of M, carries Phi_M(x) and is immutable.
+A CycloModulus validates the shape of M, carries Phi_M(x), both as an IntPoly
+and as a read-only int64 row, and is immutable.
 All reduction mod Phi_M runs through _reduce_rows. With y = x^M',
 M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
 with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
@@ -67,15 +68,22 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 
 class CycloModulus:
-    """Validated cyclotomic modulus carrying Phi_M."""
+    """Validated cyclotomic modulus carrying Phi_M.
 
-    __slots__ = ("M", "shape", "phi", "poly", "radical", "inflation")
+    poly_row holds the coefficients of poly as a read-only int64 array (they
+    lie in {-1, 0, 1}), the numerator the constructive inverses start from.
+    """
+
+    __slots__ = ("M", "shape", "phi", "poly", "poly_row", "radical",
+                 "inflation")
 
     def __init__(self, M, shape, phi, poly, radical, inflation):
         self.M = M
         self.shape = shape
         self.phi = phi
         self.poly = poly
+        self.poly_row = np.array(poly.coeffs, dtype=np.int64)
+        self.poly_row.setflags(write=False)
         self.radical = radical
         self.inflation = inflation
 
@@ -188,10 +196,15 @@ def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
     """V (a sequence or 2-D array) as 2-D rows: int64 when the module's bound
     holds for headroom * max|V| * (folds mod x^M - 1), else object."""
     try:
-        A = np.atleast_2d(np.asarray(V, dtype=np.int64))
+        A = np.asarray(V, dtype=np.int64)
     except OverflowError:
-        A = np.atleast_2d(np.asarray(V, dtype=object))
-    big = max(int(A.max()), -int(A.min())) if A.size else 0
+        A = np.asarray(V, dtype=object)
+    if A.ndim == 1:
+        A = A[None]
+    # abs wraps only at -2^63, which no int64 bound admits
+    big = int(np.abs(A).max()) if A.size else 0
+    if big < 0:
+        big = 2 ** 63
     sh = m.shape
     growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
     bound = headroom * (-(-A.shape[1] // m.M) or 1) * big * growth
@@ -249,6 +262,15 @@ def reduce(a: IntPoly, m: CycloModulus) -> RingElement:
 def monomial_reduce(k: int, m: CycloModulus) -> RingElement:
     """x^k mod Phi_M for any integer k; the exponent is normalized mod M."""
     return reduce(IntPoly.monomial(k % m.M), m)
+
+
+def _monomial_rows(ks, m: CycloModulus) -> np.ndarray:
+    """x^k mod Phi_M for each exponent of ks (normalized mod M): one reduced
+    row each, from one _reduce_rows over the unit rows."""
+    ks = np.asarray(ks, dtype=np.int64) % m.M
+    units = np.zeros((ks.size, m.M), dtype=np.int64)
+    units[np.arange(ks.size), ks] = 1
+    return _reduce_rows(units, m)
 
 
 def monomial_diff(i: int, j: int, m: CycloModulus) -> RingElement:

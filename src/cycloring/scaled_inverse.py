@@ -19,12 +19,17 @@ PRIME_POWER is the case of M = p^s. For M = p^s q^t the case is
 P_DIVIDES_SHIFT when p^s | k, Q_DIVIDES_SHIFT when q^t | k, and COPRIME
 otherwise. Q comes from the stride recurrence Q_e = Q_{e-d} - (N - c)_e, a
 prefix sum over each residue class mod d, with no long division; the route
-is orders of magnitude faster than the generic one.
+is orders of magnitude faster than the generic one. One int64 numpy row
+carries a construction from N to the reduced u: a cumulative sum down the
+columns of its (-1, d) view, a fold of the exponents e k/d + M - j mod M,
+one reduction mod Phi_M. Its entries stay below M^2 (q + 1) < 2^61 (the
+bound is derived in construct_scaled_inverse), and each reduction falls
+back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by
-(x^i - x^j) * u = x^i u - x^j u, two cyclic rotations of u modulo x^M - 1
-followed by one reduction mod Phi_M. Exhaustive sweeps (norm_profile)
+(x^i - x^j) * u = x^i u - x^j u, two cyclic rotations of the row of u modulo
+x^M - 1 followed by one reduction mod Phi_M. Exhaustive sweeps (norm_profile)
 construct only the M - 1 gap inverses u(g, 0) and obtain every other pair by
 the gap-shift identity u(i, j) = x^{-j} u(i - j, 0); each pair is still
 checked, by a batched exact product.
@@ -34,7 +39,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -73,26 +77,33 @@ class ScaledInverse:
         return self.u.max_norm()
 
 
-def _verify(prod: RingElement, si: ScaledInverse):
-    # prod is the exact product a * si.u; it must be the constant si.scale
-    m = prod.modulus
-    want = (si.scale,) + (0,) * (m.phi - 1)
-    if prod.coeffs != want:
+def _verify(prod, si: ScaledInverse, norm: int | None = None):
+    """prod is the coefficient row of the exact product a * si.u; it must be
+    the constant si.scale. norm is max-norm(si.u), read from si.u when not
+    given."""
+    m = si.u.modulus
+    if prod[0] != si.scale or prod[1:].any():
         raise AssertionError(
             f"constructed inverse failed a*u = {si.scale} for M={m.M}")
-    if si.bound is not None and si.u.max_norm() > si.bound:
-        raise AssertionError(
-            f"norm bound {si.bound} violated for M={m.M}")
+    if si.bound is not None:
+        if norm is None:
+            norm = si.u.max_norm()
+        if norm > si.bound:
+            raise AssertionError(
+                f"norm bound {si.bound} violated for M={m.M}")
 
 
-def _diff_product(i: int, j: int, u: RingElement) -> RingElement:
-    """(x^i - x^j) * u mod Phi_M, for 0 <= j, i < M: two cyclic rotations of
-    u in Z[x]/(x^M - 1), reduced once."""
-    m = u.modulus
+def _diff_product(i: int, j: int, u: np.ndarray, m: CycloModulus
+                  ) -> np.ndarray:
+    """(x^i - x^j) * u mod Phi_M for a reduced row u and 0 <= j, i < M: two
+    cyclic rotations of u in Z[x]/(x^M - 1), reduced once."""
+    M = m.M
     # headroom 2: x^i u - x^j u, two windows of [u, u] padded to 2M
-    full = _as_rows(2 * (u.coeffs + (0,) * (m.M - m.phi)), m, 2)[0]
-    prod = full[m.M - i:2 * m.M - i] - full[m.M - j:2 * m.M - j]
-    return RingElement(m, tuple(_reduce_rows(prod, m)[0].tolist()))
+    u = _as_rows(u, m, 2)[0]
+    full = np.zeros(2 * M, dtype=u.dtype)
+    full[:m.phi] = u
+    full[M:M + m.phi] = u
+    return _reduce_rows(full[M - i:2 * M - i] - full[M - j:2 * M - j], m)[0]
 
 
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
@@ -116,7 +127,7 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     u = s.scalar_exact_div(g).coeffs
     si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
                        None, InverseCase.GENERIC, minimal=True)
-    _verify(ring_mul(a, si.u), si)
+    _verify(np.array(ring_mul(a, si.u).coeffs, dtype=object), si)
     return si
 
 
@@ -128,10 +139,17 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+def _comb(n: int, w: int) -> np.ndarray:
+    """1 + x^w + ... + x^((n - 1) w) as an int64 row."""
+    row = np.zeros((n - 1) * w + 1, dtype=np.int64)
+    row[::w] = 1
+    return row
+
+
 def _case(k: int, m: CycloModulus):
     """The paper's case table at the shift k = i - j, 0 < k < M.
 
-    Returns (case, N, c, d, scale, bound), N as a coefficient sequence:
+    Returns (case, N, c, d, scale, bound), N as an int64 coefficient row:
 
       case             N(x)                c  d                   scale  bound
       PRIME_POWER      Phi_M               p  p^v_p(k)            p      p-1
@@ -141,26 +159,27 @@ def _case(k: int, m: CycloModulus):
 
     For M = p^s q^t the shift is P_DIVIDES_SHIFT when p^s | k,
     Q_DIVIDES_SHIFT when q^t | k (never both, since k < M), COPRIME otherwise.
+    Phi_M is the modulus's read-only row; Phi_{q^t}(x^{p^s}) is the comb
+    1 + y + ... + y^(q-1) at y = x^{q^(t-1) p^s}, and symmetrically for p.
     """
     sh = m.shape
     if isinstance(sh, PrimePower):
         p = sh.p
-        return (InverseCase.PRIME_POWER, m.poly.coeffs, p,
+        return (InverseCase.PRIME_POWER, m.poly_row, p,
                 p ** _valuation(k, p), p, p - 1)
     p, s, q, t = sh.p, sh.s, sh.q, sh.t
     if k % p ** s == 0:
-        num = IntPoly((1,) * q).inflate(q ** (t - 1) * p ** s)
-        return (InverseCase.P_DIVIDES_SHIFT, num.coeffs, q,
-                p ** s * q ** _valuation(k, q), q, q - 1)
+        return (InverseCase.P_DIVIDES_SHIFT, _comb(q, q ** (t - 1) * p ** s),
+                q, p ** s * q ** _valuation(k, q), q, q - 1)
     if k % q ** t == 0:
-        num = IntPoly((1,) * p).inflate(p ** (s - 1) * q ** t)
-        return (InverseCase.Q_DIVIDES_SHIFT, num.coeffs, p,
-                q ** t * p ** _valuation(k, p), p, p - 1)
-    return (InverseCase.COPRIME, m.poly.coeffs, 1,
+        return (InverseCase.Q_DIVIDES_SHIFT, _comb(p, p ** (s - 1) * q ** t),
+                p, q ** t * p ** _valuation(k, p), p, p - 1)
+    return (InverseCase.COPRIME, m.poly_row, 1,
             p ** _valuation(k, p) * q ** _valuation(k, q), 1, p - 1)
 
 
-def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
+def construct_scaled_inverse(i: int, j: int, m: CycloModulus, *,
+                             out: np.ndarray | None = None) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
     With (N, c, d) from the case table, u = -x^{M-j} Q(x^{(i-j)/d}) reduced
@@ -168,34 +187,50 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     stride recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so
     the recurrence continued past deg Q must give d zeros.
 
+    One int64 row carries the construction. N - c, padded with zeros to
+    whole rows of d, becomes -Q by one cumulative sum down the columns of its
+    (-1, d) view (each column is one residue class mod d); its last row
+    holds the d top entries, which must be zero. The coefficient e of -Q
+    goes to x^{(e k/d + M - j) mod M} by one np.add.at, and one _reduce_rows
+    reduces the folded row mod Phi_M. The check (x^i - x^j) * u takes two
+    windows of that reduced row and reduces once more. int64 is exact here:
+    |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds at most
+    M such terms, so |Q| <= M(q + 1), and at most M of those fold into one
+    slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
+    M <= MAX_MODULUS. Each reduction picks its own dtype (_as_rows) and
+    falls back to Python ints when its bound fails.
+
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which _verify checks; a nonzero u with every |coefficient|
     below a prime scale has content prime to it, so no smaller scale works.
+
+    If out is given, it receives the coefficients of u (length phi).
     """
     M = m.M
     if not 0 <= j < i < M:
         raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={M}")
     k = i - j
     case, num, c, d, scale, bound = _case(k, m)
-    # neg holds -Q: the negated recurrence is a prefix sum over each
-    # residue class mod d
-    neg = list(num)
+    n = len(num)
+    neg = np.zeros(-(-n // d) * d, dtype=np.int64)
+    neg[:n] = num
     neg[0] -= c
-    for r in range(d):
-        neg[r::d] = accumulate(neg[r::d])
-    top = len(neg) - d
-    if any(neg[top:]):
+    # neg becomes -Q: the negated recurrence is a prefix sum per column
+    cols = neg.reshape(-1, d)
+    np.cumsum(cols, axis=0, out=cols)
+    if cols[-1].any():
         raise AssertionError(
             f"(N - c)/(x^{d} - 1) is not exact for M={M}, case {case.value}")
     # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1, then reduce once mod Phi_M
-    acc = [0] * M
-    g, shift = k // d, M - j
-    for e, v in enumerate(neg[:top]):
-        if v:
-            acc[(e * g + shift) % M] += v
-    u = RingElement(m, tuple(_reduce_rows(acc, m)[0].tolist()))
-    si = ScaledInverse(u, scale, bound, case, minimal=True)
-    _verify(_diff_product(i, j, u), si)
+    top, g, shift = n - d, k // d, M - j
+    acc = np.zeros(M, dtype=np.int64)
+    np.add.at(acc, np.arange(shift, shift + top * g, g) % M, neg[:top])
+    u = _reduce_rows(acc, m)[0]
+    si = ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound, case,
+                       minimal=True)
+    _verify(_diff_product(i, j, u, m), si, int(np.abs(u).max()))
+    if out is not None:
+        out[:] = u
     return si
 
 
@@ -264,7 +299,8 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
 
     Only the M - 1 gap inverses u(g, 0) are constructed (each verified by
-    construct_scaled_inverse). All pairs of gap g follow as the rotations
+    construct_scaled_inverse, which also writes the row of u(g, 0) into the
+    sweep's buffer). All pairs of gap g follow as the rotations
     x^{-j} u(g, 0), reduced together as the rows of one array, and every
     pair is then checked by a batched exact product (check_gap_block). Rows,
     maxima and witnesses come out in the order of a plain `for i: for j < i`
@@ -277,9 +313,8 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     M, phi = m.M, m.phi
     gaps = [None]
     for g in range(1, M):
-        si = construct_scaled_inverse(g, 0, m)
         base = np.zeros(M, dtype=np.int64)
-        base[:phi] = si.u.coeffs
+        si = construct_scaled_inverse(g, 0, m, out=base[:phi])
         # row j starts at base[j], so it is x^{-j} u(g, 0) mod x^M - 1
         rot = np.tile(base, M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import (CycloModulus, RingElement, TwoPrime, make_modulus,
-                         monomial_reduce)
+from .cyclotomic import (CycloModulus, RingElement, TwoPrime, _monomial_rows,
+                         make_modulus, monomial_reduce)
 from .errors import NotApplicable, OutOfRange, PatternViolation
 from .poly import IntPoly, exact_div
 
@@ -101,12 +101,15 @@ def rev_symmetry_check(p: int, q: int) -> bool:
     carries the leading column block onto the trailing one.
     """
     m = make_modulus(p * q)
-    for k in range(p * q - m.phi):
-        left = monomial_reduce(m.phi + k, m).coeffs
-        right = monomial_reduce(p * q - 1 - k, m).coeffs
-        if tuple(reversed(left)) != right:
-            return False
-    return True
+    ks = np.arange(p * q - m.phi)
+    left = _monomial_rows(m.phi + ks, m)
+    right = _monomial_rows(p * q - 1 - ks, m)
+    return bool(np.array_equal(left[:, ::-1], right))
+
+
+def _stride_family(j: int, m: CycloModulus) -> np.ndarray:
+    """The column family x^(j+ip) mod Phi_M for 0 <= i < q, one row per i."""
+    return _monomial_rows(j + m.shape.p * np.arange(m.shape.q), m)
 
 
 class PatternClass(enum.Enum):
@@ -128,18 +131,16 @@ def residue_class_pattern(j: int, m: CycloModulus) -> tuple[PatternClass, ...]:
         raise NotApplicable(f"M={m.M} is not a squarefree two-prime modulus")
     if not 0 <= j < sh.p:
         raise OutOfRange(f"j={j} outside [0, p)")
-    cols = [monomial_reduce(j + i * sh.p, m).coeffs for i in range(sh.q)]
-    out = []
-    for row in range(m.phi):
-        values = [col[row] for col in cols]
-        nonzero = sorted(v for v in values if v)
-        if not nonzero:
-            out.append(PatternClass.ALL_ZERO)
-        elif nonzero == [-1, 1]:
-            out.append(PatternClass.ONE_PLUS_ONE_MINUS)
-        else:
-            raise PatternViolation(j, row, values)
-    return tuple(out)
+    cols = _stride_family(j, m)
+    plus, minus = (cols == 1).sum(axis=0), (cols == -1).sum(axis=0)
+    nonzero = (cols != 0).sum(axis=0)
+    pair = (nonzero == 2) & (plus == 1) & (minus == 1)
+    bad = np.flatnonzero(~pair & (nonzero != 0))
+    if bad.size:
+        row = int(bad[0])
+        raise PatternViolation(j, row, cols[:, row].tolist())
+    return tuple(PatternClass.ONE_PLUS_ONE_MINUS if f else
+                 PatternClass.ALL_ZERO for f in pair.tolist())
 
 
 def random_subset_norm_check(j: int, m: CycloModulus, trials: int,
@@ -147,8 +148,7 @@ def random_subset_norm_check(j: int, m: CycloModulus, trials: int,
     """Randomized companion to the pattern classification: subset sums of the
     column family {x^(j+ip)}_i never exceed max-norm 1."""
     sh = m.shape
-    cols = np.array([monomial_reduce(j + i * sh.p, m).coeffs
-                     for i in range(sh.q)], dtype=np.int64)
+    cols = _stride_family(j, m)
     for _ in range(trials):
         mask = rng.integers(0, 2, size=sh.q).astype(bool)
         total = cols[mask].sum(axis=0)
@@ -171,22 +171,23 @@ def inflated_pattern_check(m: CycloModulus, trials: int = 100,
         raise NotApplicable(f"M={m.M} is not of two-prime shape")
     if rng is None:
         rng = np.random.default_rng(0)
-    mprime = m.inflation
-    # support of x^((j+ip)M'+k) sits on degrees = k (mod M')
+    mprime, phi = m.inflation, m.phi
+    deg_class = np.arange(phi) % mprime
+    # kept[j, i, a, k] is the coefficient of x^(a M' + k) in x^((j+ip)M'+k)
+    # mod Phi_M, at the only degrees the support check below leaves nonzero
+    kept = np.empty((sh.p, sh.q, phi // mprime, mprime), dtype=np.int64)
     for j in range(sh.p):
-        for i in range(sh.q):
-            for k in range(mprime):
-                coeffs = monomial_reduce((j + i * sh.p) * mprime + k, m).coeffs
-                if any(c and (d % mprime) != k for d, c in enumerate(coeffs)):
-                    return False
-    for _ in range(trials):
-        j = int(rng.integers(0, sh.p))
-        total = np.zeros(m.phi, dtype=np.int64)
         for k in range(mprime):
-            mask = rng.integers(0, 2, size=sh.q).astype(bool)
-            for i in np.flatnonzero(mask):
-                col = monomial_reduce((j + int(i) * sh.p) * mprime + k, m).coeffs
-                total += np.array(col, dtype=np.int64)
+            cols = _monomial_rows((j + sh.p * np.arange(sh.q)) * mprime + k, m)
+            # support of x^((j+ip)M'+k) sits on degrees = k (mod M')
+            if cols[:, deg_class != k].any():
+                return False
+            kept[j, :, :, k] = cols[:, k::mprime]
+    for _ in range(trials):
+        fam = kept[int(rng.integers(0, sh.p))]
+        # one call draws the M' masks of q bits in the order M' calls would
+        mask = rng.integers(0, 2, size=(mprime, sh.q)).astype(bool)
+        total = (fam * mask.T[:, None, :]).sum(axis=0)
         if np.abs(total).max() > 1:
             return False
     return True
@@ -197,7 +198,4 @@ def column_family_sum(j: int, m: CycloModulus) -> RingElement:
     sh = m.shape
     if not isinstance(sh, TwoPrime):
         raise NotApplicable(f"M={m.M} is not of two-prime shape")
-    total = monomial_reduce(j, m)
-    for i in range(1, sh.q):
-        total = total + monomial_reduce(j + i * sh.p, m)
-    return total
+    return RingElement(m, tuple(_stride_family(j, m).sum(axis=0).tolist()))

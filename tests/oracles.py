@@ -15,7 +15,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from cycloring.cyclotomic import CycloModulus, PrimePower, RingElement, reduce
+from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
+                                  make_modulus, reduce)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.scaled_inverse import (InverseCase, NormProfile, ProfileRow,
@@ -126,40 +127,69 @@ def _largest_power_dividing(k: int, p: int) -> int:
     return d
 
 
+def long_division_quotient(k: int, m: CycloModulus
+                           ) -> tuple[IntPoly, int, int, int, InverseCase]:
+    """(V, d, scale, bound, case) of the shift k = i - j from the paper's
+    formulas: V = (N - c)/(x^d - 1) by exact long division (_quotient)."""
+    sh = m.shape
+    if isinstance(sh, PrimePower):
+        p = sh.p
+        case, scale, bound = InverseCase.PRIME_POWER, p, p - 1
+        d = _largest_power_dividing(k, p)
+    else:
+        p, s, q, t = sh.p, sh.s, sh.q, sh.t
+        if k % p ** s == 0:
+            case, scale, bound = InverseCase.P_DIVIDES_SHIFT, q, q - 1
+            d = p ** s * _largest_power_dividing(k, q)
+        elif k % q ** t == 0:
+            case, scale, bound = InverseCase.Q_DIVIDES_SHIFT, p, p - 1
+            d = q ** t * _largest_power_dividing(k, p)
+        else:
+            case, scale, bound = InverseCase.COPRIME, 1, p - 1
+            d = _largest_power_dividing(k, p) * _largest_power_dividing(k, q)
+    return _quotient(m.M, case, d), d, scale, bound, case
+
+
+@functools.lru_cache(maxsize=256)
+def _quotient(M: int, case: InverseCase, d: int) -> IntPoly:
+    """(N - c)/(x^d - 1) by long division, the numerator N built by
+    inflating prime-power cyclotomic polynomials. Keyed by M, not by the
+    modulus, so the cache keeps no modulus alive."""
+    m = make_modulus(M)
+    if case is InverseCase.PRIME_POWER:
+        num = m.poly - m.shape.p
+    elif case is InverseCase.COPRIME:
+        num = m.poly - 1
+    else:
+        p, s, q, t = m.shape.p, m.shape.s, m.shape.q, m.shape.t
+        if case is InverseCase.Q_DIVIDES_SHIFT:
+            p, s, q, t = q, t, p, s
+        # Phi_{q^t}(x^{p^s}) - q, with p and q swapped for Q_DIVIDES_SHIFT
+        num = IntPoly((1,) * q).inflate(q ** (t - 1) * p ** s) - q
+    return exact_div(num, IntPoly.monomial(d) - 1)
+
+
+def fold_quotient(v: IntPoly, k: int, d: int, j: int, m: CycloModulus
+                  ) -> RingElement:
+    """u = -x^{M-j} V(x^{k/d}) mod Phi_M. Exponents are folded mod M before
+    reduce, so a large k/d stays cheap."""
+    M = m.M
+    folded = [0] * M
+    for e, c in enumerate(v.coeffs):
+        folded[(e * (k // d) + M - j) % M] -= c
+    return reduce(IntPoly(folded), m)
+
+
 def construct_by_long_division(i: int, j: int, m: CycloModulus
                                ) -> tuple[RingElement, int, int, InverseCase]:
     """(u, scale, bound, case) of x^i - x^j from the paper's formulas.
 
     u = -x^{M-j} V(x^{k/d}) mod Phi_M with V = (N - c)/(x^d - 1) and
-    k = i - j, the numerator N built by inflating prime-power cyclotomic
-    polynomials and V found by exact long division. Exponents are folded
-    mod M before reduce, so a large k/d stays cheap.
+    k = i - j (long_division_quotient, then fold_quotient).
     """
-    M, sh, k = m.M, m.shape, i - j
-    if isinstance(sh, PrimePower):
-        p = sh.p
-        case, num, scale, bound = InverseCase.PRIME_POWER, m.poly - p, p, p - 1
-        d = _largest_power_dividing(k, p)
-    else:
-        p, s, q, t = sh.p, sh.s, sh.q, sh.t
-        phi_ps = IntPoly((1,) * p).inflate(p ** (s - 1))
-        phi_qt = IntPoly((1,) * q).inflate(q ** (t - 1))
-        if k % p ** s == 0:
-            case, num, scale, bound = (InverseCase.P_DIVIDES_SHIFT,
-                                       phi_qt.inflate(p ** s) - q, q, q - 1)
-            d = p ** s * _largest_power_dividing(k, q)
-        elif k % q ** t == 0:
-            case, num, scale, bound = (InverseCase.Q_DIVIDES_SHIFT,
-                                       phi_ps.inflate(q ** t) - p, p, p - 1)
-            d = q ** t * _largest_power_dividing(k, p)
-        else:
-            case, num, scale, bound = InverseCase.COPRIME, m.poly - 1, 1, p - 1
-            d = _largest_power_dividing(k, p) * _largest_power_dividing(k, q)
-    v = exact_div(num, IntPoly.monomial(d) - 1)
-    folded = [0] * M
-    for e, c in enumerate(v.coeffs):
-        folded[(e * (k // d) + M - j) % M] -= c
-    return reduce(IntPoly(folded), m), scale, bound, case
+    k = i - j
+    v, d, scale, bound, case = long_division_quotient(k, m)
+    return fold_quotient(v, k, d, j, m), scale, bound, case
 
 
 class RatPoly:

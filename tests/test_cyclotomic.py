@@ -75,6 +75,14 @@ class TestMakeModulus:
     def test_cache_is_bounded(self):
         assert make_modulus.cache_info().maxsize is not None
 
+    @pytest.mark.parametrize("M", [2, 9, 15, 45, 1147])
+    def test_poly_row_is_a_read_only_copy_of_poly(self, M):
+        m = make_modulus(M)
+        assert m.poly_row.dtype == np.int64
+        assert tuple(m.poly_row.tolist()) == m.poly.coeffs
+        with pytest.raises(ValueError, match="read-only"):
+            m.poly_row[0] = 2
+
     def test_shape_metadata(self):
         m = make_modulus(45)
         assert m.shape == TwoPrime(3, 2, 5, 1)
@@ -125,6 +133,17 @@ class TestMonomialReduce:
         m = make_modulus(M)
         for k in range(m.M):
             assert monomial_reduce(k, m) == reduce(IntPoly.monomial(k), m)
+
+
+    @pytest.mark.parametrize("M", [2, 9, 15, 21, 45, 63, 128, 175])
+    def test_batched_rows_match_long_division(self, M):
+        m = make_modulus(M)
+        ks = list(range(-M, 2 * M))
+        rows = cyclotomic._monomial_rows(ks, m)
+        assert rows.shape == (len(ks), m.phi)
+        for k, row in zip(ks, rows.tolist()):
+            rem = divrem(IntPoly.monomial(k % M), m.poly)[1].coeffs
+            assert tuple(row) == rem + (0,) * (m.phi - len(rem)), k
 
 
 class TestReductionMatrix:

@@ -88,6 +88,23 @@ class TestMaxFactor:
             assert fr == fm
 
 
+    def test_verify_builds_each_matrix_once_per_use(self, monkeypatch):
+        # run_verify(63, "expansion") builds R_M three times for the max
+        # sweeps, once per randomized or witness factor (at most 8 + 1) and
+        # R_63, R_21 once each for inflation_consistency: 14 at most
+        import numpy as np
+        from cycloring.verify import run_verify
+        real, builds = np.kron, []
+
+        def counted(*args, **kwargs):
+            builds.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", counted)
+        assert run_verify(63, "expansion").all_passed
+        assert len(builds) <= 14
+
+
 class TestRandomizedOracle:
     def test_m9_thousand_trials(self):
         assert randomized_expansion_check(6, make_modulus(9), 1000) is True

@@ -16,7 +16,8 @@ from cycloring import scaled_inverse
 from cycloring.poly import IntPoly, exact_div
 from cycloring.scaled_inverse import (_case, _diff_product, _verify,
                                       check_gap_block)
-from oracles import (construct_by_long_division, fraction_bezout,
+from oracles import (construct_by_long_division, fold_quotient,
+                     fraction_bezout, long_division_quotient,
                      norm_profile_per_pair)
 
 
@@ -271,6 +272,48 @@ class TestLongDivisionOracle:
             pairs.append((i, rng.randrange(i)))
         self._check(make_modulus(M), pairs)
 
+    @pytest.mark.parametrize("M", [323, 2057])
+    def test_every_shift(self, M):
+        # every shift k (which decides case, N, c and d) with a seeded j;
+        # every (i, j) pair is out of reach here: 2057 has 2.1M of them, at
+        # about 0.5 ms each. 323 also takes both extreme j.
+        rng = random.Random(M)
+        pairs = []
+        for k in range(1, M):
+            js = {rng.randrange(M - k)}
+            if M == 323:
+                js |= {0, M - 1 - k}
+            pairs += [(j + k, j) for j in sorted(js)]
+        self._check(make_modulus(M), pairs)
+
+    @pytest.mark.parametrize("k", [729, 1458])
+    def test_large_stride_every_j(self, k):
+        # M = 2187 = 3^7: d = 729 is the largest stride the table reaches
+        m = make_modulus(2187)
+        v, d, scale, bound, case = long_division_quotient(k, m)
+        assert d == 729
+        for j in range(m.M - k):
+            si = construct_scaled_inverse(j + k, j, m)
+            assert (si.u, si.scale, si.bound, si.case) == \
+                (fold_quotient(v, k, d, j, m), scale, bound, case), j
+
+    @pytest.mark.parametrize("M,k", [(35, 3), (125, 25), (143, 13), (45, 9)])
+    def test_inexact_division_is_caught(self, M, k, monkeypatch):
+        # a table entry with the wrong c leaves a nonzero remainder
+        real = scaled_inverse._case
+
+        def wrong_c(k, m):
+            case, num, c, d, scale, bound = real(k, m)
+            return case, num, c + 1, d, scale, bound
+
+        monkeypatch.setattr(scaled_inverse, "_case", wrong_c)
+        m = make_modulus(M)
+        case = real(k, m)[0]
+        with pytest.raises(AssertionError,
+                           match=rf"^\(N - c\)/\(x\^\d+ - 1\) is not exact "
+                                 rf"for M={M}, case {case.value}$"):
+            construct_scaled_inverse(k + 1, 1, m)
+
 
 class TestModulusLifetime:
     def test_constructs_keep_no_modulus_alive(self):
@@ -329,6 +372,23 @@ class TestNormProfile:
         assert list(got.case_max.items()) == list(want.case_max.items())
         assert got.flagged == want.flagged
 
+    @pytest.mark.parametrize("M", [35, 125, 143])
+    def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
+        # row 0 of each gap block is u(g, 0), written by the construction
+        m = make_modulus(M)
+        seen = {}
+        real = scaled_inverse.check_gap_block
+
+        def spy(m, g, block, scale, bound):
+            seen[g] = block[0].tolist()
+            return real(m, g, block, scale, bound)
+
+        monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
+        norm_profile(m)
+        assert sorted(seen) == list(range(1, M))
+        for g, row in seen.items():
+            assert tuple(row) == construct_scaled_inverse(g, 0, m).u.coeffs, g
+
 
 class TestCheckGapBlock:
     M, G = 15, 3   # p | gap: scale 5, bound 4
@@ -386,18 +446,20 @@ class TestRotationVerify:
             i = rng.randrange(1, M)
             j = rng.randrange(i)
             u = us[n % len(us)]
-            assert _diff_product(i, j, u) == ring_mul(monomial_diff(i, j, m), u)
+            got = _diff_product(i, j, np.array(u.coeffs), m)
+            assert tuple(got.tolist()) == \
+                ring_mul(monomial_diff(i, j, m), u).coeffs
 
     @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
     def test_rejects_one_coefficient_off_by_one(self, M, i, j):
         m = make_modulus(M)
         si = construct_scaled_inverse(i, j, m)
-        _verify(_diff_product(i, j, si.u), si)
+        _verify(_diff_product(i, j, np.array(si.u.coeffs), m), si)
         coeffs = list(si.u.coeffs)
         coeffs[m.phi // 2] += 1
         bad = dataclasses.replace(si, u=RingElement(m, tuple(coeffs)))
         with pytest.raises(AssertionError, match=rf"a\*u = {si.scale} for M={M}$"):
-            _verify(_diff_product(i, j, bad.u), bad)
+            _verify(_diff_product(i, j, np.array(bad.u.coeffs), m), bad)
 
     @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
     def test_rejects_norm_above_bound(self, M, i, j):
@@ -406,7 +468,7 @@ class TestRotationVerify:
         low = dataclasses.replace(si, bound=si.norm - 1)
         with pytest.raises(AssertionError,
                            match=rf"norm bound {si.norm - 1} violated for M={M}$"):
-            _verify(_diff_product(i, j, si.u), low)
+            _verify(_diff_product(i, j, np.array(si.u.coeffs), m), low)
 
 
 class TestCaseTableImpliesMinimality:

@@ -177,23 +177,37 @@ class TestInflatedPatterns:
         with pytest.raises(NotApplicable):
             inflated_pattern_check(make_modulus(27))
 
+    @pytest.mark.parametrize("k,slot", [(0, 1), (4, 0), (44, 9)])
+    def test_support_off_its_class_is_caught(self, k, slot, monkeypatch):
+        # x^k with k = 1 (mod 3) must not touch slot 0 (mod 3), and so on
+        import cycloring.structure as st_mod
+        real = st_mod._monomial_rows
+
+        def poisoned(ks, mod):
+            rows = real(ks, mod)
+            rows[np.flatnonzero(np.asarray(ks) == k), slot] += 1
+            return rows
+
+        m = make_modulus(45)
+        assert inflated_pattern_check(m, trials=1) is True
+        monkeypatch.setattr(st_mod, "_monomial_rows", poisoned)
+        assert inflated_pattern_check(m, trials=1) is False
+
 
 class TestPatternViolationReporting:
     def test_poisoned_column_is_reported_with_location(self, monkeypatch):
         import cycloring.structure as st_mod
         from cycloring.errors import PatternViolation
         m = make_modulus(15)
-        real = st_mod.monomial_reduce
+        real = st_mod._monomial_rows
 
-        def poisoned(k, mod):
-            got = real(k, mod)
-            if k == 6:  # j=0 family, i=2: flip one coefficient to +2
-                coeffs = list(got.coeffs)
-                coeffs[3] += 2
-                return type(got)(mod, tuple(coeffs))
-            return got
+        def poisoned(ks, mod):
+            rows = real(ks, mod)
+            # j=0 family, i=2 (x^6): flip one coefficient to +2
+            rows[np.flatnonzero(np.asarray(ks) == 6), 3] += 2
+            return rows
 
-        monkeypatch.setattr(st_mod, "monomial_reduce", poisoned)
+        monkeypatch.setattr(st_mod, "_monomial_rows", poisoned)
         with pytest.raises(PatternViolation) as exc:
             st_mod.residue_class_pattern(0, m)
         assert exc.value.j == 0
