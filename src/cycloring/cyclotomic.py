@@ -36,6 +36,9 @@ from .poly import IntPoly, divrem, exact_div
 # about 10^9 trial divisions.
 MAX_MODULUS = 2 ** 20
 
+# Entries of unit rows that _monomial_rows reduces in one block (2 MiB).
+_UNIT_BLOCK = 2 ** 18
+
 
 @dataclass(frozen=True)
 class PrimePower:
@@ -201,10 +204,8 @@ def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
         A = np.asarray(V, dtype=object)
     if A.ndim == 1:
         A = A[None]
-    # abs wraps only at -2^63, which no int64 bound admits
-    big = int(np.abs(A).max()) if A.size else 0
-    if big < 0:
-        big = 2 ** 63
+    # not abs(A).max(): in int64, abs(-2^63) wraps to -2^63
+    big = max(int(A.max()), -int(A.min())) if A.size else 0
     sh = m.shape
     growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
     bound = headroom * (-(-A.shape[1] // m.M) or 1) * big * growth
@@ -266,11 +267,18 @@ def monomial_reduce(k: int, m: CycloModulus) -> RingElement:
 
 def _monomial_rows(ks, m: CycloModulus) -> np.ndarray:
     """x^k mod Phi_M for each exponent of ks (normalized mod M): one reduced
-    row each, from one _reduce_rows over the unit rows."""
-    ks = np.asarray(ks, dtype=np.int64) % m.M
-    units = np.zeros((ks.size, m.M), dtype=np.int64)
-    units[np.arange(ks.size), ks] = 1
-    return _reduce_rows(units, m)
+    row each, from _reduce_rows over blocks of unit rows. A block holds at
+    most about _UNIT_BLOCK entries, so the reduction's temporaries stay
+    O(_UNIT_BLOCK + M) however many exponents are asked for."""
+    ks = np.asarray(ks, dtype=np.int64).ravel() % m.M
+    out = np.empty((ks.size, m.phi), dtype=np.int64)
+    step = max(1, _UNIT_BLOCK // m.M)
+    for lo in range(0, ks.size, step):
+        blk = ks[lo:lo + step]
+        units = np.zeros((blk.size, m.M), dtype=np.int64)
+        units[np.arange(blk.size), blk] = 1
+        out[lo:lo + blk.size] = _reduce_rows(units, m)
+    return out
 
 
 def monomial_diff(i: int, j: int, m: CycloModulus) -> RingElement:

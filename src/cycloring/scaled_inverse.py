@@ -178,8 +178,7 @@ def _case(k: int, m: CycloModulus):
             p ** _valuation(k, p) * q ** _valuation(k, q), 1, p - 1)
 
 
-def construct_scaled_inverse(i: int, j: int, m: CycloModulus, *,
-                             out: np.ndarray | None = None) -> ScaledInverse:
+def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
     With (N, c, d) from the case table, u = -x^{M-j} Q(x^{(i-j)/d}) reduced
@@ -203,8 +202,6 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus, *,
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which _verify checks; a nonzero u with every |coefficient|
     below a prime scale has content prime to it, so no smaller scale works.
-
-    If out is given, it receives the coefficients of u (length phi).
     """
     M = m.M
     if not 0 <= j < i < M:
@@ -229,8 +226,6 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus, *,
     si = ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound, case,
                        minimal=True)
     _verify(_diff_product(i, j, u, m), si, int(np.abs(u).max()))
-    if out is not None:
-        out[:] = u
     return si
 
 
@@ -299,8 +294,7 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
 
     Only the M - 1 gap inverses u(g, 0) are constructed (each verified by
-    construct_scaled_inverse, which also writes the row of u(g, 0) into the
-    sweep's buffer). All pairs of gap g follow as the rotations
+    construct_scaled_inverse). All pairs of gap g follow as the rotations
     x^{-j} u(g, 0), reduced together as the rows of one array, and every
     pair is then checked by a batched exact product (check_gap_block). Rows,
     maxima and witnesses come out in the order of a plain `for i: for j < i`
@@ -314,7 +308,8 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     gaps = [None]
     for g in range(1, M):
         base = np.zeros(M, dtype=np.int64)
-        si = construct_scaled_inverse(g, 0, m, out=base[:phi])
+        si = construct_scaled_inverse(g, 0, m)
+        base[:phi] = si.u.coeffs
         # row j starts at base[j], so it is x^{-j} u(g, 0) mod x^M - 1
         rot = np.tile(base, M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)

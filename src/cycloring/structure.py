@@ -172,24 +172,26 @@ def inflated_pattern_check(m: CycloModulus, trials: int = 100,
     if rng is None:
         rng = np.random.default_rng(0)
     mprime, phi = m.inflation, m.phi
-    deg_class = np.arange(phi) % mprime
-    # kept[j, i, a, k] is the coefficient of x^(a M' + k) in x^((j+ip)M'+k)
-    # mod Phi_M, at the only degrees the support check below leaves nonzero
-    kept = np.empty((sh.p, sh.q, phi // mprime, mprime), dtype=np.int64)
+    # every trial draws first (j, then M' masks of q bits), so the check
+    # consumes the same randomness whether it passes or fails
+    draws = [(int(rng.integers(0, sh.p)),
+              rng.integers(0, 2, size=(mprime, sh.q)).astype(bool))
+             for _ in range(trials)]
+    # fam[i, a, k] is the coefficient of x^(a M' + k) in x^((j+ip)M'+k)
+    # mod Phi_M; one j at a time keeps q * phi entries live
+    fam = np.empty((sh.q, phi // mprime, mprime), dtype=np.int64)
     for j in range(sh.p):
         for k in range(mprime):
             cols = _monomial_rows((j + sh.p * np.arange(sh.q)) * mprime + k, m)
+            cols = cols.reshape(sh.q, phi // mprime, mprime)
+            fam[:, :, k] = cols[:, :, k]
             # support of x^((j+ip)M'+k) sits on degrees = k (mod M')
-            if cols[:, deg_class != k].any():
+            cols[:, :, k] = 0
+            if cols.any():
                 return False
-            kept[j, :, :, k] = cols[:, k::mprime]
-    for _ in range(trials):
-        fam = kept[int(rng.integers(0, sh.p))]
-        # one call draws the M' masks of q bits in the order M' calls would
-        mask = rng.integers(0, 2, size=(mprime, sh.q)).astype(bool)
-        total = (fam * mask.T[:, None, :]).sum(axis=0)
-        if np.abs(total).max() > 1:
-            return False
+        for jj, mask in draws:
+            if jj == j and np.abs(np.einsum("iak,ki->ak", fam, mask)).max() > 1:
+                return False
     return True
 
 

@@ -145,6 +145,16 @@ class TestMonomialReduce:
             rem = divrem(IntPoly.monomial(k % M), m.poly)[1].coeffs
             assert tuple(row) == rem + (0,) * (m.phi - len(rem)), k
 
+    @pytest.mark.parametrize("M", [9, 63, 175])
+    def test_blocked_rows_equal_one_block(self, M, monkeypatch):
+        m = make_modulus(M)
+        ks = list(range(-M, 2 * M))
+        whole = cyclotomic._monomial_rows(ks, m)
+        # blocks of 1 and 2 rows, the last one short
+        for rows_per_block in (1, 2):
+            monkeypatch.setattr(cyclotomic, "_UNIT_BLOCK", rows_per_block * M)
+            assert np.array_equal(cyclotomic._monomial_rows(ks, m), whole)
+
 
 class TestReductionMatrix:
     def test_r7_identity_and_minus_one(self):
@@ -286,6 +296,17 @@ class TestReduceAgainstLongDivision:
         assert reduce(IntPoly(()), m).is_zero()
         for big in (2 ** 63 - 1, -2 ** 63, 2 ** 64, -10 ** 30):
             coeffs = [big, -1] * M + [big]
+            assert reduce(IntPoly(coeffs), m).coeffs == divrem_remainder(coeffs, m)
+
+    @pytest.mark.parametrize("M", [7, 63, 1147, 2187])
+    def test_int64_minimum_beside_small_entries(self, M):
+        # abs(-2^63) wraps in int64, so the magnitude must not come from it
+        m = make_modulus(M)
+        low = -2 ** 63
+        assert _as_rows([low, 1], m).dtype == object
+        assert _as_rows([1, low], m).dtype == object
+        for coeffs in ([1] + [0] * (M - 2) + [low], [low, 1, -1, 2],
+                       [3] * M + [low] + [-5] * 4):
             assert reduce(IntPoly(coeffs), m).coeffs == divrem_remainder(coeffs, m)
 
     @given(st.sampled_from(SUPPORTED_UPTO_300),

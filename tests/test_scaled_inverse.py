@@ -374,7 +374,7 @@ class TestNormProfile:
 
     @pytest.mark.parametrize("M", [35, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # row 0 of each gap block is u(g, 0), written by the construction
+        # row 0 of each gap block is u(g, 0), as the construction returns it
         m = make_modulus(M)
         seen = {}
         real = scaled_inverse.check_gap_block

@@ -193,6 +193,49 @@ class TestInflatedPatterns:
         monkeypatch.setattr(st_mod, "_monomial_rows", poisoned)
         assert inflated_pattern_check(m, trials=1) is False
 
+    @staticmethod
+    def _doubled_unit_column(monkeypatch):
+        # x^0 = 1 becomes 2: every subset holding it breaks the norm bound
+        import cycloring.structure as st_mod
+        real = st_mod._monomial_rows
+
+        def poisoned(ks, mod):
+            rows = real(ks, mod)
+            rows[np.flatnonzero(np.asarray(ks) == 0), 0] += 1
+            return rows
+
+        monkeypatch.setattr(st_mod, "_monomial_rows", poisoned)
+
+    def test_in_class_excess_is_caught_by_the_trials(self, monkeypatch):
+        m = make_modulus(45)
+        self._doubled_unit_column(monkeypatch)
+        assert inflated_pattern_check(m, trials=0) is True   # support is fine
+        assert inflated_pattern_check(m, trials=50) is False
+
+    def test_same_draws_whether_it_passes_or_fails(self, monkeypatch):
+        m = make_modulus(45)
+        passing, failing = np.random.default_rng(5), np.random.default_rng(5)
+        assert inflated_pattern_check(m, trials=50, rng=passing) is True
+        self._doubled_unit_column(monkeypatch)
+        assert inflated_pattern_check(m, trials=50, rng=failing) is False
+        assert passing.integers(0, 2 ** 62) == failing.integers(0, 2 ** 62)
+
+    def test_peak_memory_is_one_family(self):
+        # M = 4 * 521: live arrays are a few q * phi families plus the
+        # temporaries of one block of unit rows, not all p * q families or
+        # a q-row reduction at once
+        import tracemalloc
+        from cycloring import cyclotomic
+        m = make_modulus(2084)
+        family = m.shape.q * m.phi * 8
+        tracemalloc.start()
+        try:
+            assert inflated_pattern_check(m, trials=20) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * family + 8 * cyclotomic._UNIT_BLOCK * 8, peak
+
 
 class TestPatternViolationReporting:
     def test_poisoned_column_is_reported_with_location(self, monkeypatch):
