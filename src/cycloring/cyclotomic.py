@@ -318,14 +318,14 @@ class ReductionMatrix:
         return tuple(self.entries[:, j].tolist())
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(int(c)) for c in row)
-                         for row in self.entries)
+        return "\n".join(",".join(map(str, row))
+                         for row in self.entries.tolist())
 
     def to_json_obj(self) -> dict:
         return {
             "M": self.modulus.M,
             "phi": self.modulus.phi,
-            "entries": [[int(c) for c in row] for row in self.entries],
+            "entries": self.entries.tolist(),
             "blocks": self.blocks.as_dict() if self.blocks else None,
         }
 

@@ -23,16 +23,18 @@ is orders of magnitude faster than the generic one. One int64 numpy row
 carries a construction from N to the reduced u: a cumulative sum down the
 columns of its (-1, d) view, a fold of the exponents e k/d + M - j mod M,
 one reduction mod Phi_M. Its entries stay below M^2 (q + 1) < 2^61 (the
-bound is derived in construct_scaled_inverse), and each reduction falls
-back to Python ints when its own bound fails.
+bound is derived in _construct), and each reduction falls back to Python
+ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
-generic one by a ring multiplication, a constructed one by
-(x^i - x^j) * u = x^i u - x^j u, two cyclic rotations of the row of u modulo
-x^M - 1 followed by one reduction mod Phi_M. Exhaustive sweeps (norm_profile)
-construct only the M - 1 gap inverses u(g, 0) and obtain every other pair by
-the gap-shift identity u(i, j) = x^{-j} u(i - j, 0); each pair is still
-checked, by a batched exact product.
+generic one by a ring multiplication, a constructed one by check_gap_block,
+the one check of every constructed inverse. It forms x^j u and x^i u as two
+windows of the row of u modulo x^M - 1 and tests
+(x^j u - x^i u + scale) * D = 0 mod x^M - 1, with D the cofactor of Phi_M
+in 1 - x^M, so no second reduction is needed. Exhaustive sweeps
+(norm_profile) construct only the M - 1 gap inverses u(g, 0) and obtain
+every other pair by the gap-shift identity u(i, j) = x^{-j} u(i - j, 0);
+check_gap_block checks each pair exactly once, a whole gap at a time.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import (CycloModulus, PrimePower, RingElement, TwoPrime,
-                         _as_rows, _reduce_rows, _times_cofactor,
-                         _times_one_minus, ring_mul)
+                         _as_rows, _reduce_rows, _times_cofactor, make_modulus,
+                         ring_mul)
 from .errors import BadRange, NotApplicable, ZeroElement
 from .poly import IntPoly, exact_div, resultant_bezout
 
@@ -77,35 +79,6 @@ class ScaledInverse:
         return self.u.max_norm()
 
 
-def _verify(prod, si: ScaledInverse, norm: int | None = None):
-    """prod is the coefficient row of the exact product a * si.u; it must be
-    the constant si.scale. norm is max-norm(si.u), read from si.u when not
-    given."""
-    m = si.u.modulus
-    if prod[0] != si.scale or prod[1:].any():
-        raise AssertionError(
-            f"constructed inverse failed a*u = {si.scale} for M={m.M}")
-    if si.bound is not None:
-        if norm is None:
-            norm = si.u.max_norm()
-        if norm > si.bound:
-            raise AssertionError(
-                f"norm bound {si.bound} violated for M={m.M}")
-
-
-def _diff_product(i: int, j: int, u: np.ndarray, m: CycloModulus
-                  ) -> np.ndarray:
-    """(x^i - x^j) * u mod Phi_M for a reduced row u and 0 <= j, i < M: two
-    cyclic rotations of u in Z[x]/(x^M - 1), reduced once."""
-    M = m.M
-    # headroom 2: x^i u - x^j u, two windows of [u, u] padded to 2M
-    u = _as_rows(u, m, 2)[0]
-    full = np.zeros(2 * M, dtype=u.dtype)
-    full[:m.phi] = u
-    full[M:M + m.phi] = u
-    return _reduce_rows(full[M - i:2 * M - i] - full[M - j:2 * M - j], m)[0]
-
-
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     """Scaled inverse of any nonzero element, via resultant and Bezout.
 
@@ -127,7 +100,9 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     u = s.scalar_exact_div(g).coeffs
     si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
                        None, InverseCase.GENERIC, minimal=True)
-    _verify(np.array(ring_mul(a, si.u).coeffs, dtype=object), si)
+    if ring_mul(a, si.u).coeffs != (si.scale,) + (0,) * (m.phi - 1):
+        raise AssertionError(
+            f"generic inverse failed a*u = {si.scale} for M={m.M}")
     return si
 
 
@@ -178,9 +153,10 @@ def _case(k: int, m: CycloModulus):
             p ** _valuation(k, p) * q ** _valuation(k, q), 1, p - 1)
 
 
-def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
-    """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
+def _construct(i: int, j: int, m: CycloModulus):
+    """The constructive inverse of x^i - x^j, 0 <= j < i < M, unchecked.
 
+    Returns (case, u, scale, bound) with u the reduced coefficient row.
     With (N, c, d) from the case table, u = -x^{M-j} Q(x^{(i-j)/d}) reduced
     mod Phi_M, where Q = (N - c)/(x^d - 1). The quotient comes from the
     stride recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so
@@ -191,22 +167,14 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     (-1, d) view (each column is one residue class mod d); its last row
     holds the d top entries, which must be zero. The coefficient e of -Q
     goes to x^{(e k/d + M - j) mod M} by one np.add.at, and one _reduce_rows
-    reduces the folded row mod Phi_M. The check (x^i - x^j) * u takes two
-    windows of that reduced row and reduces once more. int64 is exact here:
-    |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds at most
-    M such terms, so |Q| <= M(q + 1), and at most M of those fold into one
-    slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
-    M <= MAX_MODULUS. Each reduction picks its own dtype (_as_rows) and
-    falls back to Python ints when its bound fails.
-
-    The scale is minimal. It is 1, or a prime p (or q) with the bound
-    scale - 1, which _verify checks; a nonzero u with every |coefficient|
-    below a prime scale has content prime to it, so no smaller scale works.
+    reduces the folded row mod Phi_M. int64 is exact here: |N - c| <= c + 1
+    <= q + 1 (p + 1 for p^s), each prefix sum adds at most M such terms, so
+    |Q| <= M(q + 1), and at most M of those fold into one slot, so every
+    folded entry is at most M^2 (q + 1) < 2^61 for M <= MAX_MODULUS. The
+    reduction picks its own dtype (_as_rows) and falls back to Python ints
+    when its bound fails.
     """
-    M = m.M
-    if not 0 <= j < i < M:
-        raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={M}")
-    k = i - j
+    M, k = m.M, i - j
     case, num, c, d, scale, bound = _case(k, m)
     n = len(num)
     neg = np.zeros(-(-n // d) * d, dtype=np.int64)
@@ -222,11 +190,27 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     top, g, shift = n - d, k // d, M - j
     acc = np.zeros(M, dtype=np.int64)
     np.add.at(acc, np.arange(shift, shift + top * g, g) % M, neg[:top])
-    u = _reduce_rows(acc, m)[0]
-    si = ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound, case,
-                       minimal=True)
-    _verify(_diff_product(i, j, u, m), si, int(np.abs(u).max()))
-    return si
+    return case, _reduce_rows(acc, m)[0], scale, bound
+
+
+def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
+    """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
+
+    _construct builds u from the paper's case table; check_gap_block then
+    checks (x^i - x^j) * u = scale exactly, as a block of one row starting
+    at j, together with the norm bound, before u is returned.
+
+    The scale is minimal. It is 1, or a prime p (or q) with the bound
+    scale - 1, which check_gap_block checks; a nonzero u with every
+    |coefficient| below a prime scale has content prime to it, so no
+    smaller scale works.
+    """
+    if not 0 <= j < i < m.M:
+        raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={m.M}")
+    case, u, scale, bound = _construct(i, j, m)
+    check_gap_block(m, i - j, u[None], scale, bound, j)
+    return ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound,
+                         case, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -252,10 +236,10 @@ class NormProfile:
 
 
 def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
-                    bound: int) -> np.ndarray:
-    """Batched exact check of the pairs (j + g, j), one per row of block.
+                    bound: int, j0: int = 0) -> np.ndarray:
+    """Batched exact check of the pairs (j + g, j), j = j0 + r for row r.
 
-    Row j of block must be a reduced u with (x^{j+g} - x^j) * u = scale
+    Row r of block must be a reduced u with (x^{j+g} - x^j) * u = scale
     (mod Phi_M) and max-norm(u) <= bound. The product is formed per row in
     Z[x]/(x^M - 1); it is scale mod Phi_M exactly when (product - scale) * D
     is 0 mod x^M - 1 (see cyclotomic), so no division is needed. Returns
@@ -266,39 +250,43 @@ def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
     n = block.shape[0]
     # headroom: |(x^(j+g) - x^j) u - scale| <= (2 + scale) max|u| for u != 0
     rows = _as_rows(block, m, 2 + scale)
-    pad = np.zeros((n + 1, M), dtype=rows.dtype)
+    # row r of pad is [u_r, u_r], so the length-M window of the flat view
+    # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are
+    # 2M apart and j grows by one per row, hence the stride 2M - 1
+    pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
     pad[:n, :phi] = rows
-    # row j of xj starts at column M - j of [u_j, u_j], so it is x^j u_j
-    xj = np.tile(pad, 2).ravel()[M:M + n * (2 * M - 1)]
-    xj = xj.reshape(n, 2 * M - 1)[:, :M]
-    # the negated residual: (x^j - x^(j+g)) u_j + scale
-    res = _times_one_minus(xj, g)
+    pad[:n, M:M + phi] = rows
+    flat = pad.ravel()
+    span = n * (2 * M - 1)
+    lo, hi = M - j0, M - j0 - g
+    # the negated residual: (x^j - x^(j+g)) u + scale
+    res = (flat[lo:lo + span].reshape(n, 2 * M - 1)[:, :M]
+           - flat[hi:hi + span].reshape(n, 2 * M - 1)[:, :M])
     res[:, 0] += scale
-    bad = np.flatnonzero(_times_cofactor(res, m).any(axis=1))
-    if bad.size:
-        jj = int(bad[0])
+    res = _times_cofactor(res, m)
+    if res.any():
+        j = j0 + int(res.any(axis=1).argmax())
         raise AssertionError(
             f"batched check failed: (x^i - x^j)*u != {scale} for M={M}, "
-            f"(i, j)=({jj + g}, {jj})")
+            f"(i, j)=({j + g}, {j})")
     norms = np.abs(block).max(axis=1)
-    over = np.flatnonzero(norms > bound)
-    if over.size:
-        jj = int(over[0])
+    if norms.max() > bound:
+        r = int((norms > bound).argmax())
         raise AssertionError(
-            f"batched check failed: norm {int(norms[jj])} > bound {bound} "
-            f"for M={M}, (i, j)=({jj + g}, {jj})")
+            f"batched check failed: norm {int(norms[r])} > bound {bound} "
+            f"for M={M}, (i, j)=({j0 + r + g}, {j0 + r})")
     return norms
 
 
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
 
-    Only the M - 1 gap inverses u(g, 0) are constructed (each verified by
-    construct_scaled_inverse). All pairs of gap g follow as the rotations
-    x^{-j} u(g, 0), reduced together as the rows of one array, and every
-    pair is then checked by a batched exact product (check_gap_block). Rows,
-    maxima and witnesses come out in the order of a plain `for i: for j < i`
-    sweep, keeping the first pair to reach each case maximum.
+    Only the M - 1 gap inverses u(g, 0) are constructed. All pairs of gap g
+    follow as the rotations x^{-j} u(g, 0), reduced together as the rows of
+    one array, and every pair, (g, 0) included, is checked once by a batched
+    exact product (check_gap_block). Rows, maxima and witnesses come out in
+    the order of a plain `for i: for j < i` sweep, keeping the first pair to
+    reach each case maximum.
 
     Rows where the constructed scale is not provably minimal (scale shares a
     factor with the content of u) are flagged; a cross-check against the
@@ -307,18 +295,18 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     M, phi = m.M, m.phi
     gaps = [None]
     for g in range(1, M):
+        case, u, scale, bound = _construct(g, 0, m)
         base = np.zeros(M, dtype=np.int64)
-        si = construct_scaled_inverse(g, 0, m)
-        base[:phi] = si.u.coeffs
+        base[:phi] = u
         # row j starts at base[j], so it is x^{-j} u(g, 0) mod x^M - 1
         rot = np.tile(base, M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
-        norms = check_gap_block(m, g, block, si.scale, si.bound)
-        if si.scale == 1:
+        norms = check_gap_block(m, g, block, scale, bound)
+        if scale == 1:
             minimal = [True] * (M - g)
         else:
-            minimal = (block % si.scale != 0).any(axis=1).tolist()
-        gaps.append((si.scale, si.case, norms.tolist(), minimal))
+            minimal = (block % scale != 0).any(axis=1).tolist()
+        gaps.append((scale, case, norms.tolist(), minimal))
     rows = []
     case_max: dict = {}
     flagged = []
@@ -346,9 +334,7 @@ def alternative_coprime_form(m: CycloModulus) -> IntPoly:
     if not isinstance(m.shape, TwoPrime):
         raise NotApplicable(f"M={m.M} is not of two-prime shape")
     p, q = m.shape.p, m.shape.q
-    rad = IntPoly((1,) * p)
-    phi_pq = exact_div(IntPoly.monomial(p * q) - 1,
-                       IntPoly((-1, 1)) * rad * IntPoly((1,) * q))
+    phi_pq = make_modulus(p * q).poly
     x_minus_1 = IntPoly((-1, 1))
     out = phi_pq + (p - 1) * exact_div(phi_pq - 1, x_minus_1)
     for n in range(1, p):

@@ -141,23 +141,26 @@ def _suite_lemmas(m, rng, trials):
     col.run("palindrome",
             lambda: rad.poly.rev() == rad.poly and m.poly.rev() == m.poly)
 
+    # the bits of (Phi_pq - 1)/(x - 1), computed once and shared by four
+    # checks; a computation that raises fails each of them by name
+    bits = functools.cache(lambda: structure.diff_quotient_coeffs(p, q)[0])
+
     def quotient_bits():
-        structure.diff_quotient_coeffs(p, q)
+        bits()
         return True
 
     col.run("quotient_bits_match_diophantine", quotient_bits)
     col.run("quotient_bits_multiples_of_p",
-            lambda: all(structure.diff_quotient_coeffs(p, q)[0][t * p] == 0
+            lambda: all(bits()[t * p] == 0
                         for t in range(phi // p + 1) if t * p < phi))
     col.run("quotient_bits_below_q",
-            lambda: all((structure.diff_quotient_coeffs(p, q)[0][i] == 0)
-                        == (i % p == 0) for i in range(min(q, phi))))
+            lambda: all((bits()[i] == 0) == (i % p == 0)
+                        for i in range(min(q, phi))))
     col.run("solvable_above_phi",
             lambda: all(structure.solvable_table(p, q).solvable[i]
                         for i in range(phi, p * q)))
     col.run("quotient_bits_complement",
-            lambda: all(structure.diff_quotient_coeffs(p, q)[0][i]
-                        + structure.diff_quotient_coeffs(p, q)[0][phi - 1 - i] == 1
+            lambda: all(bits()[i] + bits()[phi - 1 - i] == 1
                         for i in range(phi)))
 
     def tail_forms():

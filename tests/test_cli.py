@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloring import cli, cyclotomic, make_modulus, reduction_matrix
+from cycloring.errors import UnsupportedModulus
+from cycloring.poly import IntPoly, divrem
 from cycloring import scaled_inverse as sinv
 from cycloring import verify as verify_mod
 
@@ -228,3 +234,67 @@ class TestVerify:
     def test_run_verify_rejects_trials_below_one(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_mod.run_verify(15, trials=trials)
+
+
+def run_quiet(*argv):
+    """cli.main on argv with stdout and stderr captured (no pytest fixture,
+    so it can run inside a Hypothesis test)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def supported(M):
+    try:
+        return make_modulus(M)
+    except UnsupportedModulus:
+        return None
+
+
+class TestFuzzedArguments:
+    @given(st.integers(-3, 200), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(-10 ** 6, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_inv_exit_codes(self, M, i, j):
+        # 3 for an unsupported M, else 2 outside 0 <= j < i < M, else 0
+        code, out, err = run_quiet("scaled-inv", M, i, j, "--format", "json")
+        m = supported(M)
+        if m is None:
+            assert (code, out) == (3, ""), err
+        elif not 0 <= j < i < M:
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error: BadRange:")
+        else:
+            assert code == 0, err
+            got = json.loads(out)
+            want = sinv.construct_scaled_inverse(i, j, m)
+            assert (tuple(got["coeffs"]), got["scale"]) == \
+                (want.u.coeffs, want.scale)
+
+    @given(st.sampled_from([2, 4, 6, 9, 12, 15, 21, 35, 45, 63, 75, 125,
+                            143, 169, 200]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_in_range_pairs_succeed(self, M, data):
+        # the pairs above rarely land in range; draw some that do
+        i = data.draw(st.integers(1, M - 1))
+        j = data.draw(st.integers(0, i - 1))
+        code, out, err = run_quiet("scaled-inv", M, i, j, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["coeffs"] == \
+            list(sinv.construct_scaled_inverse(i, j, make_modulus(M)).u.coeffs)
+
+    @given(st.sampled_from([2, 7, 9, 12, 15, 32, 45, 63, 100, 143, 200]),
+           st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1,
+                    max_size=250))
+    @settings(max_examples=40, deadline=None)
+    def test_reduce_poly_matches_divrem(self, M, coeffs):
+        # --poly=...: a list with a leading minus sign would read as an option
+        m = make_modulus(M)
+        code, out, err = run_quiet("reduce", M,
+                                   "--poly=" + ",".join(map(str, coeffs)),
+                                   "--format", "coeffs")
+        assert code == 0, err
+        rem = divrem(IntPoly(coeffs), m.poly)[1].coeffs
+        assert out.strip() == ",".join(
+            map(str, rem + (0,) * (m.phi - len(rem))))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -14,8 +13,7 @@ from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
 from cycloring.errors import BadRange, ZeroElement
 from cycloring import scaled_inverse
 from cycloring.poly import IntPoly, exact_div
-from cycloring.scaled_inverse import (_case, _diff_product, _verify,
-                                      check_gap_block)
+from cycloring.scaled_inverse import _case, check_gap_block
 from oracles import (construct_by_long_division, fold_quotient,
                      fraction_bezout, long_division_quotient,
                      norm_profile_per_pair)
@@ -57,6 +55,21 @@ class TestGeneric:
         si = generic_scaled_inverse(a)
         prod = ring_mul(a, si.u)
         assert prod.coeffs == (si.scale,) + (0,) * (m.phi - 1)
+
+    def test_wrong_bezout_pair_is_caught(self, monkeypatch):
+        # s + 1 is no Bezout partner, so the product check must fail
+        real = scaled_inverse.resultant_bezout
+
+        def wrong_s(a, f):
+            r, s = real(a, f)
+            return r, s + 1
+
+        monkeypatch.setattr(scaled_inverse, "resultant_bezout", wrong_s)
+        m = make_modulus(21)
+        a = element(m, (3, -1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 5))
+        with pytest.raises(AssertionError,
+                           match=r"^generic inverse failed a\*u = \d+ for M=21$"):
+            generic_scaled_inverse(a)
 
 
 def fraction_scaled_inverse(a):
@@ -217,7 +230,7 @@ class TestTwoPrime:
                     assert si.case == InverseCase.COPRIME
                     assert (si.scale, si.bound) == (1, 2)
 
-    @pytest.mark.parametrize("M", [6, 12, 18, 15, 45, 75, 21, 63, 33, 35])
+    @pytest.mark.parametrize("M", [6, 12, 18, 15, 45, 75, 21, 63, 33, 35, 2057])
     def test_near_tight_witness(self, M):
         m = make_modulus(M)
         p = m.shape.p
@@ -379,15 +392,51 @@ class TestNormProfile:
         seen = {}
         real = scaled_inverse.check_gap_block
 
-        def spy(m, g, block, scale, bound):
+        def spy(m, g, block, scale, bound, j0=0):
+            assert j0 == 0
             seen[g] = block[0].tolist()
-            return real(m, g, block, scale, bound)
+            return real(m, g, block, scale, bound, j0)
 
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
         assert sorted(seen) == list(range(1, M))
         for g, row in seen.items():
             assert tuple(row) == construct_scaled_inverse(g, 0, m).u.coeffs, g
+
+
+class TestOneCheckPerPair:
+    """check_gap_block is the only check of a constructed inverse, and it
+    sees every pair exactly once."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(scaled_inverse, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scaled_inverse, name, spy)
+        return calls
+
+    def test_sweep_checks_each_gap_once(self, monkeypatch):
+        checks = self._count(monkeypatch, "check_gap_block")
+        builds = self._count(monkeypatch, "_construct")
+        norm_profile(make_modulus(35))
+        assert len(checks) == 34 and len(builds) == 34
+        # one block per gap, covering j = 0 .. 34 - g
+        assert sorted((c[1], c[2].shape[0]) for c in checks) == \
+            [(g, 35 - g) for g in range(1, 35)]
+
+    def test_construct_checks_once(self, monkeypatch):
+        checks = self._count(monkeypatch, "check_gap_block")
+        m = make_modulus(35)
+        si = construct_scaled_inverse(9, 2, m)
+        assert len(checks) == 1
+        m_, g, block, scale, bound, j0 = checks[0]
+        assert (g, j0, scale, bound) == (7, 2, si.scale, si.bound)
+        assert tuple(block[0].tolist()) == si.u.coeffs
 
 
 class TestCheckGapBlock:
@@ -432,43 +481,85 @@ class TestCheckGapBlock:
                                                  rf"\(i, j\)=\({j + self.G}, {j}\)"):
             check_gap_block(m, self.G, block, scale, low)
 
+    def test_offset_block(self):
+        # rows 4 .. of the block are the pairs (j + G, j) from j0 = 4 on;
+        # a failure names the absolute pair
+        m, block, scale, bound = self._block()
+        tail = block[4:].copy()
+        norms = check_gap_block(m, self.G, tail, scale, bound, 4)
+        assert norms.tolist() == [int(np.abs(r).max()) for r in tail]
+        with pytest.raises(AssertionError,
+                           match=r"!= 5 for M=15, \(i, j\)=\(7, 4\)"):
+            check_gap_block(m, self.G, block[:-4], scale, bound, 4)
+        tail[2, 3] += 1
+        with pytest.raises(AssertionError,
+                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)$"):
+            check_gap_block(m, self.G, tail, scale, bound, 4)
+
 
 class TestRotationVerify:
-    """The constructive route's check: (x^i - x^j) * u by two rotations."""
+    """The constructive route's check: check_gap_block on one row starting
+    at j, which takes x^i u and x^j u as two windows of the row of u."""
 
     @pytest.mark.parametrize("M", [35, 63, 125, 323, 1024, 1147, 2187])
     def test_matches_ring_mul(self, M):
+        # each true inverse, and a copy with one coefficient moved: the
+        # check raises exactly when the ring product is not the scale
         m = make_modulus(M)
         rng = random.Random(M)
-        us = [RingElement(m, tuple(rng.randint(-9, 9) for _ in range(m.phi)))
-              for _ in range(4)]
-        for n in range(200):
+        for _ in range(25):
             i = rng.randrange(1, M)
             j = rng.randrange(i)
-            u = us[n % len(us)]
-            got = _diff_product(i, j, np.array(u.coeffs), m)
-            assert tuple(got.tolist()) == \
-                ring_mul(monomial_diff(i, j, m), u).coeffs
+            si = construct_scaled_inverse(i, j, m)
+            bad = list(si.u.coeffs)
+            bad[rng.randrange(m.phi)] += rng.choice((-2, -1, 1, 2))
+            for coeffs in (si.u.coeffs, tuple(bad)):
+                u = RingElement(m, coeffs)
+                prod = ring_mul(monomial_diff(i, j, m), u).coeffs
+                wrong = prod != (si.scale,) + (0,) * (m.phi - 1)
+                assert wrong == (coeffs != si.u.coeffs)
+                # bound M: only the product can fail here
+                try:
+                    check_gap_block(m, i - j, np.array([coeffs]), si.scale,
+                                    M, j)
+                except AssertionError as e:
+                    assert wrong and str(e).endswith(
+                        f"!= {si.scale} for M={M}, (i, j)=({i}, {j})")
+                else:
+                    assert not wrong
 
     @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
-    def test_rejects_one_coefficient_off_by_one(self, M, i, j):
+    def test_rejects_one_coefficient_off_by_one(self, M, i, j, monkeypatch):
         m = make_modulus(M)
-        si = construct_scaled_inverse(i, j, m)
-        _verify(_diff_product(i, j, np.array(si.u.coeffs), m), si)
-        coeffs = list(si.u.coeffs)
-        coeffs[m.phi // 2] += 1
-        bad = dataclasses.replace(si, u=RingElement(m, tuple(coeffs)))
-        with pytest.raises(AssertionError, match=rf"a\*u = {si.scale} for M={M}$"):
-            _verify(_diff_product(i, j, np.array(bad.u.coeffs), m), bad)
+        construct_scaled_inverse(i, j, m)
+        real = scaled_inverse._construct
 
-    @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
-    def test_rejects_norm_above_bound(self, M, i, j):
-        m = make_modulus(M)
-        si = construct_scaled_inverse(i, j, m)
-        low = dataclasses.replace(si, bound=si.norm - 1)
+        def off_by_one(i, j, m):
+            case, u, scale, bound = real(i, j, m)
+            u = u.copy()
+            u[m.phi // 2] += 1
+            return case, u, scale, bound
+
+        monkeypatch.setattr(scaled_inverse, "_construct", off_by_one)
         with pytest.raises(AssertionError,
-                           match=rf"norm bound {si.norm - 1} violated for M={M}$"):
-            _verify(_diff_product(i, j, np.array(si.u.coeffs), m), low)
+                           match=rf"\*u != \d+ for M={M}, \(i, j\)=\({i}, {j}\)$"):
+            construct_scaled_inverse(i, j, m)
+
+    @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
+    def test_rejects_norm_above_bound(self, M, i, j, monkeypatch):
+        m = make_modulus(M)
+        norm = construct_scaled_inverse(i, j, m).norm
+        real = scaled_inverse._case
+
+        def low_bound(k, m):
+            case, num, c, d, scale, bound = real(k, m)
+            return case, num, c, d, scale, norm - 1
+
+        monkeypatch.setattr(scaled_inverse, "_case", low_bound)
+        with pytest.raises(AssertionError,
+                           match=rf"norm {norm} > bound {norm - 1} for M={M}, "
+                                 rf"\(i, j\)=\({i}, {j}\)$"):
+            construct_scaled_inverse(i, j, m)
 
 
 class TestCaseTableImpliesMinimality:

@@ -256,3 +256,33 @@ class TestPatternViolationReporting:
         assert exc.value.j == 0
         assert exc.value.row == 3
         assert 2 in exc.value.multiset
+
+
+class TestVerifyLemmasShareQuotientBits:
+    def test_one_division_per_run(self, monkeypatch):
+        # four lemma checks read the quotient bits; they are computed once
+        import cycloring.structure as st_mod
+        from cycloring.verify import run_verify
+        real, calls = st_mod.diff_quotient_coeffs, []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(st_mod, "diff_quotient_coeffs", counted)
+        assert run_verify(323, "lemmas").all_passed
+        assert calls == [(17, 19)]
+
+    def test_failed_division_fails_each_check_by_name(self, monkeypatch):
+        import cycloring.structure as st_mod
+        from cycloring.verify import run_verify
+
+        def broken(p, q):
+            raise AssertionError("division bits and Diophantine bits disagree")
+
+        monkeypatch.setattr(st_mod, "diff_quotient_coeffs", broken)
+        checks = run_verify(35, "lemmas").suites[0].checks
+        failed = [c.name for c in checks if not c.passed]
+        assert failed == ["quotient_bits_match_diophantine",
+                          "quotient_bits_multiples_of_p",
+                          "quotient_bits_below_q", "quotient_bits_complement"]
