@@ -12,7 +12,9 @@ stays at p - 2 = 3 for every pure gap x^k - 1.
 """
 from collections import Counter
 
-from cycloring import InverseCase, make_modulus, norm_profile
+from cycloring import (InverseCase, construct_scaled_inverse,
+                       generic_scaled_inverse, make_modulus,
+                       monomial_diff, norm_profile)
 
 for M in (33, 35):
     m = make_modulus(M)
@@ -26,8 +28,11 @@ for M in (33, 35):
     gap_max = max(r.norm for r in rows if r.j == 0)
     print(f"  max over pure gaps (j = 0): {gap_max}")
 
-# Scales never drop below the constructed ones: every flagged row would
-# mark a pair whose scale admits a smaller inverse, and none exist.
-for M in (33, 35, 45, 121):
-    prof = norm_profile(make_modulus(M))
-    print(f"M={M}: flagged non-minimal scales: {len(prof.flagged)}")
+# Constructed scales are minimal: each is 1, or a prime p (or q) with every
+# coefficient below it in absolute value, so none shares its factor. The
+# generic route, minimal by its own proof, finds the same scale per gap.
+for M in (33, 35, 45):
+    m = make_modulus(M)
+    same = all(generic_scaled_inverse(monomial_diff(g, 0, m)).scale
+               == construct_scaled_inverse(g, 0, m).scale for g in range(1, M))
+    print(f"M={M}: generic and constructed scales agree on every gap: {same}")

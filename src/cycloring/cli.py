@@ -275,6 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # `--poly V` as `--poly=V`, or argparse reads a V like -1,0,2 as an option
+    while "--poly" in argv[:-1]:
+        k = argv.index("--poly")
+        argv[k:k + 2] = [f"--poly={argv[k + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

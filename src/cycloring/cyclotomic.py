@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                      UnsupportedModulus)
-from .poly import IntPoly, divrem, exact_div
+from .poly import IntPoly, divrem
 
 # Largest supported M. Up to here trial division takes at most 2^10 steps
 # and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
@@ -122,10 +122,12 @@ def make_modulus(M: int) -> CycloModulus:
         (p, s), (q, t) = factors
         shape = TwoPrime(p, s, q, t)
         phi = (p - 1) * (q - 1) * p ** (s - 1) * q ** (t - 1)
-        phi_p = IntPoly((1,) * p)
-        phi_q = IntPoly((1,) * q)
-        x_pq_minus_1 = IntPoly.monomial(p * q) - 1
-        phi_pq = exact_div(x_pq_minus_1, IntPoly((-1, 1)) * phi_p * phi_q)
+        # Phi_pq = (1 - x)(1 - x^pq)/((1 - x^p)(1 - x^q)) has degree < pq: the
+        # series cut at x^pq, by prefix sums over residues mod p, then mod q
+        row = np.zeros(p * q, dtype=np.int64)
+        row[:2] = 1, -1
+        row = row.reshape(q, p).cumsum(axis=0).reshape(p, q).cumsum(axis=0)
+        phi_pq = IntPoly(row.ravel().tolist())
         inflation = p ** (s - 1) * q ** (t - 1)
         poly = phi_pq.inflate(inflation)
         radical = p * q

@@ -33,7 +33,8 @@ windows of the row of u modulo x^M - 1 and tests
 (x^j u - x^i u + scale) * D = 0 mod x^M - 1, with D the cofactor of Phi_M
 in 1 - x^M, so no second reduction is needed. Exhaustive sweeps
 (norm_profile) construct only the M - 1 gap inverses u(g, 0) and obtain
-every other pair by the gap-shift identity u(i, j) = x^{-j} u(i - j, 0);
+every other pair by the gap-shift identity u(i, j) = x^{-j} u(i - j, 0):
+the rotations of the folded row of u(g, 0), reduced in one call per gap.
 check_gap_block checks each pair exactly once, a whole gap at a time.
 """
 from __future__ import annotations
@@ -154,11 +155,11 @@ def _case(k: int, m: CycloModulus):
 
 
 def _construct(i: int, j: int, m: CycloModulus):
-    """The constructive inverse of x^i - x^j, 0 <= j < i < M, unchecked.
+    """The constructive inverse of x^i - x^j, 0 <= j < i < M, unreduced.
 
-    Returns (case, u, scale, bound) with u the reduced coefficient row.
-    With (N, c, d) from the case table, u = -x^{M-j} Q(x^{(i-j)/d}) reduced
-    mod Phi_M, where Q = (N - c)/(x^d - 1). The quotient comes from the
+    Returns (case, acc, scale, bound) with acc the length-M int64 row of
+    -x^{M-j} Q(x^{(i-j)/d}) mod x^M - 1; reducing acc mod Phi_M gives u.
+    (N, c, d) come from the case table and Q = (N - c)/(x^d - 1), from the
     stride recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so
     the recurrence continued past deg Q must give d zeros.
 
@@ -166,13 +167,12 @@ def _construct(i: int, j: int, m: CycloModulus):
     whole rows of d, becomes -Q by one cumulative sum down the columns of its
     (-1, d) view (each column is one residue class mod d); its last row
     holds the d top entries, which must be zero. The coefficient e of -Q
-    goes to x^{(e k/d + M - j) mod M} by one np.add.at, and one _reduce_rows
-    reduces the folded row mod Phi_M. int64 is exact here: |N - c| <= c + 1
-    <= q + 1 (p + 1 for p^s), each prefix sum adds at most M such terms, so
-    |Q| <= M(q + 1), and at most M of those fold into one slot, so every
-    folded entry is at most M^2 (q + 1) < 2^61 for M <= MAX_MODULUS. The
-    reduction picks its own dtype (_as_rows) and falls back to Python ints
-    when its bound fails.
+    goes to x^{(e k/d + M - j) mod M} by one np.add.at. int64 is exact here:
+    |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds at most
+    M such terms, so |Q| <= M(q + 1), and at most M of those fold into one
+    slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
+    M <= MAX_MODULUS. The caller's _reduce_rows picks its own dtype
+    (_as_rows) and falls back to Python ints when its bound fails.
     """
     M, k = m.M, i - j
     case, num, c, d, scale, bound = _case(k, m)
@@ -186,19 +186,19 @@ def _construct(i: int, j: int, m: CycloModulus):
     if cols[-1].any():
         raise AssertionError(
             f"(N - c)/(x^{d} - 1) is not exact for M={M}, case {case.value}")
-    # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1, then reduce once mod Phi_M
+    # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1
     top, g, shift = n - d, k // d, M - j
     acc = np.zeros(M, dtype=np.int64)
     np.add.at(acc, np.arange(shift, shift + top * g, g) % M, neg[:top])
-    return case, _reduce_rows(acc, m)[0], scale, bound
+    return case, acc, scale, bound
 
 
 def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
-    _construct builds u from the paper's case table; check_gap_block then
-    checks (x^i - x^j) * u = scale exactly, as a block of one row starting
-    at j, together with the norm bound, before u is returned.
+    _construct builds u from the paper's case table, reduced here once;
+    check_gap_block checks (x^i - x^j) * u = scale exactly, as a block of
+    one row starting at j, with the norm bound, before u is returned.
 
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which check_gap_block checks; a nonzero u with every
@@ -207,7 +207,8 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """
     if not 0 <= j < i < m.M:
         raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={m.M}")
-    case, u, scale, bound = _construct(i, j, m)
+    case, acc, scale, bound = _construct(i, j, m)
+    u = _reduce_rows(acc, m)[0]
     check_gap_block(m, i - j, u[None], scale, bound, j)
     return ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound,
                          case, minimal=True)
@@ -224,7 +225,11 @@ class ProfileRow:
 
 @dataclass(frozen=True)
 class NormProfile:
-    """Exhaustive (i, j) sweep of the constructive inverses for one modulus."""
+    """Exhaustive (i, j) sweep of the constructive inverses for one modulus.
+
+    flagged is always empty, as every constructed scale is minimal (see
+    construct_scaled_inverse); it stays for `sweep --format json`.
+    """
 
     modulus: CycloModulus
     rows: tuple[ProfileRow, ...]
@@ -282,45 +287,32 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
 
     Only the M - 1 gap inverses u(g, 0) are constructed. All pairs of gap g
-    follow as the rotations x^{-j} u(g, 0), reduced together as the rows of
-    one array, and every pair, (g, 0) included, is checked once by a batched
-    exact product (check_gap_block). Rows, maxima and witnesses come out in
-    the order of a plain `for i: for j < i` sweep, keeping the first pair to
-    reach each case maximum.
-
-    Rows where the constructed scale is not provably minimal (scale shares a
-    factor with the content of u) are flagged; a cross-check against the
-    generic route is then the caller's decision.
+    follow as the rotations x^{-j} u(g, 0), taken from the unreduced row of
+    the construction and reduced together as the rows of one array (one
+    reduction per gap), and every pair, (g, 0) included, is checked once by
+    a batched exact product (check_gap_block). Rows come out in the order
+    of a plain `for i: for j < i` sweep. Each case maximum keeps the first
+    pair in that order to reach it: the largest (norm, -i, -j) over the
+    first argmax of each gap, with cases in the order of their smallest gap.
     """
-    M, phi = m.M, m.phi
+    M = m.M
     gaps = [None]
+    best: dict = {}
     for g in range(1, M):
-        case, u, scale, bound = _construct(g, 0, m)
-        base = np.zeros(M, dtype=np.int64)
-        base[:phi] = u
-        # row j starts at base[j], so it is x^{-j} u(g, 0) mod x^M - 1
-        rot = np.tile(base, M - g + 1)[:(M - g) * (M + 1)]
+        case, acc, scale, bound = _construct(g, 0, m)
+        # row j starts at acc[j], so it is x^{-j} acc mod x^M - 1
+        rot = np.tile(acc, M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
         norms = check_gap_block(m, g, block, scale, bound)
-        if scale == 1:
-            minimal = [True] * (M - g)
-        else:
-            minimal = (block % scale != 0).any(axis=1).tolist()
-        gaps.append((scale, case, norms.tolist(), minimal))
-    rows = []
-    case_max: dict = {}
-    flagged = []
-    for i in range(1, M):
-        for j in range(i):
-            scale, case, norms, minimal = gaps[i - j]
-            row = ProfileRow(i, j, scale, norms[j], case)
-            rows.append(row)
-            best = case_max.get(case)
-            if best is None or row.norm > best[0]:
-                case_max[case] = (row.norm, i, j)
-            if not minimal[j]:
-                flagged.append(row)
-    return NormProfile(m, tuple(rows), case_max, tuple(flagged))
+        j = int(norms.argmax())
+        key = (int(norms[j]), -g - j, -j)
+        best[case] = max(best.get(case, key), key)
+        gaps.append((scale, case, norms.tolist()))
+    rows = tuple(ProfileRow(i, j, scale, norms[j], case)
+                 for i in range(1, M) for j in range(i)
+                 for scale, case, norms in (gaps[i - j],))
+    case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
+    return NormProfile(m, rows, case_max, ())
 
 
 def alternative_coprime_form(m: CycloModulus) -> IntPoly:
@@ -335,8 +327,8 @@ def alternative_coprime_form(m: CycloModulus) -> IntPoly:
         raise NotApplicable(f"M={m.M} is not of two-prime shape")
     p, q = m.shape.p, m.shape.q
     phi_pq = make_modulus(p * q).poly
-    x_minus_1 = IntPoly((-1, 1))
-    out = phi_pq + (p - 1) * exact_div(phi_pq - 1, x_minus_1)
+    out = phi_pq + (p - 1) * exact_div(phi_pq - 1, IntPoly((-1, 1)))
     for n in range(1, p):
-        out = out - exact_div(IntPoly.monomial(n * q - p + 2) - 1, x_minus_1)
+        # (x^a - 1)/(x - 1) = 1 + x + ... + x^(a-1)
+        out = out - IntPoly((1,) * (n * q - p + 2))
     return out.inflate(m.inflation)

@@ -59,9 +59,21 @@ class TestReduce:
         assert code == 0
         assert out.strip() == "-1,1,0,-1,1,-1,0,1"
 
+    @pytest.mark.parametrize("poly", [["--poly", "-1,0,2"], ["--poly=-1,0,2"]])
+    def test_leading_minus(self, capsys, poly):
+        # the space form too: a value starting with '-' is not an option
+        code, out, _ = run(capsys, "reduce", "7", *poly)
+        assert code == 0
+        assert out.strip() == "-1,0,2,0,0,0"
+
     def test_bad_poly_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "reduce", "15", "--poly", "1,a,2")
+        assert exc.value.code == 2
+
+    def test_trailing_bare_poly_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "reduce", "15", "--poly")
         assert exc.value.code == 2
 
 
@@ -289,10 +301,10 @@ class TestFuzzedArguments:
                     max_size=250))
     @settings(max_examples=40, deadline=None)
     def test_reduce_poly_matches_divrem(self, M, coeffs):
-        # --poly=...: a list with a leading minus sign would read as an option
+        # the space form, where a leading minus sign must not read as an option
         m = make_modulus(M)
         code, out, err = run_quiet("reduce", M,
-                                   "--poly=" + ",".join(map(str, coeffs)),
+                                   "--poly", ",".join(map(str, coeffs)),
                                    "--format", "coeffs")
         assert code == 0, err
         rem = divrem(IntPoly(coeffs), m.poly)[1].coeffs

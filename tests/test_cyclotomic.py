@@ -72,6 +72,21 @@ class TestMakeModulus:
         m = make_modulus(cycloring.MAX_MODULUS)
         assert m.shape == PrimePower(2, 20) and m.phi == 2 ** 19
 
+    def test_two_prime_near_ceiling_accepted(self):
+        # Phi_pq at 1009 * 1013 <= MAX_MODULUS, checked by two
+        # shift-subtracts: Phi (1 - x^p)(1 - x^q) = (1 - x)(1 - x^pq)
+        p, q = 1009, 1013
+        m = make_modulus(p * q)
+        assert m.shape == TwoPrime(p, 1, q, 1)
+        assert m.phi == (p - 1) * (q - 1)
+        row = np.zeros(p * q + 2, dtype=np.int64)
+        row[:m.phi + 1] = m.poly_row
+        row[p:] = row[p:] - row[:-p]
+        row[q:] = row[q:] - row[:-q]
+        want = np.zeros_like(row)
+        want[[0, 1, p * q, p * q + 1]] = 1, -1, -1, 1
+        assert np.array_equal(row, want)
+
     def test_cache_is_bounded(self):
         assert make_modulus.cache_info().maxsize is not None
 

@@ -10,13 +10,24 @@ from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
                        element, generic_scaled_inverse, make_modulus,
                        monomial_diff, monomial_reduce, norm_profile, reduce,
                        ring_mul)
-from cycloring.errors import BadRange, ZeroElement
+from cycloring.errors import BadRange, UnsupportedModulus, ZeroElement
 from cycloring import scaled_inverse
 from cycloring.poly import IntPoly, exact_div
 from cycloring.scaled_inverse import _case, check_gap_block
 from oracles import (construct_by_long_division, fold_quotient,
                      fraction_bezout, long_division_quotient,
                      norm_profile_per_pair)
+
+
+def supported_upto(limit):
+    out = []
+    for M in range(2, limit + 1):
+        try:
+            make_modulus(M)
+        except UnsupportedModulus:
+            continue
+        out.append(M)
+    return out
 
 
 def one(m):
@@ -385,6 +396,18 @@ class TestNormProfile:
         assert list(got.case_max.items()) == list(want.case_max.items())
         assert got.flagged == want.flagged
 
+    @pytest.mark.parametrize("M", supported_upto(80) + [125, 143])
+    def test_case_max_matches_per_pair_loop(self, M):
+        # the maxima built per gap equal a per-pair pass over the rows,
+        # first pair in (i, j) order winning, with the same key order
+        prof = norm_profile(make_modulus(M))
+        want: dict = {}
+        for r in prof.rows:
+            best = want.get(r.case)
+            if best is None or r.norm > best[0]:
+                want[r.case] = (r.norm, r.i, r.j)
+        assert list(prof.case_max.items()) == list(want.items())
+
     @pytest.mark.parametrize("M", [35, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
         # row 0 of each gap block is u(g, 0), as the construction returns it
@@ -429,11 +452,18 @@ class TestOneCheckPerPair:
         assert sorted((c[1], c[2].shape[0]) for c in checks) == \
             [(g, 35 - g) for g in range(1, 35)]
 
+    def test_sweep_reduces_each_gap_once(self, monkeypatch):
+        # one reduction per gap block, the gap's own construction included
+        reductions = self._count(monkeypatch, "_reduce_rows")
+        norm_profile(make_modulus(35))
+        assert len(reductions) == 34
+
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
+        reductions = self._count(monkeypatch, "_reduce_rows")
         m = make_modulus(35)
         si = construct_scaled_inverse(9, 2, m)
-        assert len(checks) == 1
+        assert len(checks) == 1 and len(reductions) == 1
         m_, g, block, scale, bound, j0 = checks[0]
         assert (g, j0, scale, bound) == (7, 2, si.scale, si.bound)
         assert tuple(block[0].tolist()) == si.u.coeffs
@@ -535,10 +565,12 @@ class TestRotationVerify:
         real = scaled_inverse._construct
 
         def off_by_one(i, j, m):
-            case, u, scale, bound = real(i, j, m)
-            u = u.copy()
-            u[m.phi // 2] += 1
-            return case, u, scale, bound
+            # x^e is reduced for e < phi, so this adds 1 to coefficient
+            # phi // 2 of the reduced u and nothing else
+            case, acc, scale, bound = real(i, j, m)
+            acc = acc.copy()
+            acc[m.phi // 2] += 1
+            return case, acc, scale, bound
 
         monkeypatch.setattr(scaled_inverse, "_construct", off_by_one)
         with pytest.raises(AssertionError,
