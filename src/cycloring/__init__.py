@@ -12,14 +12,15 @@ from .cyclotomic import (MAX_MODULUS, BlockRanges, CycloModulus, PrimePower,
                          monomial_reduce, reduce, reduction_matrix, ring_mul)
 from .errors import (BadRange, CycloringError, InexactDivision, ModulusMismatch,
                      ModulusTooLarge, NotApplicable, NotCoprime, OutOfRange,
-                     PatternViolation, UnsupportedModulus, ZeroElement,
-                     ZeroPolynomial)
+                     PatternViolation, SweepTooLarge, UnsupportedModulus,
+                     ZeroElement, ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
 from .poly import IntPoly, divrem, exact_div, resultant_bezout
-from .scaled_inverse import (InverseCase, NormProfile, ProfileRow, ScaledInverse,
-                             alternative_coprime_form, construct_scaled_inverse,
-                             generic_scaled_inverse, norm_profile)
+from .scaled_inverse import (MAX_SWEEP_COST, InverseCase, NormProfile,
+                             ProfileRow, ScaledInverse, alternative_coprime_form,
+                             construct_scaled_inverse, generic_scaled_inverse,
+                             norm_profile)
 from .structure import (DiophantineTable, PatternClass, band_form,
                         column_family_sum, diff_quotient_coeffs,
                         high_monomial_form, inflated_pattern_check,

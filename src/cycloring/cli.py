@@ -4,7 +4,8 @@ Subcommands: cyclo, reduce, matrix, scaled-inv, expansion, sweep, verify.
 Coefficient I/O is degree-ascending everywhere. Exit codes: 0 success,
 1 failed check (including a failed internal self-check, reported on stderr
 without a traceback), 2 usage error (including M above the supported
-ceiling, refused before any work), 3 unsupported modulus.
+ceiling and a sweep above its cost ceiling, both refused before any work),
+3 unsupported modulus.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import scaled_inverse as sinv
 from . import verify as verify_mod
 from .cyclotomic import make_modulus, monomial_diff, reduce, reduction_matrix
 from .errors import (BadRange, CycloringError, InexactDivision,
-                     ModulusTooLarge, NotApplicable, OutOfRange,
+                     ModulusTooLarge, NotApplicable, OutOfRange, SweepTooLarge,
                      UnsupportedModulus, ZeroElement, ZeroPolynomial)
 from .poly import IntPoly
 
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BadRange, OutOfRange, NotApplicable, ZeroElement, ZeroPolynomial,
-            InexactDivision, ModulusTooLarge) as exc:
+            InexactDivision, ModulusTooLarge, SweepTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CycloringError as exc:

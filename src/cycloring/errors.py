@@ -28,6 +28,11 @@ class ModulusTooLarge(CycloringError, ValueError):
     """M is above the supported ceiling; refused before any factorization."""
 
 
+class SweepTooLarge(CycloringError, ValueError):
+    """An exhaustive (i, j) sweep above the cost ceiling; refused before any
+    allocation."""
+
+
 class ModulusMismatch(CycloringError, ValueError):
     """Ring elements from different moduli were combined."""
 

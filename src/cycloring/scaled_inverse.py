@@ -31,11 +31,19 @@ generic one by a ring multiplication, a constructed one by check_gap_block,
 the one check of every constructed inverse. It forms x^j u and x^i u as two
 windows of the row of u modulo x^M - 1 and tests
 (x^j u - x^i u + scale) * D = 0 mod x^M - 1, with D the cofactor of Phi_M
-in 1 - x^M, so no second reduction is needed. Exhaustive sweeps
-(norm_profile) construct only the M - 1 gap inverses u(g, 0) and obtain
-every other pair by the gap-shift identity u(i, j) = x^{-j} u(i - j, 0):
-the rotations of the folded row of u(g, 0), reduced in one call per gap.
-check_gap_block checks each pair exactly once, a whole gap at a time.
+in 1 - x^M, so no second reduction is needed.
+
+Exhaustive sweeps (norm_profile) construct only the M - 1 gap inverses
+u(g, 0) and obtain every other pair by the gap-shift identity
+u(i, j) = x^{-j} u(i - j, 0). They work at the radical rad = M/M': as
+Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
+M' consecutive rotations of the folded row's subsequences mod Phi_rad, so a
+sweep reduces at most M rotations of length rad per gap, O(M^2 rad) in all
+instead of O(M^3). Every reduced rotation r is certified by the cofactor
+identity r D = y^{-rho}(S_b D) mod y^rad - 1 and every u(g, 0) by
+check_gap_block (see norm_profile). The sweep keeps one small norm array
+per gap; the (i, j) rows are built only when read. A sweep whose cost
+M^2 rad is above MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
 """
 from __future__ import annotations
 
@@ -45,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import (CycloModulus, PrimePower, RingElement, TwoPrime,
-                         _as_rows, _reduce_rows, _times_cofactor, make_modulus,
+from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
+                         TwoPrime, _as_rows, _divide_columns, _reduce_rows,
+                         _times_binomials, _times_cofactor, make_modulus,
                          ring_mul)
-from .errors import BadRange, NotApplicable, ZeroElement
+from .errors import BadRange, NotApplicable, SweepTooLarge, ZeroElement
 from .poly import IntPoly, exact_div, resultant_bezout
 
 
@@ -223,18 +232,50 @@ class ProfileRow:
     case: InverseCase
 
 
-@dataclass(frozen=True)
+# Ceiling of sweep_cost that norm_profile accepts, about 10 s of sweep on a
+# 2-core host (M = 2057 = 11^2 17 costs 7.9e8 and takes 7.3 s); a sweep above
+# it raises SweepTooLarge before any allocation.
+MAX_SWEEP_COST = 2 ** 30
+
+
+def sweep_cost(M: int, rad: int) -> int:
+    """O(1) cost of norm_profile at M with radical rad: the entries of its
+    rotation blocks, M - 1 gaps of at most M rotations of length rad."""
+    return M * M * rad
+
+
+def check_sweep_cost(m: CycloModulus) -> None:
+    """Raise SweepTooLarge when the sweep of m costs above MAX_SWEEP_COST."""
+    cost = sweep_cost(m.M, m.radical)
+    if cost > MAX_SWEEP_COST:
+        raise SweepTooLarge(
+            f"sweep of M={m.M} costs M^2 rad = {cost}, above the ceiling "
+            f"{MAX_SWEEP_COST}")
+
+
+@dataclass(frozen=True, eq=False)
 class NormProfile:
     """Exhaustive (i, j) sweep of the constructive inverses for one modulus.
 
+    gaps[g - 1] = (scale, case, norms) for the gap g = i - j, with norms[j]
+    the max-norm of u(j + g, j), 0 <= j < M - g. rows is built from gaps each
+    time it is read, in the order of a plain `for i: for j < i` sweep.
     flagged is always empty, as every constructed scale is minimal (see
     construct_scaled_inverse); it stays for `sweep --format json`.
     """
 
     modulus: CycloModulus
-    rows: tuple[ProfileRow, ...]
+    gaps: tuple
     case_max: dict
-    flagged: tuple[ProfileRow, ...]
+    flagged: tuple[ProfileRow, ...] = ()
+
+    @property
+    def rows(self) -> tuple[ProfileRow, ...]:
+        gaps = [None] + [(scale, case, norms.tolist())
+                         for scale, case, norms in self.gaps]
+        return tuple(ProfileRow(i, j, scale, norms[j], case)
+                     for i in range(1, self.modulus.M) for j in range(i)
+                     for scale, case, norms in (gaps[i - j],))
 
     def max_norm(self, case: InverseCase) -> int:
         return self.case_max[case][0]
@@ -283,36 +324,139 @@ def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
     return norms
 
 
-def norm_profile(m: CycloModulus) -> NormProfile:
-    """Sweep all 0 <= j < i < M; record per-case max norms and witnesses.
+def _rotations(X: np.ndarray, src: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Row k is x^{-rho[k]} X[src[k]] mod x^L - 1, L = X.shape[1]: the
+    window at column rho[k] of that row written twice."""
+    L = X.shape[1]
+    X2 = np.concatenate((X, X[:, :-1]), axis=1)
+    return np.lib.stride_tricks.sliding_window_view(X2, L, axis=1)[src, rho]
 
-    Only the M - 1 gap inverses u(g, 0) are constructed. All pairs of gap g
-    follow as the rotations x^{-j} u(g, 0), taken from the unreduced row of
-    the construction and reduced together as the rows of one array (one
-    reduction per gap), and every pair, (g, 0) included, is checked once by
-    a batched exact product (check_gap_block). Rows come out in the order
-    of a plain `for i: for j < i` sweep. Each case maximum keeps the first
-    pair in that order to reach it: the largest (norm, -i, -j) over the
-    first argmax of each gap, with cases in the order of their smallest gap.
+
+def _window_norms(m: CycloModulus, rad_m: CycloModulus, lo: int,
+                  accs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced u(g, 0) and window norms of the gaps g = lo, lo + 1, ...
+
+    accs holds the folded rows of the gaps (_construct). Returns U, row r
+    the reduced u(lo + r, 0), and W, W[r, j] the max-norm of u(lo + r + j, j)
+    for j < M - lo - r. See norm_profile; raises AssertionError naming M and
+    (i, j) when a reduced rotation fails its congruence check.
     """
+    M, w, rad = m.M, m.inflation, m.radical
+    n = len(accs)
+    # t = rho w + b is read by the windows [j, j + w) of j < M - g iff t < T
+    T = np.minimum(M, M - np.arange(lo, lo + n) + w - 1)
+    cnt = ((T[:, None] - np.arange(w) + w - 1) // w).ravel()
+    first = np.cumsum(cnt) - cnt
+    src = np.repeat(np.arange(n * w), cnt)
+    rho = np.arange(src.size) - np.repeat(first, cnt)
+    # row (r, b) of S is the subsequence acc[b::w] of gap lo + r. Headroom
+    # 10p: no entry below exceeds 40 p^2 q max|S| (window sums of p, prefix
+    # sums of q and p - 1 terms, four terms of B), 12 p max|S| for M = p^s
+    S = np.stack(accs).reshape(n, rad, w).transpose(0, 2, 1).reshape(-1, rad)
+    P = _times_cofactor(_as_rows(S, rad_m, 10 * m.shape.p), rad_m)
+    # column k of Z is y^{-rho[k]} (S D) of row src[k] of S, column k of red
+    # its quotient by D: the remainder of y^{-rho[k]} S[src[k]]
+    Z = np.ascontiguousarray(_rotations(P, src, rho).T)
+    red = _divide_columns(Z, rad_m)
+    # the check r D = Z, as r B = (1 - y) Z with B = (1 - y) D (see
+    # norm_profile): E = r B - (1 - y) Z mod y^rad - 1 must vanish
+    E = _times_binomials(red, rad_m)
+    E -= Z
+    E[1:] += Z[:-1]
+    E[0] += Z[-1]
+    bad = E.any(axis=0).astype(bool) | P.sum(axis=1).astype(bool)[src]
+    if bad.any():
+        k = int(bad.argmax())
+        g, b = lo + int(src[k]) // w, int(src[k]) % w
+        j = max(0, int(rho[k]) * w + b - w + 1)
+        raise AssertionError(
+            f"sweep check failed: a reduced rotation is not congruent to its "
+            f"row for M={M}, (i, j)=({j + g}, {j})")
+    N = np.zeros((n, M + w), dtype=np.int64)
+    N.ravel()[(src // w) * (M + w) + rho * w + src % w] = \
+        np.abs(red).max(axis=0)
+    # t wraps mod M: the window of j reads t = j .. j + w - 1
+    N[:, M:M + w - 1] = N[:, :w - 1]
+    # window maxima by block prefix and suffix maxima, blocks of w
+    blocks = N.reshape(n, -1, w)
+    pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
+    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
+    W = np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
+    # u(g, 0) from its rotations 0: coefficient a w + b is column b's a
+    U = red[:, first].reshape(-1, n, w).transpose(1, 0, 2).reshape(n, m.phi)
+    return U, W
+
+
+def norm_profile(m: CycloModulus) -> NormProfile:
+    """Sweep all 0 <= j < i < M; record per-gap norms and per-case maxima.
+
+    Only the M - 1 gap inverses u(g, 0) are constructed; each is reduced,
+    checked once by check_gap_block, and every other pair of gap g follows
+    by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+
+    The sweep works at the radical rad = M/M'. With y = x^{M'},
+    Phi_M(x) = Phi_rad(y), so a row v reduces mod Phi_M as its M'
+    subsequences S_b = v[b::M'] reduce mod Phi_rad(y): coefficient a M' + b
+    of the remainder is coefficient a of S_b mod Phi_rad. The rotation
+    x^{-j} acc_g of the folded row of gap g has the subsequences
+    y^{-rho} S_b, with rho M' + b running over the cyclic window [j, j + M').
+    So the norm of u(j + g, j) is the maximum of N_g over that window, with
+    N_g[rho M' + b] the max-norm of y^{-rho} S_b mod Phi_rad; the window
+    maxima take one block prefix- and suffix-max pass (for M' = 1 the window
+    is one rotation). Each S_b is multiplied by the radical's cofactor D once
+    (_times_cofactor), the rotations y^{-rho}(S_b D) that some window reads
+    are tiled, and only the divide half of the reduction runs per rotation
+    (_divide_columns, on coefficient-major columns). Gaps are stacked into
+    one call, as many as keep its temporaries within _UNIT_BLOCK / 2 entries.
+
+    Certification. Every reduced rotation r is checked exactly against the
+    tiled product Z = y^{-rho}(S_b D): r D = Z mod y^rad - 1. Then
+    (r - y^{-rho} S_b) D is a multiple of y^rad - 1 = -Phi_rad D, so
+    r = y^{-rho} S_b mod Phi_rad. The check is made as r B = (1 - y) Z with
+    B = (1 - y) D, which takes four shifted adds where D takes a prefix sum:
+    it leaves r D - Z = c (1 + y + ... + y^(rad-1)), and c = 0, as D(1) = 0
+    and Z(1) = 0, checked on the row sums of S_b D. With rho = 0 this makes
+    the assembled u(g, 0) the remainder of acc_g, and check_gap_block proves
+    (x^g - 1) u(g, 0) = scale. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u
+    mod x^M - 1, every pair's product follows, and its norm is taken from
+    exact remainders and checked against the case's bound. Integers are
+    exact: the rows are int64 when _as_rows proves that every step fits, and
+    Python ints otherwise.
+
+    Cost: M - 1 gaps of at most M rotations of length rad, O(M^2 rad)
+    (sweep_cost), against O(M^3) for reducing every rotation at length M.
+    A sweep above MAX_SWEEP_COST raises SweepTooLarge before any work. Each
+    case maximum keeps the first pair in `for i: for j < i` order to reach
+    it: the largest (norm, -i, -j) over the first argmax of each gap, with
+    cases in the order of their smallest gap.
+    """
+    check_sweep_cost(m)
     M = m.M
-    gaps = [None]
+    rad_m = make_modulus(m.radical)
+    # gaps per call: its rotation block of at most M rad entries per gap
+    # and the four-odd temporaries of its size stay within _UNIT_BLOCK / 2
+    step = max(1, _UNIT_BLOCK // 8 // (M * m.radical))
+    gaps = []
     best: dict = {}
-    for g in range(1, M):
-        case, acc, scale, bound = _construct(g, 0, m)
-        # row j starts at acc[j], so it is x^{-j} acc mod x^M - 1
-        rot = np.tile(acc, M - g + 1)[:(M - g) * (M + 1)]
-        block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
-        norms = check_gap_block(m, g, block, scale, bound)
-        j = int(norms.argmax())
-        key = (int(norms[j]), -g - j, -j)
-        best[case] = max(best.get(case, key), key)
-        gaps.append((scale, case, norms.tolist()))
-    rows = tuple(ProfileRow(i, j, scale, norms[j], case)
-                 for i in range(1, M) for j in range(i)
-                 for scale, case, norms in (gaps[i - j],))
+    for lo in range(1, M, step):
+        built = [_construct(g, 0, m) for g in range(lo, min(M, lo + step))]
+        U, W = _window_norms(m, rad_m, lo, [acc for _, acc, _, _ in built])
+        for r, (case, _, scale, bound) in enumerate(built):
+            g = lo + r
+            check_gap_block(m, g, U[r:r + 1], scale, bound)
+            norms = W[r, :M - g]
+            j = int(norms.argmax())
+            if norms[j] > bound:
+                raise AssertionError(
+                    f"sweep check failed: norm {int(norms[j])} > bound {bound}"
+                    f" for M={M}, (i, j)=({j + g}, {j})")
+            key = (int(norms[j]), -g - j, -j)
+            best[case] = max(best.get(case, key), key)
+            norms = norms.astype(np.min_scalar_type(bound))
+            norms.setflags(write=False)
+            gaps.append((scale, case, norms))
     case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
-    return NormProfile(m, rows, case_max, ())
+    return NormProfile(m, tuple(gaps), case_max)
 
 
 def alternative_coprime_form(m: CycloModulus) -> IntPoly:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -103,11 +104,11 @@ class _Collector:
             self.results.append(CheckResult(name, False, str(witness)))
 
 
-def _expected_case(m, i, j):
+def _expected_case(m, k):
+    """(case, scale, bound) of the pairs with i - j = k."""
     sh = m.shape
     if isinstance(sh, PrimePower):
         return scaled_inverse.InverseCase.PRIME_POWER, sh.p, sh.p - 1
-    k = i - j
     if k % sh.p ** sh.s == 0:
         return scaled_inverse.InverseCase.P_DIVIDES_SHIFT, sh.q, sh.q - 1
     if k % sh.q ** sh.t == 0:
@@ -281,21 +282,22 @@ def _suite_matrix(m, rng, trials):
 def _suite_theorems(m, rng, trials):
     col = _Collector()
     sh = m.shape
-    # one exhaustive sweep serves both construction_exhaustive and
-    # scale_minimality; a sweep that raises fails each of them by name
-    profile = functools.cache(lambda: scaled_inverse.norm_profile(m))
 
     def exhaustive():
-        rows = profile().rows
-        if [(r.i, r.j) for r in rows] != [(i, j) for i in range(1, m.M)
-                                          for j in range(i)]:
-            return "sweep rows do not cover every (i,j) once, in order"
-        for r in rows:
-            case, scale, bound = _expected_case(m, r.i, r.j)
-            if r.case != case or r.scale != scale:
-                return f"(i,j)=({r.i},{r.j}): case {r.case} scale {r.scale}"
-            if r.norm > bound:
-                return f"(i,j)=({r.i},{r.j}): norm {r.norm} > bound {bound}"
+        # the sweep keeps one record per gap g = i - j; case and scale
+        # depend only on g, and gap g holds the norms of j = 0 .. M - g - 1
+        gaps = scaled_inverse.norm_profile(m).gaps
+        if len(gaps) != m.M - 1:
+            return f"sweep has {len(gaps)} gaps, not M - 1 = {m.M - 1}"
+        for g, (scale, case, norms) in enumerate(gaps, start=1):
+            if len(norms) != m.M - g:
+                return f"gap {g}: {len(norms)} pairs, not M - g = {m.M - g}"
+            want, want_scale, bound = _expected_case(m, g)
+            if case != want or scale != want_scale:
+                return f"(i,j)=({g},0): case {case} scale {scale}"
+            j = int(np.argmax(norms))
+            if norms[j] > bound:
+                return f"(i,j)=({g + j},{j}): norm {norms[j]} > bound {bound}"
         return True
 
     col.run("construction_exhaustive", exhaustive)
@@ -326,22 +328,34 @@ def _suite_theorems(m, rng, trials):
         col.run("near_tight_witness", near_tight)
 
     def minimality():
-        for row in profile().flagged:
+        # the minimal scale of x^i - x^j = x^j (x^k - 1), k = i - j, depends
+        # only on d = gcd(k, M), as the constructed one does (the case
+        # table), so one generic inverse per proper divisor d of M covers
+        # every pair; both inverses are unique, so u must agree as well
+        for d in range(1, m.M):
+            if m.M % d:
+                continue
+            con = scaled_inverse.construct_scaled_inverse(d, 0, m)
             gen = scaled_inverse.generic_scaled_inverse(
-                cyclotomic.monomial_diff(row.i, row.j, m))
-            if gen.scale == row.scale:
-                return (f"(i,j)=({row.i},{row.j}) flagged non-minimal but "
-                        f"generic scale agrees")
+                cyclotomic.monomial_diff(d, 0, m))
+            if con.scale != gen.scale:
+                return (f"(i,j)=({d},0): constructed scale {con.scale}, "
+                        f"minimal scale {gen.scale}")
+            if con.u != gen.u:
+                return f"(i,j)=({d},0): constructed and minimal u differ"
         return True
 
     col.run("scale_minimality", minimality)
 
     def bezout_sampled():
-        pairs = [(i, j) for i in range(1, m.M) for j in range(i)]
-        count = min(len(pairs), max(8, trials // 100))
-        idx = rng.choice(len(pairs), size=count, replace=False)
-        for n in idx:
-            i, j = pairs[int(n)]
+        # pair n of the `for i: for j < i` order is (i, j) with
+        # n = i (i - 1) / 2 + j, found without listing the M^2/2 pairs
+        pairs = m.M * (m.M - 1) // 2
+        count = min(pairs, max(8, trials // 100))
+        idx = rng.choice(pairs, size=count, replace=False)
+        for n in map(int, idx):
+            i = (1 + math.isqrt(1 + 8 * n)) // 2
+            j = n - i * (i - 1) // 2
             con = scaled_inverse.construct_scaled_inverse(i, j, m)
             gen = scaled_inverse.generic_scaled_inverse(
                 cyclotomic.monomial_diff(i, j, m))
@@ -418,11 +432,18 @@ _SUITES = {
 
 def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run the requested suites against M and collect a report."""
+    """Run the requested suites against M and collect a report.
+
+    Raises SweepTooLarge up front when the theorems suite is requested and
+    its exhaustive sweep is above the ceiling (see norm_profile).
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = make_modulus(M)
     names = SUITE_NAMES if suite == "all" else (suite,)
+    if "theorems" in names:
+        # refuse the theorems suite's exhaustive sweep before any suite runs
+        scaled_inverse.check_sweep_cost(m)
     rng = np.random.default_rng(seed)
     suites = []
     for name in names:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's closed forms: the cyclotomic
 polynomial comes from the iterated divisor loop on x^n - 1, the resultant
 from a fraction-free determinant of the Sylvester matrix, the norm
-profile from one constructed and verified inverse per (i, j) pair,
+profile from one constructed and verified inverse per (i, j) pair or from
+every rotation reduced at full length M (the library's former sweep),
 polynomial products from the schoolbook double loop, constructive
 inverses from the paper's formulas by long division, and the resultant
 with its Bezout cofactor from the extended Euclidean algorithm over Q.
@@ -15,11 +16,16 @@ import itertools
 import math
 from fractions import Fraction
 
+from typing import NamedTuple
+
+import numpy as np
+
 from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
-                                  make_modulus, reduce)
+                                  _reduce_rows, make_modulus, reduce)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
-from cycloring.scaled_inverse import (InverseCase, NormProfile, ProfileRow,
+from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
+                                      check_gap_block,
                                       construct_scaled_inverse)
 
 
@@ -102,7 +108,15 @@ def diophantine_bit(i: int, p: int, q: int) -> int:
                     for alpha in range(i // p + 1)) else 1
 
 
-def norm_profile_per_pair(m: CycloModulus) -> NormProfile:
+class ProfileTable(NamedTuple):
+    """The fields of a NormProfile that an oracle sweep reproduces."""
+
+    rows: tuple[ProfileRow, ...]
+    case_max: dict
+    flagged: tuple[ProfileRow, ...]
+
+
+def norm_profile_per_pair(m: CycloModulus) -> ProfileTable:
     """norm_profile by constructing and verifying every (i, j) one at a time."""
     rows = []
     case_max: dict = {}
@@ -117,7 +131,32 @@ def norm_profile_per_pair(m: CycloModulus) -> NormProfile:
                 case_max[si.case] = (row.norm, i, j)
             if not si.minimal:
                 flagged.append(row)
-    return NormProfile(m, tuple(rows), case_max, tuple(flagged))
+    return ProfileTable(tuple(rows), case_max, tuple(flagged))
+
+
+def norm_profile_blocks(m: CycloModulus) -> ProfileTable:
+    """norm_profile by the block path, O(M^3): row j of gap g's block is the
+    rotation x^{-j} acc of the gap's folded row, reduced at full length M in
+    one _reduce_rows call per gap, and every pair is checked by
+    check_gap_block. Case maxima as in norm_profile."""
+    M = m.M
+    gaps = [None]
+    best: dict = {}
+    for g in range(1, M):
+        case, acc, scale, bound = _construct(g, 0, m)
+        # row j starts at acc[j], so it is x^{-j} acc mod x^M - 1
+        rot = np.tile(acc, M - g + 1)[:(M - g) * (M + 1)]
+        block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
+        norms = check_gap_block(m, g, block, scale, bound)
+        j = int(norms.argmax())
+        key = (int(norms[j]), -g - j, -j)
+        best[case] = max(best.get(case, key), key)
+        gaps.append((scale, case, norms.tolist()))
+    rows = tuple(ProfileRow(i, j, scale, norms[j], case)
+                 for i in range(1, M) for j in range(i)
+                 for scale, case, norms in (gaps[i - j],))
+    case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
+    return ProfileTable(rows, case_max, ())
 
 
 def _largest_power_dividing(k: int, p: int) -> int:

@@ -52,6 +52,21 @@ class TestCyclo:
         assert "ceiling M <= 1048576" in err
 
 
+    @pytest.mark.parametrize("argv", [("sweep", "1147"),
+                                      ("verify", "1147", "--suite", "theorems"),
+                                      ("verify", "1147")])
+    def test_oversized_sweep_exit_2(self, capsys, monkeypatch, argv):
+        make_modulus(1147)
+
+        def construct(*args):
+            raise AssertionError("constructed")
+        monkeypatch.setattr(sinv, "_construct", construct)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: SweepTooLarge: ")
+        assert "ceiling 1073741824" in err
+
+
 class TestReduce:
     def test_monomial(self, capsys):
         poly = ",".join(["0"] * 8 + ["1"])  # x^8

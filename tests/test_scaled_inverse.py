@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -10,13 +11,16 @@ from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
                        element, generic_scaled_inverse, make_modulus,
                        monomial_diff, monomial_reduce, norm_profile, reduce,
                        ring_mul)
-from cycloring.errors import BadRange, UnsupportedModulus, ZeroElement
+from cycloring.errors import (BadRange, SweepTooLarge, UnsupportedModulus,
+                              ZeroElement)
 from cycloring import scaled_inverse
 from cycloring.poly import IntPoly, exact_div
-from cycloring.scaled_inverse import _case, check_gap_block
+from cycloring.scaled_inverse import (MAX_SWEEP_COST, _case, check_gap_block,
+                                      sweep_cost)
+from cycloring.verify import run_verify
 from oracles import (construct_by_long_division, fold_quotient,
                      fraction_bezout, long_division_quotient,
-                     norm_profile_per_pair)
+                     norm_profile_blocks, norm_profile_per_pair)
 
 
 def supported_upto(limit):
@@ -410,26 +414,29 @@ class TestNormProfile:
 
     @pytest.mark.parametrize("M", [35, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # row 0 of each gap block is u(g, 0), as the construction returns it
+        # each gap's u(g, 0) is checked once, as a block of one row at j = 0,
+        # and it is u(g, 0) as the construction returns it
         m = make_modulus(M)
         seen = {}
         real = scaled_inverse.check_gap_block
 
         def spy(m, g, block, scale, bound, j0=0):
-            assert j0 == 0
+            assert j0 == 0 and block.shape[0] == 1 and g not in seen
             seen[g] = block[0].tolist()
             return real(m, g, block, scale, bound, j0)
 
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
+        monkeypatch.setattr(scaled_inverse, "check_gap_block", real)
         assert sorted(seen) == list(range(1, M))
         for g, row in seen.items():
             assert tuple(row) == construct_scaled_inverse(g, 0, m).u.coeffs, g
 
 
 class TestOneCheckPerPair:
-    """check_gap_block is the only check of a constructed inverse, and it
-    sees every pair exactly once."""
+    """check_gap_block is the only check of a constructed inverse: a sweep
+    checks each u(g, 0) once, and each rotation it reduces is checked once
+    by its congruence."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -443,20 +450,49 @@ class TestOneCheckPerPair:
         monkeypatch.setattr(scaled_inverse, name, spy)
         return calls
 
+    @staticmethod
+    def _results(monkeypatch, name):
+        results = []
+        real = getattr(scaled_inverse, name)
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(scaled_inverse, name, spy)
+        return results
+
     def test_sweep_checks_each_gap_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
         norm_profile(make_modulus(35))
-        assert len(checks) == 34 and len(builds) == 34
-        # one block per gap, covering j = 0 .. 34 - g
-        assert sorted((c[1], c[2].shape[0]) for c in checks) == \
-            [(g, 35 - g) for g in range(1, 35)]
+        assert len(builds) == 34
+        # one row per gap, u(g, 0), at the default j0 = 0
+        assert sorted((c[1], c[2].shape[0], len(c)) for c in checks) == \
+            [(g, 1, 5) for g in range(1, 35)]
 
     def test_sweep_reduces_each_gap_once(self, monkeypatch):
-        # one reduction per gap block, the gap's own construction included
-        reductions = self._count(monkeypatch, "_reduce_rows")
-        norm_profile(make_modulus(35))
-        assert len(reductions) == 34
+        # M' = 1: one reduced rotation per pair
+        self._reductions_checked_once(monkeypatch, 35)
+
+    @pytest.mark.parametrize("M", [45, 125])
+    def test_sweep_reduces_each_window_rotation_once(self, monkeypatch, M):
+        self._reductions_checked_once(monkeypatch, M)
+
+    def _reductions_checked_once(self, monkeypatch, M):
+        # every column _divide_columns reduces is multiplied back by
+        # _times_binomials once; nothing is reduced at full length M
+        reduced = self._results(monkeypatch, "_divide_columns")
+        products = self._count(monkeypatch, "_times_binomials")
+        full = self._count(monkeypatch, "_reduce_rows")
+        m = make_modulus(M)
+        norm_profile(m)
+        assert full == []
+        assert [id(c[0]) for c in products] == [id(r) for r in reduced]
+        # gap g reads the rotations t < min(M, M - g + M' - 1)
+        w = m.inflation
+        assert sum(r.shape[1] for r in reduced) == \
+            sum(min(M, M - g + w - 1) for g in range(1, M))
 
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
@@ -467,6 +503,122 @@ class TestOneCheckPerPair:
         m_, g, block, scale, bound, j0 = checks[0]
         assert (g, j0, scale, bound) == (7, 2, si.scale, si.bound)
         assert tuple(block[0].tolist()) == si.u.coeffs
+
+
+class TestRadicalSweep:
+    """norm_profile reduces at the radical; the block oracle reduces every
+    rotation at full length M, as the library did before."""
+
+    @pytest.mark.parametrize("M", supported_upto(150) + [243, 256])
+    def test_matches_block_oracle(self, M):
+        m = make_modulus(M)
+        got, want = norm_profile(m), norm_profile_blocks(m)
+        assert got.rows == want.rows
+        assert list(got.case_max.items()) == list(want.case_max.items())
+        assert got.flagged == want.flagged == ()
+
+    @pytest.mark.parametrize("M", [363, 675, 1024])
+    def test_seeded_pairs_match_construct(self, M):
+        m = make_modulus(M)
+        gaps = norm_profile(m).gaps
+        rng = random.Random(M)
+        for _ in range(2000):
+            j, i = sorted(rng.sample(range(M), 2))
+            si = construct_scaled_inverse(i, j, m)
+            scale, case, norms = gaps[i - j - 1]
+            assert (scale, case, int(norms[j])) == (si.scale, si.case,
+                                                    si.norm), (i, j)
+
+    def test_rows_built_when_read(self):
+        prof = norm_profile(make_modulus(35))
+        assert [len(norms) for _, _, norms in prof.gaps] == \
+            list(range(34, 0, -1))
+        assert all(not norms.flags.writeable for _, _, norms in prof.gaps)
+        rows = prof.rows
+        assert rows == prof.rows and rows is not prof.rows
+        assert all(type(r.norm) is int for r in rows)
+
+    @pytest.mark.parametrize("M", [35, 45])
+    def test_python_int_path(self, M, monkeypatch):
+        # rows that fail the int64 bound run on Python ints, with equal norms
+        m = make_modulus(M)
+        want = norm_profile(m).rows
+        monkeypatch.setattr(scaled_inverse, "_as_rows",
+                            lambda V, m, headroom=1: np.asarray(V, dtype=object))
+        assert norm_profile(m).rows == want
+
+    # (M, column, pair): M = 15 has M' = 1, so column 14 + 6 is rotation 6
+    # of gap 2, read by j = 6 alone; M = 45 has M' = 3, rotation 15 columns
+    # per class, so column 16 is rotation 1 of class b = 1 of gap 1,
+    # t = 1 * 3 + 1 = 4, first read by the window [2, 5) of j = 2
+    @pytest.mark.parametrize("M, column, pair", [(15, 20, (8, 6)),
+                                                 (45, 16, (3, 2))])
+    @pytest.mark.parametrize("stage", ["_rotations", "_divide_columns"])
+    def test_rotation_off_by_one_is_caught(self, M, column, pair, stage,
+                                           monkeypatch):
+        # one entry of one tiled product, or of one reduced rotation
+        real = getattr(scaled_inverse, stage)
+
+        def off_by_one(*args):
+            out = real(*args).copy()
+            if stage == "_rotations":
+                out[column, 0] += 1
+            else:
+                out[0, column] += 1
+            return out
+
+        monkeypatch.setattr(scaled_inverse, stage, off_by_one)
+        with pytest.raises(AssertionError,
+                           match=rf"M={M}, \(i, j\)=\({pair[0]}, {pair[1]}\)"):
+            norm_profile(make_modulus(M))
+
+
+class TestSweepCeiling:
+    # moduli the tests and the bench sweep, at their largest
+    SWEPT = (35, 63, 91, 121, 125, 143, 149, 243, 256, 363, 675, 1024, 2187)
+
+    def test_swept_moduli_below_ceiling(self):
+        for M in self.SWEPT:
+            assert sweep_cost(M, make_modulus(M).radical) <= MAX_SWEEP_COST, M
+
+    def test_refused_before_allocating(self, monkeypatch):
+        m = make_modulus(1147)   # 31 * 37, squarefree: 1147^3 > 2^30
+        assert sweep_cost(1147, 1147) > MAX_SWEEP_COST
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("zeros", "empty", "stack", "concatenate", "tile"):
+            monkeypatch.setattr(np, name, allocate)
+        monkeypatch.setattr(scaled_inverse, "_construct", allocate)
+        with pytest.raises(SweepTooLarge, match="1147.*ceiling 1073741824"):
+            norm_profile(m)
+        with pytest.raises(SweepTooLarge):
+            run_verify(1147, "theorems")
+
+
+class TestScaleMinimalityCheck:
+    @pytest.mark.parametrize("M", [63, 121])
+    def test_passes(self, M):
+        checks = {c.name: c for c in run_verify(M, "theorems", 100)
+                  .suites[0].checks}
+        assert checks["scale_minimality"].passed
+
+    def test_doubled_scale_fails(self, monkeypatch):
+        real = scaled_inverse.construct_scaled_inverse
+
+        def doubled(i, j, m):
+            si = real(i, j, m)
+            return dataclasses.replace(si, u=2 * si.u, scale=2 * si.scale)
+
+        monkeypatch.setattr(scaled_inverse, "construct_scaled_inverse",
+                            doubled)
+        checks = {c.name: c for c in run_verify(35, "theorems", 100)
+                  .suites[0].checks}
+        check = checks["scale_minimality"]
+        assert not check.passed
+        assert check.witness == ("(i,j)=(1,0): constructed scale 2, "
+                                 "minimal scale 1")
 
 
 class TestCheckGapBlock:
