@@ -420,8 +420,11 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     (x^g - 1) u(g, 0) = scale. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u
     mod x^M - 1, every pair's product follows, and its norm is taken from
     exact remainders and checked against the case's bound. Integers are
-    exact: the rows are int64 when _as_rows proves that every step fits, and
-    Python ints otherwise.
+    exact. With b = max|S_b|, the tiled product S_b D has entries at most
+    4p b (2b for M = p^s: window sums of p, then a shift-subtract), and no
+    step of the divide half or the check exceeds 40 p^2 q b (12 p b); the
+    rows are int64 when _as_rows proves that bound below 2^63, and Python
+    ints otherwise.
 
     Cost: M - 1 gaps of at most M rotations of length rad, O(M^2 rad)
     (sweep_cost), against O(M^3) for reducing every rotation at length M.
