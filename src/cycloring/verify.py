@@ -212,12 +212,20 @@ def _suite_matrix(m, rng, trials):
     R = cyclotomic.reduction_matrix(m)
 
     def long_division_agrees():
-        for k in range(m.M):
-            rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
-            want = rem + (0,) * (m.phi - len(rem))
-            if (R.column(k) != want
-                    or cyclotomic.monomial_reduce(k, m).coeffs != want):
-                return f"column {k} disagrees with long division"
+        # the long-division columns of a block of exponents against the
+        # same columns of R_M and the batched reduction, as whole arrays;
+        # a block holds at most _UNIT_BLOCK entries, as in _monomial_rows
+        step = max(1, cyclotomic._UNIT_BLOCK // m.M)
+        for lo in range(0, m.M, step):
+            ks = range(lo, min(m.M, lo + step))
+            want = np.zeros((len(ks), m.phi), dtype=np.int64)
+            for r, k in enumerate(ks):
+                rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
+                want[r, :len(rem)] = rem
+            bad = ((R.entries[:, ks].T != want)
+                   | (cyclotomic._monomial_rows(ks, m) != want)).any(axis=1)
+            if bad.any():
+                return f"column {ks[bad.argmax()]} disagrees with long division"
         return True
 
     col.run("columns_match_long_division", long_division_agrees)

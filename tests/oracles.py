@@ -4,7 +4,8 @@ These deliberately avoid the library's closed forms: the cyclotomic
 polynomial comes from the iterated divisor loop on x^n - 1, the resultant
 from a fraction-free determinant of the Sylvester matrix, the norm
 profile from one constructed and verified inverse per (i, j) pair or from
-every rotation reduced at full length M (the library's former sweep),
+every rotation reduced at full length M (the library's former sweep), the
+reduction of whole rows by the library's former row-major divide,
 polynomial products from the schoolbook double loop, constructive
 inverses from the paper's formulas by long division, and the resultant
 with its Bezout cofactor from the extended Euclidean algorithm over Q.
@@ -21,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
-                                  _reduce_rows, make_modulus, reduce)
+                                  _as_rows, _reduce_rows, make_modulus,
+                                  reduce)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
@@ -40,6 +42,39 @@ def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
                 if y:
                     out[i + j] += x * y
     return IntPoly(out)
+
+
+def reduce_rows_row_major(V, m: CycloModulus) -> np.ndarray:
+    """_reduce_rows as the library ran it before its divide moved to
+    coefficient-major columns: the same fold, dtype choice (_as_rows) and
+    multiply by D, then a row-major divide. For p^s the remainder is
+    v[:phi] - tile(v[phi:], p - 1); for p^s q^t, Z (1 - y) is divided by
+    1 - y^p and 1 - y^q as two cumsum chains along each row. Its multiply
+    by D is the former one too, with shifts by np.concatenate."""
+    M, phi = m.M, m.phi
+    A = _as_rows(V, m)
+    n, L = A.shape
+    if L != M:
+        folds = -(-L // M) or 1
+        A = np.concatenate([A, np.zeros((n, folds * M - L), A.dtype)], axis=1)
+        A = A.reshape(n, folds, M).sum(axis=1)
+    sh = m.shape
+    if isinstance(sh, PrimePower):
+        # y^(p-1) = -(1 + y + ... + y^(p-2)) mod Phi_p(y)
+        return A[:, :phi] - np.tile(A[:, phi:], sh.p - 1)
+    p, q, w = sh.p, sh.q, m.inflation
+
+    def times_one_minus(X, s):
+        return X - np.concatenate((X[:, -s:], X[:, :-s]), axis=1)
+
+    # Z = A D: the prefix sums of A (1 - y^p) are A (1 - y^p) / (1 - y)
+    Y = A.reshape(n, p * q, w)
+    Z = times_one_minus(times_one_minus(Y, p).cumsum(axis=1), q)
+    F = Z.copy()
+    F[:, 1:] -= Z[:, :-1]
+    G = F.reshape(n, q, p, w).cumsum(axis=1).reshape(n, p * q, w)
+    G = G[:, :(p - 1) * q].reshape(n, p - 1, q, w).cumsum(axis=1)
+    return G.reshape(n, (p - 1) * q, w)[:, :(p - 1) * (q - 1)].reshape(n, phi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +155,6 @@ def norm_profile_per_pair(m: CycloModulus) -> ProfileTable:
     """norm_profile by constructing and verifying every (i, j) one at a time."""
     rows = []
     case_max: dict = {}
-    flagged = []
     for i in range(1, m.M):
         for j in range(i):
             si = construct_scaled_inverse(i, j, m)
@@ -129,9 +163,7 @@ def norm_profile_per_pair(m: CycloModulus) -> ProfileTable:
             best = case_max.get(si.case)
             if best is None or row.norm > best[0]:
                 case_max[si.case] = (row.norm, i, j)
-            if not si.minimal:
-                flagged.append(row)
-    return ProfileTable(tuple(rows), case_max, tuple(flagged))
+    return ProfileTable(tuple(rows), case_max, ())
 
 
 def norm_profile_blocks(m: CycloModulus) -> ProfileTable:

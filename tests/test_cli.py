@@ -188,6 +188,30 @@ class TestSweep:
         assert obj["case_max"]["coprime"]["norm"] == 2
         assert obj["flagged"] == []
 
+    @pytest.mark.parametrize("M", [15, 35])
+    def test_formats_from_gaps_without_profile_rows(self, capsys,
+                                                    monkeypatch, M):
+        # the text the rows of the profile give, pinned byte for byte
+        prof = sinv.norm_profile(make_modulus(M))
+        rows = [[r.i, r.j, r.scale, r.norm, r.case.value] for r in prof.rows]
+        case_max = {case.value: {"norm": norm, "i": i, "j": j}
+                    for case, (norm, i, j) in prof.case_max.items()}
+        want = {
+            "csv": "i,j,scale,norm,case\n"
+                   + "".join(",".join(map(str, r)) + "\n" for r in rows),
+            "json": json.dumps({"M": M, "rows": rows, "case_max": case_max,
+                                "flagged": []}, indent=2) + "\n",
+        }
+
+        def no_rows(*args):
+            raise AssertionError("a ProfileRow was built")
+
+        monkeypatch.setattr(sinv, "ProfileRow", no_rows)
+        for fmt, text in want.items():
+            code, out, _ = run(capsys, "sweep", str(M), "--format", fmt)
+            assert code == 0
+            assert out == text, fmt
+
 
 class TestSelfCheckFailure:
     def test_sweep_reports_without_traceback(self, capsys, monkeypatch):

@@ -12,14 +12,14 @@ import cycloring
 from cycloring import (PrimePower, TwoPrime, element,
                        kron_check, make_modulus, monomial_diff,
                        monomial_reduce, reduce, reduction_matrix, ring_mul)
-from cycloring import cyclotomic
+from cycloring import cyclotomic, scaled_inverse
 from cycloring.errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                               UnsupportedModulus)
-from cycloring.cyclotomic import _as_rows, _reduce_rows
+from cycloring.cyclotomic import _as_rows, _prefix_sums, _reduce_rows
 from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
 
-from oracles import cyclotomic_divisor_loop
+from oracles import cyclotomic_divisor_loop, reduce_rows_row_major
 
 
 def all_supported_upto(limit):
@@ -376,6 +376,84 @@ class TestReduceAgainstLongDivision:
             tracemalloc.stop()
         assert got.coeffs[5] == 1 and sum(map(abs, got.coeffs)) == 1
         assert peak < 5 * 2 ** 20, f"peak {peak} bytes"
+
+
+class TestReduceRowsAgainstRowMajor:
+    """_reduce_rows, one divide on coefficient-major columns at the radical,
+    against the former row-major divide (oracles.reduce_rows_row_major):
+    equal values and the same int64 or object choice."""
+
+    # prime powers, squarefree, inflated
+    MODULI = [4, 9, 27, 125, 1024, 2187, 6, 15, 35, 143, 1147, 12, 45, 63,
+              675]
+
+    @staticmethod
+    def _blocks(m, n, L, rng):
+        """Rows of small, boundary and extreme magnitudes: 9, the largest
+        kept in int64 and one above it, 2^63 - 1 and -2^63."""
+        sh = m.shape
+        growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
+        edge = (2 ** 63 - 1) // (growth * -(-L // m.M))
+        for mag in (9, edge, edge + 1, 2 ** 63 - 1):
+            V = rng.integers(-min(mag, 2 ** 62), min(mag, 2 ** 62), (n, L),
+                             endpoint=True).astype(object)
+            V[-1, -1] = mag
+            yield V
+        V[0, 0] = -2 ** 63
+        yield V
+
+    @pytest.mark.parametrize("M", MODULI)
+    def test_values_and_dtype(self, M, monkeypatch):
+        m = make_modulus(M)
+        rng = np.random.default_rng(M)
+        for n in (1, 3, 64):
+            for L in (M, 2 * M - 1, 3 * M + 1):
+                dtypes = []
+                for V in self._blocks(m, n, L, rng):
+                    got, want = _reduce_rows(V, m), reduce_rows_row_major(V, m)
+                    assert got.shape == (n, m.phi)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (n, L)
+                    dtypes.append(got.dtype)
+                    if len(dtypes) == 2:
+                        # int64 at the bound's edge is exact: Python ints agree
+                        with monkeypatch.context() as mp:
+                            mp.setattr(cyclotomic, "_as_rows",
+                                       lambda V, m: np.asarray(V, object))
+                            assert np.array_equal(_reduce_rows(V, m), got)
+                assert dtypes == [np.int64, np.int64] + [object] * 3
+
+    @pytest.mark.parametrize("shape", [(7, 5), (37, 31, 2), (13, 11, 64),
+                                       (2, 1, 729), (3, 300)])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_narrow_and_wide_prefix_sums_agree(self, shape, dtype,
+                                               monkeypatch):
+        rng = np.random.default_rng(len(shape))
+        X = rng.integers(-99, 99, shape).astype(dtype)
+        want = X.cumsum(axis=0)
+        for cutoff in (0, 2 ** 62):   # every row wide, every row narrow
+            monkeypatch.setattr(cyclotomic, "_WIDE_SLAB", cutoff)
+            for block in (X.copy(), X.T.copy().T):   # row- and column-major
+                _prefix_sums(block)
+                assert block.dtype == dtype
+                assert np.array_equal(block, want), cutoff
+
+    @pytest.mark.parametrize("M", [9, 35, 143, 675, 1024])
+    def test_branches_reduce_and_sweep_alike(self, M, monkeypatch):
+        m = make_modulus(M)
+        V = np.random.default_rng(M).integers(-99, 99, (64, 2 * M - 1))
+        want = reduce_rows_row_major(V, m)
+        for cutoff in (0, 2 ** 62):
+            monkeypatch.setattr(cyclotomic, "_WIDE_SLAB", cutoff)
+            assert np.array_equal(_reduce_rows(V, m), want), cutoff
+            assert np.array_equal(_reduce_rows(V[0], m), want[:1]), cutoff
+        if M <= 143:
+            gaps = {}
+            for cutoff in (0, 2 ** 62):
+                monkeypatch.setattr(cyclotomic, "_WIDE_SLAB", cutoff)
+                gaps[cutoff] = [norms.tolist() for _, _, norms
+                                in scaled_inverse.norm_profile(m).gaps]
+            assert gaps[0] == gaps[2 ** 62]
 
 
 class TestReductionMatrixChecksStayIndependent:
