@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                      UnsupportedModulus)
-from .poly import IntPoly, divrem
+from .poly import IntPoly, divrem, kron_mul
 
 # Largest supported M. Up to here trial division takes at most 2^10 steps
 # and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
@@ -369,9 +369,12 @@ def monomial_diff(i: int, j: int, m: CycloModulus) -> RingElement:
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product in Z[x]/Phi_M."""
+    """Product in Z[x]/Phi_M: the Kronecker product row (poly.kron_mul),
+    reduced by _reduce_rows."""
     a._require_same(b)
-    return reduce(a.to_poly() * b.to_poly(), a.modulus)
+    m = a.modulus
+    return RingElement(m, tuple(
+        _reduce_rows(kron_mul(a.coeffs, b.coeffs), m)[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -433,14 +436,26 @@ def reduction_matrix(m: CycloModulus) -> ReductionMatrix:
     return ReductionMatrix(m, entries, blocks)
 
 
-def kron_check(m: CycloModulus) -> bool:
-    """Whether R_M, built as R_rad kron I_M', equals long division of every
-    x^k by Phi_M; needs a non-squarefree M."""
-    if m.inflation == 1:
-        raise NotApplicable(f"M={m.M} is squarefree")
-    R = reduction_matrix(m).entries
+def long_division_rows(m: CycloModulus) -> np.ndarray:
+    """x^k mod Phi_M by long division (poly.divrem) for k = 0 .. M - 1, as
+    an (M, phi) int8 array, row k the remainder of x^k: the independent
+    route to the columns of R_M (kron_check, verify). Every entry of R_M
+    lies in {-1, 0, 1}, and a remainder entry outside int8 raises
+    OverflowError, so the narrow storage can hide no disagreement."""
+    out = np.zeros((m.M, m.phi), dtype=np.int8)
     for k in range(m.M):
         rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
-        if R[:len(rem), k].tolist() != list(rem) or R[len(rem):, k].any():
-            return False
-    return True
+        out[k, :len(rem)] = np.array(rem, dtype=np.int8)
+    return out
+
+
+def kron_check(m: CycloModulus, rows: np.ndarray | None = None) -> bool:
+    """Whether R_M, built as R_rad kron I_M', equals long division of every
+    x^k by Phi_M; needs a non-squarefree M. rows, when given, are the
+    long-division rows of m (long_division_rows), computed once by a
+    caller that also needs them."""
+    if m.inflation == 1:
+        raise NotApplicable(f"M={m.M} is squarefree")
+    if rows is None:
+        rows = long_division_rows(m)
+    return np.array_equal(reduction_matrix(m).entries.T, rows)

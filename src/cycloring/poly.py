@@ -5,15 +5,19 @@ is 2x^2 + 1. Coefficients are Python ints, so everything is arbitrary
 precision. The zero polynomial is the empty sequence and has degree -inf,
 which keeps it distinct from nonzero constants (degree 0).
 
-Products of two polynomials use signed Kronecker substitution: each factor
-is packed into one Python int, the two ints are multiplied by CPython's
-Karatsuba, and the coefficients are read back as digits. The digit width
-comes from an exact bound on the product coefficients, so the result is
-exact at any precision.
+Products of two polynomials use signed Kronecker substitution (kron_mul,
+shared with cyclotomic.ring_mul): each factor is packed into one Python
+int, the two ints are multiplied by CPython's Karatsuba, and the
+coefficients are read back as digits. The digit width comes from an exact
+bound on the product coefficients, so the result is exact at any
+precision. Digits of at most 8 bytes are packed and unpacked as byte views
+of int64 rows; wider ones one Python int at a time.
 
-The resultant and Bezout cofactor are computed mod 61-bit primes, joined
+The resultant and Bezout cofactor are computed mod 31-bit primes, joined
 by the CRT up to the Hadamard bound and certified by one exact division
-(resultant_bezout).
+(resultant_bezout). The EEA runs over a whole batch of primes at once on
+int64 rows: every entry stays below 2^31, so every product of two is
+below 2^62 (_bezout_images).
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
@@ -23,6 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import numpy as np
 
 from .errors import InexactDivision, NotCoprime, ZeroPolynomial
 
@@ -97,19 +103,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        # Signed Kronecker substitution: evaluate both factors at X = 2^(8w),
-        # multiply the two big ints, and read the product's coefficients back
-        # as base-X digits. Every product coefficient lies in [-bound, bound];
-        # adding bound to each gives digits in [0, 2 * bound], and w bytes
-        # make X > 2 * bound, so no digit carries into the next.
-        ma, mb = max(map(abs, a)), max(map(abs, b))
-        bound = ma * mb * min(len(a), len(b))
-        w = ((2 * bound).bit_length() + 7) // 8
-        n = len(a) + len(b) - 1
-        prod = _kron_pack(a, ma, w) * _kron_pack(b, mb, w)
-        buf = (prod + bound * _repunit(n, w)).to_bytes(n * w, "little")
-        return IntPoly([int.from_bytes(buf[k:k + w], "little") - bound
-                        for k in range(0, n * w, w)])
+        return IntPoly(kron_mul(a, b).tolist())
 
     __rmul__ = __mul__
 
@@ -207,6 +201,69 @@ def _kron_pack(coeffs: tuple[int, ...], mag: int, w: int) -> int:
     return int.from_bytes(digits, "little") - mag * _repunit(len(coeffs), w)
 
 
+def _int64_row(coeffs) -> np.ndarray | None:
+    """coeffs as an int64 row, or None when some coefficient does not fit."""
+    try:
+        return np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _magnitude(row: np.ndarray) -> int:
+    # not abs(row).max(): in int64, abs(-2^63) wraps to -2^63
+    return max(int(row.max()), -int(row.min()))
+
+
+def _byte_pack(row: np.ndarray, mag: int, w: int) -> int:
+    """_kron_pack of an int64 row with w <= 8: each digit c_i + mag, formed
+    in uint64 (exact, as 0 <= c_i + mag < 2^(8w) <= 2^64), keeps its low w
+    bytes in one byte view."""
+    digits = row.astype("<u8") + np.uint64(mag)
+    packed = digits.view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
+    return int.from_bytes(packed, "little") - mag * _repunit(row.size, w)
+
+
+def kron_mul(a, b) -> np.ndarray:
+    """Coefficients of the product of the nonempty coefficient sequences a
+    and b (ascending degree), as an int64 row when its digits fit in 8
+    bytes and an object row of Python ints otherwise.
+
+    Signed Kronecker substitution: evaluate both factors at X = 2^(8w),
+    multiply the two big ints, and read the product's coefficients back as
+    base-X digits. Every product coefficient lies in [-bound, bound], bound
+    = max|a| max|b| min(len a, len b); adding bound to each gives digits in
+    [0, 2 bound], and w bytes make X > 2 bound, so no digit carries into
+    the next. With w <= 8, 2 bound < 2^64: every digit is one uint64 word,
+    and each coefficient, of size at most bound < 2^63, fits in int64, so
+    packing and unpacking are byte views of whole rows (_byte_pack). Wider
+    digits, or factors that do not fit in int64, take Python ints one
+    coefficient at a time.
+    """
+    n = len(a) + len(b) - 1
+    ra, rb = _int64_row(a), _int64_row(b)
+    if ra is not None and rb is not None:
+        ma, mb = _magnitude(ra), _magnitude(rb)
+    else:
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+    bound = ma * mb * min(len(a), len(b))
+    if not bound:
+        return np.zeros(n, dtype=np.int64)
+    # a factor that does not fit in int64 has a magnitude of at least 2^63,
+    # so then bound >= 2^63 and w > 8
+    w = ((2 * bound).bit_length() + 7) // 8
+    if w > 8:
+        prod = _kron_pack(a, ma, w) * _kron_pack(b, mb, w)
+        buf = (prod + bound * _repunit(n, w)).to_bytes(n * w, "little")
+        return np.array([int.from_bytes(buf[k:k + w], "little") - bound
+                         for k in range(0, n * w, w)], dtype=object)
+    prod = _byte_pack(ra, ma, w) * _byte_pack(rb, mb, w)
+    buf = (prod + bound * _repunit(n, w)).to_bytes(n * w, "little")
+    words = np.zeros((n, 8), dtype=np.uint8)
+    words[:, :w] = np.frombuffer(buf, dtype=np.uint8).reshape(n, w)
+    # digit - bound wraps mod 2^64 to the coefficient's two's complement
+    return (words.view("<u8").ravel() - np.uint64(bound)).view(np.int64)
+
+
 def divrem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Long division over Z: a = q*b + r with deg r < deg b.
 
@@ -245,7 +302,7 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-_TOP_PRIME = 2 ** 61 - 1
+_TOP_PRIME = 2 ** 31 - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -262,10 +319,10 @@ def _is_prime(n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _prime(k: int) -> int:
-    """The k-th prime counting down from 2^61 - 1 (_prime(0) = 2^61 - 1).
+    """The k-th prime counting down from 2^31 - 1 (_prime(0) = 2^31 - 1).
 
     Called with k = 0, 1, 2, ... in order, so each call recurses one level.
-    The cache holds one int per prime ever needed, about log2(H)/61 of them.
+    The cache holds one int per prime ever needed, about log2(H)/31 of them.
     """
     n = _prime(k - 1) - 2 if k else _TOP_PRIME
     while not _is_prime(n):
@@ -318,6 +375,102 @@ def _bezout_image(a: tuple[int, ...], f: tuple[int, ...], ell: int):
     return r, [x * t % ell for x in s1] + [0] * (n - len(s1))
 
 
+def _residues(coeffs, P: np.ndarray) -> np.ndarray:
+    """coeffs mod each prime of the (k, 1) column P, as a (k, len) row block."""
+    row = _int64_row(coeffs)
+    if row is not None:
+        return row % P
+    return np.array([[c % ell for c in coeffs] for ell in P.ravel().tolist()],
+                    dtype=np.int64)
+
+
+def _inverses(x: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """x^-1 mod P, entry by entry, for (k, 1) columns of units."""
+    return np.array([pow(c, -1, ell) for c, ell in
+                     zip(x.ravel().tolist(), P.ravel().tolist())],
+                    dtype=np.int64)[:, None]
+
+
+def _powers(x: np.ndarray, e: int, P: np.ndarray) -> np.ndarray:
+    """x^e mod P, entry by entry, by squaring on residues below P < 2^31."""
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % P
+        e >>= 1
+        if e:
+            x = x * x % P
+    return out
+
+
+def _bezout_images(a: tuple[int, ...], f: tuple[int, ...], primes):
+    """_bezout_image at every prime of primes, none dividing lc(a)*lc(f),
+    by one EEA over all of them at once. Returns one image per prime, in
+    order: (r, s) as _bezout_image gives it, or (0, None) when ell | r.
+
+    The remainders and cofactors of all k primes are (k, deg f) int64 rows,
+    and each quotient term is one numpy step over every prime. Entries are
+    kept reduced below ell < 2^31, so a step x - qc*y lies in
+    (-2^62, 2^31) and every product of two residues is below 2^62: all
+    within int64. The batch shares one degree sequence. A prime whose
+    remainder drops a degree that the rest of the batch keeps is abnormal:
+    it leaves the batch, and _bezout_image classifies it (a dead prime,
+    ell | r, or a usable image). When every remainder of the batch vanishes
+    at once, each prime is dead.
+    """
+    k, n = len(primes), len(f) - 1
+    out = [None] * k
+    live = np.arange(k)
+    P = np.array(primes, dtype=np.int64)[:, None]
+    # remainder rows hold n + 1 entries and cofactor rows n, zero above the
+    # degrees d0, d1 of R0, R1 and the length l1 of S1 tracked here
+    R0, R1 = _residues(f, P), np.zeros((k, n + 1), np.int64)
+    R1[:, :len(a)] = _residues(a, P)
+    S0, S1 = np.zeros((k, n), np.int64), np.zeros((k, n), np.int64)
+    S1[:, 0] = 1
+    d0, d1, l1 = n, len(a) - 1, 1
+    acc = np.ones_like(P)
+    while d1 > 0:
+        # R0 = q*R1 + rem and S0 - q*S1, one quotient term at a time; R1's
+        # leading term is included, so it clears R0's
+        inv = _inverses(R1[:, d1:d1 + 1], P)
+        for e in range(d0 - d1, -1, -1):
+            qc = R0[:, e + d1:e + d1 + 1] * inv % P
+            R0[:, e:e + d1 + 1] = (R0[:, e:e + d1 + 1] - qc * R1[:, :d1 + 1]) % P
+            S0[:, e:e + l1] = (S0[:, e:e + l1] - qc * S1[:, :l1]) % P
+        top = d1 - 1
+        if not R0[:, top].all():
+            # the degree of each remainder, -1 for a zero one
+            nonzero = R0[:, top::-1] != 0
+            deg = np.where(nonzero.any(axis=1), top - nonzero.argmax(axis=1), -1)
+            top = int(deg.max())
+            if top < 0:
+                for t in live.tolist():
+                    out[t] = 0, None
+                return out
+            keep = deg == top
+            if not keep.all():
+                for t, ell in zip(live[~keep].tolist(), P[~keep, 0].tolist()):
+                    out[t] = _bezout_image(a, f, ell)
+                live, P, R0, R1, S0, S1, acc = (X[keep] for X in (
+                    live, P, R0, R1, S0, S1, acc))
+        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
+        acc = acc * _powers(R1[:, d1:d1 + 1], d0 - top, P) % P
+        if d0 * d1 % 2:
+            acc = (P - acc) % P
+        R0, R1, S0, S1 = R1, R0, S1, S0
+        d0, d1, l1 = d1, top, d0 - d1 + l1
+    # R1 is the nonzero constant c with S1*a = c (mod f), and res(R0, c) = c^deg R0
+    c = R1[:, :1]
+    r = acc * _powers(c, d0, P) % P
+    if (len(a) - 1) * n % 2:
+        r = (P - r) % P
+    s = S1 * (r * _inverses(c, P) % P) % P
+    for t, rt, st in zip(live.tolist(), r[:, 0].tolist(), s.tolist()):
+        out[t] = rt, st
+    return out
+
+
 def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     """Resultant and integral Bezout cofactor of a against f.
 
@@ -325,13 +478,17 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     over Z, deg s < deg f. Requires deg a < deg f; a zero a or a common
     factor of a and f raises NotCoprime.
 
-    Multimodular: r and s are found mod 61-bit primes ell (counting down
-    from 2^61 - 1, skipping ell | lc(a)*lc(f)) by _bezout_image and joined
-    by the CRT into symmetric residues. Every |s_i| and |r| is a Sylvester
-    minor, at most the Hadamard bound H = |a|_2^deg f * |f|_2^deg a, so the
-    primes stop once their product passes 2H. Primes with ell | r are
-    skipped; once those alone pass 2H, r = 0 and NotCoprime is raised. The
-    result is certified by one exact division of s*a - r by f.
+    Multimodular: r and s are found mod 31-bit primes ell (counting down
+    from 2^31 - 1, skipping ell | lc(a)*lc(f)) and joined by the CRT into
+    symmetric residues. Every |s_i| and |r| is a Sylvester minor, at most
+    the Hadamard bound H = |a|_2^deg f * |f|_2^deg a, so the primes stop
+    once their product passes 2H. They come in batches, each as many
+    primes as that stop still needs, and _bezout_images runs one EEA over a
+    whole batch in int64 numpy rows (every entry below 2^31, every product
+    below 2^62). Primes with ell | r are skipped, and a batch that comes
+    short of 2H for them is followed by another; once the skipped primes
+    alone pass 2H, r = 0 and NotCoprime is raised. The result is certified
+    by one exact division of s*a - r by f.
     """
     if a.is_zero():
         raise NotCoprime("a vanishes mod f, no Bezout relation exists")
@@ -341,24 +498,27 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     n = len(fc) - 1
     # (2H)^2, compared with the squared prime products
     need = 4 * sum(c * c for c in ac) ** n * sum(c * c for c in fc) ** (len(ac) - 1)
+    lead = ac[-1] * fc[-1]
+    primes = (ell for ell in map(_prime, itertools.count()) if lead % ell)
     r, s, mod, dead = 0, [0] * n, 1, 1
-    for ell in map(_prime, itertools.count()):
-        image = _bezout_image(ac, fc, ell)
-        if image is None:
-            continue
-        rl, sl = image
-        if sl is None:
-            dead *= ell
-            if dead * dead > need:
-                raise NotCoprime("gcd(a, f) is nonconstant; f is not irreducible")
-            continue
-        # CRT: the new value is congruent to the old mod `mod` and to the image mod ell
-        inv = pow(mod % ell, -1, ell)
-        r += mod * ((rl - r) * inv % ell)
-        s = [x + mod * ((y - x) * inv % ell) for x, y in zip(s, sl)]
-        mod *= ell
-        if mod * mod > need:
-            break
+    while mod * mod <= need:
+        batch, prod = [], mod
+        while prod * prod <= need:
+            batch.append(next(primes))
+            prod *= batch[-1]
+        for ell, (rl, sl) in zip(batch, _bezout_images(ac, fc, batch)):
+            if sl is None:
+                dead *= ell
+                if dead * dead > need:
+                    raise NotCoprime(
+                        "gcd(a, f) is nonconstant; f is not irreducible")
+                continue
+            # CRT: the new value is congruent to the old mod `mod` and to
+            # the image mod ell
+            inv = pow(mod % ell, -1, ell)
+            r += mod * ((rl - r) * inv % ell)
+            s = [x + mod * ((y - x) * inv % ell) for x, y in zip(s, sl)]
+            mod *= ell
     half = mod // 2
     r = r - mod if r > half else r
     s = IntPoly([x - mod if x > half else x for x in s])

@@ -2,7 +2,7 @@
 
 Two routes are provided. The generic route works for any nonzero ring
 element: it takes the integral resultant/Bezout pair (r, s), computed mod
-61-bit primes and joined by the CRT, and divides out gcd(r, cont(s)), which
+31-bit primes and joined by the CRT, and divides out gcd(r, cont(s)), which
 provably yields the inverse with the minimal positive scale. The
 constructive route covers a = x^i - x^j only. With k = i - j it returns
 u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where N, c,

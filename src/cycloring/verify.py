@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cyclotomic, expansion, scaled_inverse, structure
 from .cyclotomic import PrimePower, TwoPrime, make_modulus
-from .poly import IntPoly, divrem
+from .poly import IntPoly
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 1000
@@ -119,7 +119,7 @@ def _expected_case(m, k):
 # ---------------------------------------------------------------- lemmas
 
 
-def _suite_lemmas(m, rng, trials):
+def _suite_lemmas(m, rng, trials, long_division):
     col = _Collector()
     sh = m.shape
 
@@ -131,7 +131,7 @@ def _suite_lemmas(m, rng, trials):
                 lambda: m.poly == IntPoly((1,) * p).inflate(p ** (s - 1)))
         if s > 1:
             col.run("kronecker_factorization",
-                    lambda: cyclotomic.kron_check(m))
+                    lambda: cyclotomic.kron_check(m, long_division()))
         return col.results
 
     p, q = sh.p, sh.q
@@ -200,14 +200,14 @@ def _suite_lemmas(m, rng, trials):
                 lambda: structure.inflated_pattern_check(
                     m, max(10, trials // 10), rng))
         col.run("kronecker_factorization",
-                lambda: cyclotomic.kron_check(m))
+                lambda: cyclotomic.kron_check(m, long_division()))
     return col.results
 
 
 # ---------------------------------------------------------------- matrix
 
 
-def _suite_matrix(m, rng, trials):
+def _suite_matrix(m, rng, trials, long_division):
     col = _Collector()
     R = cyclotomic.reduction_matrix(m)
 
@@ -218,10 +218,7 @@ def _suite_matrix(m, rng, trials):
         step = max(1, cyclotomic._UNIT_BLOCK // m.M)
         for lo in range(0, m.M, step):
             ks = range(lo, min(m.M, lo + step))
-            want = np.zeros((len(ks), m.phi), dtype=np.int64)
-            for r, k in enumerate(ks):
-                rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
-                want[r, :len(rem)] = rem
+            want = long_division()[lo:lo + len(ks)]
             bad = ((R.entries[:, ks].T != want)
                    | (cyclotomic._monomial_rows(ks, m) != want)).any(axis=1)
             if bad.any():
@@ -287,7 +284,7 @@ def _suite_matrix(m, rng, trials):
 # ---------------------------------------------------------------- theorems
 
 
-def _suite_theorems(m, rng, trials):
+def _suite_theorems(m, rng, trials, long_division):
     col = _Collector()
     sh = m.shape
 
@@ -381,7 +378,7 @@ def _suite_theorems(m, rng, trials):
 # ---------------------------------------------------------------- expansion
 
 
-def _suite_expansion(m, rng, trials):
+def _suite_expansion(m, rng, trials, long_division):
     col = _Collector()
 
     def closed_form():
@@ -453,9 +450,13 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
         # refuse the theorems suite's exhaustive sweep before any suite runs
         scaled_inverse.check_sweep_cost(m)
     rng = np.random.default_rng(seed)
+    # the M long divisions of x^k, shared by the lemmas suite's
+    # kronecker_factorization and the matrix suite's column check
+    long_division = functools.cache(
+        lambda: cyclotomic.long_division_rows(m))
     suites = []
     for name in names:
         t0 = time.perf_counter()
-        checks = _SUITES[name](m, rng, trials)
+        checks = _SUITES[name](m, rng, trials, long_division)
         suites.append(SuiteResult(name, tuple(checks), time.perf_counter() - t0))
     return VerifyReport(M, seed, trials, tuple(suites))

@@ -12,14 +12,15 @@ import cycloring
 from cycloring import (PrimePower, TwoPrime, element,
                        kron_check, make_modulus, monomial_diff,
                        monomial_reduce, reduce, reduction_matrix, ring_mul)
-from cycloring import cyclotomic, scaled_inverse
+from cycloring import cyclotomic, scaled_inverse, verify
 from cycloring.errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
                               UnsupportedModulus)
 from cycloring.cyclotomic import _as_rows, _prefix_sums, _reduce_rows
 from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
 
-from oracles import cyclotomic_divisor_loop, reduce_rows_row_major
+from oracles import (cyclotomic_divisor_loop, reduce_rows_row_major,
+                     schoolbook_mul)
 
 
 def all_supported_upto(limit):
@@ -268,6 +269,98 @@ class TestRingMul:
         assert got.to_poly() == IntPoly((0, -1, 1))
 
 
+
+def digit_width(a, b):
+    """The byte width of kron_mul's digits for the factors a and b."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    return ((2 * bound).bit_length() + 7) // 8
+
+
+def factors_at_width(w, L, rng, top):
+    """Length-L factor pairs whose digits take w bytes: bound at the top
+    of width w (top) or just above the width below, with random signs, and
+    with every coefficient at its magnitude, so products reach +-bound."""
+    mb = 3
+    ma = ((2 ** (8 * w - 1) - 1) // (mb * L) if top
+          else 2 ** (8 * w - 9) // (mb * L) + 1)
+    ra = [ma] + [rng.randint(-ma, ma) for _ in range(L - 1)]
+    rb = [rng.randint(-mb, mb) for _ in range(L - 1)] + [-mb]
+    pairs = [(ra, rb), ([ma] * L, [mb] * L), ([-ma] * L, [mb] * L)]
+    for a, b in pairs:
+        assert digit_width(a, b) == w, (w, top)
+    return pairs
+
+
+def schoolbook_ring_mul(a, b):
+    """ring_mul by the schoolbook product and long division."""
+    m = a.modulus
+    rem = divrem(schoolbook_mul(a.to_poly(), b.to_poly()), m.poly)[1].coeffs
+    return rem + (0,) * (m.phi - len(rem))
+
+
+class TestKroneckerByteView:
+    """IntPoly.__mul__ and ring_mul, which share poly.kron_mul and its
+    byte-view path for digits of at most 8 bytes, against the schoolbook
+    product (and long division) at every digit width and its edges."""
+
+    @pytest.mark.parametrize("w, top", [(w, top) for w in range(1, 11)
+                                        for top in (True, False)
+                                        if top or w > 1])
+    def test_every_digit_width(self, w, top):
+        rng = random.Random(w)
+        for a, b in factors_at_width(w, 7, rng, top):
+            A, B = IntPoly(a), IntPoly(b)
+            assert A * B == schoolbook_mul(A, B)
+            assert B * A == schoolbook_mul(A, B)
+        for M in (9, 15):
+            m = make_modulus(M)
+            for a, b in factors_at_width(w, m.phi, rng, top):
+                A, B = cycloring.RingElement(m, tuple(a)), cycloring.RingElement(
+                    m, tuple(b))
+                assert ring_mul(A, B).coeffs == schoolbook_ring_mul(A, B)
+                assert ring_mul(B, A).coeffs == schoolbook_ring_mul(A, B)
+
+    @pytest.mark.parametrize("a, b, w", [
+        # bound 2^63 - 1, the widest 8-byte digits, and 2^63, the narrowest
+        # 9-byte ones
+        ([(2 ** 63 - 1) // 7] * 7, [1] * 7, 8),
+        ([-((2 ** 63 - 1) // 7)] * 7, [1, -1] * 3 + [1], 8),
+        ([2 ** 63 - 1], [-1], 8),
+        ([2 ** 60] * 8, [-1] * 8, 9),
+        ([2 ** 60, -(2 ** 60)] * 4, [1] * 8, 9),
+        ([-(2 ** 63)], [1], 9),
+    ])
+    def test_eight_to_nine_byte_boundary(self, a, b, w):
+        assert digit_width(a, b) == w
+        A, B = IntPoly(a), IntPoly(b)
+        assert A * B == schoolbook_mul(A, B)
+        assert B * A == schoolbook_mul(A, B)
+
+    @pytest.mark.parametrize("M", [9, 15])
+    def test_magnitudes_next_to_int64_edge(self, M):
+        m = make_modulus(M)
+        edge = [2 ** 63 - 1, -(2 ** 63), -(2 ** 63 - 1), 2 ** 62, 2 ** 63 - 2]
+        a = (edge * m.phi)[:m.phi]
+        rng = random.Random(M)
+        for b in ([1] + [0] * (m.phi - 1),
+                  [rng.randint(-5, 5) for _ in range(m.phi)],
+                  list(reversed(a))):
+            A, B = cycloring.RingElement(m, tuple(a)), cycloring.RingElement(
+                m, tuple(b))
+            assert ring_mul(A, B).coeffs == schoolbook_ring_mul(A, B)
+            assert IntPoly(a) * IntPoly(b) == schoolbook_mul(IntPoly(a),
+                                                             IntPoly(b))
+
+    @pytest.mark.parametrize("M", [9, 15])
+    def test_zero_element(self, M):
+        m = make_modulus(M)
+        zero = cycloring.RingElement(m, (0,) * m.phi)
+        for c in (1, 5, -(2 ** 63), 2 ** 100):
+            x = cycloring.RingElement(m, (c,) + (3,) * (m.phi - 1))
+            assert ring_mul(zero, x) == zero == ring_mul(x, zero)
+        assert ring_mul(zero, zero) == zero
+
+
 class TestElementValidation:
     def test_wrong_length_vector_rejected(self):
         m = make_modulus(15)
@@ -481,3 +574,27 @@ class TestReductionMatrixChecksStayIndependent:
         report = run_verify(M, suite="matrix", trials=10)
         failed = {c.name for s in report.suites for c in s.checks if not c.passed}
         assert "columns_match_long_division" in failed
+
+    @pytest.mark.parametrize("M", [63, 125])
+    def test_verify_all_suites_reject_flipped_entry(self, flipped, M):
+        report = run_verify(M, suite="all", trials=10)
+        failed = {c.name for s in report.suites for c in s.checks if not c.passed}
+        assert {"columns_match_long_division",
+                "kronecker_factorization"} <= failed
+
+
+def test_verify_runs_each_long_division_once(monkeypatch):
+    """kron_check (lemmas) and the matrix suite's column check read one
+    shared set of long-division rows: M divisions of x^k per run, not 2M."""
+    divisions = []
+
+    def counted(a, b):
+        divisions.append(a)
+        return divrem(a, b)
+
+    for mod in (cyclotomic, verify):
+        if hasattr(mod, "divrem"):
+            monkeypatch.setattr(mod, "divrem", counted)
+    report = run_verify(63, trials=10)
+    assert report.all_passed
+    assert sorted(a.degree for a in divisions) == list(range(63))

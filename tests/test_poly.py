@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloring import poly
-from cycloring.poly import (IntPoly, _bezout_image, _is_prime, _prime, divrem,
-                            exact_div, resultant_bezout)
+from cycloring.poly import (IntPoly, _bezout_image, _bezout_images, _is_prime,
+                            _prime, divrem, exact_div, resultant_bezout)
 from cycloring.errors import InexactDivision, NotCoprime, ZeroPolynomial
 
 from oracles import (RatPoly, cyclotomic_divisor_loop, diophantine_bit,
@@ -235,14 +236,37 @@ def record_images(monkeypatch):
     return calls
 
 
+def record_batches(monkeypatch, dead=()):
+    """Patch poly._bezout_images to log (prime, image) for every prime of
+    every batch, in order; the image of each prime in dead is replaced by
+    (0, None), as if the prime divided the resultant."""
+    calls = []
+    images = poly._bezout_images
+
+    def logged(a, f, primes):
+        out = [(0, None) if ell in dead else img
+               for ell, img in zip(primes, images(a, f, primes))]
+        calls.extend(zip(primes, out))
+        return out
+
+    monkeypatch.setattr(poly, "_bezout_images", logged)
+    return calls
+
+
+def hadamard_need(a, f):
+    """(2H)^2, the stop of resultant_bezout."""
+    return (4 * sum(c * c for c in a.coeffs) ** f.degree
+            * sum(c * c for c in f.coeffs) ** a.degree)
+
+
 class TestMultimodular:
-    def test_primes_count_down_from_mersenne_61(self):
-        assert _prime(0) == 2 ** 61 - 1
+    def test_primes_count_down_from_mersenne_31(self):
+        assert _prime(0) == 2 ** 31 - 1
         ps = [_prime(k) for k in range(4)]
         assert ps == sorted(ps, reverse=True)
         for lo, hi in zip(ps[1:], ps):
             assert all(not _is_prime(n) for n in range(lo + 1, hi))
-        assert all(p.bit_length() == 61 for p in ps)
+        assert all(p.bit_length() == 31 for p in ps)
 
     def test_miller_rabin_small_and_composite(self):
         small = [n for n in range(200) if _is_prime(n)]
@@ -281,31 +305,35 @@ class TestMultimodular:
                     assert image == (r % ell, [c % ell for c in s_pad])
 
     def test_unlucky_primes_skipped_in_the_loop(self, monkeypatch):
-        ell = 2 ** 61 - 1
-        calls = record_images(monkeypatch)
-        # lc(a) = ell: the first prime is skipped for its leading coefficient
+        ell = 2 ** 31 - 1
+        calls = record_batches(monkeypatch)
+        scalar = record_images(monkeypatch)
+        # lc(a) = ell: the first prime is skipped for its leading
+        # coefficient and never joins a batch
         a, f = P(1, ell), P(1, 0, 1)
         r, s = resultant_bezout(a, f)
-        assert calls[0] == (ell, None)
+        assert calls[0][0] == _prime(1)
+        assert ell not in [p for p, _ in calls]
         assert r == resultant_oracle(a, f)
         assert divrem(s * a - r, f)[1].is_zero()
-        # res(x - 1, x^2 + ell - 1) = ell: the first prime divides r
+        # res(x - 1, x^2 + ell - 1) = ell: the first prime divides r, its
+        # chain dies where the rest of the batch keeps a constant, so it
+        # leaves the batch and the scalar EEA finds it dead
         calls.clear()
         a, f = P(-1, 1), P(ell - 1, 0, 1)
         r, s = resultant_bezout(a, f)
         assert calls[0] == (ell, (0, None))
+        assert scalar == [(ell, (0, None))]
         assert abs(r) == ell == abs(resultant_oracle(a, f))
         assert divrem(s * a - r, f)[1].is_zero()
 
     def test_not_coprime_only_through_the_bound(self, monkeypatch):
-        # a and f share x - 1, and the Hadamard bound needs two primes
+        # a and f share x - 1, and the Hadamard bound needs four primes
         common = P(-1, 1)
         a = common * P(7, 1000, 0, 1)
         f = common * P(-3, 999, 0, 0, 1000, 1)
-        na = sum(c * c for c in a.coeffs)
-        nf = sum(c * c for c in f.coeffs)
-        need = 4 * na ** f.degree * nf ** a.degree
-        calls = record_images(monkeypatch)
+        need = hadamard_need(a, f)
+        calls = record_batches(monkeypatch)
         with pytest.raises(NotCoprime):
             resultant_bezout(a, f)
         assert all(out == (0, None) for _, out in calls)
@@ -315,14 +343,13 @@ class TestMultimodular:
             assert dead * dead <= need
             dead *= ell
         assert dead * dead > need
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     def test_prime_count_follows_the_bound(self, monkeypatch):
         f = cyclotomic_divisor_loop(63)
         a = IntPoly([(-1) ** k * (k % 6) for k in range(36)])
-        need = (4 * sum(c * c for c in a.coeffs) ** 36
-                * sum(c * c for c in f.coeffs) ** a.degree)
-        calls = record_images(monkeypatch)
+        need = hadamard_need(a, f)
+        calls = record_batches(monkeypatch)
         resultant_bezout(a, f)
         mod = 1
         for ell, _ in calls:
@@ -331,15 +358,97 @@ class TestMultimodular:
         assert mod * mod > need
 
     def test_certificate_failure_raises(self, monkeypatch):
-        image = poly._bezout_image
+        images = poly._bezout_images
 
-        def corrupt(a, f, ell):
-            r, s = image(a, f, ell)
-            return r, [s[0] + 1] + s[1:]
+        def corrupt(a, f, primes):
+            return [(r, [s[0] + 1] + s[1:]) for r, s in images(a, f, primes)]
 
-        monkeypatch.setattr(poly, "_bezout_image", corrupt)
+        monkeypatch.setattr(poly, "_bezout_images", corrupt)
         with pytest.raises(AssertionError, match="Bezout identity"):
             resultant_bezout(P(-1, 1), P(1, 0, 1))
+
+
+class TestBatchedImages:
+    """_bezout_images, one EEA over a batch of primes, against the scalar
+    _bezout_image at each prime."""
+
+    def test_each_image_equals_the_scalar_one(self):
+        rng = random.Random(13)
+        primes = [_prime(k) for k in range(4)] + [3, 5, 7, 11, 13, 101]
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            f = tuple(rng.randint(-9, 9) for _ in range(n)) + (1,)
+            a = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, n)))
+            a = IntPoly(a).coeffs
+            if not a or any(a[-1] % p == 0 for p in primes):
+                continue
+            got = _bezout_images(a, f, primes)
+            assert got == [_bezout_image(a, f, ell) for ell in primes], (a, f)
+
+    def test_wide_coefficients(self):
+        a, f = (10 ** 30, -7, 3), (2 ** 70 + 1, 5, 0, -(10 ** 25), 1)
+        primes = [_prime(k) for k in range(3)]
+        assert _bezout_images(a, f, primes) == [
+            _bezout_image(a, f, ell) for ell in primes]
+
+    def test_abnormal_prime_leaves_the_batch(self, monkeypatch):
+        # mod 7 a remainder of the chain drops a degree that it keeps mod
+        # 101 and 103, though 7 does not divide the resultant 77976
+        a, f = (6, -9, 3, 1), (6, 3, -3, -6, 1)
+        scalar = record_images(monkeypatch)
+        got = _bezout_images(a, f, [101, 7, 103])
+        assert [ell for ell, _ in scalar] == [7]
+        assert got[1] == scalar[0][1] == (77976 % 7, got[1][1])
+        r, s = resultant_bezout(IntPoly(a), IntPoly(f))
+        assert r == 77976 == resultant_oracle(IntPoly(a), IntPoly(f))
+        for ell, (rl, sl) in zip([101, 7, 103], got):
+            assert (rl, sl) == (r % ell, [c % ell for c in s.coeffs])
+
+    def test_dead_prime_leaves_the_batch(self, monkeypatch):
+        # res(x - 2, x^2 + 1) = 5: mod 5 the chain dies, mod 7 and 11 not
+        scalar = record_images(monkeypatch)
+        got = _bezout_images((-2, 1), (1, 0, 1), [7, 5, 11])
+        assert scalar == [(5, (0, None))]
+        assert got == [(5, [5, 6]), (0, None), (5, [9, 10])]
+        # a batch whose chains all die at once is dead throughout
+        scalar.clear()
+        assert _bezout_images((-2, 1), (1, 0, 1), [5]) == [(0, None)]
+        assert scalar == []
+
+    def test_dead_primes_are_counted_toward_the_bound(self, monkeypatch):
+        # res = p1 p2 (the second and third primes): both die in the first
+        # batch and a second batch makes up the product
+        p1, p2 = _prime(1), _prime(2)
+        a, f = P(-1, 1), P(p1 * p2 - 1, 0, 1)
+        calls = record_batches(monkeypatch)
+        r, s = resultant_bezout(a, f)
+        assert r == p1 * p2 == resultant_oracle(a, f)
+        assert divrem(s * a - r, f)[1].is_zero()
+        assert [out for ell, out in calls if ell in (p1, p2)] == [(0, None)] * 2
+        usable = [ell for ell, out in calls if out[1] is not None]
+        mod = math.prod(usable)
+        assert mod * mod > hadamard_need(a, f)
+        assert mod * mod // (usable[-1] ** 2) <= hadamard_need(a, f)
+
+    def test_not_coprime_exactly_when_dead_primes_pass_the_bound(
+            self, monkeypatch):
+        # coprime a and f; primes forced dead count toward the bound: one
+        # short of 2H the result is exact, at 2H NotCoprime is raised
+        f = cyclotomic_divisor_loop(21)
+        a = IntPoly([3, -1, 4, 1, -5, 9, -2, 6])
+        need = hadamard_need(a, f)
+        want = resultant_bezout(a, f)
+        k, dead = 0, 1
+        while dead * dead <= need:
+            dead *= _prime(k)
+            k += 1
+        short = {_prime(t) for t in range(k - 1)}
+        record_batches(monkeypatch, dead=short)
+        assert resultant_bezout(a, f) == want
+        monkeypatch.undo()
+        record_batches(monkeypatch, dead=short | {_prime(k - 1)})
+        with pytest.raises(NotCoprime):
+            resultant_bezout(a, f)
 
 
 class TestInvariants:
