@@ -17,7 +17,8 @@ The resultant and Bezout cofactor are computed mod 31-bit primes, joined
 by the CRT up to the Hadamard bound and certified by one exact division
 (resultant_bezout). The EEA runs over a whole batch of primes at once on
 int64 rows: every entry stays below 2^31, so every product of two is
-below 2^62 (_bezout_images).
+below 2^62 (_bezout_images). It is the only EEA: a prime whose remainders
+leave the batch's degree sequence is re-run in a batch of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
@@ -307,7 +308,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3 * 10^24 with these bases."""
+    """Deterministic Miller-Rabin; exact for n < 3.18 * 10^23 with these bases."""
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     e = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^e, d odd
@@ -330,51 +331,6 @@ def _prime(k: int) -> int:
     return n
 
 
-def _trim(v: list[int]) -> list[int]:
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _bezout_image(a: tuple[int, ...], f: tuple[int, ...], ell: int):
-    """res(a, f) and the Bezout cofactor s mod a prime ell, by the EEA over F_ell.
-
-    a and f are ascending coefficient tuples with len(a) < len(f). Returns
-    (r, s) with r = res(a, f) mod ell and s, of length deg f, the residues
-    of the integral cofactor with s*a = r (mod f). Returns None when ell
-    divides lc(a)*lc(f), where reduction mod ell drops a degree, and
-    (0, None) when ell | r, where the remainder chain dies early.
-    """
-    if not a[-1] % ell or not f[-1] % ell:
-        return None
-    n = len(f) - 1
-    r0, r1 = [c % ell for c in f], [c % ell for c in a]
-    s0, s1 = [], [1]
-    acc = 1
-    while len(r1) > 1:
-        # r0 = q*r1 + rem and s0 - q*s1 in one pass over the quotient terms,
-        # reduced mod ell once at the end
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        inv = pow(r1[-1], -1, ell)
-        s0 += [0] * (d0 - d1 + len(s1) - len(s0))
-        for e in range(d0 - d1, -1, -1):
-            qc = r0[e + d1] % ell * inv % ell
-            r0[e:e + d1] = [x - qc * y for x, y in zip(r0[e:e + d1], r1)]
-            s0[e:e + len(s1)] = [x - qc * y
-                                 for x, y in zip(s0[e:e + len(s1)], s1)]
-        rem = _trim([x % ell for x in r0[:d1]])
-        if not rem:
-            return 0, None
-        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
-        acc = acc * (-1) ** (d0 * d1) * pow(r1[-1], d0 - len(rem) + 1, ell) % ell
-        r0, r1, s0, s1 = r1, rem, s1, _trim([x % ell for x in s0])
-    # r1 is the nonzero constant c with s1*a = c (mod f), and res(r0, c) = c^deg r0
-    c = r1[0]
-    r = acc * pow(c, len(r0) - 1, ell) * (-1) ** ((len(a) - 1) * n) % ell
-    t = r * pow(c, -1, ell) % ell
-    return r, [x * t % ell for x in s1] + [0] * (n - len(s1))
-
-
 def _residues(coeffs, P: np.ndarray) -> np.ndarray:
     """coeffs mod each prime of the (k, 1) column P, as a (k, len) row block."""
     row = _int64_row(coeffs)
@@ -384,39 +340,35 @@ def _residues(coeffs, P: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _inverses(x: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """x^-1 mod P, entry by entry, for (k, 1) columns of units."""
-    return np.array([pow(c, -1, ell) for c, ell in
+def _powers(x: np.ndarray, e: int, P: np.ndarray) -> np.ndarray:
+    """x^e mod P, entry by entry, for (k, 1) columns; e = -1 gives inverses
+    of units."""
+    return np.array([pow(c, e, ell) for c, ell in
                      zip(x.ravel().tolist(), P.ravel().tolist())],
                     dtype=np.int64)[:, None]
 
 
-def _powers(x: np.ndarray, e: int, P: np.ndarray) -> np.ndarray:
-    """x^e mod P, entry by entry, by squaring on residues below P < 2^31."""
-    out = np.ones_like(x)
-    while e:
-        if e & 1:
-            out = out * x % P
-        e >>= 1
-        if e:
-            x = x * x % P
-    return out
-
-
 def _bezout_images(a: tuple[int, ...], f: tuple[int, ...], primes):
-    """_bezout_image at every prime of primes, none dividing lc(a)*lc(f),
-    by one EEA over all of them at once. Returns one image per prime, in
-    order: (r, s) as _bezout_image gives it, or (0, None) when ell | r.
+    """res(a, f) and the Bezout cofactor s mod each prime ell of primes,
+    none dividing lc(a)*lc(f), by one EEA over F_ell for all of them at once.
+
+    a and f are ascending coefficient tuples with len(a) < len(f). Returns
+    one image per prime, in order: (r, s) with r = res(a, f) mod ell and s,
+    of length deg f, the residues of the integral cofactor with
+    s*a = r (mod f); or (0, None) when ell | r, where the remainder chain
+    dies early (a dead prime).
 
     The remainders and cofactors of all k primes are (k, deg f) int64 rows,
     and each quotient term is one numpy step over every prime. Entries are
     kept reduced below ell < 2^31, so a step x - qc*y lies in
     (-2^62, 2^31) and every product of two residues is below 2^62: all
-    within int64. The batch shares one degree sequence. A prime whose
-    remainder drops a degree that the rest of the batch keeps is abnormal:
-    it leaves the batch, and _bezout_image classifies it (a dead prime,
-    ell | r, or a usable image). When every remainder of the batch vanishes
-    at once, each prime is dead.
+    within int64. The batch shares one degree sequence. Primes whose
+    remainder drops a degree that the rest of the batch keeps are abnormal:
+    they leave the batch and are run again, from the start, as a batch of
+    their own. The primes at the batch's largest degree always stay, so
+    each such sub-batch is smaller than its parent, and a batch of one
+    prime never drops one. When every remainder of the batch vanishes at
+    once, each prime is dead.
     """
     k, n = len(primes), len(f) - 1
     out = [None] * k
@@ -433,7 +385,7 @@ def _bezout_images(a: tuple[int, ...], f: tuple[int, ...], primes):
     while d1 > 0:
         # R0 = q*R1 + rem and S0 - q*S1, one quotient term at a time; R1's
         # leading term is included, so it clears R0's
-        inv = _inverses(R1[:, d1:d1 + 1], P)
+        inv = _powers(R1[:, d1:d1 + 1], -1, P)
         for e in range(d0 - d1, -1, -1):
             qc = R0[:, e + d1:e + d1 + 1] * inv % P
             R0[:, e:e + d1 + 1] = (R0[:, e:e + d1 + 1] - qc * R1[:, :d1 + 1]) % P
@@ -450,8 +402,9 @@ def _bezout_images(a: tuple[int, ...], f: tuple[int, ...], primes):
                 return out
             keep = deg == top
             if not keep.all():
-                for t, ell in zip(live[~keep].tolist(), P[~keep, 0].tolist()):
-                    out[t] = _bezout_image(a, f, ell)
+                for t, img in zip(live[~keep].tolist(), _bezout_images(
+                        a, f, P[~keep, 0].tolist())):
+                    out[t] = img
                 live, P, R0, R1, S0, S1, acc = (X[keep] for X in (
                     live, P, R0, R1, S0, S1, acc))
         # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
@@ -465,7 +418,7 @@ def _bezout_images(a: tuple[int, ...], f: tuple[int, ...], primes):
     r = acc * _powers(c, d0, P) % P
     if (len(a) - 1) * n % 2:
         r = (P - r) % P
-    s = S1 * (r * _inverses(c, P) % P) % P
+    s = S1 * (r * _powers(c, -1, P) % P) % P
     for t, rt, st in zip(live.tolist(), r[:, 0].tolist(), s.tolist()):
         out[t] = rt, st
     return out
@@ -485,10 +438,11 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     once their product passes 2H. They come in batches, each as many
     primes as that stop still needs, and _bezout_images runs one EEA over a
     whole batch in int64 numpy rows (every entry below 2^31, every product
-    below 2^62). Primes with ell | r are skipped, and a batch that comes
-    short of 2H for them is followed by another; once the skipped primes
-    alone pass 2H, r = 0 and NotCoprime is raised. The result is certified
-    by one exact division of s*a - r by f.
+    below 2^62), re-running the primes whose degree sequence leaves the
+    batch's as a smaller batch of their own. Primes with ell | r are
+    skipped, and a batch that comes short of 2H for them is followed by
+    another; once the skipped primes alone pass 2H, r = 0 and NotCoprime is
+    raised. The result is certified by one exact division of s*a - r by f.
     """
     if a.is_zero():
         raise NotCoprime("a vanishes mod f, no Bezout relation exists")

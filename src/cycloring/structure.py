@@ -108,8 +108,17 @@ def rev_symmetry_check(p: int, q: int) -> bool:
 
 
 def _stride_family(j: int, m: CycloModulus) -> np.ndarray:
-    """The column family x^(j+ip) mod Phi_M for 0 <= i < q, one row per i."""
-    return _monomial_rows(j + m.shape.p * np.arange(m.shape.q), m)
+    """The column family x^(j+ip) mod Phi_pq for 0 <= i < q, one row per i.
+
+    Raises NotApplicable unless M = pq is squarefree two-prime, and
+    OutOfRange unless 0 <= j < p.
+    """
+    sh = m.shape
+    if not (isinstance(sh, TwoPrime) and sh.s == 1 and sh.t == 1):
+        raise NotApplicable(f"M={m.M} is not a squarefree two-prime modulus")
+    if not 0 <= j < sh.p:
+        raise OutOfRange(f"j={j} outside [0, p)")
+    return _monomial_rows(j + sh.p * np.arange(sh.q), m)
 
 
 class PatternClass(enum.Enum):
@@ -124,13 +133,9 @@ def residue_class_pattern(j: int, m: CycloModulus) -> tuple[PatternClass, ...]:
     all zeros or all zeros with a single +1 and a single -1. Any other
     pattern raises PatternViolation with (j, row, multiset). This single
     classification implies the zero column-family sum, the at-most-two
-    nonzeros per row, and the subset-sum norm bound of 1.
+    nonzeros per row, and the subset-sum norm bound of 1. Preconditions
+    as for _stride_family.
     """
-    sh = m.shape
-    if not (isinstance(sh, TwoPrime) and sh.s == 1 and sh.t == 1):
-        raise NotApplicable(f"M={m.M} is not a squarefree two-prime modulus")
-    if not 0 <= j < sh.p:
-        raise OutOfRange(f"j={j} outside [0, p)")
     cols = _stride_family(j, m)
     plus, minus = (cols == 1).sum(axis=0), (cols == -1).sum(axis=0)
     nonzero = (cols != 0).sum(axis=0)
@@ -146,11 +151,11 @@ def residue_class_pattern(j: int, m: CycloModulus) -> tuple[PatternClass, ...]:
 def random_subset_norm_check(j: int, m: CycloModulus, trials: int,
                              rng: np.random.Generator) -> bool:
     """Randomized companion to the pattern classification: subset sums of the
-    column family {x^(j+ip)}_i never exceed max-norm 1."""
-    sh = m.shape
+    column family {x^(j+ip)}_i never exceed max-norm 1. Preconditions as for
+    _stride_family, checked before any draw from rng."""
     cols = _stride_family(j, m)
     for _ in range(trials):
-        mask = rng.integers(0, 2, size=sh.q).astype(bool)
+        mask = rng.integers(0, 2, size=len(cols)).astype(bool)
         total = cols[mask].sum(axis=0)
         if total.size and np.abs(total).max() > 1:
             return False
@@ -196,8 +201,6 @@ def inflated_pattern_check(m: CycloModulus, trials: int = 100,
 
 
 def column_family_sum(j: int, m: CycloModulus) -> RingElement:
-    """Sum of x^(j+ip) mod Phi_pq over i in [0, q); zero for every j."""
-    sh = m.shape
-    if not isinstance(sh, TwoPrime):
-        raise NotApplicable(f"M={m.M} is not of two-prime shape")
+    """Sum of x^(j+ip) mod Phi_pq over i in [0, q); zero for every j.
+    Preconditions as for _stride_family."""
     return RingElement(m, tuple(_stride_family(j, m).sum(axis=0).tolist()))

@@ -439,9 +439,13 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run the requested suites against M and collect a report.
 
-    Raises SweepTooLarge up front when the theorems suite is requested and
+    Raises ValueError for a suite other than "all" or one of SUITE_NAMES,
+    and SweepTooLarge up front when the theorems suite is requested and
     its exhaustive sweep is above the ceiling (see norm_profile).
     """
+    if suite != "all" and suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}: expected 'all' or one of "
+                         f"{', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = make_modulus(M)

@@ -8,7 +8,8 @@ every rotation reduced at full length M (the library's former sweep), the
 reduction of whole rows by the library's former row-major divide,
 polynomial products from the schoolbook double loop, constructive
 inverses from the paper's formulas by long division, and the resultant
-with its Bezout cofactor from the extended Euclidean algorithm over Q.
+with its Bezout cofactor from the extended Euclidean algorithm over Q, or
+over F_ell one prime at a time (the library's former scalar images).
 """
 from __future__ import annotations
 
@@ -395,3 +396,50 @@ def fraction_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly, RatPoly]:
     if not rem.is_zero():
         raise AssertionError("Bezout identity verification failed")
     return r, s, st
+
+
+def _trim(v: list[int]) -> list[int]:
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def bezout_image(a: tuple[int, ...], f: tuple[int, ...], ell: int):
+    """res(a, f) and the Bezout cofactor s mod one prime ell, by the EEA
+    over F_ell on Python ints: the image that the library's batched
+    _bezout_images gives at ell.
+
+    a and f are ascending coefficient tuples with len(a) < len(f), and ell
+    does not divide lc(a)*lc(f). Returns (r, s) with r = res(a, f) mod ell
+    and s, of length deg f, the residues of the integral cofactor with
+    s*a = r (mod f), or (0, None) when ell | r, where the remainder chain
+    dies early.
+    """
+    if not a[-1] % ell or not f[-1] % ell:
+        raise ValueError(f"{ell} divides lc(a)*lc(f)")
+    n = len(f) - 1
+    r0, r1 = [c % ell for c in f], [c % ell for c in a]
+    s0, s1 = [], [1]
+    acc = 1
+    while len(r1) > 1:
+        # r0 = q*r1 + rem and s0 - q*s1 in one pass over the quotient terms,
+        # reduced mod ell once at the end
+        d0, d1 = len(r0) - 1, len(r1) - 1
+        inv = pow(r1[-1], -1, ell)
+        s0 += [0] * (d0 - d1 + len(s1) - len(s0))
+        for e in range(d0 - d1, -1, -1):
+            qc = r0[e + d1] % ell * inv % ell
+            r0[e:e + d1] = [x - qc * y for x, y in zip(r0[e:e + d1], r1)]
+            s0[e:e + len(s1)] = [x - qc * y
+                                 for x, y in zip(s0[e:e + len(s1)], s1)]
+        rem = _trim([x % ell for x in r0[:d1]])
+        if not rem:
+            return 0, None
+        # res(A, B) = (-1)^(dA*dB) * lc(B)^(dA - dR) * res(B, R)
+        acc = acc * (-1) ** (d0 * d1) * pow(r1[-1], d0 - len(rem) + 1, ell) % ell
+        r0, r1, s0, s1 = r1, rem, s1, _trim([x % ell for x in s0])
+    # r1 is the nonzero constant c with s1*a = c (mod f), and res(r0, c) = c^deg r0
+    c = r1[0]
+    r = acc * pow(c, len(r0) - 1, ell) * (-1) ** ((len(a) - 1) * n) % ell
+    t = r * pow(c, -1, ell) % ell
+    return r, [x * t % ell for x in s1] + [0] * (n - len(s1))

@@ -286,6 +286,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_mod.run_verify(15, trials=trials)
 
+    def test_run_verify_rejects_unknown_suite(self, monkeypatch):
+        def no_work(M):
+            raise AssertionError("modulus built for an unknown suite")
+
+        monkeypatch.setattr(verify_mod, "make_modulus", no_work)
+        with pytest.raises(ValueError) as exc:
+            verify_mod.run_verify(63, "bogus")
+        assert "'bogus'" in str(exc.value)
+        assert all(name in str(exc.value) for name in verify_mod.SUITE_NAMES)
+
 
 def run_quiet(*argv):
     """cli.main on argv with stdout and stderr captured (no pytest fixture,

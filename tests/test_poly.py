@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloring import poly
-from cycloring.poly import (IntPoly, _bezout_image, _bezout_images, _is_prime,
-                            _prime, divrem, exact_div, resultant_bezout)
+from cycloring.poly import (IntPoly, _bezout_images, _is_prime, _prime,
+                            divrem, exact_div, resultant_bezout)
 from cycloring.errors import InexactDivision, NotCoprime, ZeroPolynomial
 
-from oracles import (RatPoly, cyclotomic_divisor_loop, diophantine_bit,
-                     fraction_bezout, resultant_oracle, schoolbook_mul)
+from oracles import (RatPoly, bezout_image, cyclotomic_divisor_loop,
+                     diophantine_bit, fraction_bezout, resultant_oracle,
+                     schoolbook_mul)
 
 
 def P(*coeffs):
@@ -222,30 +223,32 @@ class TestResultantBezout:
         assert s.degree < f.degree
 
 
-def record_images(monkeypatch):
-    """Patch poly._bezout_image to log (prime, result) for each call."""
-    calls = []
-    image = poly._bezout_image
-
-    def logged(a, f, ell):
-        out = image(a, f, ell)
-        calls.append((ell, out))
-        return out
-
-    monkeypatch.setattr(poly, "_bezout_image", logged)
-    return calls
-
-
-def record_batches(monkeypatch, dead=()):
+def record_batches(monkeypatch, dead=(), nested=None):
     """Patch poly._bezout_images to log (prime, image) for every prime of
-    every batch, in order; the image of each prime in dead is replaced by
-    (0, None), as if the prime divided the resultant."""
+    every batch that resultant_bezout asks for, in order; the image of each
+    prime in dead is replaced by (0, None), as if the prime divided the
+    resultant. The batches that _bezout_images re-runs on its own dropped
+    primes are not in that log: they go to nested, when given, as
+    (depth, primes) in call order, depth 1 for a sub-batch of a logged
+    batch. Call _bezout_images as poly._bezout_images, so that the outer
+    call is the logged one."""
     calls = []
     images = poly._bezout_images
+    depth = 0
 
     def logged(a, f, primes):
+        nonlocal depth
+        if depth and nested is not None:
+            nested.append((depth, list(primes)))
+        depth += 1
+        try:
+            out = images(a, f, primes)
+        finally:
+            depth -= 1
+        if depth:
+            return out
         out = [(0, None) if ell in dead else img
-               for ell, img in zip(primes, images(a, f, primes))]
+               for ell, img in zip(primes, out)]
         calls.extend(zip(primes, out))
         return out
 
@@ -278,15 +281,27 @@ class TestMultimodular:
 
     def test_skip_when_prime_divides_resultant(self):
         # res(x - 2, x^2 + 1) = 5: the chain dies mod 5
-        assert resultant_oracle(P(-2, 1), P(1, 0, 1)) == 5
-        assert _bezout_image((-2, 1), (1, 0, 1), 5) == (0, None)
+        a, f = (-2, 1), (1, 0, 1)
+        assert resultant_oracle(IntPoly(a), IntPoly(f)) == 5
+        assert _bezout_images(a, f, [5]) == [(0, None)] == [
+            bezout_image(a, f, 5)]
         # mod 7 the image is r = 5, s = -x - 2, since (x - 2)(-x - 2) = 5
-        assert _bezout_image((-2, 1), (1, 0, 1), 7) == (5, [5, 6])
+        assert _bezout_images(a, f, [7]) == [(5, [5, 6])] == [
+            bezout_image(a, f, 7)]
 
-    def test_skip_when_prime_divides_leading_coefficient(self):
-        assert _bezout_image((1, 5), (1, 0, 1), 5) is None
-        assert _bezout_image((1, 1), (1, 0, 5), 5) is None
-        assert _bezout_image((1, 1), (1, 0, 5), 7) is not None
+    def test_skip_when_prime_divides_leading_coefficient(self, monkeypatch):
+        # the first primes divide lc(f), or lc(a) and lc(f) one each:
+        # resultant_bezout never puts them in a batch
+        p0, p1 = _prime(0), _prime(1)
+        calls = record_batches(monkeypatch)
+        for a, f, skipped in ((P(1, 1), P(1, 0, p0), {p0}),
+                              (P(1, p0), P(1, 0, p1), {p0, p1})):
+            calls.clear()
+            r, s = resultant_bezout(a, f)
+            assert calls[0][0] == _prime(len(skipped))
+            assert not skipped & {ell for ell, _ in calls}
+            assert r == resultant_oracle(a, f)
+            assert divrem(s * a - r, f)[1].is_zero()
 
     def test_image_matches_integral_pair(self):
         rng = random.Random(11)
@@ -295,10 +310,11 @@ class TestMultimodular:
             a = IntPoly([rng.randint(-9, 9) for _ in range(12)])
             r, s = resultant_bezout(a, f)
             s_pad = s.coeffs + (0,) * (12 - len(s.coeffs))
-            # |lc(a)| <= 9 and f is monic, so no prime here is skipped for
-            # its leading coefficient
-            for ell in (_prime(0), 101, 10007):
-                image = _bezout_image(a.coeffs, f.coeffs, ell)
+            # |lc(a)| <= 9 and f is monic, so no prime here divides a
+            # leading coefficient
+            primes = [_prime(0), 101, 10007]
+            images = _bezout_images(a.coeffs, f.coeffs, primes)
+            for ell, image in zip(primes, images):
                 if r % ell == 0:
                     assert image == (0, None)
                 else:
@@ -306,24 +322,27 @@ class TestMultimodular:
 
     def test_unlucky_primes_skipped_in_the_loop(self, monkeypatch):
         ell = 2 ** 31 - 1
-        calls = record_batches(monkeypatch)
-        scalar = record_images(monkeypatch)
+        # calls logs the batches that resultant_bezout asks for, nested the
+        # sub-batches that _bezout_images re-runs on its dropped primes
+        nested = []
+        calls = record_batches(monkeypatch, nested=nested)
         # lc(a) = ell: the first prime is skipped for its leading
-        # coefficient and never joins a batch
+        # coefficient and never joins a batch or a sub-batch
         a, f = P(1, ell), P(1, 0, 1)
         r, s = resultant_bezout(a, f)
         assert calls[0][0] == _prime(1)
         assert ell not in [p for p, _ in calls]
+        assert nested == []
         assert r == resultant_oracle(a, f)
         assert divrem(s * a - r, f)[1].is_zero()
         # res(x - 1, x^2 + ell - 1) = ell: the first prime divides r, its
         # chain dies where the rest of the batch keeps a constant, so it
-        # leaves the batch and the scalar EEA finds it dead
+        # leaves the batch, and its own sub-batch finds it dead
         calls.clear()
         a, f = P(-1, 1), P(ell - 1, 0, 1)
         r, s = resultant_bezout(a, f)
         assert calls[0] == (ell, (0, None))
-        assert scalar == [(ell, (0, None))]
+        assert nested == [(1, [ell])]
         assert abs(r) == ell == abs(resultant_oracle(a, f))
         assert divrem(s * a - r, f)[1].is_zero()
 
@@ -370,7 +389,7 @@ class TestMultimodular:
 
 class TestBatchedImages:
     """_bezout_images, one EEA over a batch of primes, against the scalar
-    _bezout_image at each prime."""
+    EEA of the oracle at each prime."""
 
     def test_each_image_equals_the_scalar_one(self):
         rng = random.Random(13)
@@ -383,45 +402,70 @@ class TestBatchedImages:
             if not a or any(a[-1] % p == 0 for p in primes):
                 continue
             got = _bezout_images(a, f, primes)
-            assert got == [_bezout_image(a, f, ell) for ell in primes], (a, f)
+            assert got == [bezout_image(a, f, ell) for ell in primes], (a, f)
 
     def test_wide_coefficients(self):
         a, f = (10 ** 30, -7, 3), (2 ** 70 + 1, 5, 0, -(10 ** 25), 1)
         primes = [_prime(k) for k in range(3)]
         assert _bezout_images(a, f, primes) == [
-            _bezout_image(a, f, ell) for ell in primes]
+            bezout_image(a, f, ell) for ell in primes]
 
     def test_abnormal_prime_leaves_the_batch(self, monkeypatch):
         # mod 7 a remainder of the chain drops a degree that it keeps mod
-        # 101 and 103, though 7 does not divide the resultant 77976
+        # 101 and 103, though 7 does not divide the resultant 77976 and
+        # 103, so 7 alone is re-run as a sub-batch
         a, f = (6, -9, 3, 1), (6, 3, -3, -6, 1)
-        scalar = record_images(monkeypatch)
-        got = _bezout_images(a, f, [101, 7, 103])
-        assert [ell for ell, _ in scalar] == [7]
-        assert got[1] == scalar[0][1] == (77976 % 7, got[1][1])
+        nested = []
+        record_batches(monkeypatch, nested=nested)
+        got = poly._bezout_images(a, f, [101, 7, 103])
+        assert nested == [(1, [7])]
+        assert got[1] == bezout_image(a, f, 7) == (77976 % 7, got[1][1])
         r, s = resultant_bezout(IntPoly(a), IntPoly(f))
         assert r == 77976 == resultant_oracle(IntPoly(a), IntPoly(f))
         for ell, (rl, sl) in zip([101, 7, 103], got):
             assert (rl, sl) == (r % ell, [c % ell for c in s.coeffs])
 
     def test_dead_prime_leaves_the_batch(self, monkeypatch):
-        # res(x - 2, x^2 + 1) = 5: mod 5 the chain dies, mod 7 and 11 not
-        scalar = record_images(monkeypatch)
-        got = _bezout_images((-2, 1), (1, 0, 1), [7, 5, 11])
-        assert scalar == [(5, (0, None))]
+        # res(x - 2, x^2 + 1) = 5: mod 5 the chain dies, mod 7 and 11 not,
+        # so 5 alone is re-run as a sub-batch, which finds it dead
+        nested = []
+        record_batches(monkeypatch, nested=nested)
+        got = poly._bezout_images((-2, 1), (1, 0, 1), [7, 5, 11])
+        assert nested == [(1, [5])]
         assert got == [(5, [5, 6]), (0, None), (5, [9, 10])]
-        # a batch whose chains all die at once is dead throughout
-        scalar.clear()
-        assert _bezout_images((-2, 1), (1, 0, 1), [5]) == [(0, None)]
-        assert scalar == []
+        # a batch whose chains all die at once is dead throughout, with no
+        # sub-batch: 5 alone here, and every prime for x - 1 against x^2 - 1
+        nested.clear()
+        assert poly._bezout_images((-2, 1), (1, 0, 1), [5]) == [(0, None)]
+        assert poly._bezout_images((-1, 1), (-1, 0, 1), [5, 7, 11]) == [
+            (0, None)] * 3
+        assert nested == []
+
+    def test_sub_batch_that_drops_again(self, monkeypatch):
+        # found by a seeded search over small a, f and primes: 5 and 7
+        # leave the batch together, then 5 leaves their sub-batch; 3 and
+        # 13, 19, 23 leave the batch at later steps
+        a, f = (3, 9, 6, 2, -4, 2, -2, 8), (-9, -3, 7, -7, -5, 9, -2, 0, 1)
+        primes = [3, 5, 7, 11, 13, 17, 19, 23]
+        nested = []
+        record_batches(monkeypatch, nested=nested)
+        got = poly._bezout_images(a, f, primes)
+        assert nested == [(1, [5, 7]), (2, [5]), (1, [3]), (1, [13, 19, 23])]
+        assert got == [bezout_image(a, f, ell) for ell in primes]
+        r = resultant_oracle(IntPoly(a), IntPoly(f))
+        assert [img[0] for img in got] == [r % ell for ell in primes]
 
     def test_dead_primes_are_counted_toward_the_bound(self, monkeypatch):
         # res = p1 p2 (the second and third primes): both die in the first
         # batch and a second batch makes up the product
+        # calls logs the batches that resultant_bezout asks for; p1 and p2
+        # leave the first one together as a sub-batch, which finds both dead
         p1, p2 = _prime(1), _prime(2)
         a, f = P(-1, 1), P(p1 * p2 - 1, 0, 1)
-        calls = record_batches(monkeypatch)
+        nested = []
+        calls = record_batches(monkeypatch, nested=nested)
         r, s = resultant_bezout(a, f)
+        assert nested == [(1, [p1, p2])]
         assert r == p1 * p2 == resultant_oracle(a, f)
         assert divrem(s * a - r, f)[1].is_zero()
         assert [out for ell, out in calls if ell in (p1, p2)] == [(0, None)] * 2

@@ -144,15 +144,33 @@ class TestResidueClasses:
         for j in range(p):
             assert random_subset_norm_check(j, m, 200, rng) is True
 
+    # the three stride-family checks, each given the rng it would draw from
+    STRIDE_CHECKS = (
+        lambda j, m, rng: residue_class_pattern(j, m),
+        lambda j, m, rng: column_family_sum(j, m),
+        lambda j, m, rng: random_subset_norm_check(j, m, 5, rng),
+    )
+
+    @staticmethod
+    def _refused(error, check, j, m):
+        # the check raises error before any draw from its rng
+        rng = np.random.default_rng(0)
+        with pytest.raises(error):
+            check(j, m, rng)
+        fresh = np.random.default_rng(0)
+        assert rng.integers(0, 2 ** 62) == fresh.integers(0, 2 ** 62)
+
     def test_j_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            residue_class_pattern(3, make_modulus(15))
+        for check in self.STRIDE_CHECKS:
+            for M, p in ((15, 3), (35, 5), (143, 11)):
+                for j in (p, -1):
+                    self._refused(OutOfRange, check, j, make_modulus(M))
 
     def test_not_applicable_shapes(self):
-        with pytest.raises(NotApplicable):
-            residue_class_pattern(0, make_modulus(9))
-        with pytest.raises(NotApplicable):
-            residue_class_pattern(0, make_modulus(45))
+        # prime powers, and two-prime moduli that are not squarefree
+        for check in self.STRIDE_CHECKS:
+            for M in (9, 25, 45, 63):
+                self._refused(NotApplicable, check, 0, make_modulus(M))
 
 
 class TestInflatedPatterns:
