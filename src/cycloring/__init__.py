@@ -6,14 +6,15 @@ structure, checks the structural facts behind those bounds by brute force,
 and measures expansion factors of monomials. Everything is integer-exact.
 """
 
-from .cyclotomic import (MAX_MODULUS, BlockRanges, CycloModulus, PrimePower,
-                         ReductionMatrix, RingElement, TwoPrime, element,
-                         kron_check, make_modulus, monomial_diff,
-                         monomial_reduce, reduce, reduction_matrix, ring_mul)
-from .errors import (BadRange, CycloringError, InexactDivision, ModulusMismatch,
-                     ModulusTooLarge, NotApplicable, NotCoprime, OutOfRange,
-                     PatternViolation, SweepTooLarge, UnsupportedModulus,
-                     ZeroElement, ZeroPolynomial)
+from .cyclotomic import (MAX_MATRIX_CELLS, MAX_MODULUS, BlockRanges,
+                         CycloModulus, PrimePower, ReductionMatrix,
+                         RingElement, TwoPrime, element, kron_check,
+                         make_modulus, monomial_diff, monomial_reduce, reduce,
+                         reduction_matrix, ring_mul)
+from .errors import (BadRange, CycloringError, InexactDivision, MatrixTooLarge,
+                     ModulusMismatch, ModulusTooLarge, NotApplicable,
+                     NotCoprime, OutOfRange, PatternViolation, SweepTooLarge,
+                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
 from .poly import IntPoly, divrem, exact_div, resultant_bezout

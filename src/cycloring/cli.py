@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Subcommands: cyclo, reduce, matrix, scaled-inv, expansion, sweep, verify.
-Coefficient I/O is degree-ascending everywhere. Exit codes: 0 success,
-1 failed check (including a failed internal self-check, reported on stderr
-without a traceback), 2 usage error (including M above the supported
-ceiling and a sweep above its cost ceiling, both refused before any work),
-3 unsupported modulus.
+Each is declared once (_command): its integer positionals, its --format
+choices (the first the default) and its handler, which main calls with
+the parsed arguments and the modulus of M, built once. cyclo and reduce
+share one coeffs | pretty | json printer. Coefficient I/O is
+degree-ascending everywhere.
+
+Exit codes: 0 success, 1 failed check (including a failed internal
+self-check, reported on stderr without a traceback), 2 usage error
+(including a negative --seed or --trials below 1, M above the supported
+ceiling, an R_M above its cell ceiling and a sweep above its cost
+ceiling, each refused before any work), 3 unsupported modulus.
 """
 from __future__ import annotations
 
@@ -18,8 +24,9 @@ from . import scaled_inverse as sinv
 from . import verify as verify_mod
 from .cyclotomic import make_modulus, monomial_diff, reduce, reduction_matrix
 from .errors import (BadRange, CycloringError, InexactDivision,
-                     ModulusTooLarge, NotApplicable, OutOfRange, SweepTooLarge,
-                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
+                     MatrixTooLarge, ModulusTooLarge, NotApplicable,
+                     OutOfRange, SweepTooLarge, UnsupportedModulus,
+                     ZeroElement, ZeroPolynomial)
 from .poly import IntPoly
 
 
@@ -31,47 +38,47 @@ def _parse_coeffs(text: str) -> IntPoly:
             f"--poly wants comma-separated integers: {exc}") from None
 
 
-def _parse_trials(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--trials wants an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--trials must be >= 1, got {value}")
-    return value
+def _int_at_least(option: str, low: int):
+    """argparse type of an integer option that must be >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{option} wants an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{option} must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _print_json(obj):
     print(json.dumps(obj, indent=2))
 
 
-def _cmd_cyclo(args) -> int:
-    m = make_modulus(args.M)
-    coeffs = list(m.poly.coeffs)
-    if args.format == "coeffs":
-        print(",".join(str(c) for c in coeffs))
-    elif args.format == "pretty":
-        print(m.poly)
+def _print_poly(fmt, m, poly):
+    """Print one polynomial (IntPoly or RingElement) of m as coeffs, pretty
+    or json."""
+    if fmt == "coeffs":
+        print(",".join(map(str, poly.coeffs)))
+    elif fmt == "pretty":
+        print(poly)
     else:
-        _print_json({"M": m.M, "phi": m.phi, "coeffs": coeffs})
+        _print_json({"M": m.M, "phi": m.phi, "coeffs": list(poly.coeffs)})
+
+
+def _cmd_cyclo(args, m) -> int:
+    _print_poly(args.format, m, m.poly)
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    m = make_modulus(args.M)
-    r = reduce(args.poly, m)
-    if args.format == "coeffs":
-        print(",".join(str(c) for c in r.coeffs))
-    elif args.format == "pretty":
-        print(r)
-    else:
-        _print_json({"M": m.M, "phi": m.phi, "coeffs": list(r.coeffs)})
+def _cmd_reduce(args, m) -> int:
+    _print_poly(args.format, m, reduce(args.poly, m))
     return 0
 
 
-def _cmd_matrix(args) -> int:
-    m = make_modulus(args.M)
+def _cmd_matrix(args, m) -> int:
     R = reduction_matrix(m)
     if args.format == "csv":
         print(R.to_csv())
@@ -81,27 +88,19 @@ def _cmd_matrix(args) -> int:
         cuts = set()
         if args.blocks and R.blocks is not None:
             cuts = {R.blocks.b1[0], R.blocks.b2[0], R.blocks.b3[0]}
-        width = max(len(str(int(v))) for row in R.entries for v in row)
-        for row in R.entries:
-            cells = []
-            for jcol, v in enumerate(row):
-                if jcol in cuts:
-                    cells.append("|")
-                cells.append(f"{int(v):>{width}}")
-            print(" ".join(cells))
+        width = max(len(str(v)) for v in (R.entries.min(), R.entries.max()))
+        # one format string for every row, "| " before each cut column
+        line = " ".join(("| " if c in cuts else "") + f"{{:>{width}}}"
+                        for c in range(m.M))
+        for row in R.entries.tolist():
+            print(line.format(*row))
     return 0
 
 
 def _inverse_obj(m, si) -> dict:
-    return {
-        "M": m.M,
-        "phi": m.phi,
-        "coeffs": list(si.u.coeffs),
-        "scale": si.scale,
-        "norm": si.norm,
-        "bound": si.bound,
-        "case": si.case.value,
-    }
+    return {"M": m.M, "phi": m.phi, "coeffs": list(si.u.coeffs),
+            "scale": si.scale, "norm": si.norm, "bound": si.bound,
+            "case": si.case.value}
 
 
 def _print_inverse(m, si, as_json):
@@ -113,23 +112,19 @@ def _print_inverse(m, si, as_json):
         print(f"scale: {si.scale}  max-norm: {si.norm}  case: {si.case.value}")
 
 
-def _cmd_scaled_inv(args) -> int:
-    m = make_modulus(args.M)
+def _cmd_scaled_inv(args, m) -> int:
     as_json = args.format == "json"
-    if args.method in ("construct", "both"):
+    con = gen = None
+    if args.method != "bezout":
         con = sinv.construct_scaled_inverse(args.i, args.j, m)
-    if args.method in ("bezout", "both"):
+    if args.method != "construct":
         gen = sinv.generic_scaled_inverse(monomial_diff(args.i, args.j, m))
-    if args.method == "construct":
-        _print_inverse(m, con, as_json)
+    if args.method != "both":
+        _print_inverse(m, con or gen, as_json)
         return 0
-    if args.method == "bezout":
-        _print_inverse(m, gen, as_json)
-        return 0
-    ratio, agree = None, False
-    if con.scale % gen.scale == 0:
-        ratio = con.scale // gen.scale
-        agree = con.u == ratio * gen.u
+    # con is the minimal inverse gen scaled by an integer
+    agree = (con.scale % gen.scale == 0
+             and con.u == con.scale // gen.scale * gen.u)
     if as_json:
         _print_json({"M": m.M, "i": args.i, "j": args.j,
                      "construct": _inverse_obj(m, con),
@@ -142,8 +137,7 @@ def _cmd_scaled_inv(args) -> int:
     return 0 if agree else 1
 
 
-def _cmd_expansion(args) -> int:
-    m = make_modulus(args.M)
+def _cmd_expansion(args, m) -> int:
     if args.k is not None:
         factor, witness = expansion_mod.monomial_expansion_factor(args.k, m)
         if args.format == "json":
@@ -165,8 +159,7 @@ def _cmd_expansion(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    m = make_modulus(args.M)
+def _cmd_sweep(args, m) -> int:
     profile = sinv.norm_profile(m)
     case_max = {case.value: {"norm": norm, "i": i, "j": j}
                 for case, (norm, i, j) in profile.case_max.items()}
@@ -186,8 +179,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    report = verify_mod.run_verify(args.M, suite=args.suite,
+def _cmd_verify(args, m) -> int:
+    report = verify_mod.run_verify(m.M, suite=args.suite,
                                    trials=args.trials, seed=args.seed)
     if args.format == "json":
         _print_json(report.to_json_obj())
@@ -205,6 +198,18 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _command(sub, name, fn, formats, help, positionals=("M",)):
+    """Add subcommand name: integer positionals, --format (choices formats,
+    the first the default) and its handler fn(args, modulus of args.M).
+    Returns the subparser, for the command's own options."""
+    p = sub.add_parser(name, help=help)
+    for arg in positionals:
+        p.add_argument(arg, type=int)
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycloring",
@@ -213,61 +218,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "scaled inverses of x^i - x^j, expansion factors, and a "
                     "verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
+    poly_formats = ("coeffs", "pretty", "json")
+    text_formats = ("text", "json")
 
-    p = sub.add_parser("cyclo", help="print Phi_M")
-    p.add_argument("M", type=int)
-    p.add_argument("--format", choices=("coeffs", "pretty", "json"),
-                   default="coeffs")
-    p.set_defaults(fn=_cmd_cyclo)
-
-    p = sub.add_parser("reduce", help="reduce a polynomial mod Phi_M")
-    p.add_argument("M", type=int)
+    _command(sub, "cyclo", _cmd_cyclo, poly_formats, "print Phi_M")
+    p = _command(sub, "reduce", _cmd_reduce, poly_formats,
+                 "reduce a polynomial mod Phi_M")
     p.add_argument("--poly", type=_parse_coeffs, required=True,
                    metavar="c0,c1,...")
-    p.add_argument("--format", choices=("coeffs", "pretty", "json"),
-                   default="coeffs")
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("matrix", help="print the reduction matrix R_M")
-    p.add_argument("M", type=int)
-    p.add_argument("--format", choices=("pretty", "csv", "json"),
-                   default="pretty")
+    p = _command(sub, "matrix", _cmd_matrix, ("pretty", "csv", "json"),
+                 "print the reduction matrix R_M")
     p.add_argument("--blocks", action="store_true",
                    help="annotate the I|B1|B2|B3 column blocks when defined")
-    p.set_defaults(fn=_cmd_matrix)
-
-    p = sub.add_parser("scaled-inv",
-                       help="scaled inverse of x^i - x^j mod Phi_M")
-    p.add_argument("M", type=int)
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p = _command(sub, "scaled-inv", _cmd_scaled_inv, text_formats,
+                 "scaled inverse of x^i - x^j mod Phi_M", ("M", "i", "j"))
     p.add_argument("--method", choices=("construct", "bezout", "both"),
                    default="construct")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_scaled_inv)
-
-    p = sub.add_parser("expansion", help="expansion factors of x^k")
-    p.add_argument("M", type=int)
+    p = _command(sub, "expansion", _cmd_expansion, text_formats,
+                 "expansion factors of x^k")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_expansion)
-
-    p = sub.add_parser("sweep",
-                       help="norm profile of all scaled inverses (i, j)")
-    p.add_argument("M", type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("M", type=int)
+    _command(sub, "sweep", _cmd_sweep, ("csv", "json"),
+             "norm profile of all scaled inverses (i, j)")
+    p = _command(sub, "verify", _cmd_verify, text_formats,
+                 "run the verification suites")
     p.add_argument("--suite",
                    choices=("all",) + verify_mod.SUITE_NAMES, default="all")
-    p.add_argument("--trials", type=_parse_trials,
+    p.add_argument("--trials", type=_int_at_least("--trials", 1),
                    default=verify_mod.DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_verify)
-
+    p.add_argument("--seed", type=_int_at_least("--seed", 0),
+                   default=verify_mod.DEFAULT_SEED)
     return parser
 
 
@@ -280,12 +259,13 @@ def main(argv=None) -> int:
         argv[k:k + 2] = [f"--poly={argv[k + 1]}"]
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, make_modulus(args.M))
     except UnsupportedModulus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BadRange, OutOfRange, NotApplicable, ZeroElement, ZeroPolynomial,
-            InexactDivision, ModulusTooLarge, SweepTooLarge) as exc:
+            InexactDivision, ModulusTooLarge, SweepTooLarge,
+            MatrixTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CycloringError as exc:

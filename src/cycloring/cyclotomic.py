@@ -33,7 +33,8 @@ below 4p^2 q b, with p < q. Long division (poly.divrem) is the independent
 check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
-a bounded cache of the moduli it built.
+a bounded cache of the moduli it built. reduction_matrix and kron_check
+refuse an R_M of more than MAX_MATRIX_CELLS cells before any allocation.
 """
 from __future__ import annotations
 
@@ -43,9 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
-                     UnsupportedModulus)
-from .poly import IntPoly, divrem, kron_mul
+from .errors import (MatrixTooLarge, ModulusMismatch, ModulusTooLarge,
+                     NotApplicable, UnsupportedModulus)
+from .poly import IntPoly, _int64_row, _magnitude, divrem, kron_mul
 
 # Largest supported M. Up to here trial division takes at most 2^10 steps
 # and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
@@ -216,14 +217,12 @@ def element(m: CycloModulus, coeffs) -> RingElement:
 def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
     """V (a sequence or 2-D array) as 2-D rows: int64 when the module's bound
     holds for headroom * max|V| * (folds mod x^M - 1), else object."""
-    try:
-        A = np.asarray(V, dtype=np.int64)
-    except OverflowError:
+    A = _int64_row(V)
+    if A is None:
         A = np.asarray(V, dtype=object)
     if A.ndim == 1:
         A = A[None]
-    # not abs(A).max(): in int64, abs(-2^63) wraps to -2^63
-    big = max(int(A.max()), -int(A.min())) if A.size else 0
+    big = _magnitude(A) if A.size else 0
     sh = m.shape
     growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
     bound = headroom * (-(-A.shape[1] // m.M) or 1) * big * growth
@@ -418,14 +417,40 @@ class ReductionMatrix:
         return json.dumps(self.to_json_obj())
 
 
+# Ceiling of M phi, the cells of R_M, that reduction_matrix and kron_check
+# accept; above it they raise MatrixTooLarge before any allocation. The
+# smallest power of two that keeps M = 2187 (3.2e6 cells, the bench's
+# `expansion 2187`). Measured on a 2-core host at M = 2039 (4.16e6 cells,
+# just below it): `verify --suite expansion` 16 s, `verify --suite matrix`
+# 3.9 s and 149 MB peak RSS, `matrix --format json` 4.4 s and 393 MB,
+# pretty `matrix` 2.3 s, `expansion` 0.5 s.
+MAX_MATRIX_CELLS = 2 ** 22
+
+
+def check_matrix_cells(m: CycloModulus) -> None:
+    """Raise MatrixTooLarge when R_M has more than MAX_MATRIX_CELLS cells."""
+    cells = m.M * m.phi
+    if cells > MAX_MATRIX_CELLS:
+        raise MatrixTooLarge(
+            f"R_M of M={m.M} has M*phi = {cells} cells, above the ceiling "
+            f"{MAX_MATRIX_CELLS}")
+
+
 def reduction_matrix(m: CycloModulus) -> ReductionMatrix:
     """Materialize R_M = R_rad kron I_M' (x^(aM' + b) = y^a x^b), stored as
-    int8; entries lie in {-1, 0, 1}, asserted on R_rad."""
-    rad = m.radical
-    base = _reduce_rows(np.eye(rad, dtype=np.int64), make_modulus(rad)).T
-    if np.abs(base).max() > 1:
-        raise AssertionError(f"R_{rad} entry outside {{-1, 0, 1}}")
-    entries = np.kron(base.astype(np.int8), np.eye(m.inflation, dtype=np.int8))
+    int8; entries lie in {-1, 0, 1}, asserted on each block of R_rad's
+    columns (_monomial_rows) before it is narrowed. Raises MatrixTooLarge
+    before any allocation (check_matrix_cells)."""
+    check_matrix_cells(m)
+    rad = make_modulus(m.radical)
+    base = np.empty((rad.M, rad.phi), dtype=np.int8)
+    step = max(1, _UNIT_BLOCK // rad.M)
+    for lo in range(0, rad.M, step):
+        cols = _monomial_rows(range(lo, min(rad.M, lo + step)), rad)
+        if np.abs(cols).max() > 1:
+            raise AssertionError(f"R_{rad.M} entry outside {{-1, 0, 1}}")
+        base[lo:lo + len(cols)] = cols
+    entries = np.kron(base.T, np.eye(m.inflation, dtype=np.int8))
     entries.setflags(write=False)
     blocks = None
     sh = m.shape
@@ -453,9 +478,11 @@ def kron_check(m: CycloModulus, rows: np.ndarray | None = None) -> bool:
     """Whether R_M, built as R_rad kron I_M', equals long division of every
     x^k by Phi_M; needs a non-squarefree M. rows, when given, are the
     long-division rows of m (long_division_rows), computed once by a
-    caller that also needs them."""
+    caller that also needs them. Raises MatrixTooLarge before any work
+    (check_matrix_cells)."""
     if m.inflation == 1:
         raise NotApplicable(f"M={m.M} is squarefree")
+    check_matrix_cells(m)
     if rows is None:
         rows = long_division_rows(m)
     return np.array_equal(reduction_matrix(m).entries.T, rows)

@@ -33,6 +33,11 @@ class SweepTooLarge(CycloringError, ValueError):
     allocation."""
 
 
+class MatrixTooLarge(CycloringError, ValueError):
+    """A reduction matrix R_M above the cell ceiling; refused before any
+    allocation."""
+
+
 class ModulusMismatch(CycloringError, ValueError):
     """Ring elements from different moduli were combined."""
 

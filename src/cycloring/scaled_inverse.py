@@ -283,9 +283,6 @@ class NormProfile:
     def rows(self) -> tuple[ProfileRow, ...]:
         return tuple(ProfileRow(*pair) for pair in self.pairs())
 
-    def max_norm(self, case: InverseCase) -> int:
-        return self.case_max[case][0]
-
 
 def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
                     bound: int, j0: int = 0) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +31,11 @@ class DiophantineTable:
     solvable: tuple[bool, ...]
 
 
+@lru_cache(maxsize=8)
 def solvable_table(p: int, q: int) -> DiophantineTable:
-    """Brute-force table: try alpha = 0 .. i//p and test q | (i - alpha*p)."""
+    """Brute-force table: try alpha = 0 .. i//p and test q | (i - alpha*p).
+    Cached, so diff_quotient_coeffs and a caller that also reads the table
+    (verify's lemmas suite) build it once."""
     sol = []
     for i in range(p * q):
         sol.append(any((i - alpha * p) % q == 0 for alpha in range(i // p + 1)))

@@ -380,26 +380,27 @@ def _suite_theorems(m, rng, trials, long_division):
 
 def _suite_expansion(m, rng, trials, long_division):
     col = _Collector()
+    # one sweep over k, shared by three checks; a sweep that raises fails
+    # each of them by name
+    report = functools.cache(lambda: expansion.max_expansion_factor(m))
 
     def closed_form():
-        report = expansion.max_expansion_factor(m)
         sh = m.shape
-        if isinstance(sh, TwoPrime) and report.max_factor > 2 * sh.p:
-            return f"max factor {report.max_factor} above the 2p row bound"
+        if isinstance(sh, TwoPrime) and report().max_factor > 2 * sh.p:
+            return f"max factor {report().max_factor} above the 2p row bound"
         return True
 
     col.run("factor_closed_form", closed_form)
 
     def witness_attains():
-        report = expansion.max_expansion_factor(m)
-        factor, _ = expansion.monomial_expansion_factor(report.witness_k, m)
-        return factor == report.max_factor
+        factor, _ = expansion.monomial_expansion_factor(report().witness_k, m)
+        return factor == report().max_factor
 
     col.run("witness_attains_max", witness_attains)
 
     def randomized():
         ks = {int(k) for k in rng.integers(0, m.M, size=7)}
-        ks.add(expansion.max_expansion_factor(m).witness_k)
+        ks.add(report().witness_k)
         per_k = max(1, trials // len(ks))
         seed = int(rng.integers(0, 2 ** 31))
         return all(expansion.randomized_expansion_check(k, m, per_k, seed)
@@ -440,19 +441,31 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
     """Run the requested suites against M and collect a report.
 
     Raises ValueError for a suite other than "all" or one of SUITE_NAMES,
-    and SweepTooLarge up front when the theorems suite is requested and
-    its exhaustive sweep is above the ceiling (see norm_profile).
+    for trials < 1 and for a negative seed, before the modulus is built.
+    Before any suite runs, raises SweepTooLarge when the theorems suite is
+    requested and its exhaustive sweep is above the ceiling (see
+    norm_profile), and MatrixTooLarge when a requested suite builds an R_M
+    above its ceiling (see reduction_matrix): the matrix and expansion
+    suites, and the lemmas suite's kron_check for a non-squarefree M.
     """
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}: expected 'all' or one of "
                          f"{', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     m = make_modulus(M)
     names = SUITE_NAMES if suite == "all" else (suite,)
     if "theorems" in names:
         # refuse the theorems suite's exhaustive sweep before any suite runs
         scaled_inverse.check_sweep_cost(m)
+    # R_M is built by the matrix and expansion suites, and by the lemmas
+    # suite's kron_check when M is not squarefree; refuse it up front too
+    builds_matrix = {"matrix", "expansion"} | (
+        {"lemmas"} if m.inflation > 1 else set())
+    if builds_matrix & set(names):
+        cyclotomic.check_matrix_cells(m)
     rng = np.random.default_rng(seed)
     # the M long divisions of x^k, shared by the lemmas suite's
     # kronecker_factorization and the matrix suite's column check

@@ -67,6 +67,21 @@ class TestCyclo:
         assert "ceiling 1073741824" in err
 
 
+    @pytest.mark.parametrize("argv", [("matrix", "1048573"),
+                                      ("expansion", "1048573", "--k", "3"),
+                                      ("verify", "1048573", "--suite", "matrix"),
+                                      ("verify", "4096", "--suite", "lemmas")])
+    def test_oversized_matrix_exit_2(self, capsys, monkeypatch, argv):
+        def allocate(*args):
+            raise AssertionError("allocated")
+        monkeypatch.setattr(cyclotomic, "_monomial_rows", allocate)
+        monkeypatch.setattr(cyclotomic, "long_division_rows", allocate)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: MatrixTooLarge: ")
+        assert "M*phi = " in err and "ceiling 4194304" in err
+
+
 class TestReduce:
     def test_monomial(self, capsys):
         poly = ",".join(["0"] * 8 + ["1"])  # x^8
@@ -280,6 +295,23 @@ class TestVerify:
             cli.main(["verify", "15", "--trials", trials])
         assert exc.value.code == 2
         assert "--trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "--seed must be >= 0, got -1"),
+        ("x", "--seed wants an integer, got 'x'")], ids=["negative", "text"])
+    def test_bad_seed_usage_error(self, capsys, seed, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "35", "--seed", seed])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_run_verify_rejects_negative_seed(self, monkeypatch):
+        def no_work(M):
+            raise AssertionError("modulus built for a negative seed")
+
+        monkeypatch.setattr(verify_mod, "make_modulus", no_work)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify_mod.run_verify(35, seed=-1)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_run_verify_rejects_trials_below_one(self, trials):

@@ -12,9 +12,9 @@ import cycloring
 from cycloring import (PrimePower, TwoPrime, element,
                        kron_check, make_modulus, monomial_diff,
                        monomial_reduce, reduce, reduction_matrix, ring_mul)
-from cycloring import cyclotomic, scaled_inverse, verify
-from cycloring.errors import (ModulusMismatch, ModulusTooLarge, NotApplicable,
-                              UnsupportedModulus)
+from cycloring import cyclotomic, expansion, scaled_inverse, structure, verify
+from cycloring.errors import (MatrixTooLarge, ModulusMismatch, ModulusTooLarge,
+                              NotApplicable, UnsupportedModulus)
 from cycloring.cyclotomic import _as_rows, _prefix_sums, _reduce_rows
 from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
@@ -215,6 +215,65 @@ class TestReductionMatrix:
         assert np.array_equal(np.array(obj["entries"]),
                               np.asarray(R.entries, dtype=np.int64))
         assert obj["blocks"]["b2"] == [10, 13]
+
+    @pytest.mark.parametrize("M", [35, 49, 63, 143])
+    def test_blocks_of_columns_match_long_division(self, monkeypatch, M):
+        # blocks of 3 to 5 columns of R_rad, not one block for all of them
+        monkeypatch.setattr(cyclotomic, "_UNIT_BLOCK", 4 * M // 9)
+        m = make_modulus(M)
+        assert np.array_equal(reduction_matrix(m).entries.T,
+                              cyclotomic.long_division_rows(m))
+
+    def test_entry_outside_unit_range_raises(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_monomial_rows",
+                            lambda ks, m: 2 * np.ones((len(ks), m.phi)))
+        with pytest.raises(AssertionError, match="R_15 entry outside"):
+            reduction_matrix(make_modulus(15))
+
+
+class TestMatrixCeiling:
+    """R_M of more than MAX_MATRIX_CELLS = M phi cells is refused before
+    anything is allocated: the allocators are patched to raise."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(cyclotomic, "_monomial_rows", allocate)
+        monkeypatch.setattr(cyclotomic, "long_division_rows", allocate)
+
+    def test_ceiling_between_2039_and_2053(self):
+        assert cyclotomic.MAX_MATRIX_CELLS == 2 ** 22 == cycloring.MAX_MATRIX_CELLS
+        for M in (2039, 2187):   # 2039 * 2038 and 2187 * 1458 cells
+            cyclotomic.check_matrix_cells(make_modulus(M))
+        with pytest.raises(MatrixTooLarge,
+                           match=r"M=2053 has M\*phi = 4212756 cells, above "
+                                 r"the ceiling 4194304"):
+            cyclotomic.check_matrix_cells(make_modulus(2053))
+
+    @pytest.mark.parametrize("build", [
+        reduction_matrix, expansion.max_expansion_factor,
+        lambda m: expansion.monomial_expansion_factor(3, m),
+        lambda m: expansion.randomized_expansion_check(3, m, 10)])
+    def test_every_r_m_route_refuses(self, build):
+        with pytest.raises(MatrixTooLarge, match="1048573"):
+            build(make_modulus(1048573))
+
+    def test_kron_check_refuses(self):
+        with pytest.raises(MatrixTooLarge, match="M=4096"):
+            kron_check(make_modulus(4096))
+
+    @pytest.mark.parametrize("M, suite", [(1048573, "matrix"),
+                                          (1048573, "expansion"),
+                                          (4096, "lemmas"), (4096, "all")])
+    def test_verify_refuses_before_any_suite(self, M, suite):
+        with pytest.raises(MatrixTooLarge, match=f"M={M}"):
+            run_verify(M, suite=suite)
+
+    def test_verify_lemmas_at_squarefree_m_builds_no_matrix(self):
+        # no kron_check at a squarefree M, so nothing to refuse
+        assert run_verify(2053, suite="lemmas").all_passed
 
 
 class TestKronCheck:
@@ -598,3 +657,16 @@ def test_verify_runs_each_long_division_once(monkeypatch):
     report = run_verify(63, trials=10)
     assert report.all_passed
     assert sorted(a.degree for a in divisions) == list(range(63))
+
+
+def test_verify_builds_each_shared_table_once(monkeypatch):
+    """The lemmas suite's Diophantine table and the expansion suite's sweep
+    over k are each computed once per run, not once per check."""
+    sweeps, sweep = [], expansion.max_expansion_factor
+    monkeypatch.setattr(expansion, "max_expansion_factor",
+                        lambda m: sweeps.append(m.M) or sweep(m))
+    structure.solvable_table.cache_clear()
+    report = run_verify(63, trials=10)
+    assert report.all_passed
+    assert structure.solvable_table.cache_info().misses == 1
+    assert sweeps == [63]
