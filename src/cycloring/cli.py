@@ -10,8 +10,9 @@ degree-ascending everywhere.
 Exit codes: 0 success, 1 failed check (including a failed internal
 self-check, reported on stderr without a traceback), 2 usage error
 (including a negative --seed or --trials below 1, M above the supported
-ceiling, an R_M above its cell ceiling and a sweep above its cost
-ceiling, each refused before any work), 3 unsupported modulus.
+ceiling, an R_M above its cell ceiling, a sweep above its cost ceiling
+and a generic inverse (--method bezout or both) above its cost ceiling,
+each refused before any work), 3 unsupported modulus.
 """
 from __future__ import annotations
 
@@ -23,10 +24,10 @@ from . import expansion as expansion_mod
 from . import scaled_inverse as sinv
 from . import verify as verify_mod
 from .cyclotomic import make_modulus, monomial_diff, reduce, reduction_matrix
-from .errors import (BadRange, CycloringError, InexactDivision,
-                     MatrixTooLarge, ModulusTooLarge, NotApplicable,
-                     OutOfRange, SweepTooLarge, UnsupportedModulus,
-                     ZeroElement, ZeroPolynomial)
+from .errors import (BadRange, CycloringError, GenericTooLarge,
+                     InexactDivision, MatrixTooLarge, ModulusTooLarge,
+                     NotApplicable, OutOfRange, SweepTooLarge,
+                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
 from .poly import IntPoly
 
 
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
         return 3
     except (BadRange, OutOfRange, NotApplicable, ZeroElement, ZeroPolynomial,
             InexactDivision, ModulusTooLarge, SweepTooLarge,
-            MatrixTooLarge) as exc:
+            MatrixTooLarge, GenericTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CycloringError as exc:

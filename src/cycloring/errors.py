@@ -38,6 +38,11 @@ class MatrixTooLarge(CycloringError, ValueError):
     allocation."""
 
 
+class GenericTooLarge(CycloringError, ValueError):
+    """A generic (resultant/Bezout) inverse above the cost ceiling, or
+    beyond the supply of its primes; refused before any allocation."""
+
+
 class ModulusMismatch(CycloringError, ValueError):
     """Ring elements from different moduli were combined."""
 

@@ -313,9 +313,18 @@ def _is_prime(n: int) -> bool:
         return n in _MR_BASES
     e = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^e, d odd
     d = (n - 1) >> e
-    return all(pow(b, d, n) == 1
-               or any(pow(b, d << i, n) == n - 1 for i in range(e))
-               for b in _MR_BASES)
+    for b in _MR_BASES:
+        # b^d, then e - 1 squarings: one of them must be -1 unless b^d = 1
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(e - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,25 +451,53 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     batch's as a smaller batch of their own. Primes with ell | r are
     skipped, and a batch that comes short of 2H for them is followed by
     another; once the skipped primes alone pass 2H, r = 0 and NotCoprime is
-    raised. The result is certified by one exact division of s*a - r by f.
+    raised (_multimodular). The result is certified by one exact division
+    of s*a - r by f.
     """
     if a.is_zero():
         raise NotCoprime("a vanishes mod f, no Bezout relation exists")
     if not a.degree < f.degree:
         raise ValueError("resultant_bezout requires deg(a) < deg(f)")
     ac, fc = a.coeffs, f.coeffs
-    n = len(fc) - 1
-    # (2H)^2, compared with the squared prime products
-    need = 4 * sum(c * c for c in ac) ** n * sum(c * c for c in fc) ** (len(ac) - 1)
     lead = ac[-1] * fc[-1]
-    primes = (ell for ell in map(_prime, itertools.count()) if lead % ell)
+    r, s = _multimodular(
+        _hadamard_need(ac, fc), len(fc) - 1,
+        (ell for ell in map(_prime, itertools.count()) if lead % ell),
+        lambda batch: _bezout_images(ac, fc, batch))
+    s = IntPoly(s)
+    if not divrem(s * a - r, f)[1].is_zero():
+        raise AssertionError("Bezout identity verification failed")
+    return r, s
+
+
+def _hadamard_need(ac: tuple[int, ...], fc: tuple[int, ...]) -> int:
+    """(2H)^2 for the coefficient tuples of a and f, deg a < deg f: every
+    |s_i| and |r| of res(a, f) and its cofactor s is a Sylvester minor, at
+    most the Hadamard bound H = |a|_2^deg f * |f|_2^deg a."""
+    return (4 * sum(c * c for c in ac) ** (len(fc) - 1)
+            * sum(c * c for c in fc) ** (len(ac) - 1))
+
+
+def _multimodular(need: int, n: int, primes, images) -> tuple[int, list]:
+    """(r, s), s of length n, joined by the CRT from their images mod the
+    primes, in symmetric residues: the multimodular loop of
+    resultant_bezout, for any kernel.
+
+    primes is an iterator of distinct primes; images(batch) gives, for a
+    list of them, (r, s) mod each prime in order, or (0, None) for a prime
+    dividing r (a dead prime). need is (2H)^2, H a bound on |r| and every
+    |s_i|. Primes come in batches, each as many as the product of the live
+    primes still needs to pass 2H; a batch that comes short of it for its
+    dead primes is followed by another, and once the dead primes alone
+    pass 2H, r = 0 and NotCoprime is raised.
+    """
     r, s, mod, dead = 0, [0] * n, 1, 1
     while mod * mod <= need:
         batch, prod = [], mod
         while prod * prod <= need:
             batch.append(next(primes))
             prod *= batch[-1]
-        for ell, (rl, sl) in zip(batch, _bezout_images(ac, fc, batch)):
+        for ell, (rl, sl) in zip(batch, images(batch)):
             if sl is None:
                 dead *= ell
                 if dead * dead > need:
@@ -474,8 +511,5 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
             s = [x + mod * ((y - x) * inv % ell) for x, y in zip(s, sl)]
             mod *= ell
     half = mod // 2
-    r = r - mod if r > half else r
-    s = IntPoly([x - mod if x > half else x for x in s])
-    if not divrem(s * a - r, f)[1].is_zero():
-        raise AssertionError("Bezout identity verification failed")
-    return r, s
+    return (r - mod if r > half else r,
+            [x - mod if x > half else x for x in s])

@@ -57,8 +57,10 @@ from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
                          TwoPrime, _as_rows, _divide_columns, _reduce_rows,
                          _times_binomials, _times_cofactor, make_modulus,
                          ring_mul)
-from .errors import BadRange, NotApplicable, SweepTooLarge, ZeroElement
-from .poly import IntPoly, exact_div, resultant_bezout
+from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
+                     ZeroElement)
+from .ntt import ntt_cost, ntt_resultant_bezout, ntt_wins
+from .poly import IntPoly, _hadamard_need, exact_div, resultant_bezout
 
 
 class InverseCase(enum.Enum):
@@ -92,20 +94,36 @@ class ScaledInverse:
 def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     """Scaled inverse of any nonzero element, via resultant and Bezout.
 
-    resultant_bezout gives r = res(a, Phi_M) and an integral s with
-    s*a = r (mod Phi_M). With g = gcd(r, cont(s)), signed like r, u = s/g
+    The pair (r, s), r = res(a, Phi_M) and an integral s with
+    s*a = r (mod Phi_M), comes from one of two kernels, both joined by the
+    CRT up to twice the Hadamard bound 2H (poly._multimodular): the NTT at
+    primes ell = 1 (mod M) (ntt.ntt_resultant_bezout) where ntt.ntt_wins
+    says its cost M sum(radices) is below the EEA's phi^2, and the batched
+    EEA (poly.resultant_bezout) elsewhere, which keeps every prime M. The
+    route is priced first (check_generic_cost) and refused with
+    GenericTooLarge above MAX_GENERIC_COST, before any allocation.
+
+    With g = gcd(r, cont(s)), signed like r, u = s/g
     is the scaled inverse with scale r/g > 0, and that scale is minimal.
     Let c0 be the minimal scale and a*u0 = c0; then gcd(c0, cont(u0)) = 1,
     or dividing both by a common prime would give a smaller scale. In the
     domain Z[x]/Phi_M any integral pair with a*s = r has c0*s = r*u0, so
     c0 | r (c0 divides r*cont(u0) and is prime to cont(u0)), and with
     k = r/c0, s = k*u0. Hence |g| = |k| * gcd(c0, cont(u0)) = |k| and
-    r/g = c0.
+    r/g = c0. The proof needs only a*s = r, which the one ring product
+    a*u = scale checks before u is returned, whichever kernel ran.
     """
     if a.is_zero():
         raise ZeroElement("the zero element has no scaled inverse")
     m = a.modulus
-    r, s = resultant_bezout(a.to_poly(), m.poly)
+    poly = a.to_poly()
+    use_ntt = ntt_wins(m)
+    check_generic_cost(m, _hadamard_need(poly.coeffs, m.poly.coeffs),
+                       use_ntt)
+    if use_ntt:
+        r, s = ntt_resultant_bezout(poly, m)
+    else:
+        r, s = resultant_bezout(poly, m.poly)
     g = math.gcd(r, s.content()) * (1 if r > 0 else -1)
     u = s.scalar_exact_div(g).coeffs
     si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
@@ -114,6 +132,34 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
         raise AssertionError(
             f"generic inverse failed a*u = {si.scale} for M={m.M}")
     return si
+
+
+# Ceiling of generic_cost that generic_scaled_inverse accepts, about 20 s
+# on a 2-core host: the gap (1951, 1691) at the prime M = 2039 (EEA) costs
+# 1.9e9 and takes 10 s, (1951, 1691) at 2057 (NTT) 2.4e8 and 1.5 s; the
+# gap (5, 0) at M = 65537 costs 4.8e12 (its first EEA batch alone would
+# hold 4.4 GB) and is refused.
+MAX_GENERIC_COST = 2 ** 32
+
+
+def generic_cost(m: CycloModulus, bits: int, use_ntt: bool) -> int:
+    """O(1) cost of the generic route at m when 2H has `bits` bits: its
+    k = ceil(bits / 30) primes (each above 2^30) cost the kernel's
+    M sum(radices) (ntt.ntt_cost) or phi^2 each, and the CRT of their
+    phi + 1 residues takes k steps of up to k words each."""
+    k = -(-bits // 30)
+    return k * (ntt_cost(m) if use_ntt else m.phi ** 2) + m.phi * k * k
+
+
+def check_generic_cost(m: CycloModulus, need: int, use_ntt: bool) -> None:
+    """Raise GenericTooLarge when the generic route at m, with need =
+    (2H)^2 (poly._hadamard_need), costs above MAX_GENERIC_COST."""
+    bits = (need.bit_length() + 1) // 2
+    cost = generic_cost(m, bits, use_ntt)
+    if cost > MAX_GENERIC_COST:
+        raise GenericTooLarge(
+            f"generic inverse at M={m.M} needs {bits}-bit CRT images and "
+            f"costs {cost}, above the ceiling {MAX_GENERIC_COST}")
 
 
 def _valuation(n: int, p: int) -> int:

@@ -119,7 +119,7 @@ def _expected_case(m, k):
 # ---------------------------------------------------------------- lemmas
 
 
-def _suite_lemmas(m, rng, trials, long_division):
+def _suite_lemmas(m, rng, trials, long_division, matrix):
     col = _Collector()
     sh = m.shape
 
@@ -207,9 +207,9 @@ def _suite_lemmas(m, rng, trials, long_division):
 # ---------------------------------------------------------------- matrix
 
 
-def _suite_matrix(m, rng, trials, long_division):
+def _suite_matrix(m, rng, trials, long_division, matrix):
     col = _Collector()
-    R = cyclotomic.reduction_matrix(m)
+    R = matrix()
 
     def long_division_agrees():
         # the long-division columns of a block of exponents against the
@@ -284,7 +284,7 @@ def _suite_matrix(m, rng, trials, long_division):
 # ---------------------------------------------------------------- theorems
 
 
-def _suite_theorems(m, rng, trials, long_division):
+def _suite_theorems(m, rng, trials, long_division, matrix):
     col = _Collector()
     sh = m.shape
 
@@ -378,7 +378,7 @@ def _suite_theorems(m, rng, trials, long_division):
 # ---------------------------------------------------------------- expansion
 
 
-def _suite_expansion(m, rng, trials, long_division):
+def _suite_expansion(m, rng, trials, long_division, matrix):
     col = _Collector()
     # one sweep over k, shared by three checks; a sweep that raises fails
     # each of them by name
@@ -393,7 +393,9 @@ def _suite_expansion(m, rng, trials, long_division):
     col.run("factor_closed_form", closed_form)
 
     def witness_attains():
-        factor, _ = expansion.monomial_expansion_factor(report().witness_k, m)
+        k = report().witness_k
+        factor, _ = expansion._factor_and_witness(
+            k, m, expansion._window(matrix().entries, k, m))
         return factor == report().max_factor
 
     col.run("witness_attains_max", witness_attains)
@@ -403,8 +405,8 @@ def _suite_expansion(m, rng, trials, long_division):
         ks.add(report().witness_k)
         per_k = max(1, trials // len(ks))
         seed = int(rng.integers(0, 2 ** 31))
-        return all(expansion.randomized_expansion_check(k, m, per_k, seed)
-                   for k in ks)
+        return all(expansion.randomized_expansion_check(
+            k, m, per_k, seed, matrix().entries) for k in ks)
 
     col.run("randomized_never_exceeds", randomized)
 
@@ -413,7 +415,7 @@ def _suite_expansion(m, rng, trials, long_division):
             rad = make_modulus(m.radical)
             # each reduction matrix is built once, not once per k
             r_rad = cyclotomic.reduction_matrix(rad).entries
-            r_m = cyclotomic.reduction_matrix(m).entries
+            r_m = matrix().entries
             for k in range(rad.M):
                 km = k * m.inflation
                 fr, _ = expansion._factor_and_witness(
@@ -471,9 +473,11 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
     # kronecker_factorization and the matrix suite's column check
     long_division = functools.cache(
         lambda: cyclotomic.long_division_rows(m))
+    # R_M, shared by the matrix suite and the expansion suite's checks
+    matrix = functools.cache(lambda: cyclotomic.reduction_matrix(m))
     suites = []
     for name in names:
         t0 = time.perf_counter()
-        checks = _SUITES[name](m, rng, trials, long_division)
+        checks = _SUITES[name](m, rng, trials, long_division, matrix)
         suites.append(SuiteResult(name, tuple(checks), time.perf_counter() - t0))
     return VerifyReport(M, seed, trials, tuple(suites))

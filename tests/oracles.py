@@ -9,7 +9,9 @@ reduction of whole rows by the library's former row-major divide,
 polynomial products from the schoolbook double loop, constructive
 inverses from the paper's formulas by long division, and the resultant
 with its Bezout cofactor from the extended Euclidean algorithm over Q, or
-over F_ell one prime at a time (the library's former scalar images).
+over F_ell one prime at a time (the library's former scalar images), and
+the randomized expansion products x^k g as the integer matmul of a window
+of R_M (the library's former route).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
                                   _as_rows, _reduce_rows, make_modulus,
-                                  reduce)
+                                  reduce, reduction_matrix)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
@@ -443,3 +445,20 @@ def bezout_image(a: tuple[int, ...], f: tuple[int, ...], ell: int):
     r = acc * pow(c, len(r0) - 1, ell) * (-1) ** ((len(a) - 1) * n) % ell
     t = r * pow(c, -1, ell) % ell
     return r, [x * t % ell for x in s1] + [0] * (n - len(s1))
+
+
+def randomized_expansion_matmul(k: int, m: CycloModulus, trials: int,
+                                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random g of expansion.randomized_expansion_check for (trials,
+    seed), zero rows dropped, and their products x^k g as the integer
+    matmul of the window of R_M (columns k .. k + phi - 1 mod M) with
+    them: the library's former route. Returns (gs, products), row t of
+    products the coefficients of x^k gs[t] mod Phi_M."""
+    k %= m.M
+    win = reduction_matrix(m).entries[:, (k + np.arange(m.phi)) % m.M]
+    rng = np.random.default_rng(seed)
+    half = trials // 2
+    gs = rng.integers(-1, 2, size=(trials, m.phi))
+    gs[half:] = rng.integers(-10, 11, size=(trials - half, m.phi))
+    gs = gs[np.abs(gs).max(axis=1) > 0]
+    return gs, (win.astype(np.int64) @ gs.T).T

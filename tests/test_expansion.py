@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from cycloring import (element, make_modulus, max_expansion_factor,
+from cycloring import (element, expansion, make_modulus, max_expansion_factor,
                        monomial_expansion_factor, monomial_reduce,
-                       randomized_expansion_check, ring_mul)
+                       randomized_expansion_check, reduction_matrix, ring_mul)
+from oracles import randomized_expansion_matmul
 
 
 class TestPerExponentFactor:
@@ -117,6 +119,31 @@ class TestRandomizedOracle:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             randomized_expansion_check(1, make_modulus(9), 0)
+
+    @pytest.mark.parametrize("M,k,trials,seed", [
+        (9, 6, 1000, 1729), (15, 0, 200, 7), (21, 11, 500, 99),
+        (35, 34, 300, 1729), (63, 40, 200, 3), (121, 5, 100, 11),
+        (1024, 700, 20, 1729)])
+    def test_products_match_matmul_oracle(self, M, k, trials, seed,
+                                          monkeypatch):
+        """One batched reduction gives the R_M-window matmul's products
+        for the same random g, and the same verdict."""
+        m = make_modulus(M)
+        gs, want = randomized_expansion_matmul(k, m, trials, seed)
+        assert np.array_equal(expansion._shifted_products(k, m, gs), want)
+        seen = []
+        real = expansion._shifted_products
+        monkeypatch.setattr(expansion, "_shifted_products",
+                            lambda k, m, g: seen.append(g) or real(k, m, g))
+        assert randomized_expansion_check(k, m, trials, seed) is True
+        assert np.array_equal(seen[0], gs)
+
+    def test_given_entries_are_used(self, monkeypatch):
+        """With R_M's entries given, no R_M is built."""
+        m = make_modulus(63)
+        entries = reduction_matrix(m).entries
+        monkeypatch.setattr(expansion, "reduction_matrix", None)
+        assert randomized_expansion_check(40, m, 100, 5, entries) is True
 
     def test_deterministic_given_seed(self):
         m = make_modulus(21)

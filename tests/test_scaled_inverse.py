@@ -38,6 +38,25 @@ def one(m):
     return element(m, (1,) + (0,) * (m.phi - 1))
 
 
+# the generic route's kernels, by the name scaled_inverse calls each by
+KERNELS = {"ntt": "ntt_resultant_bezout", "eea": "resultant_bezout"}
+
+
+def route_through(mp, kernel, wrap):
+    """Make the generic route take `kernel` (a key of KERNELS) and return
+    wrap(r, s) of the pair it gives; returns the list of its calls."""
+    mp.setattr(scaled_inverse, "ntt_wins", lambda m: kernel == "ntt")
+    name = KERNELS[kernel]
+    real, calls = getattr(scaled_inverse, name), []
+
+    def wrapped(*args):
+        calls.append(args)
+        return wrap(*real(*args))
+
+    mp.setattr(scaled_inverse, name, wrapped)
+    return calls
+
+
 class TestGeneric:
     def test_worked_example_m4(self):
         m = make_modulus(4)
@@ -72,19 +91,17 @@ class TestGeneric:
         assert prod.coeffs == (si.scale,) + (0,) * (m.phi - 1)
 
     def test_wrong_bezout_pair_is_caught(self, monkeypatch):
-        # s + 1 is no Bezout partner, so the product check must fail
-        real = scaled_inverse.resultant_bezout
-
-        def wrong_s(a, f):
-            r, s = real(a, f)
-            return r, s + 1
-
-        monkeypatch.setattr(scaled_inverse, "resultant_bezout", wrong_s)
+        # s + 1 is no Bezout partner, so the product check must fail,
+        # whichever kernel gives the pair
         m = make_modulus(21)
         a = element(m, (3, -1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 5))
-        with pytest.raises(AssertionError,
-                           match=r"^generic inverse failed a\*u = \d+ for M=21$"):
-            generic_scaled_inverse(a)
+        for kernel in KERNELS:
+            with monkeypatch.context() as mp:
+                calls = route_through(mp, kernel, lambda r, s: (r, s + 1))
+                with pytest.raises(AssertionError, match=r"^generic inverse "
+                                   r"failed a\*u = \d+ for M=21$"):
+                    generic_scaled_inverse(a)
+                assert len(calls) == 1, kernel
 
 
 def fraction_scaled_inverse(a):
@@ -134,15 +151,13 @@ class TestScaleInvariance:
         elements = [monomial_diff(5, 4, m), monomial_diff(7, 0, m),
                     element(m, [rng.randint(-5, 5) for _ in range(m.phi)])]
         want = [generic_scaled_inverse(a) for a in elements]
-        pair = scaled_inverse.resultant_bezout
-
-        def scaled_pair(a, f):
-            r, s = pair(a, f)
-            return k * r, s * k
-
-        monkeypatch.setattr(scaled_inverse, "resultant_bezout", scaled_pair)
-        for a, si in zip(elements, want):
-            assert generic_scaled_inverse(a) == si
+        for kernel in KERNELS:
+            with monkeypatch.context() as mp:
+                calls = route_through(mp, kernel,
+                                      lambda r, s: (k * r, s * k))
+                for a, si in zip(elements, want):
+                    assert generic_scaled_inverse(a) == si, kernel
+                assert len(calls) == len(elements), kernel
 
 
 class TestPrimePower:
