@@ -11,15 +11,17 @@ from .cyclotomic import (MAX_MATRIX_CELLS, MAX_MODULUS, BlockRanges,
                          RingElement, TwoPrime, element, kron_check,
                          make_modulus, monomial_diff, monomial_reduce, reduce,
                          reduction_matrix, ring_mul)
-from .errors import (BadRange, CycloringError, InexactDivision, MatrixTooLarge,
-                     ModulusMismatch, ModulusTooLarge, NotApplicable,
-                     NotCoprime, OutOfRange, PatternViolation, SweepTooLarge,
-                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
+from .errors import (BadRange, CycloringError, GenericTooLarge,
+                     InexactDivision, MatrixTooLarge, ModulusMismatch,
+                     ModulusTooLarge, NotApplicable, NotCoprime, OutOfRange,
+                     PatternViolation, SweepTooLarge, UnsupportedModulus,
+                     ZeroElement, ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
 from .poly import IntPoly, divrem, exact_div, resultant_bezout
-from .scaled_inverse import (MAX_SWEEP_COST, InverseCase, NormProfile,
-                             ProfileRow, ScaledInverse, alternative_coprime_form,
+from .scaled_inverse import (MAX_GENERIC_COST, MAX_SWEEP_COST, InverseCase,
+                             NormProfile, ProfileRow, ScaledInverse,
+                             alternative_coprime_form,
                              construct_scaled_inverse, generic_scaled_inverse,
                              norm_profile)
 from .structure import (DiophantineTable, PatternClass, band_form,

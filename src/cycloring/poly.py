@@ -18,7 +18,11 @@ by the CRT up to the Hadamard bound and certified by one exact division
 (resultant_bezout). The EEA runs over a whole batch of primes at once on
 int64 rows: every entry stays below 2^31, so every product of two is
 below 2^62 (_bezout_images). It is the only EEA: a prime whose remainders
-leave the batch's degree sequence is re-run in a batch of its own.
+leave the batch's degree sequence is re-run in a batch of its own. The
+multimodular loop (_multimodular: batches of primes, dead primes, the CRT
+and the stop at twice the Hadamard bound) takes its images from any
+kernel; the generic scaled inverse also runs it on the NTT's images
+(ntt), with resultant_bezout as their differential reference.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.

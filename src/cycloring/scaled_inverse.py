@@ -3,7 +3,11 @@
 Two routes are provided. The generic route works for any nonzero ring
 element: it takes the integral resultant/Bezout pair (r, s), computed mod
 31-bit primes and joined by the CRT, and divides out gcd(r, cont(s)), which
-provably yields the inverse with the minimal positive scale. The
+provably yields the inverse with the minimal positive scale. The images
+come from the NTT at primes = 1 (mod M) (ntt) or, where that costs more
+(every prime M), from the batched EEA (poly.resultant_bezout); a route
+whose cost is above MAX_GENERIC_COST is refused (GenericTooLarge) before
+any work. The
 constructive route covers a = x^i - x^j only. With k = i - j it returns
 u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where N, c,
 d, the scale and the guaranteed coefficient bound come from the paper's
@@ -136,7 +140,7 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
 
 # Ceiling of generic_cost that generic_scaled_inverse accepts, about 20 s
 # on a 2-core host: the gap (1951, 1691) at the prime M = 2039 (EEA) costs
-# 1.9e9 and takes 10 s, (1951, 1691) at 2057 (NTT) 2.4e8 and 1.5 s; the
+# 1.9e9 and takes 10 s, (1951, 1691) at 2057 (NTT) 2.4e8 and 1.3 s; the
 # gap (5, 0) at M = 65537 costs 4.8e12 (its first EEA batch alone would
 # hold 4.4 GB) and is refused.
 MAX_GENERIC_COST = 2 ** 32

@@ -203,10 +203,13 @@ def _refuse_work(monkeypatch):
 
 
 class TestGenericCeiling:
-    def test_refused_before_allocating(self, monkeypatch):
+    @pytest.mark.parametrize("M", [65537, 65536])
+    def test_refused_before_allocating(self, M, monkeypatch):
+        """The gap (5, 0) at the prime 65537 (EEA) and at 2^16 (NTT)."""
         _refuse_work(monkeypatch)
-        m = make_modulus(65537)
-        with pytest.raises(GenericTooLarge, match="M=65537"):
+        m = make_modulus(M)
+        assert ntt_wins(m) is (M == 65536)
+        with pytest.raises(GenericTooLarge, match=f"M={M}"):
             generic_scaled_inverse(monomial_diff(5, 0, m))
 
     @pytest.mark.parametrize("method", ["bezout", "both"])
