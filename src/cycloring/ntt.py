@@ -1,4 +1,4 @@
-"""The generic route's pair (r, s) mod primes ell = 1 (mod M), by the NTT.
+"""The generic route's images (r, s) mod primes ell = 1 (mod M), by the NTT.
 
 At a prime ell = 1 (mod M) with a primitive M-th root w, Phi_M splits
 over F_ell into the factors x - w^e, e a unit mod M. So for a of degree
@@ -24,10 +24,11 @@ the generic route keeps where it is cheaper (ntt_wins). Every row is a
 (k, M) int64 row block, one row per prime of the batch, entries reduced
 below ell < 2^31; _mulmod gives the int64 bound of each stage.
 
-The primes count down from 2^31, ell = 1 (mod M) and ell > 2^30, so each
-carries at least 30 bits (root_primes); their supply runs out for large
-phi, which the generic route prices before it starts (see
-scaled_inverse.check_generic_cost).
+The primes are poly.root_primes(M), ell = 1 (mod M) between 2^30 and
+2^31. The generic route (scaled_inverse.generic_scaled_inverse) supplies
+them, skips those dividing lc(a) as it does for the EEA, joins the images
+by the CRT (poly._multimodular) and certifies the inverse; it prices the
+work before it starts (scaled_inverse.check_generic_cost).
 """
 from __future__ import annotations
 
@@ -37,13 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import CycloModulus, PrimePower, _reduce_rows, make_modulus
-from .errors import GenericTooLarge
-from .poly import (IntPoly, _hadamard_need, _is_prime, _multimodular,
-                   _residues)
-
-# primes of root_primes: 2^30 < ell < 2^31, so each image carries 30 bits
-_PRIME_FLOOR = 2 ** 30
-_PRIME_BLOCK = 32
+from .poly import _residues
 
 # Largest radix of one stage: prime factors are grouped, smallest first,
 # while their product stays at most this. A stage costs about as much in
@@ -86,37 +81,6 @@ def _radices(m: CycloModulus) -> tuple[int, ...]:
 def ntt_cost(m: CycloModulus) -> int:
     """M sum(radices): the multiply-adds per prime of one transform."""
     return m.M * sum(_radices(m))
-
-
-@lru_cache(maxsize=256)
-def _root_prime_block(M: int, b: int) -> tuple[int, ...]:
-    """The primes ell = 1 (mod M) with _PRIME_FLOOR < ell < 2^31 of index
-    b _PRIME_BLOCK .. (b + 1) _PRIME_BLOCK - 1, counting down from 2^31;
-    fewer, or none, where the supply runs out. Blocks are asked for in
-    order, so each call recurses at most one level."""
-    if b == 0:
-        n = (2 ** 31 - 2) // M * M + 1
-    else:
-        prev = _root_prime_block(M, b - 1)
-        if len(prev) < _PRIME_BLOCK:
-            return ()
-        n = prev[-1] - M
-    out = []
-    while len(out) < _PRIME_BLOCK and n > _PRIME_FLOOR:
-        if _is_prime(n):
-            out.append(n)
-        n -= M
-    return tuple(out)
-
-
-def root_primes(M: int):
-    """The primes ell = 1 (mod M) counting down from 2^31, above 2^30; the
-    iterator ends where that supply does."""
-    for b in itertools.count():
-        block = _root_prime_block(M, b)
-        yield from block
-        if len(block) < _PRIME_BLOCK:
-            return
 
 
 @lru_cache(maxsize=2 ** 12)
@@ -286,41 +250,16 @@ def _all_but_one(vals: np.ndarray, P: np.ndarray):
     return prod, out[:, :n]
 
 
-# Weight of the NTT's cost M sum(radices) per prime against the EEA's
-# phi^2: the generic route takes the NTT when _NTT_WEIGHT ntt_cost(m) <
-# phi^2 (ntt_wins). Measured on a 2-core x86 host (numpy 2.4), dense
-# elements, 100 primes: the EEA's time over the NTT's was 55.7 at M = 2057
-# (phi^2 / ntt_cost 38.6), 34 at 1147 (15.0), 14 at 1024 (7.1), 3.2 at 2045
-# (3.2), 1.5 at 1011 (1.3) and 2.9 at 35 (1.4), but 0.56 at 1018 (0.50)
-# and, at a prime M (one radix M, ratio just below 1), 1.16 at 101, 0.68 at
-# 257, 0.49 at 509 and 0.37 at 1021. So the NTT wins about where its cost
-# is the smaller, the EEA keeps every prime M, and the weight is 1.
-_NTT_WEIGHT = 1
-
-
+# The NTT's cost M sum(radices) per prime against the EEA's phi^2, compared
+# unweighted. Measured on a 2-core x86 host (numpy 2.4), dense elements, 100
+# primes: the EEA's time over the NTT's was 55.7 at M = 2057 (phi^2 /
+# ntt_cost 38.6), 34 at 1147 (15.0), 14 at 1024 (7.1), 3.2 at 2045 (3.2),
+# 1.5 at 1011 (1.3) and 2.9 at 35 (1.4), but 0.56 at 1018 (0.50) and, at a
+# prime M (one radix M, ratio just below 1), 1.16 at 101, 0.68 at 257, 0.49
+# at 509 and 0.37 at 1021. So the NTT wins about where its cost is the
+# smaller, and the EEA keeps every prime M.
 def ntt_wins(m: CycloModulus) -> bool:
     """Whether the generic route takes the NTT kernel at m: its cost
-    M sum(radices), weighted by _NTT_WEIGHT, below the EEA's phi^2, and
-    every radix below 2^15 (_mulmod's int64 bound)."""
-    return (max(_radices(m)) < 2 ** 15
-            and _NTT_WEIGHT * ntt_cost(m) < m.phi ** 2)
-
-
-def _supply(m: CycloModulus):
-    """root_primes(M), then GenericTooLarge where the supply ends."""
-    yield from root_primes(m.M)
-    raise GenericTooLarge(
-        f"the primes ell = 1 (mod {m.M}) between 2^30 and 2^31 run out "
-        f"before their product passes twice the Hadamard bound")
-
-
-def ntt_resultant_bezout(a: IntPoly, m: CycloModulus) -> tuple[int, IntPoly]:
-    """(r, s) = resultant_bezout(a, Phi_M) for a nonzero a of degree below
-    phi, from ntt_images at root_primes(M), joined by the same
-    multimodular loop (poly._multimodular). Not certified here: the
-    generic route checks a u = scale by one ring product. Raises
-    GenericTooLarge when the primes run out before 2H."""
-    ac = a.coeffs
-    r, s = _multimodular(_hadamard_need(ac, m.poly.coeffs), m.phi,
-                         _supply(m), lambda batch: ntt_images(ac, m, batch))
-    return r, IntPoly(s)
+    M sum(radices) (ntt_cost) below the EEA's phi^2, and every radix below
+    2^15 (_mulmod's int64 bound)."""
+    return max(_radices(m)) < 2 ** 15 and ntt_cost(m) < m.phi ** 2

@@ -13,16 +13,19 @@ bound on the product coefficients, so the result is exact at any
 precision. Digits of at most 8 bytes are packed and unpacked as byte views
 of int64 rows; wider ones one Python int at a time.
 
-The resultant and Bezout cofactor are computed mod 31-bit primes, joined
-by the CRT up to the Hadamard bound and certified by one exact division
-(resultant_bezout). The EEA runs over a whole batch of primes at once on
-int64 rows: every entry stays below 2^31, so every product of two is
-below 2^62 (_bezout_images). It is the only EEA: a prime whose remainders
-leave the batch's degree sequence is re-run in a batch of its own. The
-multimodular loop (_multimodular: batches of primes, dead primes, the CRT
-and the stop at twice the Hadamard bound) takes its images from any
-kernel; the generic scaled inverse also runs it on the NTT's images
-(ntt), with resultant_bezout as their differential reference.
+The resultant and Bezout cofactor are computed mod 31-bit primes and
+joined by the CRT up to twice the Hadamard bound (_multimodular: batches
+of primes, dead primes, the CRT and the stop). The loop takes its primes
+from root_primes(M), the primes ell = 1 (mod M) counting down from 2^31,
+and its images from a kernel: here the batched EEA (_bezout_images), which
+runs over a whole batch of primes at once on int64 rows, every entry below
+2^31 and so every product of two below 2^62. It is the only EEA: a prime
+whose remainders leave the batch's degree sequence is re-run in a batch of
+its own. resultant_bezout runs the loop at root_primes(1), every prime
+between 2^30 and 2^31, and certifies its pair by one exact division; the
+generic scaled inverse (scaled_inverse.generic_scaled_inverse) runs it at
+root_primes(M) on the images of this EEA or of the NTT (ntt), and
+certifies its inverse by one ring product.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
@@ -307,7 +310,6 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
-_TOP_PRIME = 2 ** 31 - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -331,17 +333,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _prime(k: int) -> int:
-    """The k-th prime counting down from 2^31 - 1 (_prime(0) = 2^31 - 1).
+# the primes of root_primes: 2^30 < ell < 2^31, so each image carries at
+# least 30 bits and every product of two residues is below 2^62
+_PRIME_FLOOR = 2 ** 30
+_PRIME_BLOCK = 32
 
-    Called with k = 0, 1, 2, ... in order, so each call recurses one level.
-    The cache holds one int per prime ever needed, about log2(H)/31 of them.
-    """
-    n = _prime(k - 1) - 2 if k else _TOP_PRIME
-    while not _is_prime(n):
-        n -= 2
-    return n
+
+@functools.lru_cache(maxsize=256)
+def _root_prime_block(M: int, b: int) -> tuple[int, ...]:
+    """The primes ell = 1 (mod M) with _PRIME_FLOOR < ell < 2^31 of index
+    b _PRIME_BLOCK .. (b + 1) _PRIME_BLOCK - 1, counting down from 2^31;
+    fewer, or none, where the supply runs out. Blocks are asked for in
+    order, so each call recurses at most one level."""
+    if b == 0:
+        n = (2 ** 31 - 2) // M * M + 1
+    else:
+        prev = _root_prime_block(M, b - 1)
+        if len(prev) < _PRIME_BLOCK:
+            return ()
+        n = prev[-1] - M
+    out = []
+    while len(out) < _PRIME_BLOCK and n > _PRIME_FLOOR:
+        if _is_prime(n):
+            out.append(n)
+        n -= M
+    return tuple(out)
+
+
+def root_primes(M: int):
+    """The primes ell = 1 (mod M) counting down from 2^31, above 2^30; the
+    iterator ends where that supply does. root_primes(1) is every prime
+    between 2^30 and 2^31, from 2^31 - 1 down: about 4.8 10^7 of them."""
+    for b in itertools.count():
+        block = _root_prime_block(M, b)
+        yield from block
+        if len(block) < _PRIME_BLOCK:
+            return
 
 
 def _residues(coeffs, P: np.ndarray) -> np.ndarray:
@@ -456,7 +483,7 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     skipped, and a batch that comes short of 2H for them is followed by
     another; once the skipped primes alone pass 2H, r = 0 and NotCoprime is
     raised (_multimodular). The result is certified by one exact division
-    of s*a - r by f.
+    of s*a - r by f. The primes are those of root_primes(1).
     """
     if a.is_zero():
         raise NotCoprime("a vanishes mod f, no Bezout relation exists")
@@ -466,7 +493,7 @@ def resultant_bezout(a: IntPoly, f: IntPoly) -> tuple[int, IntPoly]:
     lead = ac[-1] * fc[-1]
     r, s = _multimodular(
         _hadamard_need(ac, fc), len(fc) - 1,
-        (ell for ell in map(_prime, itertools.count()) if lead % ell),
+        (ell for ell in root_primes(1) if lead % ell),
         lambda batch: _bezout_images(ac, fc, batch))
     s = IntPoly(s)
     if not divrem(s * a - r, f)[1].is_zero():
@@ -484,8 +511,8 @@ def _hadamard_need(ac: tuple[int, ...], fc: tuple[int, ...]) -> int:
 
 def _multimodular(need: int, n: int, primes, images) -> tuple[int, list]:
     """(r, s), s of length n, joined by the CRT from their images mod the
-    primes, in symmetric residues: the multimodular loop of
-    resultant_bezout, for any kernel.
+    primes, in symmetric residues: the one multimodular loop, for any
+    kernel (resultant_bezout's and the generic scaled inverse's).
 
     primes is an iterator of distinct primes; images(batch) gives, for a
     list of them, (r, s) mod each prime in order, or (0, None) for a prime
@@ -493,7 +520,7 @@ def _multimodular(need: int, n: int, primes, images) -> tuple[int, list]:
     |s_i|. Primes come in batches, each as many as the product of the live
     primes still needs to pass 2H; a batch that comes short of it for its
     dead primes is followed by another, and once the dead primes alone
-    pass 2H, r = 0 and NotCoprime is raised.
+    pass 2H, r = 0 and NotCoprime is raised. Nothing is certified here.
     """
     r, s, mod, dead = 0, [0] * n, 1, 1
     while mod * mod <= need:

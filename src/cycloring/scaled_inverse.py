@@ -2,12 +2,12 @@
 
 Two routes are provided. The generic route works for any nonzero ring
 element: it takes the integral resultant/Bezout pair (r, s), computed mod
-31-bit primes and joined by the CRT, and divides out gcd(r, cont(s)), which
-provably yields the inverse with the minimal positive scale. The images
-come from the NTT at primes = 1 (mod M) (ntt) or, where that costs more
-(every prime M), from the batched EEA (poly.resultant_bezout); a route
-whose cost is above MAX_GENERIC_COST is refused (GenericTooLarge) before
-any work. The
+31-bit primes = 1 (mod M) and joined by the CRT, and divides out
+gcd(r, cont(s)), which provably yields the inverse with the minimal
+positive scale. The images at each prime come from the NTT (ntt) or, where
+that costs more (every prime M), from the batched EEA (poly); one ring
+product certifies the result for both. A route whose cost is above
+MAX_GENERIC_COST is refused (GenericTooLarge) before any work. The
 constructive route covers a = x^i - x^j only. With k = i - j it returns
 u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where N, c,
 d, the scale and the guaranteed coefficient bound come from the paper's
@@ -63,8 +63,9 @@ from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
                          ring_mul)
 from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
                      ZeroElement)
-from .ntt import ntt_cost, ntt_resultant_bezout, ntt_wins
-from .poly import IntPoly, _hadamard_need, exact_div, resultant_bezout
+from .ntt import ntt_cost, ntt_images, ntt_wins
+from .poly import (IntPoly, _bezout_images, _hadamard_need, _multimodular,
+                   exact_div, root_primes)
 
 
 class InverseCase(enum.Enum):
@@ -99,43 +100,59 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
     """Scaled inverse of any nonzero element, via resultant and Bezout.
 
     The pair (r, s), r = res(a, Phi_M) and an integral s with
-    s*a = r (mod Phi_M), comes from one of two kernels, both joined by the
-    CRT up to twice the Hadamard bound 2H (poly._multimodular): the NTT at
-    primes ell = 1 (mod M) (ntt.ntt_resultant_bezout) where ntt.ntt_wins
-    says its cost M sum(radices) is below the EEA's phi^2, and the batched
-    EEA (poly.resultant_bezout) elsewhere, which keeps every prime M. The
-    route is priced first (check_generic_cost) and refused with
-    GenericTooLarge above MAX_GENERIC_COST, before any allocation.
+    s*a = r (mod Phi_M), is joined by the CRT up to twice the Hadamard
+    bound 2H (poly._multimodular) from its images mod the primes
+    ell = 1 (mod M) of poly.root_primes(M), skipping those that divide
+    lc(a) (the EEA needs lc(a) to be a unit mod ell; the NTT does not, but
+    one supply serves both). The images come from one of two kernels,
+    whichever ntt.ntt_wins picks: the NTT (ntt.ntt_images) where its cost
+    M sum(radices) is below the EEA's phi^2, and the batched EEA
+    (poly._bezout_images) elsewhere, which keeps every prime M. The route
+    is priced first (check_generic_cost) and refused with GenericTooLarge
+    above MAX_GENERIC_COST, before any allocation, and when the primes run
+    out before their product passes 2H.
 
-    With g = gcd(r, cont(s)), signed like r, u = s/g
-    is the scaled inverse with scale r/g > 0, and that scale is minimal.
-    Let c0 be the minimal scale and a*u0 = c0; then gcd(c0, cont(u0)) = 1,
-    or dividing both by a common prime would give a smaller scale. In the
-    domain Z[x]/Phi_M any integral pair with a*s = r has c0*s = r*u0, so
-    c0 | r (c0 divides r*cont(u0) and is prime to cont(u0)), and with
-    k = r/c0, s = k*u0. Hence |g| = |k| * gcd(c0, cont(u0)) = |k| and
-    r/g = c0. The proof needs only a*s = r, which the one ring product
-    a*u = scale checks before u is returned, whichever kernel ran.
+    With g = gcd(r, cont(s)), signed like r, u = s/g is the scaled inverse
+    with scale r/g > 0, and that scale is minimal. Let c0 be the minimal
+    scale and a*u0 = c0; then gcd(c0, cont(u0)) = 1, or dividing both by a
+    common prime would give a smaller scale. In the domain Z[x]/Phi_M any
+    integral pair with a*s = r, r != 0, has c0*s = r*u0, so c0 | r (c0
+    divides r*cont(u0) and is prime to cont(u0)), and with k = r/c0,
+    s = k*u0. Hence |g| = |k| * gcd(c0, cont(u0)) = |k| and r/g = c0.
+
+    One exact ring product certifies the result, whichever kernel ran and
+    whatever pair the CRT gave: g divides r and every s_i, so a*u = scale
+    with scale > 0 is a*s = r with r != 0 (multiply by g), which is all the
+    proof above needs. So u is a true scaled inverse and its scale the
+    minimal one, with no check of (r, s) itself; a wrong image, a
+    mis-joined CRT or too few primes fail that one product.
     """
     if a.is_zero():
         raise ZeroElement("the zero element has no scaled inverse")
     m = a.modulus
-    poly = a.to_poly()
-    use_ntt = ntt_wins(m)
-    check_generic_cost(m, _hadamard_need(poly.coeffs, m.poly.coeffs),
-                       use_ntt)
-    if use_ntt:
-        r, s = ntt_resultant_bezout(poly, m)
-    else:
-        r, s = resultant_bezout(poly, m.poly)
-    g = math.gcd(r, s.content()) * (1 if r > 0 else -1)
-    u = s.scalar_exact_div(g).coeffs
-    si = ScaledInverse(RingElement(m, u + (0,) * (m.phi - len(u))), r // g,
+    ac, fc = a.to_poly().coeffs, m.poly.coeffs
+    need = _hadamard_need(ac, fc)
+    check_generic_cost(m, need)
+    images = ((lambda batch: ntt_images(ac, m, batch)) if ntt_wins(m)
+              else (lambda batch: _bezout_images(ac, fc, batch)))
+    r, s = _multimodular(need, m.phi, _route_primes(m, ac[-1]), images)
+    g = (math.gcd(r, *s) or 1) * (1 if r > 0 else -1)
+    si = ScaledInverse(RingElement(m, tuple(x // g for x in s)), r // g,
                        None, InverseCase.GENERIC)
-    if ring_mul(a, si.u).coeffs != (si.scale,) + (0,) * (m.phi - 1):
+    if si.scale < 1 or ring_mul(a, si.u).coeffs != (
+            (si.scale,) + (0,) * (m.phi - 1)):
         raise AssertionError(
             f"generic inverse failed a*u = {si.scale} for M={m.M}")
     return si
+
+
+def _route_primes(m: CycloModulus, lead: int):
+    """root_primes(M) without the primes dividing lead = lc(a), then
+    GenericTooLarge where the supply ends."""
+    yield from (ell for ell in root_primes(m.M) if lead % ell)
+    raise GenericTooLarge(
+        f"the primes ell = 1 (mod {m.M}) between 2^30 and 2^31 run out "
+        f"before their product passes twice the Hadamard bound")
 
 
 # Ceiling of generic_cost that generic_scaled_inverse accepts, about 20 s
@@ -146,20 +163,21 @@ def generic_scaled_inverse(a: RingElement) -> ScaledInverse:
 MAX_GENERIC_COST = 2 ** 32
 
 
-def generic_cost(m: CycloModulus, bits: int, use_ntt: bool) -> int:
+def generic_cost(m: CycloModulus, bits: int) -> int:
     """O(1) cost of the generic route at m when 2H has `bits` bits: its
-    k = ceil(bits / 30) primes (each above 2^30) cost the kernel's
-    M sum(radices) (ntt.ntt_cost) or phi^2 each, and the CRT of their
-    phi + 1 residues takes k steps of up to k words each."""
+    k = ceil(bits / 30) primes (each above 2^30) cost the kernel that
+    ntt.ntt_wins picks, M sum(radices) (ntt.ntt_cost) or phi^2 each, and
+    the CRT of their phi + 1 residues takes k steps of up to k words
+    each."""
     k = -(-bits // 30)
-    return k * (ntt_cost(m) if use_ntt else m.phi ** 2) + m.phi * k * k
+    return k * (ntt_cost(m) if ntt_wins(m) else m.phi ** 2) + m.phi * k * k
 
 
-def check_generic_cost(m: CycloModulus, need: int, use_ntt: bool) -> None:
+def check_generic_cost(m: CycloModulus, need: int) -> None:
     """Raise GenericTooLarge when the generic route at m, with need =
     (2H)^2 (poly._hadamard_need), costs above MAX_GENERIC_COST."""
     bits = (need.bit_length() + 1) // 2
-    cost = generic_cost(m, bits, use_ntt)
+    cost = generic_cost(m, bits)
     if cost > MAX_GENERIC_COST:
         raise GenericTooLarge(
             f"generic inverse at M={m.M} needs {bits}-bit CRT images and "

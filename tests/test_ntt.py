@@ -1,7 +1,7 @@
 """The generic route's NTT kernel (cycloring.ntt) against the batched EEA
-(poly.resultant_bezout and its images), its int64 bounds, its prime
-supply, the choice between the two kernels, and the generic route's cost
-ceiling."""
+(poly.resultant_bezout and its images), its int64 bounds, the prime
+supply (poly.root_primes), the choice between the two kernels, and the
+generic route's cost ceiling."""
 import itertools
 import random
 
@@ -13,9 +13,9 @@ from cycloring import (construct_scaled_inverse, element,
                        ntt, poly, resultant_bezout, scaled_inverse)
 from cycloring.cli import main
 from cycloring.errors import GenericTooLarge, UnsupportedModulus
-from cycloring.ntt import (ntt_images, ntt_resultant_bezout, ntt_wins,
-                           root_primes)
-from cycloring.poly import _bezout_images, _hadamard_need
+from cycloring.ntt import ntt_images, ntt_wins
+from cycloring.poly import (IntPoly, _bezout_images, _hadamard_need,
+                            _multimodular, root_primes)
 from oracles import bezout_image
 
 
@@ -32,6 +32,16 @@ def supported(lo, hi):
 
 def top_primes(M, k):
     return list(itertools.islice(root_primes(M), k))
+
+
+def ntt_pair(a, m):
+    """(r, s) of a from ntt_images at root_primes(M), joined by the
+    multimodular loop: the generic route's NTT pair, uncertified."""
+    ac = a.coeffs
+    r, s = _multimodular(_hadamard_need(ac, m.poly.coeffs), m.phi,
+                         root_primes(m.M),
+                         lambda batch: ntt_images(ac, m, batch))
+    return r, IntPoly(s)
 
 
 def dense(m, rng):
@@ -58,7 +68,7 @@ class TestAgainstEEA:
         for _ in range(3):
             a = dense(m, rng)
             if a:
-                assert ntt_resultant_bezout(a, m) == resultant_bezout(a, m.poly)
+                assert ntt_pair(a, m) == resultant_bezout(a, m.poly)
 
     @pytest.mark.parametrize("M", [1024, 1147, 2057, 2187])
     def test_seeded_gap_pairs(self, M):
@@ -151,10 +161,11 @@ def test_dead_prime_is_skipped(monkeypatch):
     assert resultant_bezout(a.to_poly(), m.poly)[0] == 71 * 122921
     assert ntt_images((-2, 1), m, [71, top_primes(35, 1)[0]])[0] == (0, None)
     want = generic_scaled_inverse(a)
-    real_primes, real_images, batches = ntt.root_primes, ntt.ntt_images, []
-    monkeypatch.setattr(ntt, "root_primes",
+    real_primes = scaled_inverse.root_primes
+    real_images, batches = scaled_inverse.ntt_images, []
+    monkeypatch.setattr(scaled_inverse, "root_primes",
                         lambda M: itertools.chain([71], real_primes(M)))
-    monkeypatch.setattr(ntt, "ntt_images", lambda ac, m, batch: (
+    monkeypatch.setattr(scaled_inverse, "ntt_images", lambda ac, m, batch: (
         batches.append(list(batch)) or real_images(ac, m, batch)))
     assert generic_scaled_inverse(a) == want
     assert batches[0][0] == 71
@@ -184,25 +195,39 @@ class TestKernelSelection:
     def test_route_calls_the_selected_kernel(self, M, monkeypatch):
         m = make_modulus(M)
         calls = []
-        for name in ("ntt_resultant_bezout", "resultant_bezout"):
+        for name in ("ntt_images", "_bezout_images"):
             real = getattr(scaled_inverse, name)
             monkeypatch.setattr(scaled_inverse, name,
                                 lambda *args, real=real, name=name: (
                                     calls.append(name) or real(*args)))
         generic_scaled_inverse(monomial_diff(5, 1, m))
-        assert calls == ["ntt_resultant_bezout" if KERNEL_OF[M]
-                         else "resultant_bezout"]
+        assert calls == ["ntt_images" if KERNEL_OF[M]
+                         else "_bezout_images"]
 
 
 def _refuse_work(monkeypatch):
+    """Make either kernel, called by the name the generic route calls it
+    by, raise as soon as it is given a batch of primes."""
     def allocated(*args):
         raise AssertionError("a batch of primes was allocated")
 
-    monkeypatch.setattr(poly, "_bezout_images", allocated)
-    monkeypatch.setattr(ntt, "_block_images", allocated)
+    monkeypatch.setattr(scaled_inverse, "_bezout_images", allocated)
+    monkeypatch.setattr(scaled_inverse, "ntt_images", allocated)
 
 
 class TestGenericCeiling:
+    @pytest.mark.parametrize("M", [21, 35])
+    def test_refusal_patch_is_reached(self, M, monkeypatch):
+        """The positive control of the refusal tests: below the ceiling,
+        the same patch stops the route at its first batch, at M = 21 (EEA)
+        and 35 (NTT)."""
+        _refuse_work(monkeypatch)
+        m = make_modulus(M)
+        assert ntt_wins(m) is (M == 35)
+        with pytest.raises(AssertionError,
+                           match="a batch of primes was allocated"):
+            generic_scaled_inverse(monomial_diff(5, 0, m))
+
     @pytest.mark.parametrize("M", [65537, 65536])
     def test_refused_before_allocating(self, M, monkeypatch):
         """The gap (5, 0) at the prime 65537 (EEA) and at 2^16 (NTT)."""
@@ -225,14 +250,14 @@ class TestGenericCeiling:
     def test_ceiling_keeps_the_gap_ladder(self, M, i, j):
         m = make_modulus(M)
         a = monomial_diff(i, j, m).to_poly().coeffs
-        scaled_inverse.check_generic_cost(
-            m, _hadamard_need(a, m.poly.coeffs), ntt_wins(m))
+        scaled_inverse.check_generic_cost(m, _hadamard_need(a, m.poly.coeffs))
 
     def test_prime_supply_runs_out(self, monkeypatch):
         """Two primes = 1 (mod 35) cannot pass 2H of a dense element: the
         route is refused before any batch."""
         two = top_primes(35, 2)
-        monkeypatch.setattr(ntt, "root_primes", lambda M: iter(two))
+        monkeypatch.setattr(scaled_inverse, "root_primes",
+                            lambda M: iter(two))
         _refuse_work(monkeypatch)
         m = make_modulus(35)
         with pytest.raises(GenericTooLarge, match="run out"):

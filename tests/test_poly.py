@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloring import poly
-from cycloring.poly import (IntPoly, _bezout_images, _is_prime, _prime,
-                            divrem, exact_div, resultant_bezout)
+from cycloring.poly import (IntPoly, _bezout_images, _is_prime, divrem,
+                            exact_div, resultant_bezout, root_primes)
 from cycloring.errors import InexactDivision, NotCoprime, ZeroPolynomial
 
 from oracles import (RatPoly, bezout_image, cyclotomic_divisor_loop,
@@ -19,6 +20,12 @@ from oracles import (RatPoly, bezout_image, cyclotomic_divisor_loop,
 
 def P(*coeffs):
     return IntPoly(coeffs)
+
+
+def _prime(k):
+    """The k-th prime of root_primes(1), resultant_bezout's supply:
+    _prime(0) = 2^31 - 1, then every prime below it in turn."""
+    return next(itertools.islice(root_primes(1), k, None))
 
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=8))

@@ -14,7 +14,7 @@ from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
 from cycloring.errors import (BadRange, SweepTooLarge, UnsupportedModulus,
                               ZeroElement)
 from cycloring import scaled_inverse
-from cycloring.poly import IntPoly, exact_div
+from cycloring.poly import IntPoly, exact_div, root_primes
 from cycloring.scaled_inverse import (MAX_SWEEP_COST, _case, check_gap_block,
                                       sweep_cost)
 from cycloring.verify import run_verify
@@ -38,22 +38,31 @@ def one(m):
     return element(m, (1,) + (0,) * (m.phi - 1))
 
 
-# the generic route's kernels, by the name scaled_inverse calls each by
-KERNELS = {"ntt": "ntt_resultant_bezout", "eea": "resultant_bezout"}
+# the generic route's image kernels, by the name scaled_inverse calls each by
+KERNELS = {"ntt": "ntt_images", "eea": "_bezout_images"}
 
 
 def route_through(mp, kernel, wrap):
     """Make the generic route take `kernel` (a key of KERNELS) and return
-    wrap(r, s) of the pair it gives; returns the list of its calls."""
+    wrap(r, s) of the pair its images join to, s as an IntPoly; returns
+    the list of the kernel's calls, one per batch of primes."""
     mp.setattr(scaled_inverse, "ntt_wins", lambda m: kernel == "ntt")
     name = KERNELS[kernel]
     real, calls = getattr(scaled_inverse, name), []
 
-    def wrapped(*args):
+    def images(*args):
         calls.append(args)
-        return wrap(*real(*args))
+        return real(*args)
 
-    mp.setattr(scaled_inverse, name, wrapped)
+    join = scaled_inverse._multimodular
+
+    def joined(need, n, primes, kernel_images):
+        r, s = join(need, n, primes, kernel_images)
+        r, s = wrap(r, IntPoly(s))
+        return r, list(s.coeffs) + [0] * (n - len(s.coeffs))
+
+    mp.setattr(scaled_inverse, name, images)
+    mp.setattr(scaled_inverse, "_multimodular", joined)
     return calls
 
 
@@ -102,6 +111,19 @@ class TestGeneric:
                                    r"failed a\*u = \d+ for M=21$"):
                     generic_scaled_inverse(a)
                 assert len(calls) == 1, kernel
+
+
+    def test_zero_pair_is_caught(self, monkeypatch):
+        # (0, 0) passes a*u = scale with scale 0: the certificate also
+        # needs scale > 0, whichever kernel gives the pair
+        m = make_modulus(21)
+        a = element(m, (3, -1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 5))
+        for kernel in KERNELS:
+            with monkeypatch.context() as mp:
+                route_through(mp, kernel, lambda r, s: (0, IntPoly()))
+                with pytest.raises(AssertionError, match=r"^generic inverse "
+                                   r"failed a\*u = 0 for M=21$"):
+                    generic_scaled_inverse(a)
 
 
 def fraction_scaled_inverse(a):
@@ -158,6 +180,31 @@ class TestScaleInvariance:
                 for a, si in zip(elements, want):
                     assert generic_scaled_inverse(a) == si, kernel
                 assert len(calls) == len(elements), kernel
+
+
+class TestOnePrimeSupply:
+    """Both kernels take their primes from one supply: root_primes(M),
+    without the primes that divide lc(a)."""
+
+    @pytest.mark.parametrize("M", [21, 35])
+    def test_both_kernels_share_the_supply(self, M, monkeypatch):
+        m = make_modulus(M)
+        supply = root_primes(M)
+        first, second = next(supply), next(supply)
+        # lc(a) = first, the top prime of the supply
+        a = element(m, (1,) + (0,) * (m.phi - 2) + (first,))
+        got = {}
+        for kernel in KERNELS:
+            with monkeypatch.context() as mp:
+                calls = route_through(mp, kernel, lambda r, s: (r, s))
+                generic_scaled_inverse(monomial_diff(5, 1, m))
+                assert calls[0][-1][0] == first, kernel
+                calls.clear()
+                si = generic_scaled_inverse(a)
+                sent = [ell for args in calls for ell in args[-1]]
+                assert sent[0] == second and first not in sent, kernel
+                got[kernel] = si
+        assert got["ntt"] == got["eea"]
 
 
 class TestPrimePower:
