@@ -17,6 +17,7 @@ each refused before any work), 3 unsupported modulus.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -84,7 +85,18 @@ def _cmd_matrix(args, m) -> int:
     if args.format == "csv":
         print(R.to_csv())
     elif args.format == "json":
-        _print_json(R.to_json_obj())
+        # the bytes of _print_json(R.to_json_obj()), printed a row of
+        # entries at a time: the document is laid out around a 1 x 1 matrix
+        # and the rows go where its one row was
+        one = dataclasses.replace(R, entries=R.entries[:1, :1])
+        head, tail = json.dumps(one.to_json_obj(), indent=2).split(
+            "\n    [\n      " + str(R.entries[0, 0]) + "\n    ]\n")
+        print(head)
+        last = len(R.entries) - 1
+        for k, row in enumerate(R.entries):
+            text = json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
+            print("    " + text + ("," if k < last else ""))
+        print(tail)
     else:
         cuts = set()
         if args.blocks and R.blocks is not None:

@@ -18,10 +18,9 @@ accumulate on narrow columns and as whole-row adds on wide ones.
 
 _reduce_rows folds a batch of rows mod x^M - 1 and runs both halves;
 _monomial_rows reduces unit rows in blocks, the route of every x^k. An
-exhaustive sweep (scaled_inverse.norm_profile) multiplies each subsequence
-by D once and runs the divide half alone on many rotations of it, then
-checks each remainder r by r (1 - y) D against (1 - y) times its column
-(_times_binomials, four shifted adds).
+exhaustive sweep (scaled_inverse.norm_profile) reduces each subsequence
+once, at the radical, and reaches the remainders of its rotations by exact
+division by y, with no second reduction.
 
 Integers are exact. Rows are int64 when every step provably fits, and
 object arrays of Python ints, exact at any size, otherwise (_as_rows).
@@ -313,27 +312,6 @@ def _divide_columns(Z: np.ndarray, m: CycloModulus) -> np.ndarray:
     return F[:m.phi]
 
 
-def _times_binomials(R: np.ndarray, m: CycloModulus) -> np.ndarray:
-    """Coefficient-major remainders times B mod x^M - 1, for a squarefree m:
-    column k of R (phi, n) is a remainder r, column k of the (M, n) result
-    is r B, with B = (1 - x) D: (1 - x^p)(1 - x^q) for M = pq, (1 - x)^2
-    for M = p. B has four terms (with multiplicity), so this is four
-    shifted adds, with no prefix sum."""
-    sh = m.shape
-    M, phi = m.M, m.phi
-    terms = ((0, 1), (1, -1), (1, -1), (2, 1)) if isinstance(sh, PrimePower) \
-        else ((0, 1), (sh.p, -1), (sh.q, -1), (sh.p + sh.q, 1))
-    out = np.zeros((M + 1, R.shape[1]), dtype=R.dtype)
-    for s, sign in terms:
-        if sign > 0:
-            out[s:s + phi] += R
-        else:
-            out[s:s + phi] -= R
-    # deg r B <= M (phi + p + q - 1 = M, or phi + 1 = M): x^M = 1
-    out[0] += out[M]
-    return out[:M]
-
-
 def reduce(a: IntPoly, m: CycloModulus) -> RingElement:
     """Unique representative of a mod Phi_M with degree < phi(M), equal to
     the long-division remainder; exponents fold mod M first."""
@@ -422,7 +400,7 @@ class ReductionMatrix:
 # smallest power of two that keeps M = 2187 (3.2e6 cells, the bench's
 # `expansion 2187`). Measured on a 2-core host at M = 2039 (4.16e6 cells,
 # just below it): `verify --suite expansion` 16 s, `verify --suite matrix`
-# 3.9 s and 149 MB peak RSS, `matrix --format json` 4.4 s and 393 MB,
+# 3.9 s and 149 MB peak RSS, `matrix --format json` 3.2 s and 43 MB,
 # pretty `matrix` 2.3 s, `expansion` 0.5 s.
 MAX_MATRIX_CELLS = 2 ** 22
 

@@ -160,18 +160,6 @@ class IntPoly:
             out[i * m] = c
         return IntPoly(out)
 
-    def scalar_exact_div(self, d: int) -> IntPoly:
-        """Divide every coefficient by d, failing if any division is inexact."""
-        if d == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r:
-                raise InexactDivision(f"coefficient {c} not divisible by {d}")
-            out.append(q)
-        return IntPoly(out)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 

@@ -41,13 +41,14 @@ Exhaustive sweeps (norm_profile) construct only the M - 1 gap inverses
 u(g, 0) and obtain every other pair by the gap-shift identity
 u(i, j) = x^{-j} u(i - j, 0). They work at the radical rad = M/M': as
 Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
-M' consecutive rotations of the folded row's subsequences mod Phi_rad, so a
-sweep reduces at most M rotations of length rad per gap, O(M^2 rad) in all
-instead of O(M^3). Every reduced rotation r is certified by the cofactor
-identity r D = y^{-rho}(S_b D) mod y^rad - 1 and every u(g, 0) by
-check_gap_block (see norm_profile). The sweep keeps one small norm array
-per gap; the (i, j) rows are built only when read. A sweep whose cost
-M^2 rad is above MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
+M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
+sweep reduces each subsequence once, checks u(g, 0) by check_gap_block,
+and steps through its rotations by exact division by y,
+y^{-1} r = (r - r_0 Phi_rad)/y, with no second reduction: O(M^2 rad) in
+all instead of O(M^3). The chain of rotations must close, as y^rad = 1
+(see norm_profile). The sweep keeps one small norm array per gap; the
+(i, j) rows are built only when read. A sweep whose cost M^2 rad is above
+MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
 """
 from __future__ import annotations
 
@@ -58,9 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
-                         TwoPrime, _as_rows, _divide_columns, _reduce_rows,
-                         _times_binomials, _times_cofactor, make_modulus,
-                         ring_mul)
+                         TwoPrime, _as_rows, _reduce_rows, _times_cofactor,
+                         make_modulus, ring_mul)
 from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
                      ZeroElement)
 from .ntt import ntt_cost, ntt_images, ntt_wins
@@ -300,15 +300,17 @@ class ProfileRow:
     case: InverseCase
 
 
-# Ceiling of sweep_cost that norm_profile accepts, about 10 s of sweep on a
-# 2-core host (M = 2057 = 11^2 17 costs 7.9e8 and takes 7.3 s); a sweep above
-# it raises SweepTooLarge before any allocation.
+# Ceiling of sweep_cost that norm_profile accepts, about 5 s of sweep on a
+# 2-core host: the prime M = 1021, the costliest sweep below it (1.06e9),
+# takes 3.8 s, and M = 2057 = 11^2 17 (7.9e8) 4.6 s; a sweep above it
+# raises SweepTooLarge before any allocation.
 MAX_SWEEP_COST = 2 ** 30
 
 
 def sweep_cost(M: int, rad: int) -> int:
-    """O(1) cost of norm_profile at M with radical rad: the entries of its
-    rotation blocks, M - 1 gaps of at most M rotations of length rad."""
+    """O(1) cost of norm_profile at M with radical rad: M - 1 gaps of M'
+    subsequences, each taken through rad rotations of length phi_rad,
+    (M - 1) rad phi entries, at most M^2 rad."""
     return M * M * rad
 
 
@@ -395,67 +397,59 @@ def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
     return norms
 
 
-def _rotations(X: np.ndarray, src: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Row k is x^{-rho[k]} X[src[k]] mod x^L - 1, L = X.shape[1]: the
-    window at column rho[k] of that row written twice."""
-    L = X.shape[1]
-    X2 = np.concatenate((X, X[:, :-1]), axis=1)
-    return np.lib.stride_tricks.sliding_window_view(X2, L, axis=1)[src, rho]
+def _divide_by_y(R: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """y^{-1} r mod Phi_rad for each remainder row r of R, with tail the
+    coefficients 1 .. phi of Phi_rad: as Phi_rad is monic with
+    Phi_rad(0) = 1, y^{-1} r = (r - r_0 Phi_rad)/y, a shift down by one
+    place less r_0 times tail, of degree below phi."""
+    out = np.empty_like(R)
+    out[:, :-1] = R[:, 1:]
+    out[:, -1] = 0
+    out -= R[:, :1] * tail
+    return out
 
 
 def _window_norms(m: CycloModulus, rad_m: CycloModulus, lo: int,
-                  accs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced u(g, 0) and window norms of the gaps g = lo, lo + 1, ...
+                  built: list) -> np.ndarray:
+    """Window norms of the gaps g = lo, lo + 1, ...
 
-    accs holds the folded rows of the gaps (_construct). Returns U, row r
-    the reduced u(lo + r, 0), and W, W[r, j] the max-norm of u(lo + r + j, j)
-    for j < M - lo - r. See norm_profile; raises AssertionError naming M and
-    (i, j) when a reduced rotation fails its congruence check.
+    built holds _construct(g, 0, m) of each gap. Checks every u(g, 0) by
+    check_gap_block and returns W, W[r, j] the max-norm of
+    u(lo + r + j, j) for j < M - lo - r. See norm_profile; raises
+    AssertionError naming M and the gap when its rotations do not close.
     """
     M, w, rad = m.M, m.inflation, m.radical
-    n = len(accs)
-    # t = rho w + b is read by the windows [j, j + w) of j < M - g iff t < T
-    T = np.minimum(M, M - np.arange(lo, lo + n) + w - 1)
-    cnt = ((T[:, None] - np.arange(w) + w - 1) // w).ravel()
-    first = np.cumsum(cnt) - cnt
-    src = np.repeat(np.arange(n * w), cnt)
-    rho = np.arange(src.size) - np.repeat(first, cnt)
-    # row (r, b) of S is the subsequence acc[b::w] of gap lo + r. Headroom
-    # 10p: no entry below exceeds 40 p^2 q max|S| (window sums of p, prefix
-    # sums of q and p - 1 terms, four terms of B), 12 p max|S| for M = p^s
-    S = np.stack(accs).reshape(n, rad, w).transpose(0, 2, 1).reshape(-1, rad)
-    P = _times_cofactor(_as_rows(S, rad_m, 10 * m.shape.p), rad_m)
-    # column k of Z is y^{-rho[k]} (S D) of row src[k] of S, column k of red
-    # its quotient by D: the remainder of y^{-rho[k]} S[src[k]]
-    Z = np.ascontiguousarray(_rotations(P, src, rho).T)
-    red = _divide_columns(Z, rad_m)
-    # the check r D = Z, as r B = (1 - y) Z with B = (1 - y) D (see
-    # norm_profile): E = r B - (1 - y) Z mod y^rad - 1 must vanish
-    E = _times_binomials(red, rad_m)
-    E -= Z
-    E[1:] += Z[:-1]
-    E[0] += Z[-1]
-    bad = E.any(axis=0).astype(bool) | P.sum(axis=1).astype(bool)[src]
-    if bad.any():
-        k = int(bad.argmax())
-        g, b = lo + int(src[k]) // w, int(src[k]) % w
-        j = max(0, int(rho[k]) * w + b - w + 1)
-        raise AssertionError(
-            f"sweep check failed: a reduced rotation is not congruent to its "
-            f"row for M={M}, (i, j)=({j + g}, {j})")
+    n = len(built)
+    # row r w + b of S is the subsequence acc[b::w] of gap lo + r, and
+    # row r w + b of R0 its remainder mod Phi_rad
+    S = np.stack([acc for _, acc, _, _ in built])
+    R0 = _reduce_rows(S.reshape(n, rad, w).transpose(0, 2, 1)
+                      .reshape(-1, rad), rad_m)
+    # coefficient a w + b of u(lo + r, 0) is coefficient a of row r w + b
+    U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)
+    for r, (_, _, scale, bound) in enumerate(built):
+        check_gap_block(m, lo + r, U[r:r + 1], scale, bound)
+    # N[r, rho w + b] is the max-norm of y^{-rho} R0[r w + b] mod Phi_rad
     N = np.zeros((n, M + w), dtype=np.int64)
-    N.ravel()[(src // w) * (M + w) + rho * w + src % w] = \
-        np.abs(red).max(axis=0)
+    T = N[:, :M].reshape(n, rad, w)
+    R, tail = _as_rows(R0, rad_m), rad_m.poly_row[1:]
+    for rho in range(rad):
+        T[:, rho] = np.abs(R).max(axis=1).reshape(n, w)
+        R = _divide_by_y(R, tail)
+    # y^rad = 1, and y is a unit, so one wrong entry anywhere breaks this
+    bad = (R != R0).any(axis=1).astype(bool)
+    if bad.any():
+        g = lo + int(bad.argmax()) // w
+        raise AssertionError(
+            f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
+            f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
     # t wraps mod M: the window of j reads t = j .. j + w - 1
     N[:, M:M + w - 1] = N[:, :w - 1]
     # window maxima by block prefix and suffix maxima, blocks of w
     blocks = N.reshape(n, -1, w)
     pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
     suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
-    W = np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
-    # u(g, 0) from its rotations 0: coefficient a w + b is column b's a
-    U = red[:, first].reshape(-1, n, w).transpose(1, 0, 2).reshape(n, m.phi)
-    return U, W
+    return np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
 
 
 def norm_profile(m: CycloModulus) -> NormProfile:
@@ -474,50 +468,49 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     So the norm of u(j + g, j) is the maximum of N_g over that window, with
     N_g[rho M' + b] the max-norm of y^{-rho} S_b mod Phi_rad; the window
     maxima take one block prefix- and suffix-max pass (for M' = 1 the window
-    is one rotation). Each S_b is multiplied by the radical's cofactor D once
-    (_times_cofactor), the rotations y^{-rho}(S_b D) that some window reads
-    are tiled, and only the divide half of the reduction runs per rotation
-    (_divide_columns, on coefficient-major columns). Gaps are stacked into
-    one call, as many as keep its temporaries within _UNIT_BLOCK / 2 entries.
+    is one rotation). Each S_b is reduced once (_reduce_rows at the
+    radical), which gives R0, the interleaved u(g, 0); the remainders of
+    its rotations follow one from the next by y^{-1} r = (r - r_0 Phi_rad)/y
+    (_divide_by_y), a shift and a subtraction of r_0 times the coefficients
+    of Phi_rad, which lie in {-1, 0, 1}, with no second reduction. Gaps are
+    stacked in blocks of _UNIT_BLOCK / 16 / M, whose arrays peak near
+    _UNIT_BLOCK / 2 entries.
 
-    Certification. Every reduced rotation r is checked exactly against the
-    tiled product Z = y^{-rho}(S_b D): r D = Z mod y^rad - 1. Then
-    (r - y^{-rho} S_b) D is a multiple of y^rad - 1 = -Phi_rad D, so
-    r = y^{-rho} S_b mod Phi_rad. The check is made as r B = (1 - y) Z with
-    B = (1 - y) D, which takes four shifted adds where D takes a prefix sum:
-    it leaves r D - Z = c (1 + y + ... + y^(rad-1)), and c = 0, as D(1) = 0
-    and Z(1) = 0, checked on the row sums of S_b D. With rho = 0 this makes
-    the assembled u(g, 0) the remainder of acc_g, and check_gap_block proves
-    (x^g - 1) u(g, 0) = scale. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u
-    mod x^M - 1, every pair's product follows, and its norm is taken from
-    exact remainders and checked against the case's bound. Integers are
-    exact. With b = max|S_b|, the tiled product S_b D has entries at most
-    4p b (2b for M = p^s: window sums of p, then a shift-subtract), and no
-    step of the divide half or the check exceeds 40 p^2 q b (12 p b); the
-    rows are int64 when _as_rows proves that bound below 2^63, and Python
-    ints otherwise.
+    Certification. check_gap_block proves that R0 is u(g, 0), an exact
+    inverse, (x^g - 1) u(g, 0) = scale, with norm at most the bound,
+    before any rotation is taken. Each step is an integer identity whose
+    result has degree below phi_rad, so it is the exact remainder of
+    y^{-rho} R0. The chain must close, R_rad = R0, since y^rad = 1; y is a
+    unit mod Phi_rad, so a single wrong entry at any step breaks it. As
+    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
+    product follows, and its norm is taken from exact remainders and
+    checked against the case's bound. Integers are exact: a remainder of
+    y^{-rho} r has |R_rho| <= 2p max|R0| (2 for M = p^s), the largest
+    expansion factor of a monomial mod Phi_rad (expansion, checked by
+    verify's expansion suite); the chain runs on int64 rows when _as_rows
+    proves that bound below 2^63, and on Python ints otherwise.
 
-    Cost: M - 1 gaps of at most M rotations of length rad, O(M^2 rad)
-    (sweep_cost), against O(M^3) for reducing every rotation at length M.
-    A sweep above MAX_SWEEP_COST raises SweepTooLarge before any work. Each
-    case maximum keeps the first pair in `for i: for j < i` order to reach
-    it: the largest (norm, -i, -j) over the first argmax of each gap, with
-    cases in the order of their smallest gap.
+    Cost: M - 1 gaps of M' subsequences, each taken through rad rotations
+    of length phi_rad, (M - 1) rad phi <= M^2 rad (sweep_cost), against
+    O(M^3) for reducing every rotation at length M. A sweep above
+    MAX_SWEEP_COST raises SweepTooLarge before any work. Each case maximum
+    keeps the first pair in `for i: for j < i` order to reach it: the
+    largest (norm, -i, -j) over the first argmax of each gap, with cases
+    in the order of their smallest gap.
     """
     check_sweep_cost(m)
     M = m.M
     rad_m = make_modulus(m.radical)
-    # gaps per call: its rotation block of at most M rad entries per gap
-    # and the four-odd temporaries of its size stay within _UNIT_BLOCK / 2
-    step = max(1, _UNIT_BLOCK // 8 // (M * m.radical))
+    # gaps per block: its arrays and temporaries, up to ten of M entries a
+    # gap, peak at 0.5 to 0.65 _UNIT_BLOCK entries (traced at 35 to 2187)
+    step = max(1, _UNIT_BLOCK // 16 // M)
     gaps = []
     best: dict = {}
     for lo in range(1, M, step):
         built = [_construct(g, 0, m) for g in range(lo, min(M, lo + step))]
-        U, W = _window_norms(m, rad_m, lo, [acc for _, acc, _, _ in built])
+        W = _window_norms(m, rad_m, lo, built)
         for r, (case, _, scale, bound) in enumerate(built):
             g = lo + r
-            check_gap_block(m, g, U[r:r + 1], scale, bound)
             norms = W[r, :M - g]
             j = int(norms.argmax())
             if norms[j] > bound:

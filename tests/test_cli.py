@@ -139,6 +139,15 @@ class TestMatrix:
         assert json.loads(run(capsys, "matrix", "9", "--format", "json")[1])[
             "blocks"] is None
 
+    @pytest.mark.parametrize("M", [2, 3, 9, 15, 21, 49, 221])
+    def test_json_streamed_as_one_document(self, capsys, M):
+        # the rows are printed one at a time; the bytes are those of the
+        # whole document printed at once
+        code, out, _ = run(capsys, "matrix", str(M), "--format", "json")
+        R = reduction_matrix(make_modulus(M))
+        assert code == 0
+        assert out == json.dumps(R.to_json_obj(), indent=2) + "\n"
+
 
 class TestScaledInv:
     def test_construct_text(self, capsys):

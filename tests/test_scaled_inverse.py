@@ -497,8 +497,7 @@ class TestNormProfile:
 
 class TestOneCheckPerPair:
     """check_gap_block is the only check of a constructed inverse: a sweep
-    checks each u(g, 0) once, and each rotation it reduces is checked once
-    by its congruence."""
+    checks each u(g, 0) once, and reduces each of its subsequences once."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -512,18 +511,6 @@ class TestOneCheckPerPair:
         monkeypatch.setattr(scaled_inverse, name, spy)
         return calls
 
-    @staticmethod
-    def _results(monkeypatch, name):
-        results = []
-        real = getattr(scaled_inverse, name)
-
-        def spy(*args):
-            results.append(real(*args))
-            return results[-1]
-
-        monkeypatch.setattr(scaled_inverse, name, spy)
-        return results
-
     def test_sweep_checks_each_gap_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
@@ -534,7 +521,7 @@ class TestOneCheckPerPair:
             [(g, 1, 5) for g in range(1, 35)]
 
     def test_sweep_reduces_each_gap_once(self, monkeypatch):
-        # M' = 1: one reduced rotation per pair
+        # M' = 1: one subsequence per gap, its whole row
         self._reductions_checked_once(monkeypatch, 35)
 
     @pytest.mark.parametrize("M", [45, 125])
@@ -542,19 +529,22 @@ class TestOneCheckPerPair:
         self._reductions_checked_once(monkeypatch, M)
 
     def _reductions_checked_once(self, monkeypatch, M):
-        # every column _divide_columns reduces is multiplied back by
-        # _times_binomials once; nothing is reduced at full length M
-        reduced = self._results(monkeypatch, "_divide_columns")
-        products = self._count(monkeypatch, "_times_binomials")
-        full = self._count(monkeypatch, "_reduce_rows")
+        # every _reduce_rows call of a sweep is at the radical, on rows of
+        # length rad: each gap's M' subsequences once, in order, and nothing
+        # at length M; each block's rotations then take rad exact steps
+        reductions = self._count(monkeypatch, "_reduce_rows")
+        steps = self._count(monkeypatch, "_divide_by_y")
         m = make_modulus(M)
         norm_profile(m)
-        assert full == []
-        assert [id(c[0]) for c in products] == [id(r) for r in reduced]
-        # gap g reads the rotations t < min(M, M - g + M' - 1)
-        w = m.inflation
-        assert sum(r.shape[1] for r in reduced) == \
-            sum(min(M, M - g + w - 1) for g in range(1, M))
+        w, rad = m.inflation, m.radical
+        assert all(mod.M == rad and V.shape[1] == rad
+                   for V, mod in reductions)
+        want = np.concatenate([
+            scaled_inverse._construct(g, 0, m)[1].reshape(rad, w).T
+            for g in range(1, M)])
+        assert np.array_equal(np.concatenate([V for V, _ in reductions]),
+                              want)
+        assert len(steps) == rad * len(reductions)
 
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
@@ -602,37 +592,41 @@ class TestRadicalSweep:
 
     @pytest.mark.parametrize("M", [35, 45])
     def test_python_int_path(self, M, monkeypatch):
-        # rows that fail the int64 bound run on Python ints, with equal norms
+        # rows that fail the int64 bound run on Python ints, with equal
+        # norms; the chain of rotations itself steps on object rows
         m = make_modulus(M)
         want = norm_profile(m).rows
         monkeypatch.setattr(scaled_inverse, "_as_rows",
                             lambda V, m, headroom=1: np.asarray(V, dtype=object))
+        steps = TestOneCheckPerPair._count(monkeypatch, "_divide_by_y")
         assert norm_profile(m).rows == want
+        assert steps and {R.dtype for R, _ in steps} == {np.dtype(object)}
 
-    # (M, column, pair): M = 15 has M' = 1, so column 14 + 6 is rotation 6
-    # of gap 2, read by j = 6 alone; M = 45 has M' = 3, rotation 15 columns
-    # per class, so column 16 is rotation 1 of class b = 1 of gap 1,
-    # t = 1 * 3 + 1 = 4, first read by the window [2, 5) of j = 2
-    @pytest.mark.parametrize("M, column, pair", [(15, 20, (8, 6)),
-                                                 (45, 16, (3, 2))])
-    @pytest.mark.parametrize("stage", ["_rotations", "_divide_columns"])
-    def test_rotation_off_by_one_is_caught(self, M, column, pair, stage,
+    # (M, row, gap): the sweeps of M = 15 (M' = 1) and 45 (M' = 3) take one
+    # block, whose row r M' + b is subsequence b of gap r + 1: row 1 of 15
+    # and row 4 of 45 (b = 1) both belong to gap 2
+    @pytest.mark.parametrize("M, row, gap", [(15, 1, 2), (45, 4, 2)])
+    @pytest.mark.parametrize("stage", ["_reduce_rows", "_divide_by_y"])
+    def test_rotation_off_by_one_is_caught(self, M, row, gap, stage,
                                            monkeypatch):
-        # one entry of one tiled product, or of one reduced rotation
-        real = getattr(scaled_inverse, stage)
+        # one entry of the reduced subsequences, caught by check_gap_block,
+        # or of one step of the chain (rho = 3), caught as it fails to close
+        real, calls = getattr(scaled_inverse, stage), []
 
         def off_by_one(*args):
             out = real(*args).copy()
-            if stage == "_rotations":
-                out[column, 0] += 1
-            else:
-                out[0, column] += 1
+            if stage == "_reduce_rows" or len(calls) == 3:
+                out[row, 0] += 1
+            calls.append(args)
             return out
 
         monkeypatch.setattr(scaled_inverse, stage, off_by_one)
-        with pytest.raises(AssertionError,
-                           match=rf"M={M}, \(i, j\)=\({pair[0]}, {pair[1]}\)"):
-            norm_profile(make_modulus(M))
+        m = make_modulus(M)
+        match = (rf"batched check failed: .* M={M}, \(i, j\)=\({gap}, 0\)"
+                 if stage == "_reduce_rows" else
+                 rf"do not close at rho = {m.radical} for M={M}, gap {gap}$")
+        with pytest.raises(AssertionError, match=match):
+            norm_profile(m)
 
 
 class TestSweepCeiling:
