@@ -23,27 +23,32 @@ PRIME_POWER is the case of M = p^s. For M = p^s q^t the case is
 P_DIVIDES_SHIFT when p^s | k, Q_DIVIDES_SHIFT when q^t | k, and COPRIME
 otherwise. Q comes from the stride recurrence Q_e = Q_{e-d} - (N - c)_e, a
 prefix sum over each residue class mod d, with no long division; the route
-is orders of magnitude faster than the generic one. One int64 numpy row
-carries a construction from N to the reduced u: a cumulative sum down the
-columns of its (-1, d) view, a fold of the exponents e k/d + M - j mod M,
-one reduction mod Phi_M. Its entries stay below M^2 (q + 1) < 2^61 (the
-bound is derived in _construct), and each reduction falls back to Python
-ints when its own bound fails.
+is orders of magnitude faster than the generic one. One routine,
+_construct, builds a list of gaps at one shift j as int64 rows: Q depends
+on (case, d) only, so each group of gaps that share them takes one
+cumulative sum down the columns of the (-1, d) view of N - c and one
+np.add.at that folds the exponents e k/d + M - j mod M of every gap of the
+group; one reduction mod Phi_M follows. A single construct is a block of
+one gap; a sweep's blocks hold up to _UNIT_BLOCK / (16 M) gaps. Entries
+stay below M^2 (q + 1) < 2^61 (the bound is derived in _construct), and
+each reduction falls back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
-the one check of every constructed inverse. It forms x^j u and x^i u as two
-windows of the row of u modulo x^M - 1 and tests
-(x^j u - x^i u + scale) * D = 0 mod x^M - 1, with D the cofactor of Phi_M
-in 1 - x^M, so no second reduction is needed.
+the one check of every constructed inverse, one row per pair. Its rows
+step j at a fixed gap, or step the gap at a fixed j, with a scale and a
+bound per row. It forms x^j u and x^i u as two windows of the row of u
+modulo x^M - 1 and tests (x^j u - x^i u + scale) * D = 0 mod x^M - 1, with
+D the cofactor of Phi_M in 1 - x^M, so no second reduction is needed.
 
 Exhaustive sweeps (norm_profile) construct only the M - 1 gap inverses
 u(g, 0) and obtain every other pair by the gap-shift identity
 u(i, j) = x^{-j} u(i - j, 0). They work at the radical rad = M/M': as
 Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
 M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
-sweep reduces each subsequence once, checks u(g, 0) by check_gap_block,
-and steps through its rotations by exact division by y,
+sweep takes its gaps in blocks; each block is built by one _construct call
+and its u(g, 0) checked by one check_gap_block call. It reduces each
+subsequence once and steps through its rotations by exact division by y,
 y^{-1} r = (r - r_0 Phi_rad)/y, with no second reduction: O(M^2 rad) in
 all instead of O(M^3). The chain of rotations must close, as y^rad = 1
 (see norm_profile). The sweep keeps one small norm array per gap; the
@@ -231,51 +236,80 @@ def _case(k: int, m: CycloModulus):
             p ** _valuation(k, p) * q ** _valuation(k, q), 1, p - 1)
 
 
-def _construct(i: int, j: int, m: CycloModulus):
-    """The constructive inverse of x^i - x^j, 0 <= j < i < M, unreduced.
+def _construct(ks, j: int, m: CycloModulus):
+    """The constructive inverses of x^(j+k) - x^j for each gap k of ks,
+    0 <= j < j + k < M, unreduced.
 
-    Returns (case, acc, scale, bound) with acc the length-M int64 row of
-    -x^{M-j} Q(x^{(i-j)/d}) mod x^M - 1; reducing acc mod Phi_M gives u.
-    (N, c, d) come from the case table and Q = (N - c)/(x^d - 1), from the
-    stride recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so
-    the recurrence continued past deg Q must give d zeros.
+    Returns (table, acc): table[r] = (case, scale, bound) of gap ks[r], and
+    row r of the (len(ks), M) int64 block acc is -x^{M-j} Q(x^{k/d})
+    mod x^M - 1 for k = ks[r]; reducing it mod Phi_M gives u. (N, c, d)
+    come from the case table and Q = (N - c)/(x^d - 1), from the stride
+    recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so the
+    recurrence continued past deg Q must give d zeros. Q depends on
+    (case, d) only, so it is formed and checked once for each group of
+    gaps that share them.
 
-    One int64 row carries the construction. N - c, padded with zeros to
-    whole rows of d, becomes -Q by one cumulative sum down the columns of its
-    (-1, d) view (each column is one residue class mod d); its last row
-    holds the d top entries, which must be zero. The coefficient e of -Q
-    goes to x^{(e k/d + M - j) mod M} by one np.add.at. int64 is exact here:
-    |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds at most
-    M such terms, so |Q| <= M(q + 1), and at most M of those fold into one
-    slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
+    N - c, padded with zeros to whole rows of d, becomes -Q by one
+    cumulative sum down the columns of its (-1, d) view (each column is one
+    residue class mod d); its last row holds the d top entries, which must
+    be zero. The coefficient e of -Q goes to x^{(e k/d + M - j) mod M} of
+    its row, for every gap of the group by one np.add.at on the flat block
+    (exponents can collide within a row: gap 4 at M = 18). int64 is exact
+    here: |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds
+    at most M such terms, so |Q| <= M(q + 1), and at most M of those fold
+    into one slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
     M <= MAX_MODULUS. The caller's _reduce_rows picks its own dtype
     (_as_rows) and falls back to Python ints when its bound fails.
     """
-    M, k = m.M, i - j
-    case, num, c, d, scale, bound = _case(k, m)
-    n = len(num)
-    neg = np.zeros(-(-n // d) * d, dtype=np.int64)
-    neg[:n] = num
-    neg[0] -= c
-    # neg becomes -Q: the negated recurrence is a prefix sum per column
-    cols = neg.reshape(-1, d)
-    np.cumsum(cols, axis=0, out=cols)
-    if cols[-1].any():
-        raise AssertionError(
-            f"(N - c)/(x^{d} - 1) is not exact for M={M}, case {case.value}")
-    # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1
-    top, g, shift = n - d, k // d, M - j
-    acc = np.zeros(M, dtype=np.int64)
-    np.add.at(acc, np.arange(shift, shift + top * g, g) % M, neg[:top])
-    return case, acc, scale, bound
+    M = m.M
+    table, groups = [], {}
+    for r, k in enumerate(ks):
+        case, num, c, d, scale, bound = _case(k, m)
+        table.append((case, scale, bound))
+        groups.setdefault((case, d), (num, c, []))[2].append(r)
+    acc = np.zeros((len(table), M), dtype=np.int64)
+    for (case, d), (num, c, rows) in groups.items():
+        n = len(num)
+        neg = np.zeros(-(-n // d) * d, dtype=np.int64)
+        neg[:n] = num
+        neg[0] -= c
+        # neg becomes -Q: the negated recurrence is a prefix sum per column
+        cols = neg.reshape(-1, d)
+        np.add.accumulate(cols, axis=0, out=cols)
+        if cols[-1].any():
+            raise AssertionError(
+                f"(N - c)/(x^{d} - 1) is not exact for M={M}, "
+                f"case {case.value}")
+        # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1 into each row of the group:
+        # coefficient e of -Q goes to x^((e k/d + M - j) mod M)
+        top, shift = n - d, M - j
+        if len(rows) == 1:
+            # a lone gap, as in every construct_scaled_inverse call: one
+            # strided arange. The group's index arithmetic below costs
+            # several numpy calls more, which a single construct would pay
+            # on every call
+            g = ks[rows[0]] // d
+            np.add.at(acc[rows[0]], np.arange(shift, shift + top * g, g) % M,
+                      neg[:top])
+            continue
+        # flat index r M + exponent; the values are -Q once per row, tiled
+        # by hand: np.add.at's own broadcast of one value row over 2-D
+        # indices adds wrong values (numpy 2.4.6)
+        idx = np.multiply.outer([ks[r] // d for r in rows], np.arange(top))
+        idx += shift
+        idx %= M
+        idx += M * np.array(rows)[:, None]
+        np.add.at(acc.reshape(-1), idx.reshape(-1),
+                  np.tile(neg[:top], len(rows)))
+    return table, acc
 
 
 def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
-    _construct builds u from the paper's case table, reduced here once;
-    check_gap_block checks (x^i - x^j) * u = scale exactly, as a block of
-    one row starting at j, with the norm bound, before u is returned.
+    _construct builds u from the paper's case table, as a block of one
+    gap, reduced here once; check_gap_block checks (x^i - x^j) * u = scale
+    exactly, with the norm bound, before u is returned.
 
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which check_gap_block checks; a nonzero u with every
@@ -284,10 +318,10 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """
     if not 0 <= j < i < m.M:
         raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={m.M}")
-    case, acc, scale, bound = _construct(i, j, m)
-    u = _reduce_rows(acc, m)[0]
-    check_gap_block(m, i - j, u[None], scale, bound, j)
-    return ScaledInverse(RingElement(m, tuple(u.tolist())), scale, bound,
+    [(case, scale, bound)], acc = _construct((i - j,), j, m)
+    U = _reduce_rows(acc, m)
+    check_gap_block(m, i - j, U, scale, bound, j)
+    return ScaledInverse(RingElement(m, tuple(U[0].tolist())), scale, bound,
                          case)
 
 
@@ -354,47 +388,57 @@ class NormProfile:
         return tuple(ProfileRow(*pair) for pair in self.pairs())
 
 
-def check_gap_block(m: CycloModulus, g: int, block: np.ndarray, scale: int,
-                    bound: int, j0: int = 0) -> np.ndarray:
-    """Batched exact check of the pairs (j + g, j), j = j0 + r for row r.
+def check_gap_block(m: CycloModulus, g, block: np.ndarray, scale, bound,
+                    j0: int = 0) -> np.ndarray:
+    """Batched exact check of one pair (i, j) per row of block.
 
-    Row r of block must be a reduced u with (x^{j+g} - x^j) * u = scale
-    (mod Phi_M) and max-norm(u) <= bound. The product is formed per row in
-    Z[x]/(x^M - 1); it is scale mod Phi_M exactly when (product - scale) * D
-    is 0 mod x^M - 1 (see cyclotomic), so no division is needed. Returns
-    the row norms; raises AssertionError naming M and (i, j) of the first
-    pair that fails.
+    g is a gap or a range of consecutive gaps. For a gap, row r is the pair
+    (j0 + r + g, j0 + r): j steps, the gap is fixed. For a range, row r is
+    the pair (j0 + g[r], j0): the gap steps, j is fixed. scale and bound
+    are ints or per-row arrays. Row r must be a reduced u with
+    (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. The
+    product is formed per row in Z[x]/(x^M - 1); it is scale mod Phi_M
+    exactly when (product - scale) * D is 0 mod x^M - 1 (see cyclotomic),
+    so no division is needed. Returns the row norms; raises AssertionError
+    naming M and (i, j) of the first pair that fails.
     """
     M, phi = m.M, m.phi
     n = block.shape[0]
-    # headroom: |(x^(j+g) - x^j) u - scale| <= (2 + scale) max|u| for u != 0
-    rows = _as_rows(block, m, 2 + scale)
+    fixed_gap = not isinstance(g, range)
+    if not fixed_gap and (len(g) != n or g.step != 1):
+        raise ValueError(f"need {n} consecutive gaps, got {g}")
+    i0 = j0 + (g if fixed_gap else g.start)
+    dj = 1 if fixed_gap else 0   # the step of j from one row to the next
+    # headroom: |(x^i - x^j) u - scale| <= (2 + scale) max|u| for u != 0
+    most = scale if isinstance(scale, int) else int(scale.max())
+    rows = _as_rows(block, m, 2 + most)
     # row r of pad is [u_r, u_r], so the length-M window of the flat view
-    # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are
-    # 2M apart and j grows by one per row, hence the stride 2M - 1
+    # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are 2M
+    # apart, so an exponent that grows by one per row reads at the stride
+    # 2M - 1 and a fixed one at the stride 2M
     pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
     pad[:n, :phi] = rows
     pad[:n, M:M + phi] = rows
     flat = pad.ravel()
-    span = n * (2 * M - 1)
-    lo, hi = M - j0, M - j0 - g
-    # the negated residual: (x^j - x^(j+g)) u + scale
-    res = (flat[lo:lo + span].reshape(n, 2 * M - 1)[:, :M]
-           - flat[hi:hi + span].reshape(n, 2 * M - 1)[:, :M])
-    res[:, 0] += scale
+    si, sj = 2 * M - 1, 2 * M - dj   # the strides of x^i u and x^j u
+    # the negated residual: (x^j - x^i) u + scale
+    res = (flat[M - j0:M - j0 + n * sj].reshape(n, sj)[:, :M]
+           - flat[M - i0:M - i0 + n * si].reshape(n, si)[:, :M])
+    res[:, 0] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
     if res.any():
-        j = j0 + int(res.any(axis=1).argmax())
-        raise AssertionError(
-            f"batched check failed: (x^i - x^j)*u != {scale} for M={M}, "
-            f"(i, j)=({j + g}, {j})")
-    norms = np.abs(block).max(axis=1)
-    if norms.max() > bound:
-        r = int((norms > bound).argmax())
-        raise AssertionError(
-            f"batched check failed: norm {int(norms[r])} > bound {bound} "
-            f"for M={M}, (i, j)=({j0 + r + g}, {j0 + r})")
-    return norms
+        r = int(res.any(axis=1).argmax())
+        what = f"(x^i - x^j)*u != {int(np.broadcast_to(scale, (n,))[r])}"
+    else:
+        norms = np.abs(block).max(axis=1)
+        over = norms > bound
+        if not over.any():
+            return norms
+        r = int(over.argmax())
+        what = (f"norm {int(norms[r])} > bound "
+                f"{int(np.broadcast_to(bound, (n,))[r])}")
+    raise AssertionError(f"batched check failed: {what} for M={M}, "
+                         f"(i, j)=({i0 + r}, {j0 + r * dj})")
 
 
 def _divide_by_y(R: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -409,26 +453,25 @@ def _divide_by_y(R: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_norms(m: CycloModulus, rad_m: CycloModulus, lo: int,
-                  built: list) -> np.ndarray:
-    """Window norms of the gaps g = lo, lo + 1, ...
+def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
+                  table: list, acc: np.ndarray) -> np.ndarray:
+    """Window norms of the gaps g of gaps, a range of consecutive gaps.
 
-    built holds _construct(g, 0, m) of each gap. Checks every u(g, 0) by
-    check_gap_block and returns W, W[r, j] the max-norm of
-    u(lo + r + j, j) for j < M - lo - r. See norm_profile; raises
+    (table, acc) is _construct(gaps, 0, m). Checks every u(g, 0) by one
+    check_gap_block call and returns W, W[r, j] the max-norm of
+    u(g + j, j), g = gaps[r], for j < M - g. See norm_profile; raises
     AssertionError naming M and the gap when its rotations do not close.
     """
     M, w, rad = m.M, m.inflation, m.radical
-    n = len(built)
-    # row r w + b of S is the subsequence acc[b::w] of gap lo + r, and
-    # row r w + b of R0 its remainder mod Phi_rad
-    S = np.stack([acc for _, acc, _, _ in built])
-    R0 = _reduce_rows(S.reshape(n, rad, w).transpose(0, 2, 1)
+    n = len(gaps)
+    # row r w + b of R0 is the remainder mod Phi_rad of the subsequence
+    # acc[r, b::w] of gap gaps[r]
+    R0 = _reduce_rows(acc.reshape(n, rad, w).transpose(0, 2, 1)
                       .reshape(-1, rad), rad_m)
-    # coefficient a w + b of u(lo + r, 0) is coefficient a of row r w + b
+    # coefficient a w + b of u(gaps[r], 0) is coefficient a of row r w + b
     U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)
-    for r, (_, _, scale, bound) in enumerate(built):
-        check_gap_block(m, lo + r, U[r:r + 1], scale, bound)
+    _, scales, bounds = zip(*table)
+    check_gap_block(m, gaps, U, np.array(scales), np.array(bounds))
     # N[r, rho w + b] is the max-norm of y^{-rho} R0[r w + b] mod Phi_rad
     N = np.zeros((n, M + w), dtype=np.int64)
     T = N[:, :M].reshape(n, rad, w)
@@ -439,7 +482,7 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, lo: int,
     # y^rad = 1, and y is a unit, so one wrong entry anywhere breaks this
     bad = (R != R0).any(axis=1).astype(bool)
     if bad.any():
-        g = lo + int(bad.argmax()) // w
+        g = gaps[int(bad.argmax()) // w]
         raise AssertionError(
             f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
             f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
@@ -455,9 +498,10 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, lo: int,
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-gap norms and per-case maxima.
 
-    Only the M - 1 gap inverses u(g, 0) are constructed; each is reduced,
-    checked once by check_gap_block, and every other pair of gap g follows
-    by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+    Only the M - 1 gap inverses u(g, 0) are constructed, a block of
+    consecutive gaps at a time by one _construct call; each is reduced and
+    checked once, a block by one check_gap_block call, and every other pair
+    of gap g follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
 
     The sweep works at the radical rad = M/M'. With y = x^{M'},
     Phi_M(x) = Phi_rad(y), so a row v reduces mod Phi_M as its M'
@@ -476,15 +520,18 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     stacked in blocks of _UNIT_BLOCK / 16 / M, whose arrays peak near
     _UNIT_BLOCK / 2 entries.
 
-    Certification. check_gap_block proves that R0 is u(g, 0), an exact
-    inverse, (x^g - 1) u(g, 0) = scale, with norm at most the bound,
-    before any rotation is taken. Each step is an integer identity whose
-    result has degree below phi_rad, so it is the exact remainder of
-    y^{-rho} R0. The chain must close, R_rad = R0, since y^rad = 1; y is a
-    unit mod Phi_rad, so a single wrong entry at any step breaks it. As
-    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
-    product follows, and its norm is taken from exact remainders and
-    checked against the case's bound. Integers are exact: a remainder of
+    Certification. One check_gap_block call per block, whose row r is the
+    pair (lo + r, 0) with that gap's own scale and bound, proves for every
+    gap g of the block that R0 is u(g, 0), an exact inverse,
+    (x^g - 1) u(g, 0) = scale, with norm at most the bound, before any
+    rotation is taken; a failure names the first failing (g, 0). Each step
+    is an integer identity whose result has degree below phi_rad, so it is
+    the exact remainder of y^{-rho} R0. The chain must close, R_rad = R0,
+    since y^rad = 1; y is a unit mod Phi_rad, so a single wrong entry at
+    any step breaks it. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u
+    mod x^M - 1, every pair's product follows, and its norm is taken from
+    exact remainders and checked against the case's bound, for the whole
+    block at once. Integers are exact: a remainder of
     y^{-rho} r has |R_rho| <= 2p max|R0| (2 for M = p^s), the largest
     expansion factor of a monomial mod Phi_rad (expansion, checked by
     verify's expansion suite); the chain runs on int64 rows when _as_rows
@@ -507,19 +554,28 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     gaps = []
     best: dict = {}
     for lo in range(1, M, step):
-        built = [_construct(g, 0, m) for g in range(lo, min(M, lo + step))]
-        W = _window_norms(m, rad_m, lo, built)
-        for r, (case, _, scale, bound) in enumerate(built):
+        block = range(lo, min(M, lo + step))
+        table, acc = _construct(block, 0, m)
+        W = _window_norms(m, rad_m, block, table, acc)
+        # only j < M - g is a pair of gap g: mask the rest below every norm,
+        # so each row's first argmax is its gap's first largest pair
+        n = len(block)
+        W[np.arange(M) >= M - np.arange(lo, lo + n)[:, None]] = -1
+        js = W.argmax(axis=1)
+        tops = W[np.arange(n), js]
+        over = tops > np.array([bound for _, _, bound in table])
+        if over.any():
+            r = int(over.argmax())
+            g, j = lo + r, int(js[r])
+            raise AssertionError(
+                f"sweep check failed: norm {int(tops[r])} > bound "
+                f"{table[r][2]} for M={M}, (i, j)=({j + g}, {j})")
+        for r, ((case, scale, bound), j, top) in enumerate(
+                zip(table, js.tolist(), tops.tolist())):
             g = lo + r
-            norms = W[r, :M - g]
-            j = int(norms.argmax())
-            if norms[j] > bound:
-                raise AssertionError(
-                    f"sweep check failed: norm {int(norms[j])} > bound {bound}"
-                    f" for M={M}, (i, j)=({j + g}, {j})")
-            key = (int(norms[j]), -g - j, -j)
+            key = (top, -g - j, -j)
             best[case] = max(best.get(case, key), key)
-            norms = norms.astype(np.min_scalar_type(bound))
+            norms = W[r, :M - g].astype(np.min_scalar_type(bound))
             norms.setflags(write=False)
             gaps.append((scale, case, norms))
     case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}

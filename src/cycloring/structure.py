@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import (CycloModulus, RingElement, TwoPrime, _monomial_rows,
-                         make_modulus, monomial_reduce)
+from .cyclotomic import (_UNIT_BLOCK, CycloModulus, RingElement, TwoPrime,
+                         _monomial_rows, make_modulus, monomial_reduce)
 from .errors import NotApplicable, OutOfRange, PatternViolation
 from .poly import IntPoly, exact_div
 
@@ -156,12 +156,27 @@ def random_subset_norm_check(j: int, m: CycloModulus, trials: int,
                              rng: np.random.Generator) -> bool:
     """Randomized companion to the pattern classification: subset sums of the
     column family {x^(j+ip)}_i never exceed max-norm 1. Preconditions as for
-    _stride_family, checked before any draw from rng."""
+    _stride_family, checked before any draw from rng.
+
+    Each trial draws one mask of q bits. The masks are drawn in blocks of
+    trials by one rng.integers(0, 2, (b, q)) call, which yields the same
+    stream as b calls of q bits each, and each block's subset sums are
+    taken over the family's nonzero entries alone (np.add.reduceat along
+    each coefficient's run), in blocks of at most _UNIT_BLOCK entries. A
+    failing block ends the check, so a run that fails may draw up to one
+    block more than a trial at a time would.
+    """
     cols = _stride_family(j, m)
-    for _ in range(trials):
-        mask = rng.integers(0, 2, size=len(cols)).astype(bool)
-        total = cols[mask].sum(axis=0)
-        if total.size and np.abs(total).max() > 1:
+    # the nonzeros of the family, coefficient by coefficient: entry t is
+    # vals[t] = cols[fam[t], coef[t]]
+    coef, fam = np.nonzero(cols.T)
+    vals = cols[fam, coef]
+    starts = np.flatnonzero(np.diff(coef, prepend=-1))
+    step = max(1, _UNIT_BLOCK // max(1, vals.size))
+    for lo in range(0, trials, step):
+        masks = rng.integers(0, 2, size=(min(step, trials - lo), len(cols)))
+        if vals.size and np.abs(np.add.reduceat(masks[:, fam] * vals, starts,
+                                                axis=1)).max() > 1:
             return False
     return True
 

@@ -11,7 +11,8 @@ inverses from the paper's formulas by long division, and the resultant
 with its Bezout cofactor from the extended Euclidean algorithm over Q, or
 over F_ell one prime at a time (the library's former scalar images), and
 the randomized expansion products x^k g as the integer matmul of a window
-of R_M (the library's former route).
+of R_M (the library's former route), and the random subset sums of a
+stride family one trial at a time (the library's former loop).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
                                   reduce, reduction_matrix)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
+from cycloring.structure import _stride_family
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
                                       check_gap_block,
                                       construct_scaled_inverse)
@@ -178,9 +180,9 @@ def norm_profile_blocks(m: CycloModulus) -> ProfileTable:
     gaps = [None]
     best: dict = {}
     for g in range(1, M):
-        case, acc, scale, bound = _construct(g, 0, m)
+        [(case, scale, bound)], acc = _construct((g,), 0, m)
         # row j starts at acc[j], so it is x^{-j} acc mod x^M - 1
-        rot = np.tile(acc, M - g + 1)[:(M - g) * (M + 1)]
+        rot = np.tile(acc[0], M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
         norms = check_gap_block(m, g, block, scale, bound)
         j = int(norms.argmax())
@@ -462,3 +464,18 @@ def randomized_expansion_matmul(k: int, m: CycloModulus, trials: int,
     gs[half:] = rng.integers(-10, 11, size=(trials - half, m.phi))
     gs = gs[np.abs(gs).max(axis=1) > 0]
     return gs, (win.astype(np.int64) @ gs.T).T
+
+
+def random_subset_norm_per_trial(j: int, m: CycloModulus, trials: int,
+                                 rng: np.random.Generator) -> bool:
+    """structure.random_subset_norm_check as the library ran it before its
+    masks were drawn in blocks: one q-bit mask per trial, its subset of the
+    stride family summed densely, stopping at the first sum of max-norm
+    above 1."""
+    cols = _stride_family(j, m)
+    for _ in range(trials):
+        mask = rng.integers(0, 2, size=len(cols)).astype(bool)
+        total = cols[mask].sum(axis=0)
+        if total.size and np.abs(total).max() > 1:
+            return False
+    return True

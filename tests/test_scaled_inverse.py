@@ -476,16 +476,20 @@ class TestNormProfile:
 
     @pytest.mark.parametrize("M", [35, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # each gap's u(g, 0) is checked once, as a block of one row at j = 0,
-        # and it is u(g, 0) as the construction returns it
+        # each block's u(g, 0) are checked by one call, one row per gap at
+        # j = 0, each gap once, and each row is u(g, 0) as the construction
+        # returns it
         m = make_modulus(M)
         seen = {}
         real = scaled_inverse.check_gap_block
 
-        def spy(m, g, block, scale, bound, j0=0):
-            assert j0 == 0 and block.shape[0] == 1 and g not in seen
-            seen[g] = block[0].tolist()
-            return real(m, g, block, scale, bound, j0)
+        def spy(m, gaps, block, scale, bound, j0=0):
+            assert j0 == 0 and isinstance(gaps, range)
+            assert len(gaps) == block.shape[0]
+            for g, row in zip(gaps, block):
+                assert g not in seen
+                seen[g] = row.tolist()
+            return real(m, gaps, block, scale, bound, j0)
 
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
@@ -511,14 +515,22 @@ class TestOneCheckPerPair:
         monkeypatch.setattr(scaled_inverse, name, spy)
         return calls
 
-    def test_sweep_checks_each_gap_once(self, monkeypatch):
+    @pytest.mark.parametrize("M", [35, 143, 1024])
+    def test_sweep_checks_each_gap_once(self, monkeypatch, M):
+        # one construct and one check per block of gaps (one block at 35,
+        # two at 143, 64 at 1024): the check reads the block's gaps as the
+        # pairs (g, 0), one row each, and the blocks cover every gap once
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
-        norm_profile(make_modulus(35))
-        assert len(builds) == 34
-        # one row per gap, u(g, 0), at the default j0 = 0
-        assert sorted((c[1], c[2].shape[0], len(c)) for c in checks) == \
-            [(g, 1, 5) for g in range(1, 35)]
+        norm_profile(make_modulus(M))
+        assert len(builds) == len(checks) == (1 if M == 35 else
+                                               2 if M == 143 else 64)
+        gaps = []
+        for (ks, j, _), (_, g, block, scale, bound) in zip(builds, checks):
+            assert j == 0 and g == ks and isinstance(g, range)
+            assert block.shape[0] == len(scale) == len(bound) == len(g)
+            gaps += g
+        assert gaps == list(range(1, M))
 
     def test_sweep_reduces_each_gap_once(self, monkeypatch):
         # M' = 1: one subsequence per gap, its whole row
@@ -540,7 +552,7 @@ class TestOneCheckPerPair:
         assert all(mod.M == rad and V.shape[1] == rad
                    for V, mod in reductions)
         want = np.concatenate([
-            scaled_inverse._construct(g, 0, m)[1].reshape(rad, w).T
+            scaled_inverse._construct((g,), 0, m)[1][0].reshape(rad, w).T
             for g in range(1, M)])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
@@ -549,9 +561,11 @@ class TestOneCheckPerPair:
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
         reductions = self._count(monkeypatch, "_reduce_rows")
+        builds = self._count(monkeypatch, "_construct")
         m = make_modulus(35)
         si = construct_scaled_inverse(9, 2, m)
         assert len(checks) == 1 and len(reductions) == 1
+        assert [args[:2] for args in builds] == [((7,), 2)]
         m_, g, block, scale, bound, j0 = checks[0]
         assert (g, j0, scale, bound) == (7, 2, si.scale, si.bound)
         assert tuple(block[0].tolist()) == si.u.coeffs
@@ -627,6 +641,24 @@ class TestRadicalSweep:
                  rf"do not close at rho = {m.radical} for M={M}, gap {gap}$")
         with pytest.raises(AssertionError, match=match):
             norm_profile(m)
+
+
+    def test_rotation_above_bound_is_caught(self, monkeypatch):
+        # at M = 35 the coprime gap inverses u(g, 0) reach norm 3 and the
+        # rotations norm 4, first at (5, 4): with the bound 3, every
+        # u(g, 0) passes check_gap_block and the sweep names that pair
+        real = scaled_inverse._case
+
+        def low_bound(k, m):
+            case, num, c, d, scale, bound = real(k, m)
+            return case, num, c, d, scale, (
+                3 if case == InverseCase.COPRIME else bound)
+
+        monkeypatch.setattr(scaled_inverse, "_case", low_bound)
+        with pytest.raises(AssertionError,
+                           match=r"^sweep check failed: norm 4 > bound 3 for "
+                                 r"M=35, \(i, j\)=\(5, 4\)$"):
+            norm_profile(make_modulus(35))
 
 
 class TestSweepCeiling:
@@ -735,6 +767,82 @@ class TestCheckGapBlock:
             check_gap_block(m, self.G, tail, scale, bound, 4)
 
 
+class TestGapBlock:
+    """One construct and one check for a block of consecutive gaps at
+    j = 0, as norm_profile runs them, against one gap at a time."""
+
+    @pytest.mark.parametrize("M", supported_upto(149) + [243, 256, 1024,
+                                                          2187])
+    def test_block_construct_matches_single(self, M):
+        # every gap, in blocks of up to 128; each block's reduced rows,
+        # scales, cases and bounds equal construct_scaled_inverse(g, 0, m)
+        m = make_modulus(M)
+        for lo in range(1, M, 128):
+            gaps = range(lo, min(M, lo + 128))
+            table, acc = scaled_inverse._construct(gaps, 0, m)
+            U = scaled_inverse._reduce_rows(acc, m)
+            for g, (case, scale, bound), row in zip(gaps, table, U):
+                si = construct_scaled_inverse(g, 0, m)
+                assert (tuple(row.tolist()), scale, case, bound) == \
+                    (si.u.coeffs, si.scale, si.case, si.bound), (M, g)
+
+    GAPS = range(9, 16)   # at M = 143 = 11 * 13: all three cases
+
+    def _mixed(self):
+        m = make_modulus(143)
+        table, acc = scaled_inverse._construct(self.GAPS, 0, m)
+        cases, scales, bounds = zip(*table)
+        return (m, scaled_inverse._reduce_rows(acc, m), np.array(scales),
+                np.array(bounds))
+
+    def test_mixed_case_block(self):
+        m, U, scales, bounds = self._mixed()
+        # gap 11: p | gap, scale q = 13; gap 13: q | gap, scale p = 11
+        assert (scales[2], bounds[2], scales[4], bounds[4]) == (13, 12, 11, 10)
+        assert set(scales.tolist()) == {1, 11, 13}
+        norms = check_gap_block(m, self.GAPS, U, scales, bounds)
+        assert norms.tolist() == [int(np.abs(r).max()) for r in U]
+
+    @pytest.mark.parametrize("r", [0, 2, 4, 6])
+    def test_corrupted_row_is_named(self, r):
+        m, U, scales, bounds = self._mixed()
+        U[r, 5] += 1
+        g = self.GAPS[r]
+        with pytest.raises(AssertionError,
+                           match=rf"!= {scales[r]} for M=143, "
+                                 rf"\(i, j\)=\({g}, 0\)$"):
+            check_gap_block(m, self.GAPS, U, scales, bounds)
+
+    def test_norm_above_own_bound(self):
+        # gap 13's row is within every other row's bound, but not its own
+        m, U, scales, bounds = self._mixed()
+        norm = int(np.abs(U[4]).max())
+        assert norm <= bounds.min()
+        bounds[4] = norm - 1
+        with pytest.raises(AssertionError,
+                           match=rf"norm {norm} > bound {norm - 1} for "
+                                 rf"M=143, \(i, j\)=\(13, 0\)$"):
+            check_gap_block(m, self.GAPS, U, scales, bounds)
+
+    @pytest.mark.parametrize("big", [2 ** 62, 10 ** 30])
+    def test_rejects_coefficient_too_large_for_int64(self, big):
+        # as TestCheckGapBlock's, with the gap stepping: rows that fail the
+        # int64 bound are checked as Python ints and still name the pair
+        m, U, scales, bounds = self._mixed()
+        rows = U if big < 2 ** 63 else U.astype(object)
+        rows[3, 7] += big
+        with pytest.raises(AssertionError,
+                           match=rf"!= {scales[3]} for M=143, "
+                                 rf"\(i, j\)=\(12, 0\)$"):
+            check_gap_block(m, self.GAPS, rows, scales, bounds)
+
+    def test_gaps_must_match_rows(self):
+        m, U, scales, bounds = self._mixed()
+        for gaps in (range(9, 15), range(9, 23, 2)):
+            with pytest.raises(ValueError, match="7 consecutive gaps"):
+                check_gap_block(m, gaps, U, scales, bounds)
+
+
 class TestRotationVerify:
     """The constructive route's check: check_gap_block on one row starting
     at j, which takes x^i u and x^j u as two windows of the row of u."""
@@ -772,13 +880,13 @@ class TestRotationVerify:
         construct_scaled_inverse(i, j, m)
         real = scaled_inverse._construct
 
-        def off_by_one(i, j, m):
+        def off_by_one(ks, j, m):
             # x^e is reduced for e < phi, so this adds 1 to coefficient
             # phi // 2 of the reduced u and nothing else
-            case, acc, scale, bound = real(i, j, m)
+            table, acc = real(ks, j, m)
             acc = acc.copy()
-            acc[m.phi // 2] += 1
-            return case, acc, scale, bound
+            acc[0, m.phi // 2] += 1
+            return table, acc
 
         monkeypatch.setattr(scaled_inverse, "_construct", off_by_one)
         with pytest.raises(AssertionError,

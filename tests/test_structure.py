@@ -10,7 +10,7 @@ from cycloring import (PatternClass, band_form, column_family_sum,
 from cycloring.errors import NotApplicable, OutOfRange
 from cycloring.poly import IntPoly
 
-from oracles import diophantine_bit
+from oracles import diophantine_bit, random_subset_norm_per_trial
 
 SQUAREFREE_PAIRS = [(2, 3), (2, 5), (3, 5), (3, 7), (2, 7), (5, 7), (3, 11)]
 
@@ -143,6 +143,38 @@ class TestResidueClasses:
         rng = np.random.default_rng(42)
         for j in range(p):
             assert random_subset_norm_check(j, m, 200, rng) is True
+
+    @pytest.mark.parametrize("M, trials", [(6, 50), (35, 300), (143, 40),
+                                           (1147, 3)])
+    def test_random_subsets_match_per_trial(self, M, trials, monkeypatch):
+        # the masks drawn in blocks give the same result and leave the rng
+        # where one draw per trial leaves it; blocks of 7 trials make the
+        # last block short
+        import cycloring.structure as st_mod
+        m = make_modulus(M)
+        monkeypatch.setattr(st_mod, "_UNIT_BLOCK", 7 * 2 * m.phi)
+        for j in range(m.shape.p):
+            got, want = (np.random.default_rng(j) for _ in range(2))
+            assert random_subset_norm_check(j, m, trials, got) is \
+                random_subset_norm_per_trial(j, m, trials, want) is True
+            assert got.integers(0, 2 ** 62) == want.integers(0, 2 ** 62)
+
+    def test_random_subset_excess_is_caught(self, monkeypatch):
+        # x^0 = 1 becomes 2 in the family of j = 0: a mask holding it fails
+        # in the first block of trials, as it fails the per-trial loop
+        import cycloring.structure as st_mod
+        real = st_mod._monomial_rows
+
+        def poisoned(ks, mod):
+            rows = real(ks, mod)
+            rows[np.flatnonzero(np.asarray(ks) == 0), 0] += 1
+            return rows
+
+        m = make_modulus(35)
+        monkeypatch.setattr(st_mod, "_monomial_rows", poisoned)
+        for check in (random_subset_norm_check, random_subset_norm_per_trial):
+            assert check(0, m, 50, np.random.default_rng(1)) is False
+            assert check(1, m, 50, np.random.default_rng(1)) is True
 
     # the three stride-family checks, each given the rng it would draw from
     STRIDE_CHECKS = (
