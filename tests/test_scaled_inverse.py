@@ -515,16 +515,22 @@ class TestOneCheckPerPair:
         monkeypatch.setattr(scaled_inverse, name, spy)
         return calls
 
-    @pytest.mark.parametrize("M", [35, 143, 1024])
-    def test_sweep_checks_each_gap_once(self, monkeypatch, M):
-        # one construct and one check per block of gaps (one block at 35,
-        # two at 143, 64 at 1024): the check reads the block's gaps as the
-        # pairs (g, 0), one row each, and the blocks cover every gap once
+    def test_sweep_checks_each_gap_once(self, monkeypatch):
+        # M = 35: every gap in one block
+        self._blocks_checked_once(monkeypatch, 35, 1)
+
+    @pytest.mark.parametrize("M, blocks", [(143, 2), (1024, 64)])
+    def test_sweep_checks_each_block_once(self, monkeypatch, M, blocks):
+        self._blocks_checked_once(monkeypatch, M, blocks)
+
+    def _blocks_checked_once(self, monkeypatch, M, blocks):
+        # one construct and one check per block of gaps: the check reads
+        # the block's gaps as the pairs (g, 0), one row each, and the
+        # blocks cover every gap once
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
         norm_profile(make_modulus(M))
-        assert len(builds) == len(checks) == (1 if M == 35 else
-                                               2 if M == 143 else 64)
+        assert len(builds) == len(checks) == blocks
         gaps = []
         for (ks, j, _), (_, g, block, scale, bound) in zip(builds, checks):
             assert j == 0 and g == ks and isinstance(g, range)
