@@ -282,25 +282,17 @@ def _construct(ks, j: int, m: CycloModulus):
                 f"case {case.value}")
         # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1 into each row of the group:
         # coefficient e of -Q goes to x^((e k/d + M - j) mod M)
-        top, shift = n - d, M - j
-        if len(rows) == 1:
-            # a lone gap, as in every construct_scaled_inverse call: one
-            # strided arange. The group's index arithmetic below costs
-            # several numpy calls more, which a single construct would pay
-            # on every call
-            g = ks[rows[0]] // d
-            np.add.at(acc[rows[0]], np.arange(shift, shift + top * g, g) % M,
-                      neg[:top])
-            continue
-        # flat index r M + exponent; the values are -Q once per row, tiled
-        # by hand: np.add.at's own broadcast of one value row over 2-D
-        # indices adds wrong values (numpy 2.4.6)
-        idx = np.multiply.outer([ks[r] // d for r in rows], np.arange(top))
-        idx += shift
+        # flat index r M + exponent; the values are -Q once per row,
+        # repeated by hand: np.add.at's own broadcast of one value row over
+        # 2-D indices adds wrong values (numpy 2.4.6)
+        top = n - d
+        step_row = np.array([(ks[r] // d, r * M) for r in rows])
+        idx = np.arange(top) * step_row[:, :1]
+        idx += M - j
         idx %= M
-        idx += M * np.array(rows)[:, None]
+        idx += step_row[:, 1:]
         np.add.at(acc.reshape(-1), idx.reshape(-1),
-                  np.tile(neg[:top], len(rows)))
+                  np.concatenate([neg[:top]] * len(rows)))
     return table, acc
 
 
