@@ -400,7 +400,7 @@ class ReductionMatrix:
 # smallest power of two that keeps M = 2187 (3.2e6 cells, the bench's
 # `expansion 2187`). Measured on a 2-core host at M = 2039 (4.16e6 cells,
 # just below it): `verify --suite expansion` 16 s, `verify --suite matrix`
-# 3.9 s and 149 MB peak RSS, `matrix --format json` 3.2 s and 43 MB,
+# 2.9 s and 57 MB peak RSS, `matrix --format json` 3.2 s and 43 MB,
 # pretty `matrix` 2.3 s, `expansion` 0.5 s.
 MAX_MATRIX_CELLS = 2 ** 22
 

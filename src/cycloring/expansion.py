@@ -22,9 +22,10 @@ DEFAULT_SEED = 1729
 
 
 def _window(entries: np.ndarray, k: int, m: CycloModulus) -> np.ndarray:
-    """Columns k .. k + phi - 1 (mod M) of R_M, given its entries."""
+    """Columns k .. k + phi - 1 (mod M) of R_M, given its entries, in
+    their stored int8."""
     cols = (k + np.arange(m.phi)) % m.M
-    return entries[:, cols].astype(np.int64)
+    return entries[:, cols]
 
 
 def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement]:
@@ -41,7 +42,8 @@ def monomial_expansion_factor(k: int, m: CycloModulus) -> tuple[int, RingElement
 def _factor_and_witness(k: int, m: CycloModulus,
                         win: np.ndarray) -> tuple[int, RingElement]:
     """monomial_expansion_factor for 0 <= k < M, given the window of k."""
-    row_l1 = np.abs(win).sum(axis=1)
+    # entries lie in {-1, 0, 1} (reduction_matrix), so abs cannot wrap
+    row_l1 = np.abs(win).sum(axis=1, dtype=np.int64)
     row = int(row_l1.argmax())
     factor = int(row_l1[row])
     witness = RingElement(m, tuple(int(np.sign(c)) for c in win[row]))

@@ -8,38 +8,41 @@ positive scale. The images at each prime come from the NTT (ntt) or, where
 that costs more (every prime M), from the batched EEA (poly); one ring
 product certifies the result for both. A route whose cost is above
 MAX_GENERIC_COST is refused (GenericTooLarge) before any work. The
-constructive route covers a = x^i - x^j only. With k = i - j it returns
-u = -x^{M-j} Q(x^{k/d}) mod Phi_M, Q = (N(x) - c)/(x^d - 1), where N, c,
-d, the scale and the guaranteed coefficient bound come from the paper's
-case table (_case):
+constructive route covers a = x^i - x^j only. With k = i - j and
+d = gcd(k, M) it returns u = -x^{M-j} Q(x^{k/d}) mod Phi_M,
+Q = (N(x) - scale)/(x^d - 1), where N, the scale and the guaranteed
+coefficient bound come from the paper's case table (_case), keyed by d:
 
-  case             N(x)                c  d                   scale  bound
-  PRIME_POWER      Phi_M               p  p^v_p(k)            p      p-1
-  P_DIVIDES_SHIFT  Phi_{q^t}(x^{p^s})  q  p^s q^v_q(k)        q      q-1
-  Q_DIVIDES_SHIFT  Phi_{p^s}(x^{q^t})  p  q^t p^v_p(k)        p      p-1
-  COPRIME          Phi_M               1  p^v_p(k) q^v_q(k)   1      p-1
+  case             N(x)                scale  bound
+  PRIME_POWER      Phi_M               p      p-1
+  P_DIVIDES_SHIFT  Phi_{q^t}(x^{p^s})  q      q-1
+  Q_DIVIDES_SHIFT  Phi_{p^s}(x^{q^t})  p      p-1
+  COPRIME          Phi_M               1      p-1
 
 PRIME_POWER is the case of M = p^s. For M = p^s q^t the case is
-P_DIVIDES_SHIFT when p^s | k, Q_DIVIDES_SHIFT when q^t | k, and COPRIME
-otherwise. Q comes from the stride recurrence Q_e = Q_{e-d} - (N - c)_e, a
-prefix sum over each residue class mod d, with no long division; the route
-is orders of magnitude faster than the generic one. One routine,
-_construct, builds a list of gaps at one shift j as int64 rows: Q depends
-on (case, d) only, so each group of gaps that share them takes one
-cumulative sum down the columns of the (-1, d) view of N - c and one
-np.add.at that folds the exponents e k/d + M - j mod M of every gap of the
-group; one reduction mod Phi_M follows. A single construct is a block of
-one gap; a sweep's blocks hold up to _UNIT_BLOCK / (16 M) gaps. Entries
-stay below M^2 (q + 1) < 2^61 (the bound is derived in _construct), and
-each reduction falls back to Python ints when its own bound fails.
+P_DIVIDES_SHIFT when p^s | d, Q_DIVIDES_SHIFT when q^t | d, and COPRIME
+otherwise. The constant the paper subtracts from N is N(1), which is the
+scale in every row. Q comes from the stride recurrence
+Q_e = Q_{e-d} - (N - scale)_e, a prefix sum over each residue class mod d,
+with no long division; the route is orders of magnitude faster than the
+generic one. One routine, _construct, builds a range of consecutive gaps
+at one shift j as int64 rows: Q depends on d only, so each group of gaps
+that share it takes one _case call, one cumulative sum down the columns of
+the (-1, d) view of N - scale and one np.add.at that folds the exponents
+e k/d + M - j mod M of every gap of the group; one reduction mod Phi_M
+follows. A single construct is a range of one gap at j; a sweep's blocks
+are ranges of up to _UNIT_BLOCK / (16 M) gaps at j = 0. Entries stay below
+M^2 (q + 1) < 2^61 (the bound is derived in _construct), and each
+reduction falls back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
-the one check of every constructed inverse, one row per pair. Its rows
-step j at a fixed gap, or step the gap at a fixed j, with a scale and a
-bound per row. It forms x^j u and x^i u as two windows of the row of u
-modulo x^M - 1 and tests (x^j u - x^i u + scale) * D = 0 mod x^M - 1, with
-D the cofactor of Phi_M in 1 - x^M, so no second reduction is needed.
+the one check of every constructed inverse, one row per pair. It takes the
+same block shape as _construct, a range of consecutive gaps at one j, with
+a scale and a bound per row. It forms x^j u and x^i u as two windows of
+the row of u modulo x^M - 1 and tests (x^j u - x^i u + scale) * D = 0 mod
+x^M - 1, with D the cofactor of Phi_M in 1 - x^M, so no second reduction
+is needed.
 
 Exhaustive sweeps (norm_profile) construct only the M - 1 gap inverses
 u(g, 0) and obtain every other pair by the gap-shift identity
@@ -189,14 +192,6 @@ def check_generic_cost(m: CycloModulus, need: int) -> None:
             f"costs {cost}, above the ceiling {MAX_GENERIC_COST}")
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _comb(n: int, w: int) -> np.ndarray:
     """1 + x^w + ... + x^((n - 1) w) as an int64 row."""
     row = np.zeros((n - 1) * w + 1, dtype=np.int64)
@@ -204,75 +199,75 @@ def _comb(n: int, w: int) -> np.ndarray:
     return row
 
 
-def _case(k: int, m: CycloModulus):
-    """The paper's case table at the shift k = i - j, 0 < k < M.
+def _case(d: int, m: CycloModulus):
+    """The paper's case table at d = gcd(k, M) of a shift k = i - j,
+    0 < k < M.
 
-    Returns (case, N, c, d, scale, bound), N as an int64 coefficient row:
+    Returns (case, N, scale, bound), N as an int64 coefficient row:
 
-      case             N(x)                c  d                   scale  bound
-      PRIME_POWER      Phi_M               p  p^v_p(k)            p      p-1
-      P_DIVIDES_SHIFT  Phi_{q^t}(x^{p^s})  q  p^s q^v_q(k)        q      q-1
-      Q_DIVIDES_SHIFT  Phi_{p^s}(x^{q^t})  p  q^t p^v_p(k)        p      p-1
-      COPRIME          Phi_M               1  p^v_p(k) q^v_q(k)   1      p-1
+      case             N(x)                scale  bound
+      PRIME_POWER      Phi_M               p      p-1
+      P_DIVIDES_SHIFT  Phi_{q^t}(x^{p^s})  q      q-1
+      Q_DIVIDES_SHIFT  Phi_{p^s}(x^{q^t})  p      p-1
+      COPRIME          Phi_M               1      p-1
 
-    For M = p^s q^t the shift is P_DIVIDES_SHIFT when p^s | k,
-    Q_DIVIDES_SHIFT when q^t | k (never both, since k < M), COPRIME otherwise.
-    Phi_M is the modulus's read-only row; Phi_{q^t}(x^{p^s}) is the comb
-    1 + y + ... + y^(q-1) at y = x^{q^(t-1) p^s}, and symmetrically for p.
+    For M = p^s q^t the shift is P_DIVIDES_SHIFT when p^s | d,
+    Q_DIVIDES_SHIFT when q^t | d (never both, since d < M), COPRIME
+    otherwise; scale = N(1) in every row. Phi_M is the modulus's read-only
+    row; Phi_{q^t}(x^{p^s}) is the comb 1 + y + ... + y^(q-1) at
+    y = x^{M/q}, and Phi_{p^s}(x^{q^t}) the comb of p terms at y = x^{M/p}.
     """
     sh = m.shape
     if isinstance(sh, PrimePower):
-        p = sh.p
-        return (InverseCase.PRIME_POWER, m.poly_row, p,
-                p ** _valuation(k, p), p, p - 1)
-    p, s, q, t = sh.p, sh.s, sh.q, sh.t
-    if k % p ** s == 0:
-        return (InverseCase.P_DIVIDES_SHIFT, _comb(q, q ** (t - 1) * p ** s),
-                q, p ** s * q ** _valuation(k, q), q, q - 1)
-    if k % q ** t == 0:
-        return (InverseCase.Q_DIVIDES_SHIFT, _comb(p, p ** (s - 1) * q ** t),
-                p, q ** t * p ** _valuation(k, p), p, p - 1)
-    return (InverseCase.COPRIME, m.poly_row, 1,
-            p ** _valuation(k, p) * q ** _valuation(k, q), 1, p - 1)
+        return InverseCase.PRIME_POWER, m.poly_row, sh.p, sh.p - 1
+    p, q, M = sh.p, sh.q, m.M
+    if d % p ** sh.s == 0:
+        return InverseCase.P_DIVIDES_SHIFT, _comb(q, M // q), q, q - 1
+    if d % q ** sh.t == 0:
+        return InverseCase.Q_DIVIDES_SHIFT, _comb(p, M // p), p, p - 1
+    return InverseCase.COPRIME, m.poly_row, 1, p - 1
 
 
-def _construct(ks, j: int, m: CycloModulus):
-    """The constructive inverses of x^(j+k) - x^j for each gap k of ks,
-    0 <= j < j + k < M, unreduced.
+def _construct(gaps: range, j: int, m: CycloModulus):
+    """The constructive inverses of x^(j+k) - x^j for each gap k of gaps,
+    a range of consecutive gaps, 0 <= j < j + k < M, unreduced.
 
-    Returns (table, acc): table[r] = (case, scale, bound) of gap ks[r], and
-    row r of the (len(ks), M) int64 block acc is -x^{M-j} Q(x^{k/d})
-    mod x^M - 1 for k = ks[r]; reducing it mod Phi_M gives u. (N, c, d)
-    come from the case table and Q = (N - c)/(x^d - 1), from the stride
-    recurrence Q_e = Q_{e-d} - (N - c)_e; the division is exact, so the
-    recurrence continued past deg Q must give d zeros. Q depends on
-    (case, d) only, so it is formed and checked once for each group of
-    gaps that share them.
+    Returns (table, acc): table[r] = (case, scale, bound) of gap gaps[r],
+    and row r of the (len(gaps), M) int64 block acc is -x^{M-j} Q(x^{k/d})
+    mod x^M - 1 for k = gaps[r] and d = gcd(k, M); reducing it mod Phi_M
+    gives u. (N, scale) come from the case table at d and
+    Q = (N - scale)/(x^d - 1), from the stride recurrence
+    Q_e = Q_{e-d} - (N - scale)_e; the division is exact, so the recurrence
+    continued past deg Q must give d zeros. Q depends on d only, so it is
+    formed and checked once for each group of gaps that share it, from one
+    _case call.
 
-    N - c, padded with zeros to whole rows of d, becomes -Q by one
+    N - scale, padded with zeros to whole rows of d, becomes -Q by one
     cumulative sum down the columns of its (-1, d) view (each column is one
     residue class mod d); its last row holds the d top entries, which must
     be zero. The coefficient e of -Q goes to x^{(e k/d + M - j) mod M} of
     its row, for every gap of the group by one np.add.at on the flat block
     (exponents can collide within a row: gap 4 at M = 18). int64 is exact
-    here: |N - c| <= c + 1 <= q + 1 (p + 1 for p^s), each prefix sum adds
-    at most M such terms, so |Q| <= M(q + 1), and at most M of those fold
-    into one slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
-    M <= MAX_MODULUS. The caller's _reduce_rows picks its own dtype
-    (_as_rows) and falls back to Python ints when its bound fails.
+    here: |N - scale| <= scale + 1 <= q + 1 (p + 1 for p^s), each prefix
+    sum adds at most M such terms, so |Q| <= M(q + 1), and at most M of
+    those fold into one slot, so every folded entry is at most M^2 (q + 1)
+    < 2^61 for M <= MAX_MODULUS. The caller's _reduce_rows picks its own
+    dtype (_as_rows) and falls back to Python ints when its bound fails.
     """
     M = m.M
-    table, groups = [], {}
-    for r, k in enumerate(ks):
-        case, num, c, d, scale, bound = _case(k, m)
-        table.append((case, scale, bound))
-        groups.setdefault((case, d), (num, c, []))[2].append(r)
-    acc = np.zeros((len(table), M), dtype=np.int64)
-    for (case, d), (num, c, rows) in groups.items():
+    groups = {}
+    for r, k in enumerate(gaps):
+        groups.setdefault(math.gcd(k, M), []).append(r)
+    table = [None] * len(gaps)
+    acc = np.zeros((len(gaps), M), dtype=np.int64)
+    for d, rows in groups.items():
+        case, num, scale, bound = _case(d, m)
+        for r in rows:
+            table[r] = (case, scale, bound)
         n = len(num)
         neg = np.zeros(-(-n // d) * d, dtype=np.int64)
         neg[:n] = num
-        neg[0] -= c
+        neg[0] -= scale
         # neg becomes -Q: the negated recurrence is a prefix sum per column
         cols = neg.reshape(-1, d)
         np.add.accumulate(cols, axis=0, out=cols)
@@ -286,7 +281,7 @@ def _construct(ks, j: int, m: CycloModulus):
         # repeated by hand: np.add.at's own broadcast of one value row over
         # 2-D indices adds wrong values (numpy 2.4.6)
         top = n - d
-        step_row = np.array([(ks[r] // d, r * M) for r in rows])
+        step_row = np.array([(gaps[r] // d, r * M) for r in rows])
         idx = np.arange(top) * step_row[:, :1]
         idx += M - j
         idx %= M
@@ -299,9 +294,10 @@ def _construct(ks, j: int, m: CycloModulus):
 def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
-    _construct builds u from the paper's case table, as a block of one
-    gap, reduced here once; check_gap_block checks (x^i - x^j) * u = scale
-    exactly, with the norm bound, before u is returned.
+    _construct builds u from the paper's case table, as the range of the
+    one gap i - j at j, reduced here once; check_gap_block checks
+    (x^i - x^j) * u = scale exactly, with the norm bound, on the same range
+    before u is returned.
 
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which check_gap_block checks; a nonzero u with every
@@ -310,9 +306,10 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """
     if not 0 <= j < i < m.M:
         raise BadRange(f"need 0 <= j < i < M, got i={i}, j={j}, M={m.M}")
-    [(case, scale, bound)], acc = _construct((i - j,), j, m)
+    gap = range(i - j, i - j + 1)
+    [(case, scale, bound)], acc = _construct(gap, j, m)
     U = _reduce_rows(acc, m)
-    check_gap_block(m, i - j, U, scale, bound, j)
+    check_gap_block(m, gap, U, scale, bound, j)
     return ScaledInverse(RingElement(m, tuple(U[0].tolist())), scale, bound,
                          case)
 
@@ -328,8 +325,8 @@ class ProfileRow:
 
 # Ceiling of sweep_cost that norm_profile accepts, about 5 s of sweep on a
 # 2-core host: the prime M = 1021, the costliest sweep below it (1.06e9),
-# takes 3.8 s, and M = 2057 = 11^2 17 (7.9e8) 4.6 s; a sweep above it
-# raises SweepTooLarge before any allocation.
+# takes 3.4-3.7 s, and M = 2057 = 11^2 17 (7.9e8) 4.3-4.5 s; a sweep above
+# it raises SweepTooLarge before any allocation.
 MAX_SWEEP_COST = 2 ** 30
 
 
@@ -380,41 +377,39 @@ class NormProfile:
         return tuple(ProfileRow(*pair) for pair in self.pairs())
 
 
-def check_gap_block(m: CycloModulus, g, block: np.ndarray, scale, bound,
-                    j0: int = 0) -> np.ndarray:
+def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
+                    bound, j: int = 0) -> np.ndarray:
     """Batched exact check of one pair (i, j) per row of block.
 
-    g is a gap or a range of consecutive gaps. For a gap, row r is the pair
-    (j0 + r + g, j0 + r): j steps, the gap is fixed. For a range, row r is
-    the pair (j0 + g[r], j0): the gap steps, j is fixed. scale and bound
-    are ints or per-row arrays. Row r must be a reduced u with
+    gaps is a range of consecutive gaps at the shift j, the block shape of
+    _construct: row r is the pair (j + gaps[r], j). scale and bound are
+    ints or per-row arrays. Row r must be a reduced u with
     (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. The
     product is formed per row in Z[x]/(x^M - 1); it is scale mod Phi_M
     exactly when (product - scale) * D is 0 mod x^M - 1 (see cyclotomic),
     so no division is needed. Returns the row norms; raises AssertionError
-    naming M and (i, j) of the first pair that fails.
+    naming M and (i, j) of the first pair that fails, and ValueError when
+    gaps is not len(block) consecutive gaps.
     """
     M, phi = m.M, m.phi
     n = block.shape[0]
-    fixed_gap = not isinstance(g, range)
-    if not fixed_gap and (len(g) != n or g.step != 1):
-        raise ValueError(f"need {n} consecutive gaps, got {g}")
-    i0 = j0 + (g if fixed_gap else g.start)
-    dj = 1 if fixed_gap else 0   # the step of j from one row to the next
+    if len(gaps) != n or gaps.step != 1:
+        raise ValueError(f"need {n} consecutive gaps, got {gaps}")
+    i0 = j + gaps.start
     # headroom: |(x^i - x^j) u - scale| <= (2 + scale) max|u| for u != 0
     most = scale if isinstance(scale, int) else int(scale.max())
     rows = _as_rows(block, m, 2 + most)
     # row r of pad is [u_r, u_r], so the length-M window of the flat view
     # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are 2M
-    # apart, so an exponent that grows by one per row reads at the stride
-    # 2M - 1 and a fixed one at the stride 2M
+    # apart, so x^j u reads at the stride 2M and x^i u, whose exponent
+    # grows by one per row, at 2M - 1
     pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
     pad[:n, :phi] = rows
     pad[:n, M:M + phi] = rows
     flat = pad.ravel()
-    si, sj = 2 * M - 1, 2 * M - dj   # the strides of x^i u and x^j u
+    sj, si = 2 * M, 2 * M - 1   # the strides of x^j u and x^i u
     # the negated residual: (x^j - x^i) u + scale
-    res = (flat[M - j0:M - j0 + n * sj].reshape(n, sj)[:, :M]
+    res = (flat[M - j:M - j + n * sj].reshape(n, sj)[:, :M]
            - flat[M - i0:M - i0 + n * si].reshape(n, si)[:, :M])
     res[:, 0] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
@@ -430,7 +425,7 @@ def check_gap_block(m: CycloModulus, g, block: np.ndarray, scale, bound,
         what = (f"norm {int(norms[r])} > bound "
                 f"{int(np.broadcast_to(bound, (n,))[r])}")
     raise AssertionError(f"batched check failed: {what} for M={M}, "
-                         f"(i, j)=({i0 + r}, {j0 + r * dj})")
+                         f"(i, j)=({i0 + r}, {j})")
 
 
 def _divide_by_y(R: np.ndarray, tail: np.ndarray) -> np.ndarray:

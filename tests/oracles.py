@@ -32,7 +32,6 @@ from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.structure import _stride_family
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
-                                      check_gap_block,
                                       construct_scaled_inverse)
 
 
@@ -174,17 +173,33 @@ def norm_profile_per_pair(m: CycloModulus) -> ProfileTable:
 def norm_profile_blocks(m: CycloModulus) -> ProfileTable:
     """norm_profile by the block path, O(M^3): row j of gap g's block is the
     rotation x^{-j} acc of the gap's folded row, reduced at full length M in
-    one _reduce_rows call per gap, and every pair is checked by
-    check_gap_block. Case maxima as in norm_profile."""
-    M = m.M
+    one _reduce_rows call per gap, and every pair is checked by its own
+    exact product: (x^{j+g} - x^j) row_j, reduced by the row-major divide
+    (reduce_rows_row_major) for the whole block at once, must be the
+    scale, and each row's norm at most the bound. Case maxima as in
+    norm_profile."""
+    M, phi = m.M, m.phi
     gaps = [None]
     best: dict = {}
     for g in range(1, M):
-        [(case, scale, bound)], acc = _construct((g,), 0, m)
+        [(case, scale, bound)], acc = _construct(range(g, g + 1), 0, m)
         # row j starts at acc[j], so it is x^{-j} acc mod x^M - 1
         rot = np.tile(acc[0], M - g + 1)[:(M - g) * (M + 1)]
         block = _reduce_rows(rot.reshape(M - g, M + 1)[:, :M], m)
-        norms = check_gap_block(m, g, block, scale, bound)
+        js = np.arange(M - g)[:, None]
+        cols = js + np.arange(phi)
+        prod = np.zeros((M - g, 2 * M), dtype=np.int64)
+        prod[js, cols + g] = block
+        prod[js, cols] -= block
+        want = np.zeros(phi, dtype=np.int64)
+        want[0] = scale
+        bad = (reduce_rows_row_major(prod, m) != want).any(axis=1)
+        norms = np.abs(block).max(axis=1)
+        bad |= norms > bound
+        if bad.any():
+            j = int(bad.argmax())
+            raise AssertionError(f"oracle check failed for M={M}, "
+                                 f"(i, j)=({j + g}, {j})")
         j = int(norms.argmax())
         key = (int(norms[j]), -g - j, -j)
         best[case] = max(best.get(case, key), key)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -640,6 +641,51 @@ class TestReductionMatrixChecksStayIndependent:
         failed = {c.name for s in report.suites for c in s.checks if not c.passed}
         assert {"columns_match_long_division",
                 "kronecker_factorization"} <= failed
+
+
+class TestMatrixSuiteBlocks:
+    """The matrix suite's round trips serialize R_M in blocks of rows of at
+    most _UNIT_BLOCK entries, each its own document; entry_range reads the
+    stored int8 entries."""
+
+    @staticmethod
+    def _failed(M):
+        report = run_verify(M, suite="matrix", trials=10)
+        return {c.name for s in report.suites for c in s.checks
+                if not c.passed}
+
+    @pytest.mark.parametrize("method, check", [("to_json", "json_roundtrip"),
+                                               ("to_csv", "csv_roundtrip")])
+    def test_corrupt_second_block_fails(self, monkeypatch, method, check):
+        # M = 1024: phi = 512 rows of 1024 entries, two blocks of 256 rows;
+        # the serializer adds 1 to one entry of the second block only
+        real = getattr(cyclotomic.ReductionMatrix, method)
+        shapes = []
+
+        def corrupt(R):
+            shapes.append(R.entries.shape)
+            if len(shapes) == 2:
+                entries = R.entries.copy()
+                entries[-1, 0] += 1
+                R = dataclasses.replace(R, entries=entries)
+            return real(R)
+
+        monkeypatch.setattr(cyclotomic.ReductionMatrix, method, corrupt)
+        assert self._failed(1024) == {check}
+        assert shapes == [(256, 1024), (256, 1024)]
+
+    @pytest.mark.parametrize("bad", [2, -128])
+    def test_entry_range_rejects_int8_entry(self, monkeypatch, bad):
+        good = cyclotomic.reduction_matrix
+
+        def widen(m):
+            R = good(m)
+            entries = R.entries.copy()
+            entries[0, -1] = bad
+            return dataclasses.replace(R, entries=entries)
+
+        monkeypatch.setattr(cyclotomic, "reduction_matrix", widen)
+        assert "entry_range" in self._failed(15)
 
 
 def test_verify_runs_each_long_division_once(monkeypatch):

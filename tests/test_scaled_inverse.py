@@ -389,16 +389,16 @@ class TestLongDivisionOracle:
 
     @pytest.mark.parametrize("M,k", [(35, 3), (125, 25), (143, 13), (45, 9)])
     def test_inexact_division_is_caught(self, M, k, monkeypatch):
-        # a table entry with the wrong c leaves a nonzero remainder
+        # a table entry with the wrong c = scale leaves a nonzero remainder
         real = scaled_inverse._case
 
-        def wrong_c(k, m):
-            case, num, c, d, scale, bound = real(k, m)
-            return case, num, c + 1, d, scale, bound
+        def wrong_c(d, m):
+            case, num, scale, bound = real(d, m)
+            return case, num, scale + 1, bound
 
         monkeypatch.setattr(scaled_inverse, "_case", wrong_c)
         m = make_modulus(M)
-        case = real(k, m)[0]
+        case = real(math.gcd(k, M), m)[0]
         with pytest.raises(AssertionError,
                            match=rf"^\(N - c\)/\(x\^\d+ - 1\) is not exact "
                                  rf"for M={M}, case {case.value}$"):
@@ -483,13 +483,13 @@ class TestNormProfile:
         seen = {}
         real = scaled_inverse.check_gap_block
 
-        def spy(m, gaps, block, scale, bound, j0=0):
-            assert j0 == 0 and isinstance(gaps, range)
+        def spy(m, gaps, block, scale, bound, j=0):
+            assert j == 0 and isinstance(gaps, range)
             assert len(gaps) == block.shape[0]
             for g, row in zip(gaps, block):
                 assert g not in seen
                 seen[g] = row.tolist()
-            return real(m, gaps, block, scale, bound, j0)
+            return real(m, gaps, block, scale, bound, j)
 
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
@@ -558,7 +558,8 @@ class TestOneCheckPerPair:
         assert all(mod.M == rad and V.shape[1] == rad
                    for V, mod in reductions)
         want = np.concatenate([
-            scaled_inverse._construct((g,), 0, m)[1][0].reshape(rad, w).T
+            scaled_inverse._construct(range(g, g + 1), 0, m)[1][0]
+            .reshape(rad, w).T
             for g in range(1, M)])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
@@ -571,9 +572,10 @@ class TestOneCheckPerPair:
         m = make_modulus(35)
         si = construct_scaled_inverse(9, 2, m)
         assert len(checks) == 1 and len(reductions) == 1
-        assert [args[:2] for args in builds] == [((7,), 2)]
-        m_, g, block, scale, bound, j0 = checks[0]
-        assert (g, j0, scale, bound) == (7, 2, si.scale, si.bound)
+        # one range of one gap at j, the same block shape for both
+        assert [args[:2] for args in builds] == [(range(7, 8), 2)]
+        m_, gaps, block, scale, bound, j = checks[0]
+        assert (gaps, j, scale, bound) == (range(7, 8), 2, si.scale, si.bound)
         assert tuple(block[0].tolist()) == si.u.coeffs
 
 
@@ -655,9 +657,9 @@ class TestRadicalSweep:
         # u(g, 0) passes check_gap_block and the sweep names that pair
         real = scaled_inverse._case
 
-        def low_bound(k, m):
-            case, num, c, d, scale, bound = real(k, m)
-            return case, num, c, d, scale, (
+        def low_bound(d, m):
+            case, num, scale, bound = real(d, m)
+            return case, num, scale, (
                 3 if case == InverseCase.COPRIME else bound)
 
         monkeypatch.setattr(scaled_inverse, "_case", low_bound)
@@ -716,61 +718,70 @@ class TestScaleMinimalityCheck:
 
 
 class TestCheckGapBlock:
-    M, G = 15, 3   # p | gap: scale 5, bound 4
+    """check_gap_block on a range of consecutive gaps at a nonzero j, the
+    block shape of a single construct, with a scale and a bound per row."""
+
+    M, J, GAPS = 15, 4, range(1, 11)   # pairs (5, 4) .. (14, 4)
 
     def _block(self):
-        # reduced inverses of x^(j+G) - x^j, built pair by pair
+        # reduced inverses of x^(J+g) - x^J, built pair by pair: gaps 3, 6
+        # and 9 have scale 5, gaps 5 and 10 scale 3, the rest scale 1
         m = make_modulus(self.M)
-        sis = [construct_scaled_inverse(j + self.G, j, m)
-               for j in range(self.M - self.G)]
+        sis = [construct_scaled_inverse(self.J + g, self.J, m)
+               for g in self.GAPS]
         block = np.array([si.u.coeffs for si in sis], dtype=np.int64)
-        return m, block, sis[0].scale, sis[0].bound
+        return (m, block, np.array([si.scale for si in sis]),
+                np.array([si.bound for si in sis]))
 
     def test_accepts_true_block(self):
-        m, block, scale, bound = self._block()
-        norms = check_gap_block(m, self.G, block, scale, bound)
+        m, block, scales, bounds = self._block()
+        assert set(scales.tolist()) == {1, 3, 5}
+        norms = check_gap_block(m, self.GAPS, block, scales, bounds, self.J)
         assert norms.tolist() == [int(np.abs(r).max()) for r in block]
 
     def test_rejects_one_coefficient_off_by_one(self):
-        m, block, scale, bound = self._block()
-        block[6, 3] += 1
+        m, block, scales, bounds = self._block()
+        block[5, 3] += 1
         with pytest.raises(AssertionError,
-                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)"):
-            check_gap_block(m, self.G, block, scale, bound)
+                           match=r"!= 5 for M=15, \(i, j\)=\(10, 4\)$"):
+            check_gap_block(m, self.GAPS, block, scales, bounds, self.J)
 
     @pytest.mark.parametrize("big", [2 ** 62, 10 ** 30])
     def test_rejects_coefficient_too_large_for_int64(self, big):
         # the product of such a row would overflow int64; the check must
         # switch to exact Python ints and still name the pair
-        m, block, scale, bound = self._block()
+        m, block, scales, bounds = self._block()
         rows = block if big < 2 ** 63 else block.astype(object)
-        rows[6, 3] += big
+        rows[5, 3] += big
         with pytest.raises(AssertionError,
-                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)"):
-            check_gap_block(m, self.G, rows, scale, bound)
+                           match=r"!= 5 for M=15, \(i, j\)=\(10, 4\)$"):
+            check_gap_block(m, self.GAPS, rows, scales, bounds, self.J)
 
     def test_rejects_norm_above_bound(self):
-        m, block, scale, bound = self._block()
+        m, block, scales, bounds = self._block()
         norms = np.abs(block).max(axis=1)
-        j, low = int(np.argmax(norms)), int(norms.max()) - 1
-        with pytest.raises(AssertionError, match=rf"> bound {low} for M=15, "
-                                                 rf"\(i, j\)=\({j + self.G}, {j}\)"):
-            check_gap_block(m, self.G, block, scale, low)
+        r, low = int(np.argmax(norms)), int(norms.max()) - 1
+        with pytest.raises(AssertionError,
+                           match=rf"> bound {low} for M=15, "
+                                 rf"\(i, j\)=\({self.J + self.GAPS[r]}, 4\)$"):
+            check_gap_block(m, self.GAPS, block, scales, low, self.J)
 
     def test_offset_block(self):
-        # rows 4 .. of the block are the pairs (j + G, j) from j0 = 4 on;
-        # a failure names the absolute pair
-        m, block, scale, bound = self._block()
-        tail = block[4:].copy()
-        norms = check_gap_block(m, self.G, tail, scale, bound, 4)
+        # rows 3 .. of the block are the gaps 4 .. 10 at J; a failure names
+        # the absolute pair
+        m, block, scales, bounds = self._block()
+        tail = block[3:].copy()
+        gaps = range(4, 11)
+        norms = check_gap_block(m, gaps, tail, scales[3:], bounds[3:], self.J)
         assert norms.tolist() == [int(np.abs(r).max()) for r in tail]
         with pytest.raises(AssertionError,
-                           match=r"!= 5 for M=15, \(i, j\)=\(7, 4\)"):
-            check_gap_block(m, self.G, block[:-4], scale, bound, 4)
+                           match=r"!= 1 for M=15, \(i, j\)=\(8, 4\)$"):
+            check_gap_block(m, gaps, block[:-3], scales[3:], bounds[3:],
+                            self.J)
         tail[2, 3] += 1
         with pytest.raises(AssertionError,
-                           match=r"!= 5 for M=15, \(i, j\)=\(9, 6\)$"):
-            check_gap_block(m, self.G, tail, scale, bound, 4)
+                           match=r"!= 5 for M=15, \(i, j\)=\(10, 4\)$"):
+            check_gap_block(m, gaps, tail, scales[3:], bounds[3:], self.J)
 
 
 class TestGapBlock:
@@ -832,8 +843,8 @@ class TestGapBlock:
 
     @pytest.mark.parametrize("big", [2 ** 62, 10 ** 30])
     def test_rejects_coefficient_too_large_for_int64(self, big):
-        # as TestCheckGapBlock's, with the gap stepping: rows that fail the
-        # int64 bound are checked as Python ints and still name the pair
+        # as TestCheckGapBlock's, at j = 0: rows that fail the int64 bound
+        # are checked as Python ints and still name the pair
         m, U, scales, bounds = self._mixed()
         rows = U if big < 2 ** 63 else U.astype(object)
         rows[3, 7] += big
@@ -872,8 +883,8 @@ class TestRotationVerify:
                 assert wrong == (coeffs != si.u.coeffs)
                 # bound M: only the product can fail here
                 try:
-                    check_gap_block(m, i - j, np.array([coeffs]), si.scale,
-                                    M, j)
+                    check_gap_block(m, range(i - j, i - j + 1),
+                                    np.array([coeffs]), si.scale, M, j)
                 except AssertionError as e:
                     assert wrong and str(e).endswith(
                         f"!= {si.scale} for M={M}, (i, j)=({i}, {j})")
@@ -886,10 +897,10 @@ class TestRotationVerify:
         construct_scaled_inverse(i, j, m)
         real = scaled_inverse._construct
 
-        def off_by_one(ks, j, m):
+        def off_by_one(gaps, j, m):
             # x^e is reduced for e < phi, so this adds 1 to coefficient
             # phi // 2 of the reduced u and nothing else
-            table, acc = real(ks, j, m)
+            table, acc = real(gaps, j, m)
             acc = acc.copy()
             acc[0, m.phi // 2] += 1
             return table, acc
@@ -905,9 +916,9 @@ class TestRotationVerify:
         norm = construct_scaled_inverse(i, j, m).norm
         real = scaled_inverse._case
 
-        def low_bound(k, m):
-            case, num, c, d, scale, bound = real(k, m)
-            return case, num, c, d, scale, norm - 1
+        def low_bound(d, m):
+            case, num, scale, bound = real(d, m)
+            return case, num, scale, norm - 1
 
         monkeypatch.setattr(scaled_inverse, "_case", low_bound)
         with pytest.raises(AssertionError,
@@ -931,14 +942,14 @@ class TestCaseTableImpliesMinimality:
         m = make_modulus(M)
         seen = set()
         for k in range(1, M):
-            case, _, _, _, scale, bound = _case(k, m)
+            case, _, scale, bound = _case(math.gcd(k, M), m)
             seen.add(case)
             assert scale == 1 or (bound == scale - 1 and self._is_prime(scale)), k
         if isinstance(m.shape, TwoPrime):
             assert InverseCase.COPRIME in seen
 
     def test_moduli_cover_all_four_cases(self):
-        seen = {_case(k, make_modulus(M))[0]
+        seen = {_case(math.gcd(k, M), make_modulus(M))[0]
                 for M in self.MODULI for k in range(1, M)}
         assert seen == set(InverseCase) - {InverseCase.GENERIC}
 
@@ -949,6 +960,35 @@ class TestCaseTableImpliesMinimality:
             for j in range(i):
                 si = construct_scaled_inverse(i, j, m)
                 assert math.gcd(si.u.to_poly().content(), si.scale) == 1
+
+
+class TestCaseTableByGcd:
+    """The case table is keyed by d = gcd(k, M): it is the d of the paper's
+    valuation form (long_division_quotient), and the c it subtracts from
+    N is N(1), the scale."""
+
+    @pytest.mark.parametrize("M", supported_upto(399) + [1024, 2057, 2187])
+    def test_every_shift(self, M):
+        m = make_modulus(M)
+        for k in range(1, M):
+            _, d, scale, bound, case = long_division_quotient(k, m)
+            assert math.gcd(k, M) == d, k
+            got_case, num, got_scale, got_bound = _case(d, m)
+            assert (got_case, got_scale, got_bound) == (case, scale, bound), k
+            assert int(num.sum()) == scale, k
+
+    @pytest.mark.parametrize("M", [35, 45, 125, 143, 1024])
+    def test_one_case_call_per_gcd(self, M, monkeypatch):
+        # a block of every gap asks the table once per distinct gcd(k, M),
+        # and each gap's row of the table is that gcd's
+        m = make_modulus(M)
+        calls = TestOneCheckPerPair._count(monkeypatch, "_case")
+        table, _ = scaled_inverse._construct(range(1, M), 0, m)
+        ds = [d for d, _ in calls]
+        assert sorted(ds) == sorted({math.gcd(k, M) for k in range(1, M)})
+        for k, row in zip(range(1, M), table):
+            _, _, scale, bound, case = long_division_quotient(k, m)
+            assert row == (case, scale, bound), k
 
 
 class TestNegativeResultantNormalization:
