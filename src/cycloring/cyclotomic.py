@@ -19,8 +19,9 @@ accumulate on narrow columns and as whole-row adds on wide ones.
 _reduce_rows folds a batch of rows mod x^M - 1 and runs both halves;
 _monomial_rows reduces unit rows in blocks, the route of every x^k. An
 exhaustive sweep (scaled_inverse.norm_profile) reduces each subsequence
-once, at the radical, and reaches the remainders of its rotations by exact
-division by y, with no second reduction.
+once, at the radical, and takes the norms of its rotations with no second
+reduction: in closed form at a prime radical, by exact division by y at a
+two-prime one.
 
 Integers are exact. Rows are int64 when every step provably fits, and
 object arrays of Python ints, exact at any size, otherwise (_as_rows).

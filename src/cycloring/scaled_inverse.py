@@ -51,9 +51,13 @@ Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
 M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
 sweep takes its gaps in blocks; each block is built by one _construct call
 and its u(g, 0) checked by one check_gap_block call. It reduces each
-subsequence once and steps through its rotations by exact division by y,
-y^{-1} r = (r - r_0 Phi_rad)/y, with no second reduction: O(M^2 rad) in
-all instead of O(M^3). The chain of rotations must close, as y^rad = 1
+subsequence once, with no second reduction for its rotations. At a prime
+radical p (every M = p^s) their norms take a closed form, O(M^2) in all:
+the rotation of [r, 0] by y^{-rho} reduces mod Phi_p to its entries less
+the one that lands at y^(p-1). At a two-prime radical the sweep steps
+through them by exact division by y, y^{-1} r = (r - r_0 Phi_rad)/y, in
+place in one buffer of the narrowest dtype that holds their written bound:
+O(M^2 rad) in all instead of O(M^3). That chain must close, as y^rad = 1
 (see norm_profile). The sweep keeps one small norm array per gap; the
 (i, j) rows are built only when read. A sweep whose cost M^2 rad is above
 MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
@@ -323,17 +327,22 @@ class ProfileRow:
     case: InverseCase
 
 
-# Ceiling of sweep_cost that norm_profile accepts, about 5 s of sweep on a
-# 2-core host: the prime M = 1021, the costliest sweep below it (1.06e9),
-# takes 3.4-3.7 s, and M = 2057 = 11^2 17 (7.9e8) 4.3-4.5 s; a sweep above
-# it raises SweepTooLarge before any allocation.
+# Ceiling of sweep_cost that norm_profile accepts; a sweep above it raises
+# SweepTooLarge before any allocation. Measured on a 2-core host, one
+# process each: the costliest sweeps below it are those of a large M at a
+# small radical, where the per-gap work at length M dominates: 2^14 = 16384
+# (5.4e8) takes 13.6 s at 161 MB, and 2 3^8 = 13122 (1.03e9) 11.7 s. The
+# costliest rotation chain, at the two-prime radical 1007 = 19 53 (1.02e9),
+# takes about 2 s; the prime M = 1021 (1.06e9) 0.3-0.4 s.
 MAX_SWEEP_COST = 2 ** 30
 
 
 def sweep_cost(M: int, rad: int) -> int:
     """O(1) cost of norm_profile at M with radical rad: M - 1 gaps of M'
-    subsequences, each taken through rad rotations of length phi_rad,
-    (M - 1) rad phi entries, at most M^2 rad."""
+    subsequences, each taken through rad rotations of length phi_rad by
+    the chain at a two-prime radical, (M - 1) rad phi entries, at most
+    M^2 rad. A prime radical's closed form costs O(M^2) in all, and is
+    priced the same."""
     return M * M * rad
 
 
@@ -428,16 +437,72 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
                          f"(i, j)=({i0 + r}, {j})")
 
 
-def _divide_by_y(R: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """y^{-1} r mod Phi_rad for each remainder row r of R, with tail the
-    coefficients 1 .. phi of Phi_rad: as Phi_rad is monic with
-    Phi_rad(0) = 1, y^{-1} r = (r - r_0 Phi_rad)/y, a shift down by one
-    place less r_0 times tail, of degree below phi."""
-    out = np.empty_like(R)
-    out[:, :-1] = R[:, 1:]
-    out[:, -1] = 0
-    out -= R[:, :1] * tail
-    return out
+def _chain_dtype(bound: int) -> np.dtype:
+    """The narrowest signed dtype holding -(bound + 1): int8, int16, int32
+    or int64, and object (Python ints) from 2^63 on. Every entry of
+    absolute value at most bound, and its abs, fits it."""
+    return np.min_scalar_type(-(bound + 1))
+
+
+def _next_rotation(B: np.ndarray, rho: int, tail: np.ndarray) -> None:
+    """One step of the rotation chain, in place. The window
+    B[:, rho:rho + phi] holds remainder rows r mod Phi_rad, and tail the
+    coefficients 1 .. phi of Phi_rad. As Phi_rad is monic with
+    Phi_rad(0) = 1, y^{-1} r = (r - r_0 Phi_rad)/y, which has degree below
+    phi: the shift down by one place is the next window, which holds
+    r_1 .. r_{phi-1} and a zero, so only r_0 tail is subtracted there. The
+    product takes B's memory order ("A"), so the subtraction runs in it."""
+    B[:, rho + 1:rho + 1 + len(tail)] -= np.multiply(B[:, rho:rho + 1], tail,
+                                                     order="A")
+
+
+def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
+    """(A, unclosed) for the remainder rows R0 mod Phi_rad, max|R0| <= big.
+
+    A[rho, k] is the max-norm of y^{-rho} R0[k] mod Phi_rad, rho < rad. Its
+    entries are at most 2p big at a two-prime radical pq, as 2p bounds the
+    expansion factor of a monomial mod Phi_pq (expansion.closed_form_max,
+    checked by verify's expansion suite), and 2 big at a prime radical.
+    The rows are held in the narrowest dtype that holds that written bound
+    (_chain_dtype), in which every exact result fits, so nothing wraps.
+
+    At a prime radical p there is no chain, and unclosed is None.
+    S = [R0, 0] represents R0 mod Phi_p as well; y^{-rho} S mod y^p - 1 has
+    the entries S[k + rho mod p], and as Phi_p = 1 + y + ... + y^(p-1), its
+    remainder is those entries less S[c], c = rho - 1 mod p, the one at
+    y^(p-1). So A[rho] = max(max S - S[c], S[c] - min S), for every rho
+    from one roll.
+
+    At a two-prime radical the rotations follow one from the next
+    (_next_rotation) in one buffer B, R_rho = B[:, rho:rho + phi], with no
+    copy for the shift; unclosed marks the rows with R_rad != R0.
+
+    B (S at a prime radical) is column-major when 4 rows >= phi, so that
+    the inner loops of each step run down its rows, and row-major
+    otherwise. Measured on sweep blocks (2-core x86 host, numpy 2.4),
+    column-major takes 0.05 of the row-major time at 3888 = 2^4 3^5 (2592
+    rows of 2 entries) and 0.64 at 143 (114 rows of 120), about the same
+    near 4 rows = phi (299: 54 rows of 264), and 4 times as long at 1003
+    (16 rows of 928).
+    """
+    rows, phi = R0.shape
+    rad, sh = rad_m.M, rad_m.shape
+    prime = isinstance(sh, PrimePower)
+    dt = _chain_dtype((2 if prime else 2 * sh.p) * big)
+    B = np.zeros((rows, rad if prime else rad + phi), dtype=dt,
+                 order="F" if 4 * rows >= phi else "C")
+    B[:, :phi] = R0
+    if prime:
+        # B = [R0, 0] is S
+        C = np.roll(B, 1, axis=1)   # C[:, rho] = S[:, rho - 1 mod p]
+        A = np.maximum(B.max(axis=1)[:, None] - C, C - B.min(axis=1)[:, None])
+        return A.T, None
+    tail = rad_m.poly_row[1:].astype(dt)
+    A = np.empty((rad, rows), dtype=dt)
+    for rho in range(rad):
+        np.abs(B[:, rho:rho + phi]).max(axis=1, out=A[rho])
+        _next_rotation(B, rho, tail)
+    return A, (B[:, rad:] != R0).any(axis=1)
 
 
 def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
@@ -458,21 +523,17 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
     # coefficient a w + b of u(gaps[r], 0) is coefficient a of row r w + b
     U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)
     _, scales, bounds = zip(*table)
-    check_gap_block(m, gaps, U, np.array(scales), np.array(bounds))
-    # N[r, rho w + b] is the max-norm of y^{-rho} R0[r w + b] mod Phi_rad
-    N = np.zeros((n, M + w), dtype=np.int64)
-    T = N[:, :M].reshape(n, rad, w)
-    R, tail = _as_rows(R0, rad_m), rad_m.poly_row[1:]
-    for rho in range(rad):
-        T[:, rho] = np.abs(R).max(axis=1).reshape(n, w)
-        R = _divide_by_y(R, tail)
+    norms = check_gap_block(m, gaps, U, np.array(scales), np.array(bounds))
+    A, unclosed = _rotation_norms(R0, rad_m, int(norms.max()))
     # y^rad = 1, and y is a unit, so one wrong entry anywhere breaks this
-    bad = (R != R0).any(axis=1).astype(bool)
-    if bad.any():
-        g = gaps[int(bad.argmax()) // w]
+    if unclosed is not None and unclosed.any():
+        g = gaps[int(unclosed.argmax()) // w]
         raise AssertionError(
             f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
             f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
+    # N[r, rho w + b] is the max-norm of y^{-rho} R0[r w + b] mod Phi_rad
+    N = np.zeros((n, M + w), dtype=np.int64)
+    N[:, :M].reshape(n, rad, w)[:] = A.reshape(rad, n, w).transpose(1, 0, 2)
     # t wraps mod M: the window of j reads t = j .. j + w - 1
     N[:, M:M + w - 1] = N[:, :w - 1]
     # window maxima by block prefix and suffix maxima, blocks of w
@@ -500,33 +561,44 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     N_g[rho M' + b] the max-norm of y^{-rho} S_b mod Phi_rad; the window
     maxima take one block prefix- and suffix-max pass (for M' = 1 the window
     is one rotation). Each S_b is reduced once (_reduce_rows at the
-    radical), which gives R0, the interleaved u(g, 0); the remainders of
-    its rotations follow one from the next by y^{-1} r = (r - r_0 Phi_rad)/y
-    (_divide_by_y), a shift and a subtraction of r_0 times the coefficients
-    of Phi_rad, which lie in {-1, 0, 1}, with no second reduction. Gaps are
-    stacked in blocks of _UNIT_BLOCK / 16 / M, whose arrays peak near
-    _UNIT_BLOCK / 2 entries.
+    radical), which gives R0, the interleaved u(g, 0), and the norms of its
+    rotations follow from R0 with no second reduction (_rotation_norms). At
+    a prime radical p they take a closed form: the rotation by y^{-rho} of
+    [R0, 0] has max-norm max(max S - S[c], S[c] - min S), c = rho - 1
+    mod p. At a two-prime radical the remainders follow one from the next
+    by y^{-1} r = (r - r_0 Phi_rad)/y (_next_rotation), a shift and a
+    subtraction of r_0 times the coefficients of Phi_rad, which lie in
+    {-1, 0, 1}, in place in one buffer. Gaps are stacked in blocks of
+    _UNIT_BLOCK / 16 / M, whose arrays peak near _UNIT_BLOCK / 2 entries.
 
     Certification. One check_gap_block call per block, whose row r is the
     pair (lo + r, 0) with that gap's own scale and bound, proves for every
     gap g of the block that R0 is u(g, 0), an exact inverse,
     (x^g - 1) u(g, 0) = scale, with norm at most the bound, before any
-    rotation is taken; a failure names the first failing (g, 0). Each step
-    is an integer identity whose result has degree below phi_rad, so it is
-    the exact remainder of y^{-rho} R0. The chain must close, R_rad = R0,
-    since y^rad = 1; y is a unit mod Phi_rad, so a single wrong entry at
-    any step breaks it. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u
-    mod x^M - 1, every pair's product follows, and its norm is taken from
-    exact remainders and checked against the case's bound, for the whole
-    block at once. Integers are exact: a remainder of
-    y^{-rho} r has |R_rho| <= 2p max|R0| (2 for M = p^s), the largest
-    expansion factor of a monomial mod Phi_rad (expansion, checked by
-    verify's expansion suite); the chain runs on int64 rows when _as_rows
-    proves that bound below 2^63, and on Python ints otherwise.
+    rotation is taken; a failure names the first failing (g, 0). At a prime
+    radical the rotations' norms then follow from R0 by the closed form,
+    an identity mod Phi_p that needs no check of its own. At a two-prime
+    radical each step is an integer identity whose result has degree below
+    phi_rad, so it is the exact remainder of y^{-rho} R0. The chain must
+    close, R_rad = R0, since y^rad = 1; y is a unit mod Phi_rad, so a
+    single wrong entry at any step breaks it. As
+    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
+    product follows, and its norm is taken from exact remainders and
+    checked against the case's bound, for the whole block at once.
+    Integers are exact: |R_rho| <= 2p max|R0| at a two-prime radical, the
+    largest expansion factor of a monomial mod Phi_pq (expansion, checked
+    by verify's expansion suite), and the closed form's entries are at most
+    2 max|R0|. The rotations are held in the narrowest dtype that holds
+    that written bound (_chain_dtype: int8 to int64, Python ints from 2^63
+    on). The closure could not reveal a wrapped entry, as wrapped integer
+    arithmetic is exact mod 2^bits, so exactness rests on that bound, which
+    the tests check against the former chain on int64 rows.
 
-    Cost: M - 1 gaps of M' subsequences, each taken through rad rotations
-    of length phi_rad, (M - 1) rad phi <= M^2 rad (sweep_cost), against
-    O(M^3) for reducing every rotation at length M. A sweep above
+    Cost: M - 1 gaps of M' subsequences. At a two-prime radical each is
+    taken through rad rotations of length phi_rad, (M - 1) rad phi <= M^2
+    rad entries (sweep_cost), against O(M^3) for reducing every rotation at
+    length M; at a prime radical the closed form is O(M) a gap, O(M^2) in
+    all, and sweep_cost still prices it at M^2 rad. A sweep above
     MAX_SWEEP_COST raises SweepTooLarge before any work. Each case maximum
     keeps the first pair in `for i: for j < i` order to reach it: the
     largest (norm, -i, -j) over the first argmax of each gap, with cases

@@ -94,6 +94,8 @@ class _Collector:
         except Exception as exc:  # a failed check, not a crashed run
             self.results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
             return
+        if isinstance(witness, np.bool_):   # what numpy reductions return
+            witness = bool(witness)
         if witness is None or witness is True:
             self.results.append(CheckResult(name, True))
         elif witness is False:
@@ -174,10 +176,10 @@ def _suite_lemmas(m, rng, trials, long_division, matrix):
     tail = functools.cache(
         lambda: cyclotomic._monomial_rows(phi + np.arange(p), rad))
     col.run("tail_columns_norm_one",
-            lambda: bool((np.abs(tail()).max(axis=1) == 1).all()))
+            lambda: (np.abs(tail()).max(axis=1) == 1).all())
     col.run("tail_row_signs",
-            lambda: bool((tail()[:-1, 0] == -1).all()
-                         and (tail()[:-1, phi - 1] == 1).all()))
+            lambda: ((tail()[:-1, 0] == -1).all()
+                     and (tail()[:-1, phi - 1] == 1).all()))
     col.run("rev_rotation_columns",
             lambda: structure.rev_symmetry_check(p, q))
     col.run("stride_sum_zero",
@@ -229,7 +231,7 @@ def _suite_matrix(m, rng, trials, long_division, matrix):
                                    np.eye(m.phi, dtype=np.int8)))
     # on the stored int8 entries: no wider copy, and no abs that can wrap
     col.run("entry_range",
-            lambda: bool(R.entries.min() >= -1 and R.entries.max() <= 1))
+            lambda: R.entries.min() >= -1 and R.entries.max() <= 1)
     col.run("negative_exponent_wraparound",
             lambda: cyclotomic.monomial_reduce(-1, m)
             == cyclotomic.monomial_reduce(m.M - 1, m)

@@ -5,14 +5,16 @@ polynomial comes from the iterated divisor loop on x^n - 1, the resultant
 from a fraction-free determinant of the Sylvester matrix, the norm
 profile from one constructed and verified inverse per (i, j) pair or from
 every rotation reduced at full length M (the library's former sweep), the
-reduction of whole rows by the library's former row-major divide,
-polynomial products from the schoolbook double loop, constructive
-inverses from the paper's formulas by long division, and the resultant
-with its Bezout cofactor from the extended Euclidean algorithm over Q, or
-over F_ell one prime at a time (the library's former scalar images), and
-the randomized expansion products x^k g as the integer matmul of a window
-of R_M (the library's former route), and the random subset sums of a
-stride family one trial at a time (the library's former loop).
+rotations of a sweep block from a copied step of exact division by y at
+every radical (the library's former chain), the reduction of whole rows
+by the library's former row-major divide, polynomial products from the
+schoolbook double loop, constructive inverses from the paper's formulas by
+long division, and the resultant with its Bezout cofactor from the
+extended Euclidean algorithm over Q, or over F_ell one prime at a time
+(the library's former scalar images), and the randomized expansion
+products x^k g as the integer matmul of a window of R_M (the library's
+former route), and the random subset sums of a stride family one trial at
+a time (the library's former loop).
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.structure import _stride_family
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
+                                      check_gap_block,
                                       construct_scaled_inverse)
 
 
@@ -209,6 +212,59 @@ def norm_profile_blocks(m: CycloModulus) -> ProfileTable:
                  for scale, case, norms in (gaps[i - j],))
     case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
     return ProfileTable(rows, case_max, ())
+
+
+def rotation_walk(R0: np.ndarray, rad_m: CycloModulus):
+    """The library's former rotation chain, at every radical: from each
+    remainder row r of R0 mod Phi_rad, y^{-1} r = (r - r_0 Phi_rad)/y, a
+    new row per step (a shifted copy less r_0 times the coefficients
+    1 .. phi of Phi_rad), on the rows _as_rows picks (int64 under its
+    headroom 4 p q^2, else Python ints). Returns (A, R): A[rho, k] is the
+    max-norm of y^{-rho} R0[k] mod Phi_rad for rho < rad, and R the rows
+    after rad steps, which equal R0 when the chain closes."""
+    R, tail = _as_rows(R0, rad_m), rad_m.poly_row[1:]
+    A = []
+    for _ in range(rad_m.M):
+        A.append(np.abs(R).max(axis=1))
+        nxt = np.empty_like(R)
+        nxt[:, :-1] = R[:, 1:]
+        nxt[:, -1] = 0
+        nxt -= R[:, :1] * tail
+        R = nxt
+    return np.array(A), R
+
+
+def window_norms_by_division(m: CycloModulus, rad_m: CycloModulus,
+                             gaps: range, table: list, acc: np.ndarray,
+                             peaks: list | None = None) -> np.ndarray:
+    """scaled_inverse._window_norms as the library ran it before its
+    closed form and in-place chain: the same reduction at the radical and
+    check_gap_block call, then rotation_walk on every radical, its closure
+    check and the same window maxima. Appends (max |R_rho|, max |R0|) of
+    the block to peaks when given."""
+    M, w, rad = m.M, m.inflation, m.radical
+    n = len(gaps)
+    R0 = _reduce_rows(acc.reshape(n, rad, w).transpose(0, 2, 1)
+                      .reshape(-1, rad), rad_m)
+    U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)
+    _, scales, bounds = zip(*table)
+    check_gap_block(m, gaps, U, np.array(scales), np.array(bounds))
+    A, R = rotation_walk(R0, rad_m)
+    if peaks is not None:
+        peaks.append((int(A.max()), int(np.abs(R0).max())))
+    bad = (R != R0).any(axis=1).astype(bool)
+    if bad.any():
+        g = gaps[int(bad.argmax()) // w]
+        raise AssertionError(
+            f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
+            f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
+    N = np.zeros((n, M + w), dtype=np.int64)
+    N[:, :M].reshape(n, rad, w)[:] = A.reshape(rad, n, w).transpose(1, 0, 2)
+    N[:, M:M + w - 1] = N[:, :w - 1]
+    blocks = N.reshape(n, -1, w)
+    pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
+    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
+    return np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
 
 
 def _largest_power_dividing(k: int, p: int) -> int:

@@ -337,6 +337,20 @@ class TestVerify:
         assert "'bogus'" in str(exc.value)
         assert all(name in str(exc.value) for name in verify_mod.SUITE_NAMES)
 
+    # numpy's booleans, which reductions such as (a == b).all() return,
+    # count as the Python ones; any other value is a failure's witness
+    @pytest.mark.parametrize("value, passed, witness", [
+        (np.True_, True, None), (True, True, None), (None, True, None),
+        (np.False_, False, "predicate returned false"),
+        (False, False, "predicate returned false"),
+        (np.int64(1), False, "1"), ("(i,j)=(1,0)", False, "(i,j)=(1,0)")],
+        ids=["np.True_", "True", "None", "np.False_", "False", "np.int64",
+             "str"])
+    def test_check_results(self, value, passed, witness):
+        col = verify_mod._Collector()
+        col.run("x", lambda: value)
+        assert col.results == [verify_mod.CheckResult("x", passed, witness)]
+
 
 def run_quiet(*argv):
     """cli.main on argv with stdout and stderr captured (no pytest fixture,

@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from cycloring import (CycloModulus, InverseCase, RingElement, TwoPrime,
-                       alternative_coprime_form, construct_scaled_inverse,
-                       element, generic_scaled_inverse, make_modulus,
-                       monomial_diff, monomial_reduce, norm_profile, reduce,
-                       ring_mul)
+from cycloring import (CycloModulus, InverseCase, PrimePower, RingElement,
+                       TwoPrime, alternative_coprime_form,
+                       construct_scaled_inverse, element,
+                       generic_scaled_inverse, make_modulus, monomial_diff,
+                       monomial_reduce, norm_profile, reduce, ring_mul)
 from cycloring.errors import (BadRange, SweepTooLarge, UnsupportedModulus,
                               ZeroElement)
 from cycloring import scaled_inverse
@@ -20,7 +20,8 @@ from cycloring.scaled_inverse import (MAX_SWEEP_COST, _case, check_gap_block,
 from cycloring.verify import run_verify
 from oracles import (construct_by_long_division, fold_quotient,
                      fraction_bezout, long_division_quotient,
-                     norm_profile_blocks, norm_profile_per_pair)
+                     norm_profile_blocks, norm_profile_per_pair,
+                     rotation_walk, window_norms_by_division)
 
 
 def supported_upto(limit):
@@ -549,9 +550,10 @@ class TestOneCheckPerPair:
     def _reductions_checked_once(self, monkeypatch, M):
         # every _reduce_rows call of a sweep is at the radical, on rows of
         # length rad: each gap's M' subsequences once, in order, and nothing
-        # at length M; each block's rotations then take rad exact steps
+        # at length M; each block's rotations then take rad exact steps at
+        # a two-prime radical, and none at a prime one (a closed form)
         reductions = self._count(monkeypatch, "_reduce_rows")
-        steps = self._count(monkeypatch, "_divide_by_y")
+        steps = self._count(monkeypatch, "_next_rotation")
         m = make_modulus(M)
         norm_profile(m)
         w, rad = m.inflation, m.radical
@@ -563,7 +565,8 @@ class TestOneCheckPerPair:
             for g in range(1, M)])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
-        assert len(steps) == rad * len(reductions)
+        chains = 0 if isinstance(m.shape, PrimePower) else len(reductions)
+        assert [rho for _, rho, _ in steps] == list(range(rad)) * chains
 
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
@@ -612,35 +615,57 @@ class TestRadicalSweep:
         assert rows == prof.rows and rows is not prof.rows
         assert all(type(r.norm) is int for r in rows)
 
-    @pytest.mark.parametrize("M", [35, 45])
+    @pytest.mark.parametrize("M", [35, 45, 125])
     def test_python_int_path(self, M, monkeypatch):
         # rows that fail the int64 bound run on Python ints, with equal
-        # norms; the chain of rotations itself steps on object rows
+        # norms: the chain of rotations steps on object rows at a two-prime
+        # radical (35, 45), and the closed form at a prime one (125) takes
+        # no step and holds its rows as Python ints too
         m = make_modulus(M)
         want = norm_profile(m).rows
+        reduce_rows, rotation_norms, dtypes = (
+            scaled_inverse._reduce_rows, scaled_inverse._rotation_norms, [])
+
+        def norms_of_rotations(R0, rad_m, big):
+            A, unclosed = rotation_norms(R0, rad_m, big)
+            dtypes.append(A.dtype)
+            return A, unclosed
+
         monkeypatch.setattr(scaled_inverse, "_as_rows",
                             lambda V, m, headroom=1: np.asarray(V, dtype=object))
-        steps = TestOneCheckPerPair._count(monkeypatch, "_divide_by_y")
+        monkeypatch.setattr(scaled_inverse, "_reduce_rows",
+                            lambda V, m: reduce_rows(V, m).astype(object))
+        monkeypatch.setattr(scaled_inverse, "_chain_dtype",
+                            lambda bound: np.dtype(object))
+        monkeypatch.setattr(scaled_inverse, "_rotation_norms",
+                            norms_of_rotations)
+        steps = TestOneCheckPerPair._count(monkeypatch, "_next_rotation")
         assert norm_profile(m).rows == want
-        assert steps and {R.dtype for R, _ in steps} == {np.dtype(object)}
+        assert dtypes and set(dtypes) == {np.dtype(object)}
+        assert {B.dtype for B, _, _ in steps} == (
+            set() if isinstance(m.shape, PrimePower) else {np.dtype(object)})
 
     # (M, row, gap): the sweeps of M = 15 (M' = 1) and 45 (M' = 3) take one
     # block, whose row r M' + b is subsequence b of gap r + 1: row 1 of 15
     # and row 4 of 45 (b = 1) both belong to gap 2
     @pytest.mark.parametrize("M, row, gap", [(15, 1, 2), (45, 4, 2)])
-    @pytest.mark.parametrize("stage", ["_reduce_rows", "_divide_by_y"])
+    @pytest.mark.parametrize("stage", ["_reduce_rows", "_next_rotation"])
     def test_rotation_off_by_one_is_caught(self, M, row, gap, stage,
                                            monkeypatch):
         # one entry of the reduced subsequences, caught by check_gap_block,
-        # or of one step of the chain (rho = 3), caught as it fails to close
-        real, calls = getattr(scaled_inverse, stage), []
+        # or of one step of the chain (the step from rho = 3 to 4, in
+        # place), caught as it fails to close
+        real = getattr(scaled_inverse, stage)
 
         def off_by_one(*args):
-            out = real(*args).copy()
-            if stage == "_reduce_rows" or len(calls) == 3:
+            if stage == "_reduce_rows":
+                out = real(*args).copy()
                 out[row, 0] += 1
-            calls.append(args)
-            return out
+                return out
+            B, rho, _ = args
+            real(*args)
+            if rho == 3:
+                B[row, rho + 1] += 1
 
         monkeypatch.setattr(scaled_inverse, stage, off_by_one)
         m = make_modulus(M)
@@ -649,7 +674,6 @@ class TestRadicalSweep:
                  rf"do not close at rho = {m.radical} for M={M}, gap {gap}$")
         with pytest.raises(AssertionError, match=match):
             norm_profile(m)
-
 
     def test_rotation_above_bound_is_caught(self, monkeypatch):
         # at M = 35 the coprime gap inverses u(g, 0) reach norm 3 and the
@@ -667,6 +691,77 @@ class TestRadicalSweep:
                            match=r"^sweep check failed: norm 4 > bound 3 for "
                                  r"M=35, \(i, j\)=\(5, 4\)$"):
             norm_profile(make_modulus(35))
+
+
+class TestRotationOracle:
+    """The rotations of a sweep block, by the closed form at a prime
+    radical and the in-place chain at a two-prime one, against the former
+    chain (rotation_walk), which copies every row at each step on int64
+    or Python ints."""
+
+    @staticmethod
+    def _growth(rad_m):
+        # the written bound on |R_rho| / max|R0| that picks the dtype
+        sh = rad_m.shape
+        return 2 if isinstance(sh, PrimePower) else 2 * sh.p
+
+    @pytest.mark.parametrize("M", supported_upto(199))
+    def test_profile_matches_former_chain(self, M, monkeypatch):
+        m = make_modulus(M)
+        got, peaks = norm_profile(m), []
+        monkeypatch.setattr(
+            scaled_inverse, "_window_norms",
+            lambda *args: window_norms_by_division(*args, peaks=peaks))
+        want = norm_profile(m)
+        assert len(got.gaps) == len(want.gaps) == M - 1
+        for (scale, case, norms), (scale_, case_, norms_) in zip(got.gaps,
+                                                                 want.gaps):
+            assert (scale, case, norms.dtype) == (scale_, case_, norms_.dtype)
+            assert np.array_equal(norms, norms_)
+        assert list(got.case_max.items()) == list(want.case_max.items())
+        grow = self._growth(make_modulus(m.radical))
+        assert peaks and all(peak <= grow * big for peak, big in peaks)
+
+    # (M, first gap): one sweep block of 8 gaps, holding gap q^t = 59 of
+    # 1003 = 17 59 (Q_DIVIDES_SHIFT), p^s = 121 of 2057 = 11^2 17
+    # (P_DIVIDES_SHIFT) and 3^6 of 2187
+    @pytest.mark.parametrize("M, lo", [(1003, 56), (1021, 1), (2057, 119),
+                                       (2187, 725)])
+    def test_block_matches_former_chain(self, M, lo):
+        m = make_modulus(M)
+        rad_m, block, peaks = make_modulus(m.radical), range(lo, lo + 8), []
+        table, acc = scaled_inverse._construct(block, 0, m)
+        got = scaled_inverse._window_norms(m, rad_m, block, table, acc.copy())
+        want = window_norms_by_division(m, rad_m, block, table, acc, peaks)
+        assert np.array_equal(got, want)
+        [(peak, big)] = peaks
+        assert peak <= self._growth(rad_m) * big
+
+    def test_dtype_edges(self):
+        assert scaled_inverse._chain_dtype(127) == np.int8
+        assert scaled_inverse._chain_dtype(128) == np.int16
+        assert scaled_inverse._chain_dtype(2 ** 63 - 1) == np.int64
+        assert scaled_inverse._chain_dtype(2 ** 63) == object
+
+    # rows of entries +-big, big one past the largest entry of a dtype: the
+    # rule's dtype holds every rotation, and one size narrower would wrap
+    @pytest.mark.parametrize("big", [1, 128, 2 ** 15, 2 ** 31, 2 ** 62])
+    @pytest.mark.parametrize("rad", [7, 15, 143])
+    def test_rotations_of_any_rows(self, rad, big):
+        rad_m = make_modulus(rad)
+        rng = random.Random(rad * big)
+        R0 = np.array([[rng.choice((-big, -1, 0, 1, big))
+                        for _ in range(rad_m.phi)] for _ in range(6)],
+                      dtype=np.int64)
+        A, unclosed = scaled_inverse._rotation_norms(R0, rad_m, big)
+        want, R = rotation_walk(R0, rad_m)
+        assert A.tolist() == want.tolist()
+        assert A.dtype == scaled_inverse._chain_dtype(
+            self._growth(rad_m) * big)
+        if isinstance(rad_m.shape, PrimePower):
+            assert unclosed is None
+        else:
+            assert np.array_equal(R, R0) and not unclosed.any()
 
 
 class TestSweepCeiling:
