@@ -172,20 +172,55 @@ def _cmd_expansion(args, m) -> int:
     return 0
 
 
+def _sweep_text(profile, head, tail, sep):
+    """The rows of profile as text, one string per i in `for i: for j < i`
+    order: the rows head(i) + str(j) + tail(scale, norm, case) of the pairs
+    (i, j), joined by sep. Each (scale, case) renders its tails once, one
+    per norm value up to its largest, and each gap's norms are read in
+    place, through a memoryview."""
+    M = profile.modulus.M
+    tops = {}
+    for scale, case, norms in profile.gaps:
+        tops[scale, case] = max(tops.get((scale, case), 0), int(norms.max()))
+    tails = {(scale, case): [tail(scale, v, case) for v in range(top + 1)]
+             for (scale, case), top in tops.items()}
+    gaps = [None] + [(tails[scale, case], memoryview(norms))
+                     for scale, case, norms in profile.gaps]
+    js = [str(j) for j in range(M)]
+    for i in range(1, M):
+        pre = head(i)
+        yield sep.join([pre + js[j] + ends[norms[j]]
+                        for j, (ends, norms) in enumerate(gaps[i:0:-1])])
+
+
 def _cmd_sweep(args, m) -> int:
     profile = sinv.norm_profile(m)
     case_max = {case.value: {"norm": norm, "i": i, "j": j}
                 for case, (norm, i, j) in profile.case_max.items()}
+    out = sys.stdout
     if args.format == "json":
-        # every constructed scale is minimal, so nothing is ever flagged
-        _print_json({"M": m.M, "rows": [[i, j, scale, norm, case.value]
-                                        for i, j, scale, norm, case
-                                        in profile.pairs()],
-                     "case_max": case_max, "flagged": []})
+        # the bytes of _print_json of the whole document (every constructed
+        # scale is minimal, so nothing is ever flagged), printed a row of i
+        # at a time: the document is laid out around one row, 0, and the
+        # rows go where it was
+        head, end = json.dumps({"M": m.M, "rows": [0], "case_max": case_max,
+                                "flagged": []}, indent=2).split("\n    0\n")
+        print(head)
+        rows = _sweep_text(
+            profile, lambda i: f"    [\n      {i},\n      ",
+            lambda scale, norm, case: (f",\n      {scale},\n      {norm},\n"
+                                       f"      {json.dumps(case.value)}\n    ]"),
+            ",\n")
+        for k, text in enumerate(rows):
+            out.write(",\n" + text if k else text)
+        print("\n" + end)
     else:
         print("i,j,scale,norm,case")
-        for i, j, scale, norm, case in profile.pairs():
-            print(f"{i},{j},{scale},{norm},{case.value}")
+        for text in _sweep_text(
+                profile, lambda i: f"{i},",
+                lambda scale, norm, case: f",{scale},{norm},{case.value}\n",
+                ""):
+            out.write(text)
         for case, info in sorted(case_max.items()):
             print(f"# max {case}: norm {info['norm']} at "
                   f"(i,j)=({info['i']},{info['j']})", file=sys.stderr)

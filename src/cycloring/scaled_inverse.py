@@ -44,9 +44,13 @@ the row of u modulo x^M - 1 and tests (x^j u - x^i u + scale) * D = 0 mod
 x^M - 1, with D the cofactor of Phi_M in 1 - x^M, so no second reduction
 is needed.
 
-Exhaustive sweeps (norm_profile) construct only the M - 1 gap inverses
-u(g, 0) and obtain every other pair by the gap-shift identity
-u(i, j) = x^{-j} u(i - j, 0). They work at the radical rad = M/M': as
+Exhaustive sweeps (norm_profile) construct only the gap inverses u(g, 0),
+g <= M/2, and obtain every other pair by the gap-shift identity
+u(i, j) = x^{-j} u(i - j, 0). The full cycle of M rotations of u(g, 0)
+holds the pairs of gap g and, past j = M - g, those of gap M - g: with
+j = j' + M - g, (x^j - x^{j'}) (-x^{-j} u(g, 0)) = (x^g - 1) u(g, 0) mod
+x^M - 1, and gcd(M - g, M) = gcd(g, M), so both gaps share one row of the
+case table. They work at the radical rad = M/M': as
 Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
 M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
 sweep takes its gaps in blocks; each block is built by one _construct call
@@ -331,18 +335,20 @@ class ProfileRow:
 # SweepTooLarge before any allocation. Measured on a 2-core host, one
 # process each: the costliest sweeps below it are those of a large M at a
 # small radical, where the per-gap work at length M dominates: 2^14 = 16384
-# (5.4e8) takes 13.6 s at 161 MB, and 2 3^8 = 13122 (1.03e9) 11.7 s. The
-# costliest rotation chain, at the two-prime radical 1007 = 19 53 (1.02e9),
-# takes about 2 s; the prime M = 1021 (1.06e9) 0.3-0.4 s.
+# (5.4e8) takes 6.1-7.5 s at 162 MB, and 2 3^8 = 13122 (1.03e9) 5.2-5.9 s.
+# The costliest rotation chain, at the two-prime radical 1007 = 19 53
+# (1.02e9), takes 0.6-0.75 s, 2057 0.6 s, 2187 0.15 s and the prime
+# M = 1021 (1.06e9) 0.03 s.
 MAX_SWEEP_COST = 2 ** 30
 
 
 def sweep_cost(M: int, rad: int) -> int:
-    """O(1) cost of norm_profile at M with radical rad: M - 1 gaps of M'
-    subsequences, each taken through rad rotations of length phi_rad by
-    the chain at a two-prime radical, (M - 1) rad phi entries, at most
-    M^2 rad. A prime radical's closed form costs O(M^2) in all, and is
-    priced the same."""
+    """O(1) cost of norm_profile at M with radical rad: floor(M/2) gaps of
+    M' subsequences, each taken through rad rotations of length phi_rad by
+    the chain at a two-prime radical, floor(M/2) rad phi entries, at most
+    M^2 rad / 2. The price is M^2 rad, as it was when the sweep took all
+    M - 1 gaps, so the ceiling admits the same moduli. A prime radical's
+    closed form costs O(M^2) in all, and is priced the same."""
     return M * M * rad
 
 
@@ -546,10 +552,24 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-gap norms and per-case maxima.
 
-    Only the M - 1 gap inverses u(g, 0) are constructed, a block of
+    Only the gap inverses u(g, 0), g <= M/2, are constructed, a block of
     consecutive gaps at a time by one _construct call; each is reduced and
     checked once, a block by one check_gap_block call, and every other pair
     of gap g follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+
+    The gaps above M/2 are mirrors. The rotations x^{-j} u(g, 0) for
+    M - g <= j < M are the pairs (j, j') of gap M - g, j' = j - M + g < g:
+    (x^j - x^{j'}) (-x^{-j}) = x^{j'-j} - 1 = x^g - 1 mod x^M - 1, so
+    (x^j - x^{j'}) (-x^{-j} u(g, 0)) = (x^g - 1) u(g, 0) = scale mod
+    Phi_M. As gcd(M - g, M) = gcd(g, M), gap M - g has the case, scale and
+    bound of gap g. In the domain Z[x]/Phi_M an element has at most one
+    inverse at a given scale, so u(j, j') = -x^{-j} u(g, 0), whose norm is
+    that of the rotation. Its scale is minimal as in
+    construct_scaled_inverse: it is 1, or a prime whose bound, scale - 1,
+    every rotation's norm is checked against. So the row of M rotation
+    norms of gap g holds gap g in its first M - g entries and gap M - g in
+    the g after them; at an even M the gap M/2 is its own mirror, and its
+    pairs are stored once.
 
     The sweep works at the radical rad = M/M'. With y = x^{M'},
     Phi_M(x) = Phi_rad(y), so a row v reduces mod Phi_M as its M'
@@ -583,8 +603,9 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     close, R_rad = R0, since y^rad = 1; y is a unit mod Phi_rad, so a
     single wrong entry at any step breaks it. As
     (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
-    product follows, and its norm is taken from exact remainders and
-    checked against the case's bound, for the whole block at once.
+    product follows, that of a mirrored pair of gap M - g as well, and its
+    norm is taken from exact remainders and checked against the case's
+    bound, every entry of the block's rows at once.
     Integers are exact: |R_rho| <= 2p max|R0| at a two-prime radical, the
     largest expansion factor of a monomial mod Phi_pq (expansion, checked
     by verify's expansion suite), and the closed form's entries are at most
@@ -594,15 +615,15 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     arithmetic is exact mod 2^bits, so exactness rests on that bound, which
     the tests check against the former chain on int64 rows.
 
-    Cost: M - 1 gaps of M' subsequences. At a two-prime radical each is
-    taken through rad rotations of length phi_rad, (M - 1) rad phi <= M^2
-    rad entries (sweep_cost), against O(M^3) for reducing every rotation at
+    Cost: floor(M/2) gaps of M' subsequences. At a two-prime radical each
+    is taken through rad rotations of length phi_rad, floor(M/2) rad phi
+    <= M^2 rad / 2 entries, against O(M^3) for reducing every rotation at
     length M; at a prime radical the closed form is O(M) a gap, O(M^2) in
-    all, and sweep_cost still prices it at M^2 rad. A sweep above
+    all. sweep_cost prices both at M^2 rad, and a sweep above
     MAX_SWEEP_COST raises SweepTooLarge before any work. Each case maximum
     keeps the first pair in `for i: for j < i` order to reach it: the
-    largest (norm, -i, -j) over the first argmax of each gap, with cases
-    in the order of their smallest gap.
+    largest (norm, -i, -j) over the first largest pair of each row, with
+    cases in the order of their smallest gap, which is at most M/2.
     """
     check_sweep_cost(m)
     M = m.M
@@ -610,33 +631,48 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     # gaps per block: its arrays and temporaries, up to ten of M entries a
     # gap, peak at 0.5 to 0.65 _UNIT_BLOCK entries (traced at 35 to 2187)
     step = max(1, _UNIT_BLOCK // 16 // M)
-    gaps = []
+    half = M // 2
+    gaps = [None] * (M - 1)
     best: dict = {}
-    for lo in range(1, M, step):
-        block = range(lo, min(M, lo + step))
+    # each norm dtype's rows in one array, allocated once: a row allocated
+    # per gap interleaves with the blocks' temporaries on the heap and
+    # raises the peak RSS (178 against 162 MB at 16384)
+    kept = {}
+    cols = np.arange(M)
+    for lo in range(1, half + 1, step):
+        block = range(lo, min(half + 1, lo + step))
         table, acc = _construct(block, 0, m)
         W = _window_norms(m, rad_m, block, table, acc)
-        # only j < M - g is a pair of gap g: mask the rest below every norm,
-        # so each row's first argmax is its gap's first largest pair
-        n = len(block)
-        W[np.arange(M) >= M - np.arange(lo, lo + n)[:, None]] = -1
-        js = W.argmax(axis=1)
-        tops = W[np.arange(n), js]
+        # column c of row r, gap g = lo + r, is the pair (c + g, c) of gap g
+        # for c < M - g and (c, c - M + g) of gap M - g after it; order its
+        # pair (i, j) by i M + j, the `for i: for j < i` order, which grows
+        # with c in each part
+        gs = np.arange(lo, lo + len(block))[:, None]
+        order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
+        tops = W.max(axis=1)
+        first = np.where(W == tops[:, None], order, M * M).min(axis=1)
         over = tops > np.array([bound for _, _, bound in table])
         if over.any():
             r = int(over.argmax())
-            g, j = lo + r, int(js[r])
+            i, j = divmod(int(first[r]), M)
             raise AssertionError(
                 f"sweep check failed: norm {int(tops[r])} > bound "
-                f"{table[r][2]} for M={M}, (i, j)=({j + g}, {j})")
-        for r, ((case, scale, bound), j, top) in enumerate(
-                zip(table, js.tolist(), tops.tolist())):
-            g = lo + r
-            key = (top, -g - j, -j)
+                f"{table[r][2]} for M={M}, (i, j)=({i}, {j})")
+        for g, (case, scale, bound), top, ij in zip(
+                block, table, tops.tolist(), first.tolist()):
+            i, j = divmod(ij, M)
+            key = (top, -i, -j)
             best[case] = max(best.get(case, key), key)
-            norms = W[r, :M - g].astype(np.min_scalar_type(bound))
-            norms.setflags(write=False)
-            gaps.append((scale, case, norms))
+            dt = np.min_scalar_type(bound)
+            if dt not in kept:
+                kept[dt] = np.empty((half, M), dtype=dt)
+            norms = kept[dt][g - 1]
+            norms[:] = W[g - lo]
+            # gap M - g first, so that g = M/2 keeps its own pairs
+            gaps[M - g - 1] = (scale, case, norms[M - g:])
+            gaps[g - 1] = (scale, case, norms[:M - g])
+    for _, _, norms in gaps:
+        norms.setflags(write=False)
     case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
     return NormProfile(m, tuple(gaps), case_max)
 

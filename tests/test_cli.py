@@ -212,10 +212,12 @@ class TestSweep:
         assert obj["case_max"]["coprime"]["norm"] == 2
         assert obj["flagged"] == []
 
-    @pytest.mark.parametrize("M", [15, 35])
+    @pytest.mark.parametrize("M", [2, 3, 15, 35, 100, 143])
     def test_formats_from_gaps_without_profile_rows(self, capsys,
                                                     monkeypatch, M):
-        # the text the rows of the profile give, pinned byte for byte
+        # the text the rows of the profile give, pinned byte for byte,
+        # though it is printed a row of i at a time: one pair at M = 2,
+        # the self-mirrored gap M/2 at 100, three cases at 143
         prof = sinv.norm_profile(make_modulus(M))
         rows = [[r.i, r.j, r.scale, r.norm, r.case.value] for r in prof.rows]
         case_max = {case.value: {"norm": norm, "i": i, "j": j}

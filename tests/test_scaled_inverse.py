@@ -453,10 +453,11 @@ class TestNormProfile:
     def test_nothing_flagged(self, M):
         assert norm_profile(make_modulus(M)).flagged == ()
 
-    @pytest.mark.parametrize("M", [2, 3, 4, 6, 8, 9, 12, 15, 16, 25, 27, 33,
-                                   35, 45, 63, 75])
+    @pytest.mark.parametrize("M", [2, 3, 4, 6, 8, 9, 12, 15, 16, 18, 25, 27,
+                                   33, 35, 45, 50, 63, 75, 100])
     def test_matches_per_pair_sweep(self, M):
-        # all four cases, p = 2, prime M, s > 1 and t > 1
+        # all four cases, p = 2, prime M, s > 1 and t > 1; at an even M the
+        # gap M/2 is its own mirror, and its pairs are stored once
         m = make_modulus(M)
         got, want = norm_profile(m), norm_profile_per_pair(m)
         assert got.rows == want.rows
@@ -478,8 +479,8 @@ class TestNormProfile:
     @pytest.mark.parametrize("M", [35, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
         # each block's u(g, 0) are checked by one call, one row per gap at
-        # j = 0, each gap once, and each row is u(g, 0) as the construction
-        # returns it
+        # j = 0, each gap g <= M/2 once, and each row is u(g, 0) as the
+        # construction returns it
         m = make_modulus(M)
         seen = {}
         real = scaled_inverse.check_gap_block
@@ -495,14 +496,15 @@ class TestNormProfile:
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
         monkeypatch.setattr(scaled_inverse, "check_gap_block", real)
-        assert sorted(seen) == list(range(1, M))
+        assert sorted(seen) == list(range(1, M // 2 + 1))
         for g, row in seen.items():
             assert tuple(row) == construct_scaled_inverse(g, 0, m).u.coeffs, g
 
 
 class TestOneCheckPerPair:
     """check_gap_block is the only check of a constructed inverse: a sweep
-    checks each u(g, 0) once, and reduces each of its subsequences once."""
+    checks each u(g, 0), g <= M/2, once, and reduces each of its
+    subsequences once; the gaps above M/2 are read off their rotations."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -520,14 +522,14 @@ class TestOneCheckPerPair:
         # M = 35: every gap in one block
         self._blocks_checked_once(monkeypatch, 35, 1)
 
-    @pytest.mark.parametrize("M, blocks", [(143, 2), (1024, 64)])
+    @pytest.mark.parametrize("M, blocks", [(143, 1), (1024, 32)])
     def test_sweep_checks_each_block_once(self, monkeypatch, M, blocks):
         self._blocks_checked_once(monkeypatch, M, blocks)
 
     def _blocks_checked_once(self, monkeypatch, M, blocks):
         # one construct and one check per block of gaps: the check reads
         # the block's gaps as the pairs (g, 0), one row each, and the
-        # blocks cover every gap once
+        # blocks cover every gap g <= M/2 once
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
         norm_profile(make_modulus(M))
@@ -537,7 +539,7 @@ class TestOneCheckPerPair:
             assert j == 0 and g == ks and isinstance(g, range)
             assert block.shape[0] == len(scale) == len(bound) == len(g)
             gaps += g
-        assert gaps == list(range(1, M))
+        assert gaps == list(range(1, M // 2 + 1))
 
     def test_sweep_reduces_each_gap_once(self, monkeypatch):
         # M' = 1: one subsequence per gap, its whole row
@@ -549,9 +551,10 @@ class TestOneCheckPerPair:
 
     def _reductions_checked_once(self, monkeypatch, M):
         # every _reduce_rows call of a sweep is at the radical, on rows of
-        # length rad: each gap's M' subsequences once, in order, and nothing
-        # at length M; each block's rotations then take rad exact steps at
-        # a two-prime radical, and none at a prime one (a closed form)
+        # length rad: the M' subsequences of each gap g <= M/2 once, in
+        # order, and nothing at length M; each block's rotations then take
+        # rad exact steps at a two-prime radical, and none at a prime one
+        # (a closed form)
         reductions = self._count(monkeypatch, "_reduce_rows")
         steps = self._count(monkeypatch, "_next_rotation")
         m = make_modulus(M)
@@ -562,7 +565,7 @@ class TestOneCheckPerPair:
         want = np.concatenate([
             scaled_inverse._construct(range(g, g + 1), 0, m)[1][0]
             .reshape(rad, w).T
-            for g in range(1, M)])
+            for g in range(1, M // 2 + 1)])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
         chains = 0 if isinstance(m.shape, PrimePower) else len(reductions)
@@ -605,6 +608,22 @@ class TestRadicalSweep:
             scale, case, norms = gaps[i - j - 1]
             assert (scale, case, int(norms[j])) == (si.scale, si.case,
                                                     si.norm), (i, j)
+
+    @pytest.mark.parametrize("M", [1024, 2057, 2187])
+    def test_seeded_mirrored_pairs_match_construct(self, M):
+        # the gaps above M/2 are read off the rotations of u(M - g, 0),
+        # never constructed by the sweep: each seeded pair against its own
+        # construct
+        m = make_modulus(M)
+        gaps = norm_profile(m).gaps
+        rng = random.Random(M)
+        for _ in range(300):
+            g = rng.randrange(M // 2 + 1, M)
+            j = rng.randrange(M - g)
+            si = construct_scaled_inverse(j + g, j, m)
+            scale, case, norms = gaps[g - 1]
+            assert (scale, case, int(norms[j])) == (si.scale, si.case,
+                                                    si.norm), (j + g, j)
 
     def test_rows_built_when_read(self):
         prof = norm_profile(make_modulus(35))
@@ -691,6 +710,30 @@ class TestRadicalSweep:
                            match=r"^sweep check failed: norm 4 > bound 3 for "
                                  r"M=35, \(i, j\)=\(5, 4\)$"):
             norm_profile(make_modulus(35))
+
+    # (M, g, j'): the column M - g + j' of gap g's row is the pair
+    # (j' + M - g, j') of gap M - g; 143 = 11 13 in the gap 13 of
+    # Q_DIVIDES_SHIFT, 1024 in its last block, and 100 at g = M/2
+    @pytest.mark.parametrize("M, g, jp", [(35, 3, 1), (143, 13, 12),
+                                          (1024, 500, 7), (100, 50, 49)])
+    def test_mirrored_pair_above_bound_is_caught(self, M, g, jp,
+                                                 monkeypatch):
+        real = scaled_inverse._window_norms
+
+        def spiked(m, rad_m, gaps, table, acc):
+            W = real(m, rad_m, gaps, table, acc)
+            if g in gaps:
+                W[g - gaps.start, M - g + jp] = table[g - gaps.start][2] + 1
+            return W
+
+        monkeypatch.setattr(scaled_inverse, "_window_norms", spiked)
+        m = make_modulus(M)
+        bound = scaled_inverse._case(math.gcd(g, M), m)[3]
+        with pytest.raises(AssertionError,
+                           match=rf"^sweep check failed: norm {bound + 1} > "
+                                 rf"bound {bound} for M={M}, "
+                                 rf"\(i, j\)=\({jp + M - g}, {jp}\)$"):
+            norm_profile(m)
 
 
 class TestRotationOracle:
