@@ -243,7 +243,8 @@ def _times_cofactor(A: np.ndarray, m: CycloModulus) -> np.ndarray:
         return _times_one_minus(Y, 1).reshape(n, m.M)
     # W(1) = 0, so the prefix sums of W are W / (1 - y) mod y^pq - 1
     W = _times_one_minus(Y, m.shape.p)
-    return _times_one_minus(W.cumsum(axis=1), m.shape.q).reshape(n, m.M)
+    _prefix_sums(W.transpose(1, 0, 2))
+    return _times_one_minus(W, m.shape.q).reshape(n, m.M)
 
 
 def _reduce_rows(V, m: CycloModulus) -> np.ndarray:

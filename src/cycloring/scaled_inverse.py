@@ -26,23 +26,25 @@ scale in every row. Q comes from the stride recurrence
 Q_e = Q_{e-d} - (N - scale)_e, a prefix sum over each residue class mod d,
 with no long division; the route is orders of magnitude faster than the
 generic one. One routine, _construct, builds a range of consecutive gaps
-at one shift j as int64 rows: Q depends on d only, so each group of gaps
-that share it takes one _case call, one cumulative sum down the columns of
-the (-1, d) view of N - scale and one np.add.at that folds the exponents
-e k/d + M - j mod M of every gap of the group; one reduction mod Phi_M
-follows. A single construct is a range of one gap at j; a sweep's blocks
-are ranges of up to _UNIT_BLOCK / (16 M) gaps at j = 0. Entries stay below
+at one shift j, or at one shift per row, as int64 rows: Q depends on d
+only, so each group of gaps that share it takes one _case call, one
+cumulative sum down the columns of the (-1, d) view of N - scale and one
+np.add.at that folds the exponents e k/d + M - j mod M of every gap of the
+group; one reduction mod Phi_M follows. A single construct is a range of
+one gap at one j; a sweep's blocks are ranges of up to _UNIT_BLOCK / (16 M)
+gaps, at j = 0 or at a shift per row (_chain_shifts). Entries stay below
 M^2 (q + 1) < 2^61 (the bound is derived in _construct), and each
 reduction falls back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
 the one check of every constructed inverse, one row per pair. It takes the
-same block shape as _construct, a range of consecutive gaps at one j, with
-a scale and a bound per row. It forms x^j u and x^i u as two windows of
-the row of u modulo x^M - 1 and tests (x^j u - x^i u + scale) * D = 0 mod
-x^M - 1, with D the cofactor of Phi_M in 1 - x^M, so no second reduction
-is needed.
+same block shape as _construct, a range of consecutive gaps at one j or a
+j per row, with a scale and a bound per row. As x is a unit, row r is the
+inverse of x^i - x^j at the scale c exactly when (1 - x^g) u + c x^{-j} = 0
+mod Phi_M, g = i - j; it forms x^g u as a window of the row of u modulo
+x^M - 1 and tests that the product with D, the cofactor of Phi_M in
+1 - x^M, is 0 mod x^M - 1, so no second reduction is needed.
 
 Exhaustive sweeps (norm_profile) construct only the gap inverses u(g, 0),
 g <= M/2, and obtain every other pair by the gap-shift identity
@@ -54,17 +56,24 @@ case table. They work at the radical rad = M/M': as
 Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
 M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
 sweep takes its gaps in blocks; each block is built by one _construct call
-and its u(g, 0) checked by one check_gap_block call. It reduces each
-subsequence once, with no second reduction for its rotations. At a prime
-radical p (every M = p^s) their norms take a closed form, O(M^2) in all:
-the rotation of [r, 0] by y^{-rho} reduces mod Phi_p to its entries less
-the one that lands at y^(p-1). At a two-prime radical the sweep steps
-through them by exact division by y, y^{-1} r = (r - r_0 Phi_rad)/y, in
-place in one buffer of the narrowest dtype that holds their written bound:
-O(M^2 rad) in all instead of O(M^3). That chain must close, as y^rad = 1
-(see norm_profile). The sweep keeps one small norm array per gap; the
-(i, j) rows are built only when read. A sweep whose cost M^2 rad is above
-MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
+and checked by one check_gap_block call. It reduces each subsequence once,
+with no second reduction for its rotations. At a prime radical p (every
+M = p^s) their norms take a closed form, O(M^2) in all: the rotation of
+[r, 0] by y^{-rho} reduces mod Phi_p to its entries less the one that
+lands at y^(p-1). At a two-prime radical the sweep steps through them by
+exact division by y, y^{-1} r = (r - r_0 Phi_rad)/y, in place in one
+buffer of the narrowest dtype that holds their written bound, over only
+half of the cycle: Phi_M is palindromic, so x -> x^{-1} is a ring
+automorphism, which sends u(g, 0) to -x^g u(g, 0); hence the coefficients
+of x^{-j} u(g, 0) mod Phi_M, reversed, are those of
+-(x^{-(c0 - j)} u(g, 0) mod Phi_M), c0 = -(phi - 1 + g), and the two have
+one norm. Each gap's chain starts at its own shift (_chain_shifts) and
+takes ceil(rad/2) steps, an arc of the cycle that covers it together with
+its mirror: about M^2 rad / 4 entries in all, instead of O(M^3). The
+chain's last rotation must pass check_gap_block as the pair at its own
+shift (see norm_profile). The sweep keeps one small norm array per gap;
+the (i, j) rows are built only when read. A sweep whose cost M^2 rad is
+above MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
 """
 from __future__ import annotations
 
@@ -236,14 +245,17 @@ def _case(d: int, m: CycloModulus):
     return InverseCase.COPRIME, m.poly_row, 1, p - 1
 
 
-def _construct(gaps: range, j: int, m: CycloModulus):
+def _construct(gaps: range, j, m: CycloModulus):
     """The constructive inverses of x^(j+k) - x^j for each gap k of gaps,
-    a range of consecutive gaps, 0 <= j < j + k < M, unreduced.
+    a range of consecutive gaps, unreduced. j is one shift for every row,
+    0 <= j < j + k < M, or an array of one shift per row, 0 <= j_r < M, in
+    which case row r is x^{-j_r} u(k, 0) (a pair of gap M - k when
+    j_r + k >= M, see norm_profile).
 
     Returns (table, acc): table[r] = (case, scale, bound) of gap gaps[r],
     and row r of the (len(gaps), M) int64 block acc is -x^{M-j} Q(x^{k/d})
-    mod x^M - 1 for k = gaps[r] and d = gcd(k, M); reducing it mod Phi_M
-    gives u. (N, scale) come from the case table at d and
+    mod x^M - 1 for k = gaps[r], j its shift and d = gcd(k, M); reducing it
+    mod Phi_M gives u. (N, scale) come from the case table at d and
     Q = (N - scale)/(x^d - 1), from the stride recurrence
     Q_e = Q_{e-d} - (N - scale)_e; the division is exact, so the recurrence
     continued past deg Q must give d zeros. Q depends on d only, so it is
@@ -263,6 +275,7 @@ def _construct(gaps: range, j: int, m: CycloModulus):
     dtype (_as_rows) and falls back to Python ints when its bound fails.
     """
     M = m.M
+    shifts = [j] * len(gaps) if isinstance(j, int) else j.tolist()
     groups = {}
     for r, k in enumerate(gaps):
         groups.setdefault(math.gcd(k, M), []).append(r)
@@ -289,11 +302,12 @@ def _construct(gaps: range, j: int, m: CycloModulus):
         # repeated by hand: np.add.at's own broadcast of one value row over
         # 2-D indices adds wrong values (numpy 2.4.6)
         top = n - d
-        step_row = np.array([(gaps[r] // d, r * M) for r in rows])
+        step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
+                             for r in rows])
         idx = np.arange(top) * step_row[:, :1]
-        idx += M - j
+        idx += step_row[:, 1:2]
         idx %= M
-        idx += step_row[:, 1:]
+        idx += step_row[:, 2:]
         np.add.at(acc.reshape(-1), idx.reshape(-1),
                   np.concatenate([neg[:top]] * len(rows)))
     return table, acc
@@ -335,20 +349,23 @@ class ProfileRow:
 # SweepTooLarge before any allocation. Measured on a 2-core host, one
 # process each: the costliest sweeps below it are those of a large M at a
 # small radical, where the per-gap work at length M dominates: 2^14 = 16384
-# (5.4e8) takes 6.1-7.5 s at 162 MB, and 2 3^8 = 13122 (1.03e9) 5.2-5.9 s.
+# (5.4e8) takes 5.3-5.7 s at 162 MB, and 2 3^8 = 13122 (1.03e9) 4.4-5.6 s.
 # The costliest rotation chain, at the two-prime radical 1007 = 19 53
-# (1.02e9), takes 0.6-0.75 s, 2057 0.6 s, 2187 0.15 s and the prime
-# M = 1021 (1.06e9) 0.03 s.
+# (1.02e9), now half a cycle a gap, takes 0.33-0.39 s, 2057 0.5 s, 2187
+# 0.1-0.16 s and the prime M = 1021 (1.06e9) 0.03 s. The price M^2 rad is
+# now about four times the chain's entry count; the ceiling is kept, so
+# the same moduli are accepted and refused.
 MAX_SWEEP_COST = 2 ** 30
 
 
 def sweep_cost(M: int, rad: int) -> int:
     """O(1) cost of norm_profile at M with radical rad: floor(M/2) gaps of
-    M' subsequences, each taken through rad rotations of length phi_rad by
-    the chain at a two-prime radical, floor(M/2) rad phi entries, at most
-    M^2 rad / 2. The price is M^2 rad, as it was when the sweep took all
-    M - 1 gaps, so the ceiling admits the same moduli. A prime radical's
-    closed form costs O(M^2) in all, and is priced the same."""
+    M' subsequences, each taken through ceil(rad/2) steps of length
+    phi_rad by the chain at a two-prime radical, about M rad phi / 4
+    entries, at most about M^2 rad / 4. The price is M^2 rad, as it was
+    when the sweep took all M - 1 gaps through whole cycles, so the
+    ceiling admits the same moduli. A prime radical's closed form costs
+    O(M^2) in all, and is priced the same."""
     return M * M * rad
 
 
@@ -393,40 +410,41 @@ class NormProfile:
 
 
 def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
-                    bound, j: int = 0) -> np.ndarray:
+                    bound, j=0) -> np.ndarray:
     """Batched exact check of one pair (i, j) per row of block.
 
-    gaps is a range of consecutive gaps at the shift j, the block shape of
-    _construct: row r is the pair (j + gaps[r], j). scale and bound are
+    gaps is a range of consecutive gaps, the block shape of _construct, and
+    j one shift for every row or an array of one shift per row: row r is
+    the pair (i, j) = ((j_r + gaps[r]) mod M, j_r). scale and bound are
     ints or per-row arrays. Row r must be a reduced u with
-    (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. The
-    product is formed per row in Z[x]/(x^M - 1); it is scale mod Phi_M
-    exactly when (product - scale) * D is 0 mod x^M - 1 (see cyclotomic),
-    so no division is needed. Returns the row norms; raises AssertionError
-    naming M and (i, j) of the first pair that fails, and ValueError when
-    gaps is not len(block) consecutive gaps.
+    (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. As x is a
+    unit, that is (1 - x^g) u + scale x^{-j} = 0 with g = gaps[r], formed
+    per row in Z[x]/(x^M - 1); it is 0 mod Phi_M exactly when its product
+    with D, the cofactor of Phi_M in 1 - x^M, is 0 mod x^M - 1 (see
+    cyclotomic), so no division is needed. Returns the row norms; raises
+    AssertionError naming M and (i, j) of the first pair that fails, and
+    ValueError when gaps is not len(block) consecutive gaps.
     """
     M, phi = m.M, m.phi
     n = block.shape[0]
     if len(gaps) != n or gaps.step != 1:
         raise ValueError(f"need {n} consecutive gaps, got {gaps}")
-    i0 = j + gaps.start
-    # headroom: |(x^i - x^j) u - scale| <= (2 + scale) max|u| for u != 0
+    # headroom: |(1 - x^g) u + scale x^{-j}| <= (2 + scale) max|u| for u != 0
     most = scale if isinstance(scale, int) else int(scale.max())
     rows = _as_rows(block, m, 2 + most)
     # row r of pad is [u_r, u_r], so the length-M window of the flat view
     # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are 2M
-    # apart, so x^j u reads at the stride 2M and x^i u, whose exponent
-    # grows by one per row, at 2M - 1
+    # apart, and x^g u, whose exponent grows by one per row, reads at the
+    # stride 2M - 1
     pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
     pad[:n, :phi] = rows
     pad[:n, M:M + phi] = rows
-    flat = pad.ravel()
-    sj, si = 2 * M, 2 * M - 1   # the strides of x^j u and x^i u
-    # the negated residual: (x^j - x^i) u + scale
-    res = (flat[M - j:M - j + n * sj].reshape(n, sj)[:, :M]
-           - flat[M - i0:M - i0 + n * si].reshape(n, si)[:, :M])
-    res[:, 0] += np.asarray(scale, dtype=res.dtype)
+    g0, sg = gaps.start, 2 * M - 1
+    # the negated residual times x^{-j}: (1 - x^g) u + scale x^{-j}
+    res = (pad[:n, M:]
+           - pad.ravel()[M - g0:M - g0 + n * sg].reshape(n, sg)[:, :M])
+    shifts = np.asarray(j)
+    res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
     if res.any():
         r = int(res.any(axis=1).argmax())
@@ -439,8 +457,9 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
         r = int(over.argmax())
         what = (f"norm {int(norms[r])} > bound "
                 f"{int(np.broadcast_to(bound, (n,))[r])}")
+    jr = int(np.broadcast_to(shifts, (n,))[r])
     raise AssertionError(f"batched check failed: {what} for M={M}, "
-                         f"(i, j)=({i0 + r}, {j})")
+                         f"(i, j)=({(jr + g0 + r) % M}, {jr})")
 
 
 def _chain_dtype(bound: int) -> np.dtype:
@@ -462,17 +481,26 @@ def _next_rotation(B: np.ndarray, rho: int, tail: np.ndarray) -> None:
                                                      order="A")
 
 
+def _half_cycle(rad: int) -> int:
+    """The rotations the chain takes of each row at a two-prime radical
+    rad: ceil(rad/2) + 1, enough for an arc and its mirror to cover the
+    cycle (see _chain_shifts)."""
+    return (rad + 1) // 2 + 1
+
+
 def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
-    """(A, unclosed) for the remainder rows R0 mod Phi_rad, max|R0| <= big.
+    """(A, last) for the remainder rows R0 mod Phi_rad, max|R0| <= big.
 
-    A[rho, k] is the max-norm of y^{-rho} R0[k] mod Phi_rad, rho < rad. Its
-    entries are at most 2p big at a two-prime radical pq, as 2p bounds the
-    expansion factor of a monomial mod Phi_pq (expansion.closed_form_max,
-    checked by verify's expansion suite), and 2 big at a prime radical.
-    The rows are held in the narrowest dtype that holds that written bound
-    (_chain_dtype), in which every exact result fits, so nothing wraps.
+    A[rho, k] is the max-norm of y^{-rho} R0[k] mod Phi_rad, for every
+    rho < rad at a prime radical and for the _half_cycle(rad) = L first at
+    a two-prime one. Its entries are at most 2p big at a two-prime radical
+    pq, as 2p bounds the expansion factor of a monomial mod Phi_pq
+    (expansion.closed_form_max, checked by verify's expansion suite), and
+    2 big at a prime radical. The rows are held in the narrowest dtype that
+    holds that written bound (_chain_dtype), in which every exact result
+    fits, so nothing wraps.
 
-    At a prime radical p there is no chain, and unclosed is None.
+    At a prime radical p there is no chain, and last is None.
     S = [R0, 0] represents R0 mod Phi_p as well; y^{-rho} S mod y^p - 1 has
     the entries S[k + rho mod p], and as Phi_p = 1 + y + ... + y^(p-1), its
     remainder is those entries less S[c], c = rho - 1 mod p, the one at
@@ -481,7 +509,8 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
 
     At a two-prime radical the rotations follow one from the next
     (_next_rotation) in one buffer B, R_rho = B[:, rho:rho + phi], with no
-    copy for the shift; unclosed marks the rows with R_rad != R0.
+    copy for the shift: L - 1 = ceil(rad/2) steps, and last is
+    R_{L-1}, the rows the caller's end check takes (see norm_profile).
 
     B (S at a prime radical) is column-major when 4 rows >= phi, so that
     the inner loops of each step run down its rows, and row-major
@@ -495,7 +524,8 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
     rad, sh = rad_m.M, rad_m.shape
     prime = isinstance(sh, PrimePower)
     dt = _chain_dtype((2 if prime else 2 * sh.p) * big)
-    B = np.zeros((rows, rad if prime else rad + phi), dtype=dt,
+    steps = 0 if prime else _half_cycle(rad) - 1
+    B = np.zeros((rows, rad if prime else steps + phi), dtype=dt,
                  order="F" if 4 * rows >= phi else "C")
     B[:, :phi] = R0
     if prime:
@@ -504,42 +534,98 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
         A = np.maximum(B.max(axis=1)[:, None] - C, C - B.min(axis=1)[:, None])
         return A.T, None
     tail = rad_m.poly_row[1:].astype(dt)
-    A = np.empty((rad, rows), dtype=dt)
-    for rho in range(rad):
+    A = np.empty((steps + 1, rows), dtype=dt)
+    for rho in range(steps):
         np.abs(B[:, rho:rho + phi]).max(axis=1, out=A[rho])
         _next_rotation(B, rho, tail)
-    return A, (B[:, rad:] != R0).any(axis=1)
+    last = B[:, steps:]
+    np.abs(last).max(axis=1, out=A[steps])
+    return A, last
+
+
+def _chain_shifts(m: CycloModulus, gaps: range):
+    """The shift j_g at which a sweep constructs gap g: 0 for every gap at
+    a prime radical, and at a two-prime radical rad the start of the arc
+    of L = _half_cycle(rad) rotations that the chain takes, as an array
+    over gaps.
+
+    With w = M', the chain of the rows at shift j = rho w takes the
+    rotations t in [j, j + L w) (see norm_profile), and the mirror
+    t -> c0 + w - 1 - t, c0 = -(phi - 1 + g) mod M, sends that arc to
+    [a, a + L w), a = c0 + w - j - L w. The two cover Z_M exactly when
+    (a - j) mod M lies in [M - L w, L w]. Write c0 + w - L w = q w + r0 mod
+    M, 0 <= r0 < w; then (a - j) mod M = ((q - 2 rho) mod rad) w + r0,
+    which lies there when (q - 2 rho) mod rad is one of
+    rad - L = floor(rad/2) - 1 and the next integer, both at most L - 1.
+    One of the two has the parity of q, so rho = (q - that) / 2 mod rad,
+    whatever the parity of rad: no fixed point of the mirror is needed.
+    """
+    M, w, rad = m.M, m.inflation, m.radical
+    if isinstance(m.shape, PrimePower):
+        return 0
+    L = _half_cycle(rad)
+    q = (w - L * w - (m.phi - 1) - np.arange(gaps.start, gaps.stop)) % M // w
+    low = rad - L
+    return (q - low - (q - low) % 2) // 2 % rad * w
 
 
 def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
-                  table: list, acc: np.ndarray) -> np.ndarray:
+                  table: list, acc: np.ndarray, j) -> np.ndarray:
     """Window norms of the gaps g of gaps, a range of consecutive gaps.
 
-    (table, acc) is _construct(gaps, 0, m). Checks every u(g, 0) by one
-    check_gap_block call and returns W, W[r, j] the max-norm of
-    u(g + j, j), g = gaps[r], for j < M - g. See norm_profile; raises
-    AssertionError naming M and the gap when its rotations do not close.
+    (table, acc) is _construct(gaps, j, m), j = _chain_shifts(m, gaps).
+    Checks every row of acc, reduced, by one check_gap_block call, and at a
+    two-prime radical the end of its chain by one more, and returns W, in
+    the dtype of the rotations (_rotation_norms), W[r, c] the max-norm of
+    x^{-c} u(g, 0), g = gaps[r], for every c < M: the pair (g + c, c) for
+    c < M - g. See norm_profile.
     """
-    M, w, rad = m.M, m.inflation, m.radical
+    M, w, rad, phi = m.M, m.inflation, m.radical, m.phi
     n = len(gaps)
     # row r w + b of R0 is the remainder mod Phi_rad of the subsequence
     # acc[r, b::w] of gap gaps[r]
     R0 = _reduce_rows(acc.reshape(n, rad, w).transpose(0, 2, 1)
                       .reshape(-1, rad), rad_m)
-    # coefficient a w + b of u(gaps[r], 0) is coefficient a of row r w + b
-    U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)
+
+    def interleaved(R):
+        # coefficient a w + b of row r is coefficient a of row r w + b of R
+        return R.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, phi)
+
     _, scales, bounds = zip(*table)
-    norms = check_gap_block(m, gaps, U, np.array(scales), np.array(bounds))
-    A, unclosed = _rotation_norms(R0, rad_m, int(norms.max()))
-    # y^rad = 1, and y is a unit, so one wrong entry anywhere breaks this
-    if unclosed is not None and unclosed.any():
-        g = gaps[int(unclosed.argmax()) // w]
-        raise AssertionError(
-            f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
-            f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
-    # N[r, rho w + b] is the max-norm of y^{-rho} R0[r w + b] mod Phi_rad
-    N = np.zeros((n, M + w), dtype=np.int64)
-    N[:, :M].reshape(n, rad, w)[:] = A.reshape(rad, n, w).transpose(1, 0, 2)
+    scales, bounds = np.array(scales), np.array(bounds)
+    norms = check_gap_block(m, gaps, interleaved(R0), scales, bounds, j)
+    A, last = _rotation_norms(R0, rad_m, int(norms.max()))
+    L = len(A)
+    # H[r, s w + b] is the max-norm of y^{-s} R0[r w + b] mod Phi_rad, the
+    # rotation t = j_r + s w + b of gap gaps[r]
+    H = A.reshape(L, n, w).transpose(1, 0, 2).reshape(n, L * w)
+    N = np.zeros((n, M + w), dtype=A.dtype)
+    if last is None:
+        N[:, :M] = H
+    else:
+        # the last rotation is x^{-j_r - (L-1) w} u(g, 0); a wrong entry at
+        # any step of the chain makes it fail as that pair
+        try:
+            check_gap_block(m, gaps, interleaved(last), scales, bounds,
+                            (j + (L - 1) * w) % M)
+        except AssertionError as exc:
+            raise AssertionError(
+                f"sweep check failed: the rotations y^-rho of the gaps "
+                f"{gaps.start} .. {gaps.stop - 1} mod Phi_{rad}(y) fail "
+                f"their end check at rho = {L - 1}: {exc}") from None
+        # row r of N2 holds rotation t at column t or t + M: the arc,
+        # t = j_r + k for k < span = L w, then t = j_r + k for the other k
+        # from its mirror c0 + w - 1 - t, c0 = -(phi - 1 + g), which is
+        # arc offset top_r - (k - span), top_r = (c0 + w - 1 - 2 j_r - span)
+        # mod M; the cover keeps every such offset in [0, span)
+        span = L * w
+        N2 = np.zeros((n, 2 * M), dtype=H.dtype)
+        tops = (w - phi - span - np.arange(gaps.start, gaps.stop)
+                - 2 * j) % M
+        for r, (jr, top) in enumerate(zip(j.tolist(), tops.tolist())):
+            N2[r, jr:jr + span] = H[r]
+            N2[r, jr + span:jr + M] = H[r, top + span - M + 1:top + 1][::-1]
+        np.add(N2[:, :M], N2[:, M:], out=N[:, :M])
     # t wraps mod M: the window of j reads t = j .. j + w - 1
     N[:, M:M + w - 1] = N[:, :w - 1]
     # window maxima by block prefix and suffix maxima, blocks of w
@@ -552,10 +638,12 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-gap norms and per-case maxima.
 
-    Only the gap inverses u(g, 0), g <= M/2, are constructed, a block of
-    consecutive gaps at a time by one _construct call; each is reduced and
-    checked once, a block by one check_gap_block call, and every other pair
-    of gap g follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+    Only one inverse of each gap g <= M/2 is constructed, x^{-j_g} u(g, 0)
+    at the shift j_g = _chain_shifts(m, gaps) where its rotations start (0
+    at a prime radical), a block of consecutive gaps at a time by one
+    _construct call; each is reduced and checked once, a block by one
+    check_gap_block call at those shifts, and every other pair of gap g
+    follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
 
     The gaps above M/2 are mirrors. The rotations x^{-j} u(g, 0) for
     M - g <= j < M are the pairs (j, j') of gap M - g, j' = j - M + g < g:
@@ -591,39 +679,62 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     {-1, 0, 1}, in place in one buffer. Gaps are stacked in blocks of
     _UNIT_BLOCK / 16 / M, whose arrays peak near _UNIT_BLOCK / 2 entries.
 
+    Half cycle. The chain of a two-prime radical walks L = ceil(rad/2) + 1
+    rotations of each gap, not rad. Phi_M is palindromic, so x -> x^{-1}
+    is an automorphism of Z[x]/Phi_M; it sends (x^g - 1) u = scale to
+    (x^g - 1) (-x^{-g} u') = scale, u' the image of u = u(g, 0), and as the
+    inverse at a given scale is unique, u' = -x^g u. Reversing the phi
+    coefficients of a remainder f is f -> x^(phi-1) f', so the remainder of
+    x^{-j} u, reversed, is x^(phi-1) x^j u' = -x^{-(c0 - j)} u, with
+    c0 = -(phi - 1 + g) mod M. Reversal sends subsequence b to subsequence
+    M' - 1 - b, so N_g[t] = N_g[c0 + M' - 1 - t mod M]. The chain of gap g
+    starts at the rotation t = j_g, a multiple of M', and takes the arc
+    [j_g, j_g + L M'); _chain_shifts picks j_g so that the arc and its
+    mirror cover Z_M, at an even M too, where the mirror need have no
+    fixed point. The other entries of N_g are read off the mirror.
+
     Certification. One check_gap_block call per block, whose row r is the
-    pair (lo + r, 0) with that gap's own scale and bound, proves for every
-    gap g of the block that R0 is u(g, 0), an exact inverse,
-    (x^g - 1) u(g, 0) = scale, with norm at most the bound, before any
-    rotation is taken; a failure names the first failing (g, 0). At a prime
-    radical the rotations' norms then follow from R0 by the closed form,
-    an identity mod Phi_p that needs no check of its own. At a two-prime
-    radical each step is an integer identity whose result has degree below
-    phi_rad, so it is the exact remainder of y^{-rho} R0. The chain must
-    close, R_rad = R0, since y^rad = 1; y is a unit mod Phi_rad, so a
-    single wrong entry at any step breaks it. As
-    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
-    product follows, that of a mirrored pair of gap M - g as well, and its
-    norm is taken from exact remainders and checked against the case's
-    bound, every entry of the block's rows at once.
+    pair (j_g + g, j_g) (mod M) of gap g = lo + r with that gap's own scale
+    and bound, proves for every gap g of the block that R0 is
+    x^{-j_g} u(g, 0), an exact inverse, with norm at most the bound, before
+    any rotation is taken; a failure names the first failing pair. At a
+    prime radical the rotations' norms then follow from R0 by the closed
+    form, an identity mod Phi_p that needs no check of its own. At a
+    two-prime radical each step is an integer identity whose result has
+    degree below phi_rad, so it is the exact remainder of y^{-rho} R0. The
+    chain ends with an end check: its last rotation, interleaved back to
+    length phi, must pass check_gap_block as the pair at its own shift
+    j_g + (L - 1) M'. The start is an exactly checked inverse, every step
+    is exact, and y is a unit mod Phi_rad, so a wrong entry at any step
+    carries to a wrong last rotation, which fails that check. The mirrored
+    norms are those of exact remainders, reversed and negated, by the
+    identity above. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1,
+    every pair's product follows, that of a mirrored pair of gap M - g as
+    well, and its norm is taken from exact remainders and checked against
+    the case's bound, every entry of the block's rows at once.
     Integers are exact: |R_rho| <= 2p max|R0| at a two-prime radical, the
     largest expansion factor of a monomial mod Phi_pq (expansion, checked
     by verify's expansion suite), and the closed form's entries are at most
     2 max|R0|. The rotations are held in the narrowest dtype that holds
     that written bound (_chain_dtype: int8 to int64, Python ints from 2^63
-    on). The closure could not reveal a wrapped entry, as wrapped integer
-    arithmetic is exact mod 2^bits, so exactness rests on that bound, which
-    the tests check against the former chain on int64 rows.
+    on). The end check could not reveal a wrapped entry in full, as
+    wrapped integer arithmetic is exact mod 2^bits, so exactness rests on
+    that bound, which the tests check against the former chain on int64
+    rows.
 
     Cost: floor(M/2) gaps of M' subsequences. At a two-prime radical each
-    is taken through rad rotations of length phi_rad, floor(M/2) rad phi
-    <= M^2 rad / 2 entries, against O(M^3) for reducing every rotation at
-    length M; at a prime radical the closed form is O(M) a gap, O(M^2) in
-    all. sweep_cost prices both at M^2 rad, and a sweep above
-    MAX_SWEEP_COST raises SweepTooLarge before any work. Each case maximum
-    keeps the first pair in `for i: for j < i` order to reach it: the
-    largest (norm, -i, -j) over the first largest pair of each row, with
-    cases in the order of their smallest gap, which is at most M/2.
+    is taken through ceil(rad/2) steps of length phi_rad, about
+    M rad phi / 4 <= M^2 rad / 4 entries, against O(M^3) for reducing every
+    rotation at length M, plus a second check_gap_block call per block; at
+    a prime radical the closed form is O(M) a gap, O(M^2) in all.
+    sweep_cost prices both at M^2 rad, and a sweep above MAX_SWEEP_COST
+    raises SweepTooLarge before any work. The norm rows are written a block
+    at a time into one array per norm dtype, which is made read-only before
+    the per-gap views are cut from it. Each case maximum keeps the first
+    pair in `for i: for j < i` order to reach it: each row's first largest
+    pair gives the key norm M^2 - (i M + j), and the case's maximum is one
+    max over the keys of its gaps, cases in the order of their smallest
+    gap, which is at most M/2.
     """
     check_sweep_cost(m)
     M = m.M
@@ -632,48 +743,65 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     # gap, peak at 0.5 to 0.65 _UNIT_BLOCK entries (traced at 35 to 2187)
     step = max(1, _UNIT_BLOCK // 16 // M)
     half = M // 2
-    gaps = [None] * (M - 1)
-    best: dict = {}
+    cols = np.arange(M)
+    # per gap g <= M/2: its (case, scale, bound), and the key
+    # top M^2 - first of its row, with top the row's largest norm and
+    # first = i M + j of the first pair in `for i: for j < i` order to
+    # reach it
+    table, keys = [], np.empty(half, dtype=np.int64)
     # each norm dtype's rows in one array, allocated once: a row allocated
     # per gap interleaves with the blocks' temporaries on the heap and
     # raises the peak RSS (178 against 162 MB at 16384)
-    kept = {}
-    cols = np.arange(M)
+    kept, dtype_of = {}, {}
     for lo in range(1, half + 1, step):
         block = range(lo, min(half + 1, lo + step))
-        table, acc = _construct(block, 0, m)
-        W = _window_norms(m, rad_m, block, table, acc)
+        j = _chain_shifts(m, block)
+        entries, acc = _construct(block, j, m)
+        W = _window_norms(m, rad_m, block, entries, acc, j)
         # column c of row r, gap g = lo + r, is the pair (c + g, c) of gap g
         # for c < M - g and (c, c - M + g) of gap M - g after it; order its
         # pair (i, j) by i M + j, the `for i: for j < i` order, which grows
         # with c in each part
         gs = np.arange(lo, lo + len(block))[:, None]
         order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
-        tops = W.max(axis=1)
+        tops = W.max(axis=1).astype(np.int64)
         first = np.where(W == tops[:, None], order, M * M).min(axis=1)
-        over = tops > np.array([bound for _, _, bound in table])
+        bounds = np.array([bound for _, _, bound in entries])
+        over = tops > bounds
         if over.any():
             r = int(over.argmax())
             i, j = divmod(int(first[r]), M)
             raise AssertionError(
                 f"sweep check failed: norm {int(tops[r])} > bound "
-                f"{table[r][2]} for M={M}, (i, j)=({i}, {j})")
-        for g, (case, scale, bound), top, ij in zip(
-                block, table, tops.tolist(), first.tolist()):
-            i, j = divmod(ij, M)
-            key = (top, -i, -j)
-            best[case] = max(best.get(case, key), key)
-            dt = np.min_scalar_type(bound)
+                f"{entries[r][2]} for M={M}, (i, j)=({i}, {j})")
+        keys[lo - 1:lo - 1 + len(block)] = tops * (M * M) - first
+        # the block's rows, a bound at a time, into their dtype's array
+        for bound in {bound for _, _, bound in entries}:
+            dt = dtype_of.setdefault(bound, np.min_scalar_type(bound))
             if dt not in kept:
                 kept[dt] = np.empty((half, M), dtype=dt)
-            norms = kept[dt][g - 1]
-            norms[:] = W[g - lo]
-            # gap M - g first, so that g = M/2 keeps its own pairs
-            gaps[M - g - 1] = (scale, case, norms[M - g:])
-            gaps[g - 1] = (scale, case, norms[:M - g])
-    for _, _, norms in gaps:
+            np.copyto(kept[dt][lo - 1:lo - 1 + len(block)], W,
+                      casting="unsafe", where=(bounds == bound)[:, None])
+        table += entries
+    for norms in kept.values():
         norms.setflags(write=False)
-    case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
+    gaps = [None] * (M - 1)
+    cases, kind = [], []
+    for g, (case, scale, bound) in enumerate(table, start=1):
+        norms = kept[dtype_of[bound]][g - 1]
+        # gap M - g first, so that g = M/2 keeps its own pairs
+        gaps[M - g - 1] = (scale, case, norms[M - g:])
+        gaps[g - 1] = (scale, case, norms[:M - g])
+        if case not in cases:
+            cases.append(case)
+        kind.append(cases.index(case))
+    # each case's maximum: the largest key over its gaps, cases in the
+    # order of their smallest gap
+    kind, case_max = np.array(kind), {}
+    for k, case in enumerate(cases):
+        key = int(keys[kind == k].max())
+        top = -(-key // (M * M))
+        case_max[case] = (top, *divmod(top * M * M - key, M))
     return NormProfile(m, tuple(gaps), case_max)
 
 

@@ -214,17 +214,19 @@ def norm_profile_blocks(m: CycloModulus) -> ProfileTable:
     return ProfileTable(rows, case_max, ())
 
 
-def rotation_walk(R0: np.ndarray, rad_m: CycloModulus):
-    """The library's former rotation chain, at every radical: from each
-    remainder row r of R0 mod Phi_rad, y^{-1} r = (r - r_0 Phi_rad)/y, a
-    new row per step (a shifted copy less r_0 times the coefficients
-    1 .. phi of Phi_rad), on the rows _as_rows picks (int64 under its
-    headroom 4 p q^2, else Python ints). Returns (A, R): A[rho, k] is the
-    max-norm of y^{-rho} R0[k] mod Phi_rad for rho < rad, and R the rows
-    after rad steps, which equal R0 when the chain closes."""
+def rotation_walk(R0: np.ndarray, rad_m: CycloModulus,
+                  steps: int | None = None):
+    """The library's former rotation chain, at every radical, over the full
+    cycle unless steps is given: from each remainder row r of R0 mod
+    Phi_rad, y^{-1} r = (r - r_0 Phi_rad)/y, a new row per step (a shifted
+    copy less r_0 times the coefficients 1 .. phi of Phi_rad), on the rows
+    _as_rows picks (int64 under its headroom 4 p q^2, else Python ints).
+    Returns (A, R): A[rho, k] is the max-norm of y^{-rho} R0[k] mod Phi_rad
+    for rho < steps (default rad), and R the rows after those steps, which
+    equal R0 after rad steps, as the chain closes."""
     R, tail = _as_rows(R0, rad_m), rad_m.poly_row[1:]
     A = []
-    for _ in range(rad_m.M):
+    for _ in range(rad_m.M if steps is None else steps):
         A.append(np.abs(R).max(axis=1))
         nxt = np.empty_like(R)
         nxt[:, :-1] = R[:, 1:]
@@ -235,15 +237,20 @@ def rotation_walk(R0: np.ndarray, rad_m: CycloModulus):
 
 
 def window_norms_by_division(m: CycloModulus, rad_m: CycloModulus,
-                             gaps: range, table: list, acc: np.ndarray,
+                             gaps: range, table: list, acc: np.ndarray, j=0,
                              peaks: list | None = None) -> np.ndarray:
     """scaled_inverse._window_norms as the library ran it before its
-    closed form and in-place chain: the same reduction at the radical and
-    check_gap_block call, then rotation_walk on every radical, its closure
-    check and the same window maxima. Appends (max |R_rho|, max |R0|) of
-    the block to peaks when given."""
+    closed form, its in-place chain and its half cycle: the rows of acc
+    (built at the shifts j) turned back to u(g, 0), the same reduction at
+    the radical and check_gap_block call at j = 0, then rotation_walk over
+    the full cycle at every radical, its closure check and the same window
+    maxima. Appends (max |R_rho|, max |R0|) of the block to peaks when
+    given."""
     M, w, rad = m.M, m.inflation, m.radical
     n = len(gaps)
+    # row r of acc is x^{-j_r} acc0[r]: acc0[r, c] = acc[r, (c - j_r) mod M]
+    acc = np.take_along_axis(
+        acc, (np.arange(M) - np.reshape(j, (-1, 1))) % M, axis=1)
     R0 = _reduce_rows(acc.reshape(n, rad, w).transpose(0, 2, 1)
                       .reshape(-1, rad), rad_m)
     U = R0.reshape(n, w, -1).transpose(0, 2, 1).reshape(n, m.phi)

@@ -35,6 +35,15 @@ def supported_upto(limit):
     return out
 
 
+def rotated_inverse(g, j, m):
+    """x^{-j} u(g, 0) mod Phi_M, 0 < g < M, 0 <= j < M, from one construct:
+    u(j + g, j) when j + g < M, else -u(j, j + g - M), the pair of gap
+    M - g (see norm_profile)."""
+    if j + g < m.M:
+        return construct_scaled_inverse(j + g, j, m).u.coeffs
+    return (-construct_scaled_inverse(j, j + g - m.M, m).u).coeffs
+
+
 def one(m):
     return element(m, (1,) + (0,) * (m.phi - 1))
 
@@ -476,35 +485,49 @@ class TestNormProfile:
                 want[r.case] = (r.norm, r.i, r.j)
         assert list(prof.case_max.items()) == list(want.items())
 
-    @pytest.mark.parametrize("M", [35, 125, 143])
+    @pytest.mark.parametrize("M", [35, 45, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # each block's u(g, 0) are checked by one call, one row per gap at
-        # j = 0, each gap g <= M/2 once, and each row is u(g, 0) as the
-        # construction returns it
+        # each block's rows are checked by one call at per-row shifts, the
+        # starts of the gaps' chains (j = 0 at a prime radical), one row per
+        # gap, each gap g <= M/2 once; at a two-prime radical one more call
+        # checks the chains' ends, (L - 1) M' further on. Every row is
+        # x^{-j} u(g, 0) as the construction returns it
         m = make_modulus(M)
-        seen = {}
+        calls = []
         real = scaled_inverse.check_gap_block
 
         def spy(m, gaps, block, scale, bound, j=0):
-            assert j == 0 and isinstance(gaps, range)
-            assert len(gaps) == block.shape[0]
-            for g, row in zip(gaps, block):
-                assert g not in seen
-                seen[g] = row.tolist()
+            assert isinstance(gaps, range) and len(gaps) == block.shape[0]
+            calls.append((gaps, np.broadcast_to(j, len(gaps)).tolist(),
+                          block.tolist()))
             return real(m, gaps, block, scale, bound, j)
 
         monkeypatch.setattr(scaled_inverse, "check_gap_block", spy)
         norm_profile(m)
         monkeypatch.setattr(scaled_inverse, "check_gap_block", real)
-        assert sorted(seen) == list(range(1, M // 2 + 1))
-        for g, row in seen.items():
-            assert tuple(row) == construct_scaled_inverse(g, 0, m).u.coeffs, g
+        prime = isinstance(m.shape, PrimePower)
+        starts = calls if prime else calls[::2]
+        assert [g for gaps, _, _ in starts for g in gaps] == \
+            list(range(1, M // 2 + 1))
+        if prime:
+            assert all(j == 0 for _, js, _ in calls for j in js)
+        else:
+            w, L = m.inflation, scaled_inverse._half_cycle(m.radical)
+            for (gaps, js, _), (gaps_, ends, _) in zip(calls[::2],
+                                                      calls[1::2]):
+                assert gaps_ == gaps
+                assert ends == [(j + (L - 1) * w) % M for j in js]
+        for gaps, js, rows in calls:
+            for g, j, row in zip(gaps, js, rows):
+                assert tuple(row) == rotated_inverse(g, j, m), (g, j)
 
 
 class TestOneCheckPerPair:
     """check_gap_block is the only check of a constructed inverse: a sweep
-    checks each u(g, 0), g <= M/2, once, and reduces each of its
-    subsequences once; the gaps above M/2 are read off their rotations."""
+    checks each gap g <= M/2 once at the start of its rotations, and at a
+    two-prime radical once more at the end of its chain, and reduces each
+    of its subsequences once; the gaps above M/2 are read off their
+    rotations."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -527,16 +550,20 @@ class TestOneCheckPerPair:
         self._blocks_checked_once(monkeypatch, M, blocks)
 
     def _blocks_checked_once(self, monkeypatch, M, blocks):
-        # one construct and one check per block of gaps: the check reads
-        # the block's gaps as the pairs (g, 0), one row each, and the
+        # one construct and one start check per block of gaps, and at a
+        # two-prime radical one end check: the start check reads the
+        # block's gaps at the construct's shifts, one row each, and the
         # blocks cover every gap g <= M/2 once
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
-        norm_profile(make_modulus(M))
-        assert len(builds) == len(checks) == blocks
+        m = make_modulus(M)
+        norm_profile(m)
+        per_block = 1 if isinstance(m.shape, PrimePower) else 2
+        assert len(builds) == blocks and len(checks) == per_block * blocks
         gaps = []
-        for (ks, j, _), (_, g, block, scale, bound) in zip(builds, checks):
-            assert j == 0 and g == ks and isinstance(g, range)
+        for (ks, j, _), (_, g, block, scale, bound, j_) in zip(
+                builds, checks[::per_block]):
+            assert g == ks and isinstance(g, range) and np.array_equal(j, j_)
             assert block.shape[0] == len(scale) == len(bound) == len(g)
             gaps += g
         assert gaps == list(range(1, M // 2 + 1))
@@ -551,10 +578,11 @@ class TestOneCheckPerPair:
 
     def _reductions_checked_once(self, monkeypatch, M):
         # every _reduce_rows call of a sweep is at the radical, on rows of
-        # length rad: the M' subsequences of each gap g <= M/2 once, in
-        # order, and nothing at length M; each block's rotations then take
-        # rad exact steps at a two-prime radical, and none at a prime one
-        # (a closed form)
+        # length rad: the M' subsequences of each gap g <= M/2 once, at
+        # the shift its chain starts from, in order, and nothing at length
+        # M; each block's rotations then take ceil(rad/2) exact steps at a
+        # two-prime radical, at most ceil(rad/2) + 2, and none at a prime
+        # one (a closed form)
         reductions = self._count(monkeypatch, "_reduce_rows")
         steps = self._count(monkeypatch, "_next_rotation")
         m = make_modulus(M)
@@ -563,13 +591,16 @@ class TestOneCheckPerPair:
         assert all(mod.M == rad and V.shape[1] == rad
                    for V, mod in reductions)
         want = np.concatenate([
-            scaled_inverse._construct(range(g, g + 1), 0, m)[1][0]
+            scaled_inverse._construct(
+                gap, scaled_inverse._chain_shifts(m, gap), m)[1][0]
             .reshape(rad, w).T
-            for g in range(1, M // 2 + 1)])
+            for gap in (range(g, g + 1) for g in range(1, M // 2 + 1))])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
         chains = 0 if isinstance(m.shape, PrimePower) else len(reductions)
-        assert [rho for _, rho, _ in steps] == list(range(rad)) * chains
+        half = -(-rad // 2)
+        assert [rho for _, rho, _ in steps] == list(range(half)) * chains
+        assert len(steps) <= (half + 2) * chains
 
     def test_construct_checks_once(self, monkeypatch):
         checks = self._count(monkeypatch, "check_gap_block")
@@ -646,9 +677,9 @@ class TestRadicalSweep:
             scaled_inverse._reduce_rows, scaled_inverse._rotation_norms, [])
 
         def norms_of_rotations(R0, rad_m, big):
-            A, unclosed = rotation_norms(R0, rad_m, big)
+            A, last = rotation_norms(R0, rad_m, big)
             dtypes.append(A.dtype)
-            return A, unclosed
+            return A, last
 
         monkeypatch.setattr(scaled_inverse, "_as_rows",
                             lambda V, m, headroom=1: np.asarray(V, dtype=object))
@@ -671,9 +702,10 @@ class TestRadicalSweep:
     @pytest.mark.parametrize("stage", ["_reduce_rows", "_next_rotation"])
     def test_rotation_off_by_one_is_caught(self, M, row, gap, stage,
                                            monkeypatch):
-        # one entry of the reduced subsequences, caught by check_gap_block,
-        # or of one step of the chain (the step from rho = 3 to 4, in
-        # place), caught as it fails to close
+        # one entry of the reduced subsequences, caught by check_gap_block
+        # at the gap's start shift j, or of one step of the chain (the step
+        # from rho = 3 to 4, in place), caught by the end check at the
+        # shift j + (L - 1) M'; either names M and the gap's pair there
         real = getattr(scaled_inverse, stage)
 
         def off_by_one(*args):
@@ -688,16 +720,25 @@ class TestRadicalSweep:
 
         monkeypatch.setattr(scaled_inverse, stage, off_by_one)
         m = make_modulus(M)
-        match = (rf"batched check failed: .* M={M}, \(i, j\)=\({gap}, 0\)"
-                 if stage == "_reduce_rows" else
-                 rf"do not close at rho = {m.radical} for M={M}, gap {gap}$")
+        [j] = scaled_inverse._chain_shifts(m, range(gap, gap + 1)).tolist()
+        steps = scaled_inverse._half_cycle(m.radical) - 1
+        if stage == "_reduce_rows":
+            match = rf"^batched check failed: .* for M={M}, "
+        else:
+            j = (j + steps * m.inflation) % M
+            match = (rf"^sweep check failed: the rotations y\^-rho of the "
+                     rf"gaps 1 \.\. {M // 2} mod Phi_{m.radical}\(y\) fail "
+                     rf"their end check at rho = {steps}: batched check "
+                     rf"failed: .* for M={M}, ")
+        match += rf"\(i, j\)=\({(j + gap) % M}, {j}\)$"
         with pytest.raises(AssertionError, match=match):
             norm_profile(m)
 
     def test_rotation_above_bound_is_caught(self, monkeypatch):
         # at M = 35 the coprime gap inverses u(g, 0) reach norm 3 and the
-        # rotations norm 4, first at (5, 4): with the bound 3, every
-        # u(g, 0) passes check_gap_block and the sweep names that pair
+        # rotations norm 4, at (5, 4), (6, 5), (7, 6) and (8, 7) only: with
+        # the bound 3, gap 1's row at its start shift 6, the pair (7, 6),
+        # is the first to fail check_gap_block, which names that pair
         real = scaled_inverse._case
 
         def low_bound(d, m):
@@ -706,10 +747,12 @@ class TestRadicalSweep:
                 3 if case == InverseCase.COPRIME else bound)
 
         monkeypatch.setattr(scaled_inverse, "_case", low_bound)
+        m = make_modulus(35)
+        assert scaled_inverse._chain_shifts(m, range(1, 2)).tolist() == [6]
         with pytest.raises(AssertionError,
-                           match=r"^sweep check failed: norm 4 > bound 3 for "
-                                 r"M=35, \(i, j\)=\(5, 4\)$"):
-            norm_profile(make_modulus(35))
+                           match=r"^batched check failed: norm 4 > bound 3 "
+                                 r"for M=35, \(i, j\)=\(7, 6\)$"):
+            norm_profile(m)
 
     # (M, g, j'): the column M - g + j' of gap g's row is the pair
     # (j' + M - g, j') of gap M - g; 143 = 11 13 in the gap 13 of
@@ -720,8 +763,8 @@ class TestRadicalSweep:
                                                  monkeypatch):
         real = scaled_inverse._window_norms
 
-        def spiked(m, rad_m, gaps, table, acc):
-            W = real(m, rad_m, gaps, table, acc)
+        def spiked(m, rad_m, gaps, table, acc, j):
+            W = real(m, rad_m, gaps, table, acc, j)
             if g in gaps:
                 W[g - gaps.start, M - g + jp] = table[g - gaps.start][2] + 1
             return W
@@ -773,9 +816,12 @@ class TestRotationOracle:
     def test_block_matches_former_chain(self, M, lo):
         m = make_modulus(M)
         rad_m, block, peaks = make_modulus(m.radical), range(lo, lo + 8), []
-        table, acc = scaled_inverse._construct(block, 0, m)
-        got = scaled_inverse._window_norms(m, rad_m, block, table, acc.copy())
-        want = window_norms_by_division(m, rad_m, block, table, acc, peaks)
+        j = scaled_inverse._chain_shifts(m, block)
+        table, acc = scaled_inverse._construct(block, j, m)
+        got = scaled_inverse._window_norms(m, rad_m, block, table,
+                                           acc.copy(), j)
+        want = window_norms_by_division(m, rad_m, block, table, acc, j,
+                                        peaks)
         assert np.array_equal(got, want)
         [(peak, big)] = peaks
         assert peak <= self._growth(rad_m) * big
@@ -796,15 +842,92 @@ class TestRotationOracle:
         R0 = np.array([[rng.choice((-big, -1, 0, 1, big))
                         for _ in range(rad_m.phi)] for _ in range(6)],
                       dtype=np.int64)
-        A, unclosed = scaled_inverse._rotation_norms(R0, rad_m, big)
+        # every rotation at a prime radical, the first L at a two-prime
+        # one, whose last is the walk's rows after L - 1 steps
+        A, last = scaled_inverse._rotation_norms(R0, rad_m, big)
         want, R = rotation_walk(R0, rad_m)
-        assert A.tolist() == want.tolist()
+        assert np.array_equal(R, R0)
         assert A.dtype == scaled_inverse._chain_dtype(
             self._growth(rad_m) * big)
         if isinstance(rad_m.shape, PrimePower):
-            assert unclosed is None
+            assert A.tolist() == want.tolist() and last is None
         else:
-            assert np.array_equal(R, R0) and not unclosed.any()
+            L = scaled_inverse._half_cycle(rad)
+            assert A.tolist() == want[:L].tolist()
+            _, R = rotation_walk(R0, rad_m, L - 1)
+            assert last.tolist() == R.tolist()
+
+
+def two_prime_upto(limit):
+    return [M for M in supported_upto(limit)
+            if isinstance(make_modulus(M).shape, TwoPrime)]
+
+
+class TestHalfCycle:
+    """At a two-prime radical norm_profile walks L = ceil(rad/2) + 1
+    rotations of each gap from its own start shift and reads the others
+    off the mirror N_g[t] = N_g[c0 + M' - 1 - t]: against the full cycle of
+    the former chain (rotation_walk, through window_norms_by_division) and
+    against the block oracle, which reduces every rotation at length M."""
+
+    TWO_PRIME = two_prime_upto(199)
+
+    def test_covers_even_and_inflated_moduli(self):
+        # even M, where the mirror need not have a fixed point, and M' > 1
+        assert {18, 20, 28, 50, 98, 45, 63, 75, 99, 147, 175} <= \
+            set(self.TWO_PRIME)
+
+    @pytest.mark.parametrize("M", TWO_PRIME + [1007, 2057])
+    def test_matches_full_cycle_and_blocks(self, M, monkeypatch):
+        m = make_modulus(M)
+        got = norm_profile(m)
+        if M < 200:
+            want = norm_profile_blocks(m)
+            assert got.rows == want.rows
+            assert list(got.case_max.items()) == list(want.case_max.items())
+        monkeypatch.setattr(scaled_inverse, "_window_norms",
+                            window_norms_by_division)
+        want = norm_profile(m)
+        for (scale, case, norms), (scale_, case_, norms_) in zip(got.gaps,
+                                                                 want.gaps):
+            assert (scale, case, norms.dtype) == (scale_, case_, norms_.dtype)
+            assert np.array_equal(norms, norms_)
+        assert list(got.case_max.items()) == list(want.case_max.items())
+
+    @pytest.mark.parametrize("M", [6, 18, 20, 35, 45, 98, 143])
+    def test_arc_and_mirror_cover_the_cycle(self, M):
+        # the chain's arc [j, j + L M') and its mirror cover Z_M for every
+        # gap, with j a multiple of M'
+        m = make_modulus(M)
+        w, phi = m.inflation, m.phi
+        span = scaled_inverse._half_cycle(m.radical) * w
+        shifts = scaled_inverse._chain_shifts(m, range(1, M // 2 + 1))
+        for g, j in enumerate(shifts.tolist(), start=1):
+            assert j % w == 0
+            arc = {(j + k) % M for k in range(span)}
+            c0 = -(phi - 1 + g) % M
+            assert arc | {(c0 + w - 1 - t) % M for t in arc} == set(range(M))
+
+
+class TestMirrorLemma:
+    """The identity the half cycle rests on, checked apart from the sweep:
+    with u = u(g, 0) and c0 = -(phi - 1 + g) mod M, the coefficients of
+    x^{-j} u mod Phi_M reversed are those of -(x^{-(c0 - j)} u mod Phi_M),
+    for every gap g and shift j. x -> x^{-1} is a ring automorphism, which
+    sends u to -x^g u, as an element has one inverse at a given scale."""
+
+    @pytest.mark.parametrize("M", [4, 7, 8, 9, 12, 15, 18, 20, 21, 25, 27,
+                                   28, 35, 45])
+    def test_reversed_rotation(self, M):
+        m = make_modulus(M)
+        for g in range(1, M):
+            u = construct_scaled_inverse(g, 0, m).u
+            rot = [ring_mul(monomial_reduce(-j, m), u).coeffs
+                   for j in range(M)]
+            c0 = -(m.phi - 1 + g) % M
+            for j in range(M):
+                mirror = tuple(-c for c in rot[(c0 - j) % M])
+                assert rot[j][::-1] == mirror, (g, j)
 
 
 class TestSweepCeiling:
@@ -920,6 +1043,52 @@ class TestCheckGapBlock:
         with pytest.raises(AssertionError,
                            match=r"!= 5 for M=15, \(i, j\)=\(10, 4\)$"):
             check_gap_block(m, gaps, tail, scales[3:], bounds[3:], self.J)
+
+
+class TestPerRowShift:
+    """_construct and check_gap_block with one shift per row, the block
+    shape of a sweep's chain starts and ends: row r is x^{-j_r} u(g, 0),
+    the pair ((j_r + g) mod M, j_r), of gap M - g when j_r + g >= M."""
+
+    M, GAPS, JS = 45, range(7, 13), [0, 44, 3, 30, 38, 41]
+
+    def _block(self):
+        m = make_modulus(self.M)
+        js = np.array(self.JS)
+        table, acc = scaled_inverse._construct(self.GAPS, js, m)
+        _, scales, bounds = zip(*table)
+        return (m, js, scaled_inverse._reduce_rows(acc, m), np.array(scales),
+                np.array(bounds))
+
+    def test_rows_are_rotated_inverses(self):
+        m, js, U, scales, bounds = self._block()
+        for g, j, row in zip(self.GAPS, self.JS, U):
+            assert tuple(row.tolist()) == rotated_inverse(g, j, m), (g, j)
+        norms = check_gap_block(m, self.GAPS, U, scales, bounds, js)
+        assert norms.tolist() == [int(np.abs(r).max()) for r in U]
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_corrupted_row_names_its_own_pair(self, r):
+        # row 1 is gap 8 at 44 and row 4 gap 11 at 38, both past M - g: the
+        # pairs (7, 44) and (4, 38); row 2 is gap 9 at 3, the pair (12, 3)
+        m, js, U, scales, bounds = self._block()
+        U[r, 5] += 1
+        g, j = self.GAPS[r], self.JS[r]
+        with pytest.raises(AssertionError,
+                           match=rf"!= {scales[r]} for M=45, "
+                                 rf"\(i, j\)=\({(j + g) % 45}, {j}\)$"):
+            check_gap_block(m, self.GAPS, U, scales, bounds, js)
+
+    def test_norm_above_bound_names_its_own_pair(self):
+        m, js, U, scales, bounds = self._block()
+        norms = np.abs(U).max(axis=1)
+        r = int(np.argmax(norms))
+        low = int(norms[r]) - 1
+        g, j = self.GAPS[r], self.JS[r]
+        with pytest.raises(AssertionError,
+                           match=rf"> bound {low} for M=45, "
+                                 rf"\(i, j\)=\({(j + g) % 45}, {j}\)$"):
+            check_gap_block(m, self.GAPS, U, scales, low, js)
 
 
 class TestGapBlock:
