@@ -32,9 +32,9 @@ cumulative sum down the columns of the (-1, d) view of N - scale and one
 np.add.at that folds the exponents e k/d + M - j mod M of every gap of the
 group; one reduction mod Phi_M follows. A single construct is a range of
 one gap at one j; a sweep's blocks are ranges of up to _UNIT_BLOCK / (16 M)
-gaps, at j = 0 or at a shift per row (_chain_shifts). Entries stay below
-M^2 (q + 1) < 2^61 (the bound is derived in _construct), and each
-reduction falls back to Python ints when its own bound fails.
+gaps, at a shift per row (_chain_shifts, 0 at a prime radical). Entries
+stay below M^2 (q + 1) < 2^61 (the bound is derived in _construct), and
+each reduction falls back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
@@ -275,7 +275,7 @@ def _construct(gaps: range, j, m: CycloModulus):
     dtype (_as_rows) and falls back to Python ints when its bound fails.
     """
     M = m.M
-    shifts = [j] * len(gaps) if isinstance(j, int) else j.tolist()
+    shifts = np.full(len(gaps), j).tolist()
     groups = {}
     for r, k in enumerate(gaps):
         groups.setdefault(math.gcd(k, M), []).append(r)
@@ -544,10 +544,10 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
 
 
 def _chain_shifts(m: CycloModulus, gaps: range):
-    """The shift j_g at which a sweep constructs gap g: 0 for every gap at
-    a prime radical, and at a two-prime radical rad the start of the arc
-    of L = _half_cycle(rad) rotations that the chain takes, as an array
-    over gaps.
+    """The shifts j_g at which a sweep constructs the gaps g of gaps, as an
+    array over gaps: 0 at a prime radical, and at a two-prime radical rad
+    the start of the arc of L = _half_cycle(rad) rotations that the chain
+    takes.
 
     With w = M', the chain of the rows at shift j = rho w takes the
     rotations t in [j, j + L w) (see norm_profile), and the mirror
@@ -562,7 +562,7 @@ def _chain_shifts(m: CycloModulus, gaps: range):
     """
     M, w, rad = m.M, m.inflation, m.radical
     if isinstance(m.shape, PrimePower):
-        return 0
+        return np.zeros(len(gaps), dtype=np.int64)
     L = _half_cycle(rad)
     q = (w - L * w - (m.phi - 1) - np.arange(gaps.start, gaps.stop)) % M // w
     low = rad - L
@@ -731,10 +731,9 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     raises SweepTooLarge before any work. The norm rows are written a block
     at a time into one array per norm dtype, which is made read-only before
     the per-gap views are cut from it. Each case maximum keeps the first
-    pair in `for i: for j < i` order to reach it: each row's first largest
-    pair gives the key norm M^2 - (i M + j), and the case's maximum is one
-    max over the keys of its gaps, cases in the order of their smallest
-    gap, which is at most M/2.
+    pair in `for i: for j < i` order to reach it: the largest
+    (norm, -i, -j) over the first largest pair of each row, with cases in
+    the order of their smallest gap, which is at most M/2.
     """
     check_sweep_cost(m)
     M = m.M
@@ -744,11 +743,10 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     step = max(1, _UNIT_BLOCK // 16 // M)
     half = M // 2
     cols = np.arange(M)
-    # per gap g <= M/2: its (case, scale, bound), and the key
-    # top M^2 - first of its row, with top the row's largest norm and
-    # first = i M + j of the first pair in `for i: for j < i` order to
-    # reach it
-    table, keys = [], np.empty(half, dtype=np.int64)
+    # per gap g <= M/2: its (case, scale, bound), and (top, first) of its
+    # row, top the row's largest norm and first = i M + j of the first pair
+    # in `for i: for j < i` order to reach it
+    table, firsts = [], []
     # each norm dtype's rows in one array, allocated once: a row allocated
     # per gap interleaves with the blocks' temporaries on the heap and
     # raises the peak RSS (178 against 162 MB at 16384)
@@ -764,7 +762,7 @@ def norm_profile(m: CycloModulus) -> NormProfile:
         # with c in each part
         gs = np.arange(lo, lo + len(block))[:, None]
         order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
-        tops = W.max(axis=1).astype(np.int64)
+        tops = W.max(axis=1)
         first = np.where(W == tops[:, None], order, M * M).min(axis=1)
         bounds = np.array([bound for _, _, bound in entries])
         over = tops > bounds
@@ -774,7 +772,7 @@ def norm_profile(m: CycloModulus) -> NormProfile:
             raise AssertionError(
                 f"sweep check failed: norm {int(tops[r])} > bound "
                 f"{entries[r][2]} for M={M}, (i, j)=({i}, {j})")
-        keys[lo - 1:lo - 1 + len(block)] = tops * (M * M) - first
+        firsts += zip(tops.tolist(), first.tolist())
         # the block's rows, a bound at a time, into their dtype's array
         for bound in {bound for _, _, bound in entries}:
             dt = dtype_of.setdefault(bound, np.min_scalar_type(bound))
@@ -786,22 +784,17 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     for norms in kept.values():
         norms.setflags(write=False)
     gaps = [None] * (M - 1)
-    cases, kind = [], []
-    for g, (case, scale, bound) in enumerate(table, start=1):
+    best: dict = {}
+    for g, (case, scale, bound), (top, ij) in zip(range(1, half + 1), table,
+                                                  firsts):
         norms = kept[dtype_of[bound]][g - 1]
         # gap M - g first, so that g = M/2 keeps its own pairs
         gaps[M - g - 1] = (scale, case, norms[M - g:])
         gaps[g - 1] = (scale, case, norms[:M - g])
-        if case not in cases:
-            cases.append(case)
-        kind.append(cases.index(case))
-    # each case's maximum: the largest key over its gaps, cases in the
-    # order of their smallest gap
-    kind, case_max = np.array(kind), {}
-    for k, case in enumerate(cases):
-        key = int(keys[kind == k].max())
-        top = -(-key // (M * M))
-        case_max[case] = (top, *divmod(top * M * M - key, M))
+        i, j = divmod(ij, M)
+        key = (top, -i, -j)
+        best[case] = max(best.get(case, key), key)
+    case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
     return NormProfile(m, tuple(gaps), case_max)
 
 

@@ -334,6 +334,14 @@ class TestTwoPrime:
         with pytest.raises(BadRange):
             construct_scaled_inverse(15, 0, make_modulus(15))
 
+    @pytest.mark.parametrize("M", [9, 35])
+    def test_numpy_integer_pair(self, M):
+        # NumPy integers pass the range check and construct as ints do
+        m = make_modulus(M)
+        for i, j in [(3, np.int64(0)), (np.int64(5), np.int64(2))]:
+            assert (construct_scaled_inverse(i, j, m)
+                    == construct_scaled_inverse(int(i), int(j), m))
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("M", [15, 21, 16, 9])
@@ -734,25 +742,52 @@ class TestRadicalSweep:
         with pytest.raises(AssertionError, match=match):
             norm_profile(m)
 
-    def test_rotation_above_bound_is_caught(self, monkeypatch):
-        # at M = 35 the coprime gap inverses u(g, 0) reach norm 3 and the
-        # rotations norm 4, at (5, 4), (6, 5), (7, 6) and (8, 7) only: with
-        # the bound 3, gap 1's row at its start shift 6, the pair (7, 6),
-        # is the first to fail check_gap_block, which names that pair
-        real = scaled_inverse._case
+    @staticmethod
+    def _sweep_names_rotation(monkeypatch, M, g, bound, top, pair, in_arc):
+        # gap g's bound lowered to the larger norm of its chain's start and
+        # end rows, so both pass check_gap_block; the pair's rotation t = c,
+        # the column of W it sits in, lies inside the chain's arc
+        # [j_g, j_g + (L - 1) M'] or is read off the mirror, and the sweep's
+        # own bound check must name it
+        real = scaled_inverse._construct
 
-        def low_bound(d, m):
-            case, num, scale, bound = real(d, m)
-            return case, num, scale, (
-                3 if case == InverseCase.COPRIME else bound)
+        def lowered(gaps, j, m):
+            table, acc = real(gaps, j, m)
+            if g in gaps:
+                case, scale, _ = table[g - gaps.start]
+                table[g - gaps.start] = (case, scale, bound)
+            return table, acc
 
-        monkeypatch.setattr(scaled_inverse, "_case", low_bound)
-        m = make_modulus(35)
-        assert scaled_inverse._chain_shifts(m, range(1, 2)).tolist() == [6]
+        m = make_modulus(M)
+        i, j = pair
+        c = j if i - j == g else i
+        [start] = scaled_inverse._chain_shifts(m, range(g, g + 1)).tolist()
+        span = (scaled_inverse._half_cycle(m.radical) - 1) * m.inflation
+        assert ((c - start) % M <= span) == in_arc
+        monkeypatch.setattr(scaled_inverse, "_construct", lowered)
         with pytest.raises(AssertionError,
-                           match=r"^batched check failed: norm 4 > bound 3 "
-                                 r"for M=35, \(i, j\)=\(7, 6\)$"):
+                           match=rf"^sweep check failed: norm {top} > "
+                                 rf"bound {bound} for M={M}, "
+                                 rf"\(i, j\)=\({i}, {j}\)$"):
             norm_profile(m)
+
+    def test_rotation_above_bound_is_caught(self, monkeypatch):
+        # at M = 35 gap 14's chain starts at shift 34 and ends at 17, both
+        # rows of norm at most 3; the rotation at shift 3, in the middle of
+        # the arc, has norm 4, the pair (17, 3)
+        self._sweep_names_rotation(monkeypatch, 35, 14, 3, 4, (17, 3),
+                                   in_arc=True)
+
+    # (M, g, bound, top, i, j): rotations read off the mirror, above gap
+    # g's bound lowered to its start and end rows' norm; the pair (i, j) is
+    # of gap g (c < M - g) at 35, 77 and 143, and of gap M - g after them
+    @pytest.mark.parametrize("M, g, bound, top, i, j", [
+        (35, 8, 1, 2, 9, 1), (77, 4, 2, 3, 9, 5), (143, 15, 1, 3, 16, 1),
+        (35, 12, 2, 3, 23, 0), (77, 31, 2, 3, 46, 0)])
+    def test_rotation_off_mirror_above_bound_is_caught(self, M, g, bound, top,
+                                                       i, j, monkeypatch):
+        self._sweep_names_rotation(monkeypatch, M, g, bound, top, (i, j),
+                                   in_arc=False)
 
     # (M, g, j'): the column M - g + j' of gap g's row is the pair
     # (j' + M - g, j') of gap M - g; 143 = 11 13 in the gap 13 of
