@@ -6,8 +6,9 @@ column (k + l) mod M, so the factor is the max-row-L1 norm of that windowed
 column selection, and a row-sign-matched +-1 vector attains it. Every factor
 reported by the closed computation is re-verified through an actual ring
 multiplication, and a seeded randomized oracle provides an independent
-never-exceeds check: it reduces x^k g for all its random g at once, by one
-batched reduction (_shifted_products), not through R_M.
+never-exceeds check: it reduces x^k g for its random g a block of at most
+_UNIT_BLOCK entries at a time, by one batched reduction per block
+(_shifted_products), not through R_M.
 """
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import (CycloModulus, PrimePower, RingElement, _reduce_rows,
-                         monomial_reduce, reduction_matrix, ring_mul)
+from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
+                         _reduce_rows, monomial_reduce, reduction_matrix,
+                         ring_mul)
 
 DEFAULT_SEED = 1729
 
@@ -143,18 +145,35 @@ def randomized_expansion_check(k: int, m: CycloModulus, trials: int,
     if entries is None:
         entries = reduction_matrix(m).entries
     factor, witness = _factor_and_witness(k, m, _window(entries, k, m))
-    rng = np.random.default_rng(seed)
-    half = trials // 2
-    gs = rng.integers(-1, 2, size=(trials, m.phi))
-    gs[half:] = rng.integers(-10, 11, size=(trials - half, m.phi))
-    norms = np.abs(gs).max(axis=1)
-    keep = norms > 0
-    gs, norms = gs[keep], norms[keep]
-    out_norms = np.abs(_shifted_products(k, m, gs)).max(axis=1)
-    if np.any(out_norms > factor * norms):
-        return False
+    for gs in _random_rows(m, trials, seed):
+        norms = np.abs(gs).max(axis=1)
+        keep = norms > 0
+        gs, norms = gs[keep], norms[keep]
+        out_norms = np.abs(_shifted_products(k, m, gs)).max(axis=1)
+        if np.any(out_norms > factor * norms):
+            return False
     attained = ring_mul(monomial_reduce(k, m), witness).max_norm()
     return attained == factor * witness.max_norm()
+
+
+def _random_rows(m: CycloModulus, trials: int, seed: int):
+    """The random g of randomized_expansion_check, in blocks of at most
+    _UNIT_BLOCK // M rows, so that a block's products stay within
+    _UNIT_BLOCK entries. Trials below trials // 2 are ternary and the rest
+    bounded integers in [-10, 10]: each block draws its rows ternary, then
+    redraws those at or past trials // 2 bounded. A check of one block, as
+    at verify's default trials, thus draws every trial ternary and then
+    redraws the second half, and its seed names the same g at any block
+    size that holds it."""
+    rng = np.random.default_rng(seed)
+    half, step = trials // 2, max(1, _UNIT_BLOCK // m.M)
+    for lo in range(0, trials, step):
+        hi = min(trials, lo + step)
+        gs = rng.integers(-1, 2, size=(hi - lo, m.phi))
+        bounded = hi - max(lo, half)
+        if bounded > 0:
+            gs[-bounded:] = rng.integers(-10, 11, size=(bounded, m.phi))
+        yield gs
 
 
 def _shifted_products(k: int, m: CycloModulus, gs: np.ndarray) -> np.ndarray:

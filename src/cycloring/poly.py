@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -133,15 +132,6 @@ class IntPoly:
     def max_norm(self) -> int:
         """Largest absolute coefficient; 0 for the zero polynomial."""
         return max(map(abs, self.coeffs), default=0)
-
-    def content(self) -> int:
-        """Positive gcd of all coefficients."""
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no content")
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
 
     def rev(self) -> IntPoly:
         """Reverse polynomial x^deg * p(1/x); rev(rev(p)) = p when p(0) != 0."""

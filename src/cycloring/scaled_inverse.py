@@ -56,24 +56,26 @@ case table. They work at the radical rad = M/M': as
 Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
 M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
 sweep takes its gaps in blocks; each block is built by one _construct call
-and checked by one check_gap_block call. It reduces each subsequence once,
-with no second reduction for its rotations. At a prime radical p (every
-M = p^s) their norms take a closed form, O(M^2) in all: the rotation of
-[r, 0] by y^{-rho} reduces mod Phi_p to its entries less the one that
-lands at y^(p-1). At a two-prime radical the sweep steps through them by
-exact division by y, y^{-1} r = (r - r_0 Phi_rad)/y, in place in one
-buffer of the narrowest dtype that holds their written bound, over only
-half of the cycle: Phi_M is palindromic, so x -> x^{-1} is a ring
+and checked by one check_gap_block call, on the last rows it computes. It
+reduces each subsequence once, with no second reduction for its rotations.
+At a prime radical p (every M = p^s) their norms take a closed form, O(M^2)
+in all: the rotation of [r, 0] by y^{-rho} reduces mod Phi_p to its entries
+less the one that lands at y^(p-1). At a two-prime radical the sweep steps
+through them by exact division by y, y^{-1} r = (r - r_0 Phi_rad)/y, in
+place in one buffer of the narrowest dtype that holds their written bound,
+over only half of the cycle: Phi_M is palindromic, so x -> x^{-1} is a ring
 automorphism, which sends u(g, 0) to -x^g u(g, 0); hence the coefficients
-of x^{-j} u(g, 0) mod Phi_M, reversed, are those of
--(x^{-(c0 - j)} u(g, 0) mod Phi_M), c0 = -(phi - 1 + g), and the two have
-one norm. Each gap's chain starts at its own shift (_chain_shifts) and
-takes ceil(rad/2) steps, an arc of the cycle that covers it together with
-its mirror: about M^2 rad / 4 entries in all, instead of O(M^3). The
-chain's last rotation must pass check_gap_block as the pair at its own
-shift (see norm_profile). The sweep keeps one small norm array per gap;
-the (i, j) rows are built only when read. A sweep whose cost M^2 rad is
-above MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
+of x^{-j} u(g, 0) mod Phi_M, reversed, are those of -(x^{-(c0 - j)} u(g, 0)
+mod Phi_M), c0 = -(phi - 1 + g), and the two have one norm. Each gap's
+chain starts at its own shift (_chain_shifts) and takes ceil(rad/2) steps,
+an arc of the cycle that covers it together with its mirror: about
+M^2 rad / 4 entries in all, instead of O(M^3). The block's one check
+takes the chain's last rotation as the pair at its own shift; every step
+is exact for any integer rows, so a wrong start or step fails it (see
+norm_profile). At a prime radical it takes the reduced rows, as there is
+no chain. The sweep keeps one small norm array per gap; the (i, j) rows
+are built only when read. A sweep whose cost M^2 rad is above
+MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
 """
 from __future__ import annotations
 
@@ -89,8 +91,8 @@ from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
 from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
                      ZeroElement)
 from .ntt import ntt_cost, ntt_images, ntt_wins
-from .poly import (IntPoly, _bezout_images, _hadamard_need, _multimodular,
-                   exact_div, root_primes)
+from .poly import (IntPoly, _bezout_images, _hadamard_need, _magnitude,
+                   _multimodular, exact_div, root_primes)
 
 
 class InverseCase(enum.Enum):
@@ -488,8 +490,8 @@ def _half_cycle(rad: int) -> int:
     return (rad + 1) // 2 + 1
 
 
-def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
-    """(A, last) for the remainder rows R0 mod Phi_rad, max|R0| <= big.
+def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus):
+    """(A, last) for the remainder rows R0 mod Phi_rad; big is max|R0|.
 
     A[rho, k] is the max-norm of y^{-rho} R0[k] mod Phi_rad, for every
     rho < rad at a prime radical and for the _half_cycle(rad) = L first at
@@ -510,7 +512,9 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
     At a two-prime radical the rotations follow one from the next
     (_next_rotation) in one buffer B, R_rho = B[:, rho:rho + phi], with no
     copy for the shift: L - 1 = ceil(rad/2) steps, and last is
-    R_{L-1}, the rows the caller's end check takes (see norm_profile).
+    R_{L-1}, the rows of the block's one check (see norm_profile). big is
+    read from R0 itself, so the dtype holds the chain of any integer rows,
+    right or wrong.
 
     B (S at a prime radical) is column-major when 4 rows >= phi, so that
     the inner loops of each step run down its rows, and row-major
@@ -523,7 +527,7 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus, big: int):
     rows, phi = R0.shape
     rad, sh = rad_m.M, rad_m.shape
     prime = isinstance(sh, PrimePower)
-    dt = _chain_dtype((2 if prime else 2 * sh.p) * big)
+    dt = _chain_dtype((2 if prime else 2 * sh.p) * _magnitude(R0))
     steps = 0 if prime else _half_cycle(rad) - 1
     B = np.zeros((rows, rad if prime else steps + phi), dtype=dt,
                  order="F" if 4 * rows >= phi else "C")
@@ -574,8 +578,10 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
     """Window norms of the gaps g of gaps, a range of consecutive gaps.
 
     (table, acc) is _construct(gaps, j, m), j = _chain_shifts(m, gaps).
-    Checks every row of acc, reduced, by one check_gap_block call, and at a
-    two-prime radical the end of its chain by one more, and returns W, in
+    Checks the block by one check_gap_block call on the last rows it
+    computes: every row of acc, reduced, at its shift j at a prime radical,
+    and at a two-prime one the chain's last rotation, at the shift
+    j + (L - 1) M' mod M, which certifies the start as well. Returns W, in
     the dtype of the rotations (_rotation_norms), W[r, c] the max-norm of
     x^{-c} u(g, 0), g = gaps[r], for every c < M: the pair (g + c, c) for
     c < M - g. See norm_profile.
@@ -593,9 +599,11 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
 
     _, scales, bounds = zip(*table)
     scales, bounds = np.array(scales), np.array(bounds)
-    norms = check_gap_block(m, gaps, interleaved(R0), scales, bounds, j)
-    A, last = _rotation_norms(R0, rad_m, int(norms.max()))
+    A, last = _rotation_norms(R0, rad_m)
     L = len(A)
+    # the chain's last rotation is x^{-j_r - (L-1) w} u(g, 0)
+    end, shift = (R0, j) if last is None else (last, (j + (L - 1) * w) % M)
+    check_gap_block(m, gaps, interleaved(end), scales, bounds, shift)
     # H[r, s w + b] is the max-norm of y^{-s} R0[r w + b] mod Phi_rad, the
     # rotation t = j_r + s w + b of gap gaps[r]
     H = A.reshape(L, n, w).transpose(1, 0, 2).reshape(n, L * w)
@@ -603,16 +611,6 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
     if last is None:
         N[:, :M] = H
     else:
-        # the last rotation is x^{-j_r - (L-1) w} u(g, 0); a wrong entry at
-        # any step of the chain makes it fail as that pair
-        try:
-            check_gap_block(m, gaps, interleaved(last), scales, bounds,
-                            (j + (L - 1) * w) % M)
-        except AssertionError as exc:
-            raise AssertionError(
-                f"sweep check failed: the rotations y^-rho of the gaps "
-                f"{gaps.start} .. {gaps.stop - 1} mod Phi_{rad}(y) fail "
-                f"their end check at rho = {L - 1}: {exc}") from None
         # row r of N2 holds rotation t at column t or t + M: the arc,
         # t = j_r + k for k < span = L w, then t = j_r + k for the other k
         # from its mirror c0 + w - 1 - t, c0 = -(phi - 1 + g), which is
@@ -641,9 +639,9 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     Only one inverse of each gap g <= M/2 is constructed, x^{-j_g} u(g, 0)
     at the shift j_g = _chain_shifts(m, gaps) where its rotations start (0
     at a prime radical), a block of consecutive gaps at a time by one
-    _construct call; each is reduced and checked once, a block by one
-    check_gap_block call at those shifts, and every other pair of gap g
-    follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+    _construct call; each is reduced once, a block is checked by one
+    check_gap_block call (see Certification), and every other pair of gap
+    g follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
 
     The gaps above M/2 are mirrors. The rotations x^{-j} u(g, 0) for
     M - g <= j < M are the pairs (j, j') of gap M - g, j' = j - M + g < g:
@@ -693,47 +691,49 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     mirror cover Z_M, at an even M too, where the mirror need have no
     fixed point. The other entries of N_g are read off the mirror.
 
-    Certification. One check_gap_block call per block, whose row r is the
-    pair (j_g + g, j_g) (mod M) of gap g = lo + r with that gap's own scale
-    and bound, proves for every gap g of the block that R0 is
-    x^{-j_g} u(g, 0), an exact inverse, with norm at most the bound, before
-    any rotation is taken; a failure names the first failing pair. At a
-    prime radical the rotations' norms then follow from R0 by the closed
-    form, an identity mod Phi_p that needs no check of its own. At a
-    two-prime radical each step is an integer identity whose result has
-    degree below phi_rad, so it is the exact remainder of y^{-rho} R0. The
-    chain ends with an end check: its last rotation, interleaved back to
-    length phi, must pass check_gap_block as the pair at its own shift
-    j_g + (L - 1) M'. The start is an exactly checked inverse, every step
-    is exact, and y is a unit mod Phi_rad, so a wrong entry at any step
-    carries to a wrong last rotation, which fails that check. The mirrored
-    norms are those of exact remainders, reversed and negated, by the
-    identity above. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1,
-    every pair's product follows, that of a mirrored pair of gap M - g as
-    well, and its norm is taken from exact remainders and checked against
-    the case's bound, every entry of the block's rows at once.
+    Certification. One check_gap_block call per block, on the last rows
+    the block computes, row r for gap g = lo + r with that gap's own scale
+    and bound; a failure names the first failing pair. At a prime radical
+    it takes R0 as the pairs (j_g + g, j_g) (mod M), which proves that R0
+    is x^{-j_g} u(g, 0), an exact inverse, with norm at most the bound; the
+    rotations' norms then follow from R0 by the closed form, an identity
+    mod Phi_p that needs no check of its own. At a two-prime radical it
+    takes the chain's last rotation, interleaved back to length phi, as the
+    pairs at its own shift j_g + (L - 1) M'. Each step is an integer
+    identity whose result has degree below phi_rad, so it is the exact
+    remainder of y^{-rho} R0 for any integer rows R0, right or wrong. As y
+    is a unit mod Phi_rad, the last rotation passes exactly when R0 is
+    x^{-j_g} u(g, 0): a wrong entry of R0, or of any step, carries to a
+    wrong last rotation, which fails the check, and a check of R0 itself
+    would prove nothing more. R0's norm is checked with every other entry
+    of W, as the window at c = j_g is R0. The mirrored norms are those of
+    exact remainders, reversed and negated, by the identity above. As
+    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
+    product follows, that of a mirrored pair of gap M - g as well, and its
+    norm is taken from exact remainders and checked against the case's
+    bound, every entry of the block's rows at once.
     Integers are exact: |R_rho| <= 2p max|R0| at a two-prime radical, the
     largest expansion factor of a monomial mod Phi_pq (expansion, checked
     by verify's expansion suite), and the closed form's entries are at most
     2 max|R0|. The rotations are held in the narrowest dtype that holds
     that written bound (_chain_dtype: int8 to int64, Python ints from 2^63
-    on). The end check could not reveal a wrapped entry in full, as
-    wrapped integer arithmetic is exact mod 2^bits, so exactness rests on
-    that bound, which the tests check against the former chain on int64
-    rows.
+    on), read from R0 itself, so it holds whether or not R0 is right. The
+    check could not reveal a wrapped entry in full, as wrapped integer
+    arithmetic is exact mod 2^bits, so exactness rests on that bound, which
+    the tests check against the former chain on int64 rows.
 
     Cost: floor(M/2) gaps of M' subsequences. At a two-prime radical each
     is taken through ceil(rad/2) steps of length phi_rad, about
     M rad phi / 4 <= M^2 rad / 4 entries, against O(M^3) for reducing every
-    rotation at length M, plus a second check_gap_block call per block; at
-    a prime radical the closed form is O(M) a gap, O(M^2) in all.
-    sweep_cost prices both at M^2 rad, and a sweep above MAX_SWEEP_COST
-    raises SweepTooLarge before any work. The norm rows are written a block
-    at a time into one array per norm dtype, which is made read-only before
-    the per-gap views are cut from it. Each case maximum keeps the first
-    pair in `for i: for j < i` order to reach it: the largest
-    (norm, -i, -j) over the first largest pair of each row, with cases in
-    the order of their smallest gap, which is at most M/2.
+    rotation at length M; at a prime radical the closed form is O(M) a
+    gap, O(M^2) in all. sweep_cost prices both at M^2 rad, and a sweep
+    above MAX_SWEEP_COST raises SweepTooLarge before any work. The norm
+    rows are written a block at a time into one array per norm dtype,
+    which is made read-only before the per-gap views are cut from it. Each
+    case maximum keeps the first pair in `for i: for j < i` order to reach
+    it: the largest (norm, -i, -j) over the first largest pair of each
+    row, with cases in the order of their smallest gap, which is at most
+    M/2.
     """
     check_sweep_cost(m)
     M = m.M

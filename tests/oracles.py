@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cycloring.cyclotomic import (CycloModulus, PrimePower, RingElement,
-                                  _as_rows, _reduce_rows, make_modulus,
-                                  reduce, reduction_matrix)
+from cycloring.cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower,
+                                  RingElement, _as_rows, _reduce_rows,
+                                  make_modulus, reduce, reduction_matrix)
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.structure import _stride_family
@@ -533,13 +533,24 @@ def randomized_expansion_matmul(k: int, m: CycloModulus, trials: int,
     seed), zero rows dropped, and their products x^k g as the integer
     matmul of the window of R_M (columns k .. k + phi - 1 mod M) with
     them: the library's former route. Returns (gs, products), row t of
-    products the coefficients of x^k gs[t] mod Phi_M."""
+    products the coefficients of x^k gs[t] mod Phi_M.
+
+    The g are drawn as the check draws them, in blocks of _UNIT_BLOCK // M
+    trials: each block's rows ternary, then its rows at or past trials // 2
+    redrawn in [-10, 10]."""
     k %= m.M
     win = reduction_matrix(m).entries[:, (k + np.arange(m.phi)) % m.M]
     rng = np.random.default_rng(seed)
-    half = trials // 2
-    gs = rng.integers(-1, 2, size=(trials, m.phi))
-    gs[half:] = rng.integers(-10, 11, size=(trials - half, m.phi))
+    half, step = trials // 2, max(1, _UNIT_BLOCK // m.M)
+    blocks = []
+    for lo in range(0, trials, step):
+        block = rng.integers(-1, 2, size=(min(step, trials - lo), m.phi))
+        first = max(0, half - lo)
+        if first < len(block):
+            block[first:] = rng.integers(-10, 11,
+                                         size=(len(block) - first, m.phi))
+        blocks.append(block)
+    gs = np.concatenate(blocks)
     gs = gs[np.abs(gs).max(axis=1) > 0]
     return gs, (win.astype(np.int64) @ gs.T).T
 

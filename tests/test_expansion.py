@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cycloring import (element, expansion, make_modulus, max_expansion_factor,
-                       monomial_expansion_factor, monomial_reduce,
-                       randomized_expansion_check, reduction_matrix, ring_mul)
+from cycloring import (cyclotomic, element, expansion, make_modulus,
+                       max_expansion_factor, monomial_expansion_factor,
+                       monomial_reduce, randomized_expansion_check,
+                       reduction_matrix, ring_mul)
 from oracles import randomized_expansion_matmul
 
 
@@ -136,7 +137,37 @@ class TestRandomizedOracle:
         monkeypatch.setattr(expansion, "_shifted_products",
                             lambda k, m, g: seen.append(g) or real(k, m, g))
         assert randomized_expansion_check(k, m, trials, seed) is True
-        assert np.array_equal(seen[0], gs)
+        assert np.array_equal(np.concatenate(seen), gs)
+
+    def test_one_block_draws_as_before(self):
+        """A check that fits in one block (verify's default trials) draws
+        what it drew before the blocks: trials ternary rows, then the
+        second half redrawn in [-10, 10]."""
+        m, trials = make_modulus(1024), 125
+        rng = np.random.default_rng(1729)
+        want = rng.integers(-1, 2, size=(trials, m.phi))
+        want[trials // 2:] = rng.integers(-10, 11,
+                                          size=(trials - trials // 2, m.phi))
+        [gs] = expansion._random_rows(m, trials, 1729)
+        assert np.array_equal(gs, want)
+
+    @pytest.mark.parametrize("M, k, trials", [(1024, 700, 2000),
+                                              (35, 34, 20000)])
+    def test_trials_drawn_in_blocks(self, M, k, trials, monkeypatch):
+        """Many trials are drawn and reduced in blocks: no _shifted_products
+        call takes more than _UNIT_BLOCK // M rows, and together they take
+        the oracle's g (1024: 8 blocks of 256; 35: 3 of 7489)."""
+        m = make_modulus(M)
+        gs, _ = randomized_expansion_matmul(k, m, trials, 1729)
+        seen = []
+        real = expansion._shifted_products
+        monkeypatch.setattr(expansion, "_shifted_products",
+                            lambda k, m, g: seen.append(g) or real(k, m, g))
+        assert randomized_expansion_check(k, m, trials) is True
+        step = cyclotomic._UNIT_BLOCK // M
+        assert len(seen) == -(-trials // step) > 1
+        assert all(len(g) <= step for g in seen)
+        assert np.array_equal(np.concatenate(seen), gs)
 
     def test_given_entries_are_used(self, monkeypatch):
         """With R_M's entries given, no R_M is built."""

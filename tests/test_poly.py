@@ -153,15 +153,6 @@ class TestRevContentInflate:
         with pytest.raises(ZeroPolynomial):
             IntPoly().rev()
 
-    def test_content(self):
-        assert P(4, 2).content() == 2
-        assert P(0, -9, 0, 6).content() == 3
-        assert cyclotomic_divisor_loop(21).content() == 1
-
-    def test_content_zero_raises(self):
-        with pytest.raises(ZeroPolynomial):
-            IntPoly().content()
-
     def test_inflate(self):
         assert P(1, 1).inflate(3) == P(1, 0, 0, 1)
         assert P(2, -1, 3).inflate(1) == P(2, -1, 3)
@@ -521,7 +512,3 @@ class TestInvariants:
     @given(small_polys, st.integers(1, 4), st.integers(-2, 2))
     def test_inflate_evaluation(self, a, m, x0):
         assert a.inflate(m).evaluate(x0) == a.evaluate(x0 ** m)
-
-    @given(nonzero_polys, st.integers(-9, 9).filter(bool))
-    def test_content_scaling(self, a, c):
-        assert (a * c).content() == abs(c) * a.content()

@@ -35,6 +35,11 @@ def supported_upto(limit):
     return out
 
 
+def two_prime_upto(limit):
+    return [M for M in supported_upto(limit)
+            if isinstance(make_modulus(M).shape, TwoPrime)]
+
+
 def rotated_inverse(g, j, m):
     """x^{-j} u(g, 0) mod Phi_M, 0 < g < M, 0 <= j < M, from one construct:
     u(j + g, j) when j + g < M, else -u(j, j + g - M), the pair of gap
@@ -495,11 +500,11 @@ class TestNormProfile:
 
     @pytest.mark.parametrize("M", [35, 45, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # each block's rows are checked by one call at per-row shifts, the
-        # starts of the gaps' chains (j = 0 at a prime radical), one row per
-        # gap, each gap g <= M/2 once; at a two-prime radical one more call
-        # checks the chains' ends, (L - 1) M' further on. Every row is
-        # x^{-j} u(g, 0) as the construction returns it
+        # each block's rows are checked by one call at per-row shifts: the
+        # starts of the gaps' chains at a prime radical (j = 0), and the
+        # chains' ends, (L - 1) M' further on, at a two-prime one; one row
+        # per gap, each gap g <= M/2 once. Every row is x^{-j} u(g, 0) as
+        # the construction returns it
         m = make_modulus(M)
         calls = []
         real = scaled_inverse.check_gap_block
@@ -514,17 +519,15 @@ class TestNormProfile:
         norm_profile(m)
         monkeypatch.setattr(scaled_inverse, "check_gap_block", real)
         prime = isinstance(m.shape, PrimePower)
-        starts = calls if prime else calls[::2]
-        assert [g for gaps, _, _ in starts for g in gaps] == \
+        assert [g for gaps, _, _ in calls for g in gaps] == \
             list(range(1, M // 2 + 1))
         if prime:
             assert all(j == 0 for _, js, _ in calls for j in js)
         else:
-            w, L = m.inflation, scaled_inverse._half_cycle(m.radical)
-            for (gaps, js, _), (gaps_, ends, _) in zip(calls[::2],
-                                                      calls[1::2]):
-                assert gaps_ == gaps
-                assert ends == [(j + (L - 1) * w) % M for j in js]
+            end = (scaled_inverse._half_cycle(m.radical) - 1) * m.inflation
+            for gaps, js, _ in calls:
+                starts = scaled_inverse._chain_shifts(m, gaps)
+                assert js == ((starts + end) % M).tolist()
         for gaps, js, rows in calls:
             for g, j, row in zip(gaps, js, rows):
                 assert tuple(row) == rotated_inverse(g, j, m), (g, j)
@@ -532,10 +535,10 @@ class TestNormProfile:
 
 class TestOneCheckPerPair:
     """check_gap_block is the only check of a constructed inverse: a sweep
-    checks each gap g <= M/2 once at the start of its rotations, and at a
-    two-prime radical once more at the end of its chain, and reduces each
-    of its subsequences once; the gaps above M/2 are read off their
-    rotations."""
+    checks each gap g <= M/2 once, on the last rows its block computes (the
+    start of its rotations at a prime radical, the end of its chain at a
+    two-prime one), and reduces each of its subsequences once; the gaps
+    above M/2 are read off their rotations."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -558,20 +561,21 @@ class TestOneCheckPerPair:
         self._blocks_checked_once(monkeypatch, M, blocks)
 
     def _blocks_checked_once(self, monkeypatch, M, blocks):
-        # one construct and one start check per block of gaps, and at a
-        # two-prime radical one end check: the start check reads the
-        # block's gaps at the construct's shifts, one row each, and the
-        # blocks cover every gap g <= M/2 once
+        # one construct and one check per block of gaps: the check reads
+        # the block's gaps, one row each, at the construct's shifts at a
+        # prime radical and at the chain's end shifts, (L - 1) M' further
+        # on, at a two-prime one; the blocks cover every gap g <= M/2 once
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
         m = make_modulus(M)
         norm_profile(m)
-        per_block = 1 if isinstance(m.shape, PrimePower) else 2
-        assert len(builds) == blocks and len(checks) == per_block * blocks
+        end = 0 if isinstance(m.shape, PrimePower) else (
+            (scaled_inverse._half_cycle(m.radical) - 1) * m.inflation)
+        assert len(builds) == len(checks) == blocks
         gaps = []
-        for (ks, j, _), (_, g, block, scale, bound, j_) in zip(
-                builds, checks[::per_block]):
-            assert g == ks and isinstance(g, range) and np.array_equal(j, j_)
+        for (ks, j, _), (_, g, block, scale, bound, j_) in zip(builds, checks):
+            assert g == ks and isinstance(g, range)
+            assert np.array_equal((j + end) % M, j_)
             assert block.shape[0] == len(scale) == len(bound) == len(g)
             gaps += g
         assert gaps == list(range(1, M // 2 + 1))
@@ -684,8 +688,8 @@ class TestRadicalSweep:
         reduce_rows, rotation_norms, dtypes = (
             scaled_inverse._reduce_rows, scaled_inverse._rotation_norms, [])
 
-        def norms_of_rotations(R0, rad_m, big):
-            A, last = rotation_norms(R0, rad_m, big)
+        def norms_of_rotations(R0, rad_m):
+            A, last = rotation_norms(R0, rad_m)
             dtypes.append(A.dtype)
             return A, last
 
@@ -710,10 +714,10 @@ class TestRadicalSweep:
     @pytest.mark.parametrize("stage", ["_reduce_rows", "_next_rotation"])
     def test_rotation_off_by_one_is_caught(self, M, row, gap, stage,
                                            monkeypatch):
-        # one entry of the reduced subsequences, caught by check_gap_block
-        # at the gap's start shift j, or of one step of the chain (the step
-        # from rho = 3 to 4, in place), caught by the end check at the
-        # shift j + (L - 1) M'; either names M and the gap's pair there
+        # one entry of the reduced subsequences, or of one step of the
+        # chain (the step from rho = 3 to 4, in place): either is caught by
+        # the block's one check, on the chain's last rotation, which names
+        # M and the gap's pair at its end shift j + (L - 1) M'
         real = getattr(scaled_inverse, stage)
 
         def off_by_one(*args):
@@ -728,24 +732,70 @@ class TestRadicalSweep:
 
         monkeypatch.setattr(scaled_inverse, stage, off_by_one)
         m = make_modulus(M)
-        [j] = scaled_inverse._chain_shifts(m, range(gap, gap + 1)).tolist()
-        steps = scaled_inverse._half_cycle(m.radical) - 1
-        if stage == "_reduce_rows":
-            match = rf"^batched check failed: .* for M={M}, "
-        else:
-            j = (j + steps * m.inflation) % M
-            match = (rf"^sweep check failed: the rotations y\^-rho of the "
-                     rf"gaps 1 \.\. {M // 2} mod Phi_{m.radical}\(y\) fail "
-                     rf"their end check at rho = {steps}: batched check "
-                     rf"failed: .* for M={M}, ")
-        match += rf"\(i, j\)=\({(j + gap) % M}, {j}\)$"
-        with pytest.raises(AssertionError, match=match):
+        j = self._end_shift(m, gap)
+        with pytest.raises(AssertionError,
+                           match=rf"^batched check failed: .* for M={M}, "
+                                 rf"\(i, j\)=\({(j + gap) % M}, {j}\)$"):
             norm_profile(m)
+
+    @staticmethod
+    def _end_shift(m, gap):
+        # the shift of gap's row in the block's one check: its chain's
+        # start j_g at a prime radical (0), j_g + (L - 1) M' at a two-prime
+        [j] = scaled_inverse._chain_shifts(m, range(gap, gap + 1)).tolist()
+        if isinstance(m.shape, PrimePower):
+            return j
+        steps = scaled_inverse._half_cycle(m.radical) - 1
+        return (j + steps * m.inflation) % m.M
+
+    def test_prime_power_wrong_start_is_caught(self, monkeypatch):
+        # M = 25 (rad 5, M' = 5) has no chain: row 6 of its one block is
+        # subsequence 1 of gap 2, and the block's check, on R0 itself,
+        # names the start pair (2, 0)
+        real = scaled_inverse._reduce_rows
+
+        def off_by_one(*args):
+            out = real(*args).copy()
+            out[6, 0] += 1
+            return out
+
+        monkeypatch.setattr(scaled_inverse, "_reduce_rows", off_by_one)
+        with pytest.raises(AssertionError,
+                           match=r"^batched check failed: .* for M=25, "
+                                 r"\(i, j\)=\(2, 0\)$"):
+            norm_profile(make_modulus(25))
+
+    @pytest.mark.parametrize("M", two_prime_upto(199))
+    def test_seeded_wrong_start_is_caught(self, M, monkeypatch):
+        # one seeded wrong entry of R0, at any row and column of the first
+        # block, is caught by the check of the chain's last rotation alone:
+        # it names M and the pair of that row's gap at its end shift
+        m = make_modulus(M)
+        rng = random.Random(M)
+        real, hit = scaled_inverse._reduce_rows, []
+
+        def wrong_entry(*args):
+            out = real(*args)
+            if not hit:
+                out = out.copy()
+                row, col = (rng.randrange(n) for n in out.shape)
+                out[row, col] += rng.choice((-1, 1)) * rng.randint(1, 3)
+                hit.append(row // m.inflation + 1)
+            return out
+
+        monkeypatch.setattr(scaled_inverse, "_reduce_rows", wrong_entry)
+        match = rf"^batched check failed: .* for M={M}, "
+        with pytest.raises(AssertionError, match=match) as err:
+            norm_profile(m)
+        [gap] = hit
+        j = self._end_shift(m, gap)
+        assert str(err.value).endswith(f"(i, j)=({(j + gap) % M}, {j})")
 
     @staticmethod
     def _sweep_names_rotation(monkeypatch, M, g, bound, top, pair, in_arc):
         # gap g's bound lowered to the larger norm of its chain's start and
-        # end rows, so both pass check_gap_block; the pair's rotation t = c,
+        # end rows, so the end passes the block's check_gap_block and the
+        # start the sweep's bound check; the pair's rotation t = c,
         # the column of W it sits in, lies inside the chain's arc
         # [j_g, j_g + (L - 1) M'] or is read off the mirror, and the sweep's
         # own bound check must name it
@@ -877,9 +927,12 @@ class TestRotationOracle:
         R0 = np.array([[rng.choice((-big, -1, 0, 1, big))
                         for _ in range(rad_m.phi)] for _ in range(6)],
                       dtype=np.int64)
+        # +-big in every row, as the dtype is read from max|R0|
+        R0[np.arange(6), [rng.randrange(rad_m.phi) for _ in range(6)]] = [
+            rng.choice((-big, big)) for _ in range(6)]
         # every rotation at a prime radical, the first L at a two-prime
         # one, whose last is the walk's rows after L - 1 steps
-        A, last = scaled_inverse._rotation_norms(R0, rad_m, big)
+        A, last = scaled_inverse._rotation_norms(R0, rad_m)
         want, R = rotation_walk(R0, rad_m)
         assert np.array_equal(R, R0)
         assert A.dtype == scaled_inverse._chain_dtype(
@@ -891,11 +944,6 @@ class TestRotationOracle:
             assert A.tolist() == want[:L].tolist()
             _, R = rotation_walk(R0, rad_m, L - 1)
             assert last.tolist() == R.tolist()
-
-
-def two_prime_upto(limit):
-    return [M for M in supported_upto(limit)
-            if isinstance(make_modulus(M).shape, TwoPrime)]
 
 
 class TestHalfCycle:
@@ -1301,7 +1349,7 @@ class TestCaseTableImpliesMinimality:
         for i in range(1, M):
             for j in range(i):
                 si = construct_scaled_inverse(i, j, m)
-                assert math.gcd(si.u.to_poly().content(), si.scale) == 1
+                assert math.gcd(*si.u.coeffs, si.scale) == 1
 
 
 class TestCaseTableByGcd:
