@@ -3,30 +3,35 @@
 A CycloModulus validates the shape of M, carries Phi_M(x), both as an IntPoly
 and as a read-only int64 row, and is immutable.
 
-Every reduction mod Phi_M runs one path in two halves. With y = x^M',
+Every reduction mod Phi_M rests on one identity. With y = x^M',
 M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
 with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
-Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D. The
-multiply half (_times_cofactor) forms Z = v D mod x^M - 1 on rows. The
-divide half (_divide_columns) is an exact division from the low end, on
+Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D. For p^s
+that is one subtraction: Z = v (1 - y) = r (1 - y) with r_(p-1) = 0, so r
+is the prefix sum of Z, r_k = v_k - v_(p-1), read on the (p, M') view of
+each row. For p^s q^t the path runs in two halves. The multiply half
+(_times_cofactor) forms Z = v D mod x^M - 1 on rows. The divide half
+(_divide_columns) is an exact division from the low end, on
 coefficient-major columns at the radical: each subsequence v[b::M'] of each
-row is one column, reduced mod Phi_rad. For p^s, Z = r (1 - y) with
-r_(p-1) = 0, so r is the prefix sum of Z. For p^s q^t, F = Z (1 - y) is
+row is one column, reduced mod Phi_rad. F = Z (1 - y) is
 r (1 - y^p)(1 - y^q) below y^pq, so prefix sums over the residue classes
 mod p, then mod q, divide it out. _prefix_sums runs each prefix sum as one
-accumulate on narrow columns and as whole-row adds on wide ones.
+accumulate on narrow columns and as whole-row adds on wide ones. The
+multiply half serves both shapes as the zero test of a constructed
+inverse's residual (scaled_inverse.check_gap_block): a row is 0 mod Phi_M
+exactly when its product with D is 0 mod x^M - 1.
 
-_reduce_rows folds a batch of rows mod x^M - 1 and runs both halves;
-_monomial_rows reduces unit rows in blocks, the route of every x^k. An
-exhaustive sweep (scaled_inverse.norm_profile) reduces each subsequence
-once, at the radical, and takes the norms of its rotations with no second
-reduction: in closed form at a prime radical, by exact division by y at a
-two-prime one.
+_reduce_rows folds a batch of rows mod x^M - 1 and reduces them, by the
+subtraction or by both halves; _monomial_rows reduces unit rows in blocks,
+the route of every x^k. An exhaustive sweep (scaled_inverse.norm_profile)
+reduces each subsequence once, at the radical, and takes the norms of its
+rotations with no second reduction: in closed form at a prime radical, by
+exact division by y at a two-prime one.
 
 Integers are exact. Rows are int64 when every step provably fits, and
 object arrays of Python ints, exact at any size, otherwise (_as_rows).
 With |v| <= b after folding mod x^M - 1, no entry exceeds 2b for p^s
-(Z = v (1 - y), and its prefix sums are v_k - v_(p-1)), nor 4pq^2 b for
+(v_k - v_(p-1), and Z = v (1 - y) in the zero test), nor 4pq^2 b for
 p^s q^t: the prefix sums of v (1 - y^p) are window sums of p entries, so
 |Z| <= 2pb, |F| <= 4pb, and the prefix sums of q and then p - 1 terms stay
 below 4p^2 q b, with p < q. Long division (poly.divrem) is the independent
@@ -223,10 +228,16 @@ def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
     if A.ndim == 1:
         A = A[None]
     big = _magnitude(A) if A.size else 0
+    folds = -(-A.shape[1] // m.M) or 1
+    return A.astype(_rows_dtype(m, headroom * folds * big), copy=False)
+
+
+def _rows_dtype(m: CycloModulus, big: int):
+    """int64 when the module's bound holds for rows of max|v| <= big, folded
+    mod x^M - 1, through both halves of the reduction; object otherwise."""
     sh = m.shape
     growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
-    bound = headroom * (-(-A.shape[1] // m.M) or 1) * big * growth
-    return A.astype(np.int64 if bound < 2 ** 63 else object, copy=False)
+    return np.int64 if big * growth < 2 ** 63 else object
 
 
 def _times_one_minus(X: np.ndarray, s: int) -> np.ndarray:
@@ -249,9 +260,11 @@ def _times_cofactor(A: np.ndarray, m: CycloModulus) -> np.ndarray:
 
 def _reduce_rows(V, m: CycloModulus) -> np.ndarray:
     """The (n, phi) remainders mod Phi_M of the rows of V (see _as_rows),
-    read mod x^M - 1: exponents fold mod M first. Each folded row is
-    multiplied by D (_times_cofactor) and divided by D at the radical
-    (_divide_columns), its subsequences v[b::M'] as the columns."""
+    read mod x^M - 1: exponents fold mod M first. At M = p^s each folded
+    row gives r_k = v_k - v_(p-1) by one subtraction on its (p, M') view.
+    At p^s q^t it is multiplied by D (_times_cofactor) and divided by D at
+    the radical (_divide_columns), its subsequences v[b::M'] as the
+    columns."""
     M, rad = m.M, m.radical
     A = _as_rows(V, m)
     n, L = A.shape
@@ -259,6 +272,10 @@ def _reduce_rows(V, m: CycloModulus) -> np.ndarray:
         folds = -(-L // M) or 1
         A = np.concatenate([A, np.zeros((n, folds * M - L), A.dtype)], axis=1)
         A = A.reshape(n, folds, M).sum(axis=1)
+    if isinstance(m.shape, PrimePower):
+        # r_k = v_k - v_(p-1) on the (n, p, M') view: one subtraction
+        Y = A.reshape(n, rad, m.inflation)
+        return (Y[:, :-1] - Y[:, -1:]).reshape(n, m.phi)
     # entry a M' + b of row k is coefficient a of column (k, b): the
     # (rad, n, M') view of the product, with no copy
     Z = _times_cofactor(A, m).reshape(n, rad, m.inflation).transpose(1, 0, 2)
@@ -290,19 +307,14 @@ def _prefix_sums(X: np.ndarray) -> np.ndarray:
 
 
 def _divide_columns(Z: np.ndarray, m: CycloModulus) -> np.ndarray:
-    """The divide half of the reduction, for a squarefree m (M = rad,
-    y = x). Axis 0 of Z holds M coefficients and its other axes index the
-    columns, each an image v D mod x^M - 1 (_times_cofactor). Returns the
-    remainders r, r D = Z, as the same columns over phi coefficients.
-    Exact division from the low end by prefix sums (see the module
-    docstring); axis 0 is only split, so every reshape is a view and the
-    prefix sums run in place."""
-    sh = m.shape
-    if isinstance(sh, PrimePower):
-        # Z = r (1 - x) with r_(p-1) = 0, so r is the prefix sum of Z; the
-        # copy keeps Z's memory layout, so _reduce_rows gets rows as a view
-        return _prefix_sums(Z[:-1].copy(order="K"))
-    p, q, cols = sh.p, sh.q, Z.shape[1:]
+    """The divide half of the reduction, for m = pq (M = rad, y = x). Axis
+    0 of Z holds M coefficients and its other axes index the columns, each
+    an image v D mod x^M - 1 (_times_cofactor). Returns the remainders r,
+    r D = Z, as the same columns over phi coefficients. Exact division
+    from the low end by prefix sums (see the module docstring); axis 0 is
+    only split, so every reshape is a view and the prefix sums run in
+    place."""
+    p, q, cols = m.shape.p, m.shape.q, Z.shape[1:]
     # F = Z (1 - x) = r (1 - x^p)(1 - x^q), below x^pq; F is C-ordered, so
     # the whole-row adds of its prefix sums run over contiguous rows
     F = np.empty(Z.shape, dtype=Z.dtype)

@@ -25,16 +25,19 @@ otherwise. The constant the paper subtracts from N is N(1), which is the
 scale in every row. Q comes from the stride recurrence
 Q_e = Q_{e-d} - (N - scale)_e, a prefix sum over each residue class mod d,
 with no long division; the route is orders of magnitude faster than the
-generic one. One routine, _construct, builds a range of consecutive gaps
-at one shift j, or at one shift per row, as int64 rows: Q depends on d
-only, so each group of gaps that share it takes one _case call, one
-cumulative sum down the columns of the (-1, d) view of N - scale and one
-np.add.at that folds the exponents e k/d + M - j mod M of every gap of the
-group; one reduction mod Phi_M follows. A single construct is a range of
-one gap at one j; a sweep's blocks are ranges of up to _UNIT_BLOCK / (16 M)
-gaps, at a shift per row (_chain_shifts, 0 at a prime radical). Entries
-stay below M^2 (q + 1) < 2^61 (the bound is derived in _construct), and
-each reduction falls back to Python ints when its own bound fails.
+generic one. Q depends on d only, so its case core (case, scale, bound,
+-Q) is built once per (M, d), by one cumulative sum down the columns of
+the (-1, d) view of N - scale and the exactness check of its top row, and
+kept in a cache bounded by entries and bytes (_case_core), which holds no
+modulus. One routine, _construct, builds a range of consecutive gaps at
+one shift j, or at one shift per row, as int64 rows: each group of gaps
+that share d reads its core from the cache, and one np.add.at folds the
+exponents e k/d + M - j mod M of every gap of the group; one reduction mod
+Phi_M follows. A single construct is a range of one gap at one j; a
+sweep's blocks are ranges of up to _UNIT_BLOCK / (16 M) gaps, at a shift
+per row (_chain_shifts, 0 at a prime radical). Entries stay below
+M^2 (q + 1) < 2^61 (the bound is derived in _case_core and _construct),
+and each reduction falls back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
@@ -42,9 +45,13 @@ the one check of every constructed inverse, one row per pair. It takes the
 same block shape as _construct, a range of consecutive gaps at one j or a
 j per row, with a scale and a bound per row. As x is a unit, row r is the
 inverse of x^i - x^j at the scale c exactly when (1 - x^g) u + c x^{-j} = 0
-mod Phi_M, g = i - j; it forms x^g u as a window of the row of u modulo
-x^M - 1 and tests that the product with D, the cofactor of Phi_M in
-1 - x^M, is 0 mod x^M - 1, so no second reduction is needed.
+mod Phi_M, g = i - j; it forms that residual modulo x^M - 1 and tests that
+its product with D, the cofactor of Phi_M in 1 - x^M, is 0 mod x^M - 1, so
+no second reduction is needed. A block of one row, a single construct's,
+forms it by two slice subtractions of u from [u, 0], the second where x^g u
+wraps past x^M, and takes the row's norm and dtype from one max/min pass;
+a taller block, a sweep's, reads x^g u as windows of one padded buffer.
+The zero test, the bound test and the failure messages are shared.
 
 Exhaustive sweeps (norm_profile) construct only the gap inverses u(g, 0),
 g <= M/2, and obtain every other pair by the gap-shift identity
@@ -81,13 +88,15 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
-                         TwoPrime, _as_rows, _reduce_rows, _times_cofactor,
-                         make_modulus, ring_mul)
+                         TwoPrime, _as_rows, _reduce_rows, _rows_dtype,
+                         _times_cofactor, make_modulus, ring_mul)
 from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
                      ZeroElement)
 from .ntt import ntt_cost, ntt_images, ntt_wins
@@ -247,6 +256,62 @@ def _case(d: int, m: CycloModulus):
     return InverseCase.COPRIME, m.poly_row, 1, p - 1
 
 
+# The case cores that _case_core has built, keyed by (M, d), least recently
+# used first. An entry holds ints and a read-only -Q row, no modulus. At most
+# _CORE_ENTRIES entries and _CORE_BYTES bytes of -Q rows are kept, the least
+# recently used going first: a -Q row has fewer than M int64 entries, at
+# most 8 MiB at M = MAX_MODULUS = 2^20, so the ceiling holds two of the
+# largest; the cores of every divisor of a few moduli up to 2187 take
+# under 1 MB.
+_CORE_ENTRIES = 256
+_CORE_BYTES = 2 ** 24
+_cores: OrderedDict = OrderedDict()
+_cores_lock = threading.Lock()
+
+
+def _case_core(d: int, m: CycloModulus):
+    """(case, scale, bound, -Q) of the gaps k with gcd(k, M) = d: the row
+    of the case table at d (_case) and -Q, Q = (N - scale)/(x^d - 1), as a
+    read-only int64 row. Built once per (M, d) and then read from the
+    cache, for a single pair and for a sweep's blocks alike.
+
+    N - scale, padded with zeros to whole rows of d, becomes -Q by one
+    cumulative sum down the columns of its (-1, d) view: the stride
+    recurrence Q_e = Q_{e-d} - (N - scale)_e, negated, is a prefix sum over
+    each residue class mod d. The division is exact, so the recurrence
+    continued past deg Q must give d zeros: the last row holds the d top
+    entries, and a nonzero one raises AssertionError as the entry is built.
+    int64 is exact: |N - scale| <= scale + 1 <= q + 1 (p + 1 for p^s), and
+    each prefix sum adds at most M such terms, so |Q| <= M (q + 1).
+    """
+    key = (m.M, d)
+    with _cores_lock:
+        core = _cores.get(key)
+        if core is not None:
+            _cores.move_to_end(key)
+            return core
+    case, num, scale, bound = _case(d, m)
+    n = len(num)
+    neg = np.zeros(-(-n // d) * d, dtype=np.int64)
+    neg[:n] = num
+    neg[0] -= scale
+    cols = neg.reshape(-1, d)
+    np.add.accumulate(cols, axis=0, out=cols)
+    if cols[-1].any():
+        raise AssertionError(
+            f"(N - c)/(x^{d} - 1) is not exact for M={m.M}, "
+            f"case {case.value}")
+    negq = neg[:n - d].copy()
+    negq.setflags(write=False)
+    core = case, scale, bound, negq
+    with _cores_lock:
+        _cores[key] = core
+        size = sum(c[3].nbytes for c in _cores.values())
+        while len(_cores) > _CORE_ENTRIES or size > _CORE_BYTES:
+            size -= _cores.popitem(last=False)[1][3].nbytes
+    return core
+
+
 def _construct(gaps: range, j, m: CycloModulus):
     """The constructive inverses of x^(j+k) - x^j for each gap k of gaps,
     a range of consecutive gaps, unreduced. j is one shift for every row,
@@ -257,24 +322,16 @@ def _construct(gaps: range, j, m: CycloModulus):
     Returns (table, acc): table[r] = (case, scale, bound) of gap gaps[r],
     and row r of the (len(gaps), M) int64 block acc is -x^{M-j} Q(x^{k/d})
     mod x^M - 1 for k = gaps[r], j its shift and d = gcd(k, M); reducing it
-    mod Phi_M gives u. (N, scale) come from the case table at d and
-    Q = (N - scale)/(x^d - 1), from the stride recurrence
-    Q_e = Q_{e-d} - (N - scale)_e; the division is exact, so the recurrence
-    continued past deg Q must give d zeros. Q depends on d only, so it is
-    formed and checked once for each group of gaps that share it, from one
-    _case call.
+    mod Phi_M gives u. (case, scale, bound) and -Q depend on d only, and
+    each group of gaps that share d reads them from one _case_core call.
 
-    N - scale, padded with zeros to whole rows of d, becomes -Q by one
-    cumulative sum down the columns of its (-1, d) view (each column is one
-    residue class mod d); its last row holds the d top entries, which must
-    be zero. The coefficient e of -Q goes to x^{(e k/d + M - j) mod M} of
-    its row, for every gap of the group by one np.add.at on the flat block
+    The coefficient e of -Q goes to x^{(e k/d + M - j) mod M} of its row,
+    for every gap of the group by one np.add.at on the flat block
     (exponents can collide within a row: gap 4 at M = 18). int64 is exact
-    here: |N - scale| <= scale + 1 <= q + 1 (p + 1 for p^s), each prefix
-    sum adds at most M such terms, so |Q| <= M(q + 1), and at most M of
-    those fold into one slot, so every folded entry is at most M^2 (q + 1)
-    < 2^61 for M <= MAX_MODULUS. The caller's _reduce_rows picks its own
-    dtype (_as_rows) and falls back to Python ints when its bound fails.
+    here: |Q| <= M (q + 1) (_case_core), and at most M of those fold into
+    one slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
+    M <= MAX_MODULUS. The caller's _reduce_rows picks its own dtype
+    (_as_rows) and falls back to Python ints when its bound fails.
     """
     M = m.M
     shifts = np.full(len(gaps), j).tolist()
@@ -284,34 +341,31 @@ def _construct(gaps: range, j, m: CycloModulus):
     table = [None] * len(gaps)
     acc = np.zeros((len(gaps), M), dtype=np.int64)
     for d, rows in groups.items():
-        case, num, scale, bound = _case(d, m)
+        case, scale, bound, negq = _case_core(d, m)
         for r in rows:
             table[r] = (case, scale, bound)
-        n = len(num)
-        neg = np.zeros(-(-n // d) * d, dtype=np.int64)
-        neg[:n] = num
-        neg[0] -= scale
-        # neg becomes -Q: the negated recurrence is a prefix sum per column
-        cols = neg.reshape(-1, d)
-        np.add.accumulate(cols, axis=0, out=cols)
-        if cols[-1].any():
-            raise AssertionError(
-                f"(N - c)/(x^{d} - 1) is not exact for M={M}, "
-                f"case {case.value}")
         # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1 into each row of the group:
         # coefficient e of -Q goes to x^((e k/d + M - j) mod M)
         # flat index r M + exponent; the values are -Q once per row,
         # repeated by hand: np.add.at's own broadcast of one value row over
-        # 2-D indices adds wrong values (numpy 2.4.6)
-        top = n - d
-        step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
-                             for r in rows])
-        idx = np.arange(top) * step_row[:, :1]
-        idx += step_row[:, 1:2]
-        idx %= M
-        idx += step_row[:, 2:]
+        # 2-D indices adds wrong values (numpy 2.4.6). A group of one row,
+        # as every single construct is, takes its exponents from one
+        # strided arange, with no (rows, 3) table of steps
+        if len(rows) == 1:
+            r = rows[0]
+            step, start = gaps[r] // d, M - shifts[r]
+            idx = np.arange(start, start + len(negq) * step, step)
+            idx %= M
+            idx += r * M
+        else:
+            step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
+                                 for r in rows])
+            idx = np.arange(len(negq)) * step_row[:, :1]
+            idx += step_row[:, 1:2]
+            idx %= M
+            idx += step_row[:, 2:]
         np.add.at(acc.reshape(-1), idx.reshape(-1),
-                  np.concatenate([neg[:top]] * len(rows)))
+                  np.concatenate([negq] * len(rows)))
     return table, acc
 
 
@@ -319,9 +373,10 @@ def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
     """Constructive inverse of x^i - x^j mod Phi_M, 0 <= j < i < M.
 
     _construct builds u from the paper's case table, as the range of the
-    one gap i - j at j, reduced here once; check_gap_block checks
-    (x^i - x^j) * u = scale exactly, with the norm bound, on the same range
-    before u is returned.
+    one gap i - j at j, from the case core of d = gcd(i - j, M), cached
+    after the first pair of that d (_case_core), reduced here once;
+    check_gap_block checks (x^i - x^j) * u = scale exactly, with the norm
+    bound, on the same range, a block of one, before u is returned.
 
     The scale is minimal. It is 1, or a prime p (or q) with the bound
     scale - 1, which check_gap_block checks; a nonzero u with every
@@ -423,7 +478,9 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
     unit, that is (1 - x^g) u + scale x^{-j} = 0 with g = gaps[r], formed
     per row in Z[x]/(x^M - 1); it is 0 mod Phi_M exactly when its product
     with D, the cofactor of Phi_M in 1 - x^M, is 0 mod x^M - 1 (see
-    cyclotomic), so no division is needed. Returns the row norms; raises
+    cyclotomic), so no division is needed. A block of one row forms the
+    residual by slice subtractions, taller blocks from one padded buffer
+    (see the module docstring). Returns the row norms; raises
     AssertionError naming M and (i, j) of the first pair that fails, and
     ValueError when gaps is not len(block) consecutive gaps.
     """
@@ -433,26 +490,42 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
         raise ValueError(f"need {n} consecutive gaps, got {gaps}")
     # headroom: |(1 - x^g) u + scale x^{-j}| <= (2 + scale) max|u| for u != 0
     most = scale if isinstance(scale, int) else int(scale.max())
-    rows = _as_rows(block, m, 2 + most)
-    # row r of pad is [u_r, u_r], so the length-M window of the flat view
-    # starting at column M - e of row r is x^e u_r mod x^M - 1; rows are 2M
-    # apart, and x^g u, whose exponent grows by one per row, reads at the
-    # stride 2M - 1
-    pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
-    pad[:n, :phi] = rows
-    pad[:n, M:M + phi] = rows
-    g0, sg = gaps.start, 2 * M - 1
-    # the negated residual times x^{-j}: (1 - x^g) u + scale x^{-j}
-    res = (pad[:n, M:]
-           - pad.ravel()[M - g0:M - g0 + n * sg].reshape(n, sg)[:, :M])
-    shifts = np.asarray(j)
-    res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
+    g0, shifts = gaps.start, np.asarray(j)
+    if n == 1:
+        # one row: the norm and the dtype from one max/min pass, and
+        # (1 - x^g) u + scale x^{-j} from two slice subtractions, x^g u
+        # wrapping mod x^M - 1 when g + phi > M; most is the row's scale
+        norms = np.array([_magnitude(block)])
+        u = block[0].astype(_rows_dtype(m, (2 + most) * int(norms[0])),
+                            copy=False)
+        res = np.zeros((1, M), dtype=u.dtype)
+        res[0, :phi] = u
+        res[0, g0:g0 + phi] -= u[:M - g0]
+        if g0 + phi > M:
+            res[0, :g0 + phi - M] -= u[M - g0:]
+        res[0, -int(shifts.ravel()[0]) % M] += most
+    else:
+        norms = None
+        rows = _as_rows(block, m, 2 + most)
+        # row r of pad is [u_r, u_r], so the length-M window of the flat
+        # view starting at column M - e of row r is x^e u_r mod x^M - 1;
+        # rows are 2M apart, and x^g u, whose exponent grows by one per
+        # row, reads at the stride 2M - 1
+        pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
+        pad[:n, :phi] = rows
+        pad[:n, M:M + phi] = rows
+        sg = 2 * M - 1
+        # the negated residual times x^{-j}: (1 - x^g) u + scale x^{-j}
+        res = (pad[:n, M:]
+               - pad.ravel()[M - g0:M - g0 + n * sg].reshape(n, sg)[:, :M])
+        res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
-    if res.any():
+    if np.count_nonzero(res):
         r = int(res.any(axis=1).argmax())
         what = f"(x^i - x^j)*u != {int(np.broadcast_to(scale, (n,))[r])}"
     else:
-        norms = np.abs(block).max(axis=1)
+        if norms is None:
+            norms = np.abs(block).max(axis=1)
         over = norms > bound
         if not over.any():
             return norms

@@ -7,7 +7,8 @@ profile from one constructed and verified inverse per (i, j) pair or from
 every rotation reduced at full length M (the library's former sweep), the
 rotations of a sweep block from a copied step of exact division by y at
 every radical (the library's former chain), the reduction of whole rows
-by the library's former row-major divide, polynomial products from the
+by the library's former row-major divide or by long division one row at
+a time, polynomial products from the
 schoolbook double loop, constructive inverses from the paper's formulas by
 long division, and the resultant with its Bezout cofactor from the
 extended Euclidean algorithm over Q, or over F_ell one prime at a time
@@ -82,6 +83,18 @@ def reduce_rows_row_major(V, m: CycloModulus) -> np.ndarray:
     G = F.reshape(n, q, p, w).cumsum(axis=1).reshape(n, p * q, w)
     G = G[:, :(p - 1) * q].reshape(n, p - 1, q, w).cumsum(axis=1)
     return G.reshape(n, (p - 1) * q, w)[:, :(p - 1) * (q - 1)].reshape(n, phi)
+
+
+def long_division_remainders(V, m: CycloModulus) -> np.ndarray:
+    """Each row of V mod Phi_M by long division (poly.divrem), one row at a
+    time, as an (n, phi) object array of Python ints. Phi_M divides
+    x^M - 1, so it equals _reduce_rows, which folds exponents mod M
+    first."""
+    out = np.zeros((len(V), m.phi), dtype=object)
+    for r, row in enumerate(V):
+        rem = divrem(IntPoly([int(c) for c in row]), m.poly)[1].coeffs
+        out[r, :len(rem)] = rem
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,8 +20,8 @@ from cycloring.cyclotomic import _as_rows, _prefix_sums, _reduce_rows
 from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
 
-from oracles import (cyclotomic_divisor_loop, reduce_rows_row_major,
-                     schoolbook_mul)
+from oracles import (cyclotomic_divisor_loop, long_division_remainders,
+                     reduce_rows_row_major, schoolbook_mul)
 
 
 def all_supported_upto(limit):
@@ -436,6 +436,65 @@ def divrem_remainder(coeffs, m):
     """The long-division remainder of coeffs mod Phi_M as a length-phi tuple."""
     rem = divrem(IntPoly(coeffs), m.poly)[1].coeffs
     return rem + (0,) * (m.phi - len(rem))
+
+
+class TestPrimePowerRemainder:
+    """At M = p^s, _reduce_rows is one subtraction, r_k = v_k - v_(p-1) on
+    the (n, p, M') view, with neither half of the two-prime path: against
+    long division one row at a time (oracles.long_division_remainders), on
+    int64 and object rows, rows shorter and longer than M, and the
+    [-2^63, 1] row that _as_rows sends to Python ints."""
+
+    MODULI = [2, 4, 8, 9, 27, 125, 1024, 2187]
+
+    @pytest.fixture(autouse=True)
+    def _one_subtraction(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("a p^s remainder reached a two-prime half")
+
+        monkeypatch.setattr(cyclotomic, "_times_cofactor", unreached)
+        monkeypatch.setattr(cyclotomic, "_divide_columns", unreached)
+
+    @pytest.mark.parametrize("M", MODULI)
+    @pytest.mark.parametrize("mag", [1, 9, 2 ** 40, 10 ** 30])
+    def test_rows_against_long_division(self, M, mag):
+        m = make_modulus(M)
+        rng = random.Random(M + mag)
+        for length in (1, m.phi, M, M + 1, 3 * M + 2):
+            V = [[rng.randint(-mag, mag) for _ in range(length)]
+                 for _ in range(4)]
+            got = _reduce_rows(V, m)
+            assert got.shape == (4, m.phi)
+            assert got.dtype == (np.int64 if mag < 2 ** 60 else object)
+            assert got.tolist() == long_division_remainders(V, m).tolist(), \
+                length
+
+    @pytest.mark.parametrize("M", MODULI)
+    def test_object_rows_of_small_entries(self, M):
+        # object input with entries that fit: the int64 path, the same rows
+        m = make_modulus(M)
+        rng = random.Random(M)
+        V = np.array([[rng.randint(-5, 5) for _ in range(2 * M + 1)]
+                      for _ in range(3)], dtype=object)
+        got = _reduce_rows(V, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == long_division_remainders(V, m).tolist()
+
+    @pytest.mark.parametrize("M", MODULI)
+    def test_int64_edges(self, M):
+        # [-2^63, 1] goes to Python ints; entries of 2^62 - 1, at the
+        # written bound 2b < 2^63, stay int64 and do not wrap
+        m = make_modulus(M)
+        low, edge = -2 ** 63, 2 ** 62 - 1
+        rows = [[low, 1], [1] + [0] * (M - 2) + [low] if M > 2 else [1, low]]
+        for V in ([r] for r in rows):
+            assert _as_rows(V, m).dtype == object
+            assert _reduce_rows(V, m).tolist() == \
+                long_division_remainders(V, m).tolist()
+        V = [[edge if k % 2 else -edge for k in range(M)]]
+        got = _reduce_rows(V, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == long_division_remainders(V, m).tolist()
 
 
 DIFFERENTIAL_MODULI = [2, 4, 8, 9, 27, 125, 1024, 2187, 6, 12, 45, 63, 75,

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cycloring import (CycloModulus, InverseCase, PrimePower, RingElement,
                        construct_scaled_inverse, element,
                        generic_scaled_inverse, make_modulus, monomial_diff,
                        monomial_reduce, norm_profile, reduce, ring_mul)
+from cycloring.cyclotomic import MAX_MODULUS
 from cycloring.errors import (BadRange, SweepTooLarge, UnsupportedModulus,
                               ZeroElement)
 from cycloring import scaled_inverse
@@ -51,6 +54,23 @@ def rotated_inverse(g, j, m):
 
 def one(m):
     return element(m, (1,) + (0,) * (m.phi - 1))
+
+
+@pytest.fixture
+def cold_cores():
+    """An empty cache of case cores (scaled_inverse._case_core) before the
+    test and after it: a _case the test patches is reached, and no core
+    built from it outlives the test."""
+    scaled_inverse._cores.clear()
+    yield
+    scaled_inverse._cores.clear()
+
+
+@pytest.fixture
+def uncached_cores(cold_cores, monkeypatch):
+    """A cache of case cores that keeps no entry: every _construct in the
+    test builds its cores from _case, patched or not."""
+    monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 0)
 
 
 # the generic route's image kernels, by the name scaled_inverse calls each by
@@ -411,6 +431,7 @@ class TestLongDivisionOracle:
                 (fold_quotient(v, k, d, j, m), scale, bound, case), j
 
     @pytest.mark.parametrize("M,k", [(35, 3), (125, 25), (143, 13), (45, 9)])
+    @pytest.mark.usefixtures("cold_cores")
     def test_inexact_division_is_caught(self, M, k, monkeypatch):
         # a table entry with the wrong c = scale leaves a nonzero remainder
         real = scaled_inverse._case
@@ -1174,6 +1195,125 @@ class TestPerRowShift:
             check_gap_block(m, self.GAPS, U, scales, low, js)
 
 
+def point_pairs(M):
+    """The (i, j) pairs of the benchmark's point workload at M: 256 pairs
+    from random.Random(f"pairs-{M}"), as bench/workloads.py draws them."""
+    rng = random.Random(f"pairs-{M}")
+    pairs = []
+    for _ in range(256):
+        i = rng.randrange(1, M)
+        pairs.append((i, rng.randrange(i)))
+    return pairs
+
+
+class TestBlockOfOne:
+    """check_gap_block on a block of one row, which forms its residual by
+    two slice subtractions, against the same pair inside a block of two,
+    which takes the padded path of taller blocks: the same norm, or the
+    same failure message."""
+
+    @staticmethod
+    def _outcome(m, gaps, rows, scales, bounds, j, r):
+        dtype = np.int64 if max(map(abs, sum(rows, []))) < 2 ** 63 else object
+        try:
+            norms = check_gap_block(m, gaps, np.array(rows, dtype=dtype),
+                                    scales, bounds, j)
+        except AssertionError as e:
+            return str(e)
+        return int(norms[r])
+
+    @classmethod
+    def _same(cls, m, g, j, row, scale, bound):
+        """The outcome of row as the pair ((j + g) mod M, j), alone and
+        beside the true row of the next gap (the previous one at g = M - 1)
+        at the same shift, asserted equal."""
+        one = cls._outcome(m, range(g, g + 1), [list(row)], scale, bound, j, 0)
+        h = g + 1 if g + 1 < m.M else g - 1
+        _, _, h_scale, h_bound = _case(math.gcd(h, m.M), m)
+        rows = [list(row), list(rotated_inverse(h, j, m))]
+        scales, bounds = np.array([scale, h_scale]), np.array([bound, h_bound])
+        r = 0 if h > g else 1
+        if r:
+            rows, scales, bounds = rows[::-1], scales[::-1], bounds[::-1]
+        two = cls._outcome(m, range(min(g, h), min(g, h) + 2), rows, scales,
+                           bounds, j, r)
+        assert one == two, (m.M, g, j)
+        return one
+
+    @classmethod
+    def _outcomes(cls, m, i, j, rng, wrongs=(0, 1, 2)):
+        """The true inverse of (i, j) on both paths, and the wrong ones
+        named by wrongs: 0 a wrong coefficient, 1 a wrong scale, 2 a bound
+        below the norm."""
+        si = construct_scaled_inverse(i, j, m)
+        row, g, tail = list(si.u.coeffs), i - j, f"for M={m.M}, (i, j)=({i}, {j})"
+        assert cls._same(m, g, j, row, si.scale, si.bound) == si.norm
+        if 0 in wrongs:
+            bad = list(row)
+            bad[rng.randrange(m.phi)] += rng.choice((-1, 1))
+            assert cls._same(m, g, j, bad, si.scale, si.bound).endswith(
+                f"!= {si.scale} {tail}")
+        if 1 in wrongs:
+            assert cls._same(m, g, j, row, si.scale + 1, si.bound).endswith(
+                f"!= {si.scale + 1} {tail}")
+        if 2 in wrongs and si.norm:
+            assert cls._same(m, g, j, row, si.scale, si.norm - 1).endswith(
+                f"norm {si.norm} > bound {si.norm - 1} {tail}")
+
+    @pytest.mark.parametrize("M", [12, 35, 45, 63, 125])
+    def test_every_pair(self, M):
+        # every pair true, and one of the three wrong kinds in turn
+        m, rng = make_modulus(M), random.Random(M)
+        for i in range(1, M):
+            for j in range(i):
+                self._outcomes(m, i, j, rng, wrongs=((i + j) % 3,))
+
+    @pytest.mark.parametrize("M", [323, 1024, 1147, 2187])
+    def test_point_pairs(self, M):
+        m, rng = make_modulus(M), random.Random(M)
+        for i, j in point_pairs(M):
+            self._outcomes(m, i, j, rng)
+
+    @pytest.mark.parametrize("big", [2 ** 62, 10 ** 30])
+    @pytest.mark.parametrize("M,i,j", [(15, 10, 4), (15, 14, 4), (125, 90, 7),
+                                       (1147, 900, 100)])
+    def test_entries_too_large_for_int64(self, M, i, j, big):
+        # (2 + scale) 2^62 fails the int64 bound, and 10^30 needs object
+        # rows: both paths switch to Python ints and name the pair
+        m = make_modulus(M)
+        si = construct_scaled_inverse(i, j, m)
+        row = list(si.u.coeffs)
+        row[3] += big
+        assert self._same(m, i - j, j, row, si.scale, 2 ** 200).endswith(
+            f"!= {si.scale} for M={M}, (i, j)=({i}, {j})")
+
+    @pytest.mark.parametrize("M,i,j", [(15, 14, 4), (35, 34, 0), (125, 124, 2),
+                                       (1024, 1000, 1)])
+    def test_window_that_wraps(self, M, i, j):
+        # g + phi > M: x^g u wraps mod x^M - 1 in the second subtraction
+        m = make_modulus(M)
+        assert i - j + m.phi > M
+        self._outcomes(m, i, j, random.Random(M))
+
+    def test_per_row_arrays_of_one(self):
+        # a sweep's last block can hold one gap, with a shift, a scale and
+        # a bound as arrays of one entry
+        m = make_modulus(45)
+        g, j = 9, 30
+        table, acc = scaled_inverse._construct(range(g, g + 1),
+                                               np.array([j]), m)
+        (_, scale, bound), = table
+        U = scaled_inverse._reduce_rows(acc, m)
+        norms = check_gap_block(m, range(g, g + 1), U, np.array([scale]),
+                                np.array([bound]), np.array([j]))
+        assert norms.tolist() == [int(np.abs(U).max())]
+        U[0, 2] += 1
+        with pytest.raises(AssertionError,
+                           match=rf"!= {scale} for M=45, \(i, j\)=\(39, 30\)$"):
+            check_gap_block(m, range(g, g + 1), U, np.array([scale]),
+                            np.array([bound]), np.array([j]))
+
+
 class TestGapBlock:
     """One construct and one check for a block of consecutive gaps at
     j = 0, as norm_profile runs them, against one gap at a time."""
@@ -1301,6 +1441,7 @@ class TestRotationVerify:
             construct_scaled_inverse(i, j, m)
 
     @pytest.mark.parametrize("M,i,j", [(35, 9, 2), (125, 30, 5), (1147, 600, 1)])
+    @pytest.mark.usefixtures("uncached_cores")
     def test_rejects_norm_above_bound(self, M, i, j, monkeypatch):
         m = make_modulus(M)
         norm = construct_scaled_inverse(i, j, m).norm
@@ -1368,17 +1509,119 @@ class TestCaseTableByGcd:
             assert int(num.sum()) == scale, k
 
     @pytest.mark.parametrize("M", [35, 45, 125, 143, 1024])
+    @pytest.mark.usefixtures("cold_cores")
     def test_one_case_call_per_gcd(self, M, monkeypatch):
         # a block of every gap asks the table once per distinct gcd(k, M),
-        # and each gap's row of the table is that gcd's
+        # and each gap's row of the table is that gcd's; on a warm cache
+        # of cores it asks none, and builds the same block
         m = make_modulus(M)
         calls = TestOneCheckPerPair._count(monkeypatch, "_case")
-        table, _ = scaled_inverse._construct(range(1, M), 0, m)
+        table, acc = scaled_inverse._construct(range(1, M), 0, m)
         ds = [d for d, _ in calls]
         assert sorted(ds) == sorted({math.gcd(k, M) for k in range(1, M)})
         for k, row in zip(range(1, M), table):
             _, _, scale, bound, case = long_division_quotient(k, m)
             assert row == (case, scale, bound), k
+        warm = scaled_inverse._construct(range(1, M), 0, m)
+        assert len(calls) == len(ds)
+        assert warm[0] == table and np.array_equal(warm[1], acc)
+
+
+class TestCaseCoreCache:
+    """_case_core builds (case, scale, bound, -Q) once per (M, d) and keeps
+    it in a cache bounded by entries and by bytes, with read-only rows and
+    no modulus."""
+
+    @pytest.mark.parametrize("M", [12, 45, 125, 143, 1024, 2057])
+    @pytest.mark.usefixtures("cold_cores")
+    def test_cores_are_the_long_division_quotients(self, M):
+        m = make_modulus(M)
+        for k in range(1, M):
+            v, d, scale, bound, case = long_division_quotient(k, m)
+            core = scaled_inverse._case_core(d, m)
+            assert core[:3] == (case, scale, bound), k
+            assert core[3].dtype == np.int64 and not core[3].flags.writeable
+            neg = [-c for c in v.coeffs]
+            assert core[3].tolist() == neg + [0] * (len(core[3]) - len(neg))
+        assert set(scaled_inverse._cores) == {(M, math.gcd(k, M))
+                                              for k in range(1, M)}
+
+    @pytest.mark.usefixtures("cold_cores")
+    def test_rows_are_read_only(self):
+        m = make_modulus(63)
+        construct_scaled_inverse(10, 1, m)
+        (_, _, _, negq), = scaled_inverse._cores.values()
+        with pytest.raises(ValueError):
+            negq[0] += 1
+
+    @pytest.mark.usefixtures("cold_cores")
+    def test_keyed_by_m_not_by_modulus(self, monkeypatch):
+        # a second instance of the same M reads the first one's cores
+        calls = TestOneCheckPerPair._count(monkeypatch, "_case")
+        a, b = make_modulus.__wrapped__(675), make_modulus.__wrapped__(675)
+        assert construct_scaled_inverse(30, 3, a).u.coeffs == \
+            construct_scaled_inverse(30, 3, b).u.coeffs
+        assert len(calls) == 1
+
+    @pytest.mark.usefixtures("cold_cores")
+    def test_bounded_by_entries_least_recent_first(self, monkeypatch):
+        monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 3)
+        m = make_modulus(1024)
+        for e in range(6):
+            construct_scaled_inverse(2 ** e + 1, 1, m)
+        assert list(scaled_inverse._cores) == [(1024, 8), (1024, 16),
+                                               (1024, 32)]
+        construct_scaled_inverse(9, 1, m)       # a hit moves d = 8 last
+        construct_scaled_inverse(3, 2, m)       # d = 1 evicts d = 16
+        assert list(scaled_inverse._cores) == [(1024, 32), (1024, 8),
+                                               (1024, 1)]
+
+    @pytest.mark.usefixtures("cold_cores")
+    def test_bounded_by_bytes(self, monkeypatch):
+        # at 2187 = 3^7 the row of d = 3^e has phi + 1 - 3^e entries
+        m = make_modulus(2187)
+        size = lambda d: 8 * (m.phi + 1 - d)
+        monkeypatch.setattr(scaled_inverse, "_CORE_BYTES", size(1) + size(3))
+        for d in (1, 3, 9, 27):
+            construct_scaled_inverse(d + 5, 5, m)
+            kept = scaled_inverse._cores.values()
+            assert sum(core[3].nbytes for core in kept) <= size(1) + size(3)
+            assert (2187, d) in scaled_inverse._cores
+        assert list(scaled_inverse._cores) == [(2187, 9), (2187, 27)]
+
+    def test_ceiling_holds_two_of_the_largest_rows(self):
+        # a -Q row has fewer than M int64 entries, at most 8 MiB at 2^20
+        assert 2 * 8 * MAX_MODULUS <= scaled_inverse._CORE_BYTES
+        assert scaled_inverse._CORE_BYTES == 2 ** 24
+
+    @pytest.mark.usefixtures("cold_cores")
+    def test_concurrent_constructs_match_serial(self, monkeypatch):
+        # four threads on two cores build, read and evict the same cores
+        # at once, switching every microsecond; a cache of four entries
+        # evicts on most misses
+        monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 4)
+        pairs = [(M, i, j) for M in (63, 675, 1147)
+                 for i, j in point_pairs(M)[:40]]
+        serial = [construct_scaled_inverse(i, j, make_modulus(M))
+                  for M, i, j in pairs]
+        scaled_inverse._cores.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(construct_scaled_inverse, i, j,
+                                       make_modulus(M))
+                           for _ in range(2) for M, i, j in pairs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial * 2
+        kept = list(scaled_inverse._cores.items())
+        assert len(kept) <= 4
+        for (M, d), core in kept:
+            scaled_inverse._cores.clear()
+            fresh = scaled_inverse._case_core(d, make_modulus(M))
+            assert core[:3] == fresh[:3] and np.array_equal(core[3], fresh[3])
 
 
 class TestNegativeResultantNormalization:
