@@ -520,7 +520,7 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
                - pad.ravel()[M - g0:M - g0 + n * sg].reshape(n, sg)[:, :M])
         res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
-    if np.count_nonzero(res):
+    if res.any():
         r = int(res.any(axis=1).argmax())
         what = f"(x^i - x^j)*u != {int(np.broadcast_to(scale, (n,))[r])}"
     else:
