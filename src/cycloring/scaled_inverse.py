@@ -348,22 +348,13 @@ def _construct(gaps: range, j, m: CycloModulus):
         # coefficient e of -Q goes to x^((e k/d + M - j) mod M)
         # flat index r M + exponent; the values are -Q once per row,
         # repeated by hand: np.add.at's own broadcast of one value row over
-        # 2-D indices adds wrong values (numpy 2.4.6). A group of one row,
-        # as every single construct is, takes its exponents from one
-        # strided arange, with no (rows, 3) table of steps
-        if len(rows) == 1:
-            r = rows[0]
-            step, start = gaps[r] // d, M - shifts[r]
-            idx = np.arange(start, start + len(negq) * step, step)
-            idx %= M
-            idx += r * M
-        else:
-            step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
-                                 for r in rows])
-            idx = np.arange(len(negq)) * step_row[:, :1]
-            idx += step_row[:, 1:2]
-            idx %= M
-            idx += step_row[:, 2:]
+        # 2-D indices adds wrong values (numpy 2.4.6)
+        step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
+                             for r in rows])
+        idx = np.arange(len(negq)) * step_row[:, :1]
+        idx += step_row[:, 1:2]
+        idx %= M
+        idx += step_row[:, 2:]
         np.add.at(acc.reshape(-1), idx.reshape(-1),
                   np.concatenate([negq] * len(rows)))
     return table, acc
