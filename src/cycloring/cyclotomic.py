@@ -6,36 +6,45 @@ and as a read-only int64 row, and is immutable.
 Every reduction mod Phi_M rests on one identity. With y = x^M',
 M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
 with D = 1 - y for p^s and D = (1 - y^p)(1 - y^q)/(1 - y) for p^s q^t.
-Since deg(r D) < M, v has the remainder r = (v D mod x^M - 1) / D. For p^s
-that is one subtraction: Z = v (1 - y) = r (1 - y) with r_(p-1) = 0, so r
-is the prefix sum of Z, r_k = v_k - v_(p-1), read on the (p, M') view of
-each row. For p^s q^t the path runs in two halves. The multiply half
-(_times_cofactor) forms Z = v D mod x^M - 1 on rows. The divide half
-(_divide_columns) is an exact division from the low end, on
-coefficient-major columns at the radical: each subsequence v[b::M'] of each
-row is one column, reduced mod Phi_rad. F = Z (1 - y) is
-r (1 - y^p)(1 - y^q) below y^pq, so prefix sums over the residue classes
-mod p, then mod q, divide it out. _prefix_sums runs each prefix sum as one
-accumulate on narrow columns and as whole-row adds on wide ones. The
-multiply half serves both shapes as the zero test of a constructed
-inverse's residual (scaled_inverse.check_gap_block): a row is 0 mod Phi_M
-exactly when its product with D is 0 mod x^M - 1.
+Both shapes then rest on one cofactor E, E = 1 - y at p^s and
+E = (1 - y^p)(1 - y^q) = (1 - y) D at p^s q^t, whose product with a row is
+a subtraction a factor (_times_cofactor). As E = -Phi_1(y) at p^s and
+Phi_1^2 Phi_p Phi_q(y) at pq, while y^rad - 1 = Phi_1 Phi_p (Phi_1 Phi_p
+Phi_q Phi_pq at pq), y^rad - 1 divides v E exactly when Phi_rad(y)
+divides v: the product with E mod x^M - 1 has the kernel Phi_M Z[x], as
+the product with D does. So a row is 0 mod Phi_M exactly when its product
+with E is 0 mod x^M - 1, the zero test of a constructed inverse's
+residual (scaled_inverse.check_gap_block). For p^s
+the remainder is one subtraction: v (1 - y) = r (1 - y) with r_(p-1) = 0,
+so r is the prefix sum of that product, r_k = v_k - v_(p-1), read on the
+(p, M') view of each row. For p^s q^t the remainder r has degree below
+phi_pq, so r E has degree at most pq, and v E mod y^pq - 1 is r E but at
+y^0, where its top term r_(phi_pq - 1) y^pq wraps. That term is
+-(v D)_(pq-1) = -(sum v[pq-p:pq] - sum v[pq-q-p:pq-q]), one window sum of
+v (1 - y^q). With it added back, the product is r E below y^pq, and
+prefix sums over the residue classes mod p, then mod q, divide E out from
+the low end. All of it runs on coefficient-major columns at the radical:
+each subsequence v[b::M'] of each row is one column, reduced mod Phi_rad.
+_prefix_sums runs each prefix sum as one accumulate on narrow columns and
+as whole-row adds on wide ones.
 
 _reduce_rows folds a batch of rows mod x^M - 1 and reduces them, by the
-subtraction or by both halves; _monomial_rows reduces unit rows in blocks,
-the route of every x^k. An exhaustive sweep (scaled_inverse.norm_profile)
-reduces each subsequence once, at the radical, and takes the norms of its
-rotations with no second reduction: in closed form at a prime radical, by
-exact division by y at a two-prime one.
+subtraction or by the product with E and the prefix sums; _monomial_rows
+reduces unit rows in blocks, the route of every x^k. An exhaustive sweep
+(scaled_inverse.norm_profile) reduces each subsequence once, at the
+radical, and takes the norms of its rotations with no second reduction:
+in closed form at a prime radical, by exact division by y at a two-prime
+one.
 
 Integers are exact. Rows are int64 when every step provably fits, and
 object arrays of Python ints, exact at any size, otherwise (_as_rows).
 With |v| <= b after folding mod x^M - 1, no entry exceeds 2b for p^s
-(v_k - v_(p-1), and Z = v (1 - y) in the zero test), nor 4pq^2 b for
-p^s q^t: the prefix sums of v (1 - y^p) are window sums of p entries, so
-|Z| <= 2pb, |F| <= 4pb, and the prefix sums of q and then p - 1 terms stay
-below 4p^2 q b, with p < q. Long division (poly.divrem) is the independent
-check of R_M (kron_check, verify).
+(v_k - v_(p-1), and v (1 - y) in the zero test), nor 4pq^2 b for p^s q^t:
+|v (1 - y^p)| <= 2b and |v E| <= 4b, the entry at y^0 with the wrapped
+term added back is at most (4 + 2p) b, the prefix sums of q terms mod p
+stay below (4q + 2p) b, and those of p - 1 terms after them below
+(p - 1)(4q + 2p) b < 4pq^2 b, with p < q. Long division (poly.divrem) is
+the independent check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
 a bounded cache of the moduli it built. reduction_matrix and kron_check
@@ -234,53 +243,64 @@ def _as_rows(V, m: CycloModulus, headroom: int = 1) -> np.ndarray:
 
 def _rows_dtype(m: CycloModulus, big: int):
     """int64 when the module's bound holds for rows of max|v| <= big, folded
-    mod x^M - 1, through both halves of the reduction; object otherwise."""
+    mod x^M - 1, through every step of the reduction; object otherwise."""
     sh = m.shape
     growth = 2 if isinstance(sh, PrimePower) else 4 * sh.p * sh.q ** 2
     return np.int64 if big * growth < 2 ** 63 else object
 
 
-def _times_one_minus(X: np.ndarray, s: int) -> np.ndarray:
-    """X * (1 - y^s) mod y^n - 1, with y one step along axis 1 (length n)."""
-    return X - np.concatenate((X[:, -s:], X[:, :-s]), axis=1)
+def _times_one_minus(X: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """out = X (1 - y^s) mod y^n - 1, with y one step down axis 0 of X
+    (length n). Returns out."""
+    np.subtract(X[s:], X[:-s], out=out[s:])
+    np.subtract(X[:s], X[-s:], out=out[:s])
+    return out
 
 
 def _times_cofactor(A: np.ndarray, m: CycloModulus) -> np.ndarray:
-    """Each length-M row of A times D(y) mod x^M - 1: the multiply half of
-    _reduce_rows. A row is 0 mod Phi_M exactly when its image is 0."""
-    n = A.shape[0]
-    Y = A.reshape(n, m.radical, m.inflation)
+    """Each length-M row of A times E(y) mod x^M - 1, E = 1 - y at p^s and
+    (1 - y^p)(1 - y^q) at p^s q^t, coefficient-major: a new C-ordered
+    (rad, n, M') array whose [a, r, b] is coefficient a M' + b of row r's
+    product. A row is 0 mod Phi_M exactly when its product is 0."""
+    X = A.reshape(A.shape[0], m.radical, m.inflation).transpose(1, 0, 2)
+    out = np.empty(X.shape, dtype=X.dtype)
     if isinstance(m.shape, PrimePower):
-        return _times_one_minus(Y, 1).reshape(n, m.M)
-    # W(1) = 0, so the prefix sums of W are W / (1 - y) mod y^pq - 1
-    W = _times_one_minus(Y, m.shape.p)
-    _prefix_sums(W.transpose(1, 0, 2))
-    return _times_one_minus(W, m.shape.q).reshape(n, m.M)
+        return _times_one_minus(X, 1, out)
+    W = _times_one_minus(X, m.shape.p, np.empty_like(out))
+    return _times_one_minus(W, m.shape.q, out)
 
 
 def _reduce_rows(V, m: CycloModulus) -> np.ndarray:
     """The (n, phi) remainders mod Phi_M of the rows of V (see _as_rows),
     read mod x^M - 1: exponents fold mod M first. At M = p^s each folded
     row gives r_k = v_k - v_(p-1) by one subtraction on its (p, M') view.
-    At p^s q^t it is multiplied by D (_times_cofactor) and divided by D at
-    the radical (_divide_columns), its subsequences v[b::M'] as the
-    columns."""
-    M, rad = m.M, m.radical
+    At p^s q^t its product with E (_times_cofactor), on coefficient-major
+    columns at the radical, the subsequences v[b::M'] as the columns, is
+    divided by E from the low end by prefix sums (see the module
+    docstring)."""
+    M, rad, phi = m.M, m.radical, m.phi
     A = _as_rows(V, m)
     n, L = A.shape
     if L != M:
         folds = -(-L // M) or 1
         A = np.concatenate([A, np.zeros((n, folds * M - L), A.dtype)], axis=1)
         A = A.reshape(n, folds, M).sum(axis=1)
+    Y = A.reshape(n, rad, m.inflation)
     if isinstance(m.shape, PrimePower):
         # r_k = v_k - v_(p-1) on the (n, p, M') view: one subtraction
-        Y = A.reshape(n, rad, m.inflation)
-        return (Y[:, :-1] - Y[:, -1:]).reshape(n, m.phi)
-    # entry a M' + b of row k is coefficient a of column (k, b): the
-    # (rad, n, M') view of the product, with no copy
-    Z = _times_cofactor(A, m).reshape(n, rad, m.inflation).transpose(1, 0, 2)
-    R = _divide_columns(Z, make_modulus(rad))
-    return R.transpose(1, 0, 2).reshape(n, m.phi)
+        return (Y[:, :-1] - Y[:, -1:]).reshape(n, phi)
+    p, q = m.shape.p, m.shape.q
+    # F = v E mod y^pq - 1 is r E below y^pq but at y^0, where r E's top
+    # term r_(phi-1) y^pq wraps: add back (v D)_(pq-1) = -r_(phi-1), the
+    # sum of v (1 - y^q) over y^(pq-p) .. y^(pq-1). F is new and C-ordered,
+    # so every reshape below is a view and the prefix sums run in place,
+    # as whole-row adds over contiguous rows
+    F = _times_cofactor(A, m)
+    F[0] += (Y[:, rad - p:] - Y[:, rad - q - p:rad - q]).sum(axis=1)
+    # divide by 1 - y^p, then by 1 - y^q: prefix sums over residue classes
+    _prefix_sums(F.reshape((q, p) + F.shape[1:]))
+    _prefix_sums(F[:(p - 1) * q].reshape((p - 1, q) + F.shape[1:]))
+    return F[:(p - 1) * (q - 1)].transpose(1, 0, 2).reshape(n, phi)
 
 
 # Rows X[k] of at least this many entries are prefix-summed by whole-row
@@ -304,26 +324,6 @@ def _prefix_sums(X: np.ndarray) -> np.ndarray:
     for k in range(1, X.shape[0]):
         X[k] += X[k - 1]
     return X
-
-
-def _divide_columns(Z: np.ndarray, m: CycloModulus) -> np.ndarray:
-    """The divide half of the reduction, for m = pq (M = rad, y = x). Axis
-    0 of Z holds M coefficients and its other axes index the columns, each
-    an image v D mod x^M - 1 (_times_cofactor). Returns the remainders r,
-    r D = Z, as the same columns over phi coefficients. Exact division
-    from the low end by prefix sums (see the module docstring); axis 0 is
-    only split, so every reshape is a view and the prefix sums run in
-    place."""
-    p, q, cols = m.shape.p, m.shape.q, Z.shape[1:]
-    # F = Z (1 - x) = r (1 - x^p)(1 - x^q), below x^pq; F is C-ordered, so
-    # the whole-row adds of its prefix sums run over contiguous rows
-    F = np.empty(Z.shape, dtype=Z.dtype)
-    F[0] = Z[0]
-    np.subtract(Z[1:], Z[:-1], out=F[1:])
-    # divide by 1 - x^p, then by 1 - x^q: prefix sums over residue classes
-    _prefix_sums(F.reshape((q, p) + cols))
-    _prefix_sums(F[:(p - 1) * q].reshape((p - 1, q) + cols))
-    return F[:m.phi]
 
 
 def reduce(a: IntPoly, m: CycloModulus) -> RingElement:

@@ -160,19 +160,17 @@ def _random_rows(m: CycloModulus, trials: int, seed: int):
     """The random g of randomized_expansion_check, in blocks of at most
     _UNIT_BLOCK // M rows, so that a block's products stay within
     _UNIT_BLOCK entries. Trials below trials // 2 are ternary and the rest
-    bounded integers in [-10, 10]: each block draws its rows ternary, then
-    redraws those at or past trials // 2 bounded. A check of one block, as
-    at verify's default trials, thus draws every trial ternary and then
-    redraws the second half, and its seed names the same g at any block
-    size that holds it."""
+    bounded integers in [-10, 10]: each block draws its ternary rows, then
+    its bounded ones, from the one generator of the seed, so each trial is
+    drawn once."""
     rng = np.random.default_rng(seed)
     half, step = trials // 2, max(1, _UNIT_BLOCK // m.M)
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
-        gs = rng.integers(-1, 2, size=(hi - lo, m.phi))
-        bounded = hi - max(lo, half)
-        if bounded > 0:
-            gs[-bounded:] = rng.integers(-10, 11, size=(bounded, m.phi))
+        mid = min(max(lo, half), hi)
+        gs = np.empty((hi - lo, m.phi), dtype=np.int64)
+        gs[:mid - lo] = rng.integers(-1, 2, size=(mid - lo, m.phi))
+        gs[mid - lo:] = rng.integers(-10, 11, size=(hi - mid, m.phi))
         yield gs
 
 

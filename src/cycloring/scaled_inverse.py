@@ -31,13 +31,18 @@ the (-1, d) view of N - scale and the exactness check of its top row, and
 kept in a cache bounded by entries and bytes (_case_core), which holds no
 modulus. One routine, _construct, builds a range of consecutive gaps at
 one shift j, or at one shift per row, as int64 rows: each group of gaps
-that share d reads its core from the cache, and one np.add.at folds the
-exponents e k/d + M - j mod M of every gap of the group; one reduction mod
-Phi_M follows. A single construct is a range of one gap at one j; a
-sweep's blocks are ranges of up to _UNIT_BLOCK / (16 M) gaps, at a shift
-per row (_chain_shifts, 0 at a prime radical). Entries stay below
-M^2 (q + 1) < 2^61 (the bound is derived in _case_core and _construct),
-and each reduction falls back to Python ints when its own bound fails.
+that share d reads its core from the cache, and one fancy assignment
+folds the exponents e a - j mod M of every gap of the group, a the first
+of k/d, k/d + M/d that is prime to M, so a d = k mod M. The automorphism
+x -> x^a of Z[x]/Phi_M sends x^d - 1 to x^k - 1, so -Q(x^a) is the
+inverse of x^k - 1 at the same scale, and as that inverse is unique it
+has the remainder of the paper's -Q(x^{k/d}); as a is a unit, no two
+exponents of a row collide. One reduction mod Phi_M follows. A single
+construct is a range of one gap at one j; a sweep's blocks are ranges of
+up to _UNIT_BLOCK / (16 M) gaps, at a shift per row (_chain_shifts, 0 at
+a prime radical). Entries stay below M (q + 1) (the bound is derived in
+_case_core), and each reduction falls back to Python ints when its own
+bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
@@ -46,12 +51,13 @@ same block shape as _construct, a range of consecutive gaps at one j or a
 j per row, with a scale and a bound per row. As x is a unit, row r is the
 inverse of x^i - x^j at the scale c exactly when (1 - x^g) u + c x^{-j} = 0
 mod Phi_M, g = i - j; it forms that residual modulo x^M - 1 and tests that
-its product with D, the cofactor of Phi_M in 1 - x^M, is 0 mod x^M - 1, so
-no second reduction is needed. A block of one row, a single construct's,
-forms it by two slice subtractions of u from [u, 0], the second where x^g u
-wraps past x^M, and takes the row's norm and dtype from one max/min pass;
-a taller block, a sweep's, reads x^g u as windows of one padded buffer.
-The zero test, the bound test and the failure messages are shared.
+its product with E, (1 - y^p)(1 - y^q) or 1 - y at y = x^{M/rad}, is
+0 mod x^M - 1 (see cyclotomic), so no second reduction is needed. A block
+of one row, a single construct's, forms it by two slice subtractions of u
+from [u, 0], the second where x^g u wraps past x^M, and takes the row's
+norm and dtype from one max/min pass; a taller block, a sweep's, reads
+x^g u as windows of one padded buffer. The zero test, the bound test and
+the failure messages are shared.
 
 Exhaustive sweeps (norm_profile) construct only the gap inverses u(g, 0),
 g <= M/2, and obtain every other pair by the gap-shift identity
@@ -320,43 +326,49 @@ def _construct(gaps: range, j, m: CycloModulus):
     j_r + k >= M, see norm_profile).
 
     Returns (table, acc): table[r] = (case, scale, bound) of gap gaps[r],
-    and row r of the (len(gaps), M) int64 block acc is -x^{M-j} Q(x^{k/d})
-    mod x^M - 1 for k = gaps[r], j its shift and d = gcd(k, M); reducing it
-    mod Phi_M gives u. (case, scale, bound) and -Q depend on d only, and
-    each group of gaps that share d reads them from one _case_core call.
+    and row r of the (len(gaps), M) int64 block acc is -x^{-j} Q(x^a)
+    mod x^M - 1 for k = gaps[r], j its shift, d = gcd(k, M) and a the
+    first of k/d, k/d + M/d that is prime to M; reducing it mod Phi_M gives
+    u. (case, scale, bound) and -Q depend on d only, and each group of gaps
+    that share d reads them from one _case_core call.
 
-    The coefficient e of -Q goes to x^{(e k/d + M - j) mod M} of its row,
-    for every gap of the group by one np.add.at on the flat block
-    (exponents can collide within a row: gap 4 at M = 18). int64 is exact
-    here: |Q| <= M (q + 1) (_case_core), and at most M of those fold into
-    one slot, so every folded entry is at most M^2 (q + 1) < 2^61 for
-    M <= MAX_MODULUS. The caller's _reduce_rows picks its own dtype
-    (_as_rows) and falls back to Python ints when its bound fails.
+    The unit a exists: gcd(k/d, M/d) = 1, so a prime of M that divides
+    M/d divides neither candidate; as d < M, at most one prime of M does
+    not divide M/d, and it divides at most one of two candidates that
+    differ by M/d. So a d = k mod M, and as sigma_a: x -> x^a is an
+    automorphism of Z[x]/Phi_M, -Q(x^a) is the inverse of
+    sigma_a(x^d - 1) = x^k - 1 at the scale of -Q; as the inverse at a
+    given scale is unique, it has the remainder of the paper's
+    -Q(x^{k/d}). The coefficient e of -Q goes to x^{(e a - j) mod M} of its
+    row, and as a is a unit, e -> e a mod M is injective, so one fancy
+    assignment writes every row of the group with no collisions. int64 is
+    exact here: every folded entry is one entry of -Q, at most M (q + 1)
+    (_case_core). The caller's _reduce_rows picks its own dtype (_as_rows)
+    and falls back to Python ints when its bound fails.
     """
     M = m.M
     shifts = np.full(len(gaps), j).tolist()
     groups = {}
     for r, k in enumerate(gaps):
-        groups.setdefault(math.gcd(k, M), []).append(r)
+        d = math.gcd(k, M)
+        a = k // d
+        if math.gcd(a, M) > 1:
+            a += M // d
+        groups.setdefault(d, []).append((r, a, -shifts[r]))
     table = [None] * len(gaps)
     acc = np.zeros((len(gaps), M), dtype=np.int64)
-    for d, rows in groups.items():
+    for d, steps in groups.items():
         case, scale, bound, negq = _case_core(d, m)
-        for r in rows:
+        # fold -x^{-j} Q(x^a) mod x^M - 1 into each row of the group:
+        # coefficient e of -Q goes to x^((e a - j) mod M), and no two
+        # exponents of a row collide
+        rows, a, off = np.array(steps).T[:, :, None]
+        for r in rows.ravel().tolist():
             table[r] = (case, scale, bound)
-        # fold -x^{M-j} Q(x^{k/d}) mod x^M - 1 into each row of the group:
-        # coefficient e of -Q goes to x^((e k/d + M - j) mod M)
-        # flat index r M + exponent; the values are -Q once per row,
-        # repeated by hand: np.add.at's own broadcast of one value row over
-        # 2-D indices adds wrong values (numpy 2.4.6)
-        step_row = np.array([(gaps[r] // d, M - shifts[r], r * M)
-                             for r in rows])
-        idx = np.arange(len(negq)) * step_row[:, :1]
-        idx += step_row[:, 1:2]
+        idx = np.arange(len(negq)) * a
+        idx += off
         idx %= M
-        idx += step_row[:, 2:]
-        np.add.at(acc.reshape(-1), idx.reshape(-1),
-                  np.concatenate([negq] * len(rows)))
+        acc[rows, idx] = negq
     return table, acc
 
 
@@ -468,10 +480,10 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
     (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. As x is a
     unit, that is (1 - x^g) u + scale x^{-j} = 0 with g = gaps[r], formed
     per row in Z[x]/(x^M - 1); it is 0 mod Phi_M exactly when its product
-    with D, the cofactor of Phi_M in 1 - x^M, is 0 mod x^M - 1 (see
-    cyclotomic), so no division is needed. A block of one row forms the
-    residual by slice subtractions, taller blocks from one padded buffer
-    (see the module docstring). Returns the row norms; raises
+    with E, (1 - y^p)(1 - y^q) or 1 - y at y = x^{M/rad}, is 0 mod
+    x^M - 1 (see cyclotomic), so no division is needed. A block of one row
+    forms the residual by slice subtractions, taller blocks from one padded
+    buffer (see the module docstring). Returns the row norms; raises
     AssertionError naming M and (i, j) of the first pair that fails, and
     ValueError when gaps is not len(block) consecutive gaps.
     """
@@ -512,7 +524,7 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
         res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
     if res.any():
-        r = int(res.any(axis=1).argmax())
+        r = int(res.any(axis=(0, 2)).argmax())
         what = f"(x^i - x^j)*u != {int(np.broadcast_to(scale, (n,))[r])}"
     else:
         if norms is None:

@@ -8,7 +8,8 @@ every rotation reduced at full length M (the library's former sweep), the
 rotations of a sweep block from a copied step of exact division by y at
 every radical (the library's former chain), the reduction of whole rows
 by the library's former row-major divide or by long division one row at
-a time, polynomial products from the
+a time, the zero test by the library's former cofactor D, polynomial
+products from the
 schoolbook double loop, constructive inverses from the paper's formulas by
 long division, and the resultant with its Bezout cofactor from the
 extended Euclidean algorithm over Q, or over F_ell one prime at a time
@@ -71,18 +72,32 @@ def reduce_rows_row_major(V, m: CycloModulus) -> np.ndarray:
         # y^(p-1) = -(1 + y + ... + y^(p-2)) mod Phi_p(y)
         return A[:, :phi] - np.tile(A[:, phi:], sh.p - 1)
     p, q, w = sh.p, sh.q, m.inflation
-
-    def times_one_minus(X, s):
-        return X - np.concatenate((X[:, -s:], X[:, :-s]), axis=1)
-
-    # Z = A D: the prefix sums of A (1 - y^p) are A (1 - y^p) / (1 - y)
-    Y = A.reshape(n, p * q, w)
-    Z = times_one_minus(times_one_minus(Y, p).cumsum(axis=1), q)
+    Z = times_cofactor_d(A, m).reshape(n, p * q, w)
     F = Z.copy()
     F[:, 1:] -= Z[:, :-1]
     G = F.reshape(n, q, p, w).cumsum(axis=1).reshape(n, p * q, w)
     G = G[:, :(p - 1) * q].reshape(n, p - 1, q, w).cumsum(axis=1)
     return G.reshape(n, (p - 1) * q, w)[:, :(p - 1) * (q - 1)].reshape(n, phi)
+
+
+def _times_one_minus(X: np.ndarray, s: int) -> np.ndarray:
+    """X (1 - y^s) mod y^n - 1, with y one step along axis 1 (length n)."""
+    return X - np.concatenate((X[:, -s:], X[:, :-s]), axis=1)
+
+
+def times_cofactor_d(A: np.ndarray, m: CycloModulus) -> np.ndarray:
+    """Each length-M row of A times D(y) mod x^M - 1, y = x^M', as (n, M)
+    rows: D = 1 - y at p^s and (1 - y^p)(1 - y^q)/(1 - y) at p^s q^t, the
+    cofactor of Phi_M in 1 - x^M. The library's former zero test, in its
+    prefix-sum form: A (1 - y^p) is 0 at y = 1, so its prefix sums are
+    A (1 - y^p)/(1 - y) mod y^pq - 1. A row is 0 mod Phi_M exactly when
+    its image is 0."""
+    n = A.shape[0]
+    Y = A.reshape(n, m.radical, m.inflation)
+    if isinstance(m.shape, PrimePower):
+        return _times_one_minus(Y, 1).reshape(n, m.M)
+    W = _times_one_minus(Y, m.shape.p).cumsum(axis=1)
+    return _times_one_minus(W, m.shape.q).reshape(n, m.M)
 
 
 def long_division_remainders(V, m: CycloModulus) -> np.ndarray:
@@ -549,20 +564,18 @@ def randomized_expansion_matmul(k: int, m: CycloModulus, trials: int,
     products the coefficients of x^k gs[t] mod Phi_M.
 
     The g are drawn as the check draws them, in blocks of _UNIT_BLOCK // M
-    trials: each block's rows ternary, then its rows at or past trials // 2
-    redrawn in [-10, 10]."""
+    trials: each block's rows below trials // 2 ternary, then its rows at
+    or past trials // 2 in [-10, 10]."""
     k %= m.M
     win = reduction_matrix(m).entries[:, (k + np.arange(m.phi)) % m.M]
     rng = np.random.default_rng(seed)
     half, step = trials // 2, max(1, _UNIT_BLOCK // m.M)
     blocks = []
     for lo in range(0, trials, step):
-        block = rng.integers(-1, 2, size=(min(step, trials - lo), m.phi))
-        first = max(0, half - lo)
-        if first < len(block):
-            block[first:] = rng.integers(-10, 11,
-                                         size=(len(block) - first, m.phi))
-        blocks.append(block)
+        hi = min(trials, lo + step)
+        ternary = max(0, min(hi, half) - lo)
+        blocks.append(rng.integers(-1, 2, size=(ternary, m.phi)))
+        blocks.append(rng.integers(-10, 11, size=(hi - lo - ternary, m.phi)))
     gs = np.concatenate(blocks)
     gs = gs[np.abs(gs).max(axis=1) > 0]
     return gs, (win.astype(np.int64) @ gs.T).T

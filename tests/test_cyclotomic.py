@@ -21,7 +21,7 @@ from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
 
 from oracles import (cyclotomic_divisor_loop, long_division_remainders,
-                     reduce_rows_row_major, schoolbook_mul)
+                     reduce_rows_row_major, schoolbook_mul, times_cofactor_d)
 
 
 def all_supported_upto(limit):
@@ -440,7 +440,7 @@ def divrem_remainder(coeffs, m):
 
 class TestPrimePowerRemainder:
     """At M = p^s, _reduce_rows is one subtraction, r_k = v_k - v_(p-1) on
-    the (n, p, M') view, with neither half of the two-prime path: against
+    the (n, p, M') view, with no step of the two-prime path: against
     long division one row at a time (oracles.long_division_remainders), on
     int64 and object rows, rows shorter and longer than M, and the
     [-2^63, 1] row that _as_rows sends to Python ints."""
@@ -450,10 +450,10 @@ class TestPrimePowerRemainder:
     @pytest.fixture(autouse=True)
     def _one_subtraction(self, monkeypatch):
         def unreached(*args):
-            raise AssertionError("a p^s remainder reached a two-prime half")
+            raise AssertionError("a p^s remainder reached a two-prime step")
 
         monkeypatch.setattr(cyclotomic, "_times_cofactor", unreached)
-        monkeypatch.setattr(cyclotomic, "_divide_columns", unreached)
+        monkeypatch.setattr(cyclotomic, "_prefix_sums", unreached)
 
     @pytest.mark.parametrize("M", MODULI)
     @pytest.mark.parametrize("mag", [1, 9, 2 ** 40, 10 ** 30])
@@ -595,9 +595,10 @@ class TestReduceRowsAgainstRowMajor:
     against the former row-major divide (oracles.reduce_rows_row_major):
     equal values and the same int64 or object choice."""
 
-    # prime powers, squarefree, inflated
+    # prime powers, squarefree, inflated; 72, 100 and 2057 take both sides
+    # of _WIDE_SLAB, one row narrow and 64 rows wide
     MODULI = [4, 9, 27, 125, 1024, 2187, 6, 15, 35, 143, 1147, 12, 45, 63,
-              675]
+              675, 72, 100, 2057]
 
     @staticmethod
     def _blocks(m, n, L, rng):
@@ -666,6 +667,49 @@ class TestReduceRowsAgainstRowMajor:
                 gaps[cutoff] = [norms.tolist() for _, _, norms
                                 in scaled_inverse.norm_profile(m).gaps]
             assert gaps[0] == gaps[2 ** 62]
+
+
+class TestZeroTestAgainstD:
+    """The zero test, the product with E = (1 - y^p)(1 - y^q) (1 - y at
+    p^s), against the product with the cofactor D of Phi_M in 1 - x^M
+    (oracles.times_cofactor_d): both are 0 on exactly the same rows, the
+    multiples of Phi_M mod x^M - 1."""
+
+    MODULI = [6, 12, 15, 35, 45, 63, 143, 1147, 2057, 9, 125]
+
+    @staticmethod
+    def _multiples(m, n, mag, rng):
+        """n rows of Phi_M g mod x^M - 1, g random in [-mag, mag]."""
+        g = rng.integers(-mag, mag, (n, m.M), endpoint=True)
+        out = np.zeros((n, 2 * m.M), dtype=np.int64)
+        for e, c in enumerate(m.poly_row.tolist()):
+            if c:
+                out[:, e:e + m.M] += c * g
+        return out[:, :m.M] + out[:, m.M:]
+
+    @pytest.mark.parametrize("M", MODULI)
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_agrees_with_d(self, M, dtype):
+        m = make_modulus(M)
+        rng = np.random.default_rng(M)
+        scale = 1 if dtype is np.int64 else 10 ** 25
+        zero = self._multiples(m, 6, 99, rng).astype(dtype) * scale
+        hits = rng.integers(0, M, 6)
+        nudged = zero.copy()
+        nudged[np.arange(6), hits] += rng.choice([-1, 1, 7], 6)
+        rand = rng.integers(-99, 99, (6, M), endpoint=True).astype(dtype)
+        for rows, want in ((zero, True), (nudged, False), (rand, False)):
+            by_e = ~cyclotomic._times_cofactor(rows, m).any(axis=(0, 2))
+            by_d = ~times_cofactor_d(rows, m).any(axis=1)
+            assert by_e.tolist() == by_d.tolist() == [want] * 6
+            assert (~_reduce_rows(rows, m).any(axis=1)).tolist() == [want] * 6
+
+    @pytest.mark.parametrize("M", [6, 35, 72, 1147])
+    def test_product_is_c_ordered(self, M):
+        m = make_modulus(M)
+        A = np.arange(5 * M, dtype=np.int64).reshape(5, M)
+        for V in (A, A.astype(object), np.asfortranarray(A)):
+            assert cyclotomic._times_cofactor(V, m).flags.c_contiguous
 
 
 class TestReductionMatrixChecksStayIndependent:

@@ -139,15 +139,15 @@ class TestRandomizedOracle:
         assert randomized_expansion_check(k, m, trials, seed) is True
         assert np.array_equal(np.concatenate(seen), gs)
 
-    def test_one_block_draws_as_before(self):
+    def test_one_block_draws_ternary_then_bounded(self):
         """A check that fits in one block (verify's default trials) draws
-        what it drew before the blocks: trials ternary rows, then the
-        second half redrawn in [-10, 10]."""
+        trials // 2 ternary rows, then the rest in [-10, 10], each trial
+        once."""
         m, trials = make_modulus(1024), 125
         rng = np.random.default_rng(1729)
-        want = rng.integers(-1, 2, size=(trials, m.phi))
-        want[trials // 2:] = rng.integers(-10, 11,
-                                          size=(trials - trials // 2, m.phi))
+        want = np.concatenate([
+            rng.integers(-1, 2, size=(trials // 2, m.phi)),
+            rng.integers(-10, 11, size=(trials - trials // 2, m.phi))])
         [gs] = expansion._random_rows(m, trials, 1729)
         assert np.array_equal(gs, want)
 

@@ -391,7 +391,10 @@ class TestLongDivisionOracle:
             assert (si.u, si.scale, si.bound, si.case) == \
                 construct_by_long_division(i, j, m), (m.M, i, j)
 
-    @pytest.mark.parametrize("M", [2, 4, 8, 9, 27, 6, 12, 18, 45, 75, 63, 100])
+    # 36 and 72 are p = 2, s > 1 with exponents e k/d that collide mod M;
+    # fold_quotient sums them, the library folds by a unit and has none
+    @pytest.mark.parametrize("M", [2, 4, 8, 9, 27, 6, 12, 18, 45, 75, 63, 100,
+                                   36, 72])
     def test_every_pair(self, M):
         self._check(make_modulus(M), ((i, j) for i in range(1, M)
                                       for j in range(i)))
@@ -447,6 +450,25 @@ class TestLongDivisionOracle:
                            match=rf"^\(N - c\)/\(x\^\d+ - 1\) is not exact "
                                  rf"for M={M}, case {case.value}$"):
             construct_scaled_inverse(k + 1, 1, m)
+
+
+class TestFoldByUnit:
+    """_construct folds -Q by a unit multiplier a, a d = k mod M: the
+    exponents e a - j mod M of one row are distinct, so each folded row
+    is -Q, padded with zeros to M, in some order."""
+
+    @pytest.mark.parametrize("M", [12, 18, 36, 72, 100])
+    def test_rows_permute_padded_q(self, M):
+        m = make_modulus(M)
+        gaps = range(1, M)
+        want = []
+        for k in gaps:
+            negq = scaled_inverse._case_core(math.gcd(k, M), m)[3]
+            want.append(np.sort(np.concatenate(
+                [negq, np.zeros(M - len(negq), dtype=np.int64)])))
+        for j in range(M):
+            _, acc = scaled_inverse._construct(gaps, np.full(M - 1, j), m)
+            assert np.array_equal(np.sort(acc, axis=1), want), j
 
 
 class TestModulusLifetime:
