@@ -48,7 +48,8 @@ the independent check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
 a bounded cache of the moduli it built. reduction_matrix and kron_check
-refuse an R_M of more than MAX_MATRIX_CELLS cells before any allocation.
+refuse an R_M of more than MAX_MATRIX_CELLS cells before any allocation
+(the expansion factors ask reduction_matrix only for R_rad).
 """
 from __future__ import annotations
 
@@ -411,11 +412,14 @@ class ReductionMatrix:
 
 # Ceiling of M phi, the cells of R_M, that reduction_matrix and kron_check
 # accept; above it they raise MatrixTooLarge before any allocation. The
-# smallest power of two that keeps M = 2187 (3.2e6 cells, the bench's
-# `expansion 2187`). Measured on a 2-core host at M = 2039 (4.16e6 cells,
-# just below it): `verify --suite expansion` 16 s, `verify --suite matrix`
-# 2.9 s and 57 MB peak RSS, `matrix --format json` 3.2 s and 43 MB,
-# pretty `matrix` 2.3 s, `expansion` 0.5 s.
+# smallest power of two that keeps M = 2187 (3.2e6 cells), chosen when the
+# bench's `expansion 2187` built R_M; expansion now builds only R_rad (and
+# is refused by its cells), so the largest R_M the bench builds is
+# `verify 1024 --suite matrix`'s (5.2e5 cells, 48 MB peak RSS). Measured
+# on a 2-core host at M = 2039 (4.16e6 cells, just below it): `verify
+# --suite expansion` 16 s, `verify --suite matrix` 2.9 s and 57 MB peak
+# RSS, `matrix --format json` 3.2 s and 43 MB, pretty `matrix` 2.3 s,
+# `expansion` 0.5 s.
 MAX_MATRIX_CELLS = 2 ** 22
 
 

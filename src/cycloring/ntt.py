@@ -28,11 +28,16 @@ The primes are poly.root_primes(M), ell = 1 (mod M) between 2^30 and
 2^31. The generic route (scaled_inverse.generic_scaled_inverse) supplies
 them, skips those dividing lc(a) as it does for the EEA, joins the images
 by the CRT (poly._multimodular) and certifies the inverse; it prices the
-work before it starts (scaled_inverse.check_generic_cost).
+work before it starts (scaled_inverse.check_generic_cost). The tables of
+a block of primes (each stage's DFT matrix and twiddles at the roots w and
+at w^-1, and M^-1 mod each prime) depend on M and the primes alone, so
+they are built once and kept in a bounded cache (_block_tables).
 """
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -198,27 +203,69 @@ def ntt_images(a: tuple[int, ...], m: CycloModulus, primes):
 def _block_images(a: tuple[int, ...], m: CycloModulus, primes):
     """ntt_images of one block of primes."""
     M, phi = m.M, m.phi
-    stages, inverse, units = _plan(M)
+    _, _, units = _plan(M)
     P = np.array(primes, dtype=np.int64)[:, None]
     k = P.shape[0]
-    pw = _power_rows(m, P)
+    forward, inverse, minv = _block_tables(m, primes)
     X = np.zeros((k, 1, M), dtype=np.int64)
     X[:, 0, :len(a)] = _residues(a, P)
-    vals = _transform(X, _tables(pw, stages), P)[:, 0, units]
+    vals = _transform(X, forward, P)[:, 0, units]
     prod, rest = _all_but_one(vals, P)
     if (len(a) - 1) * phi % 2:
         prod = (P - prod) % P
         rest = (P - rest) % P
     # t(w^e) = s(w^e) at the units and 0 elsewhere; the inverse transform
     # is the forward one at w^-1, divided by M
-    minv = np.array([pow(M, -1, ell) for ell in P[:, 0].tolist()],
-                    dtype=np.int64)[:, None]
     V = np.zeros((k, 1, M), dtype=np.int64)
     V[:, 0, units] = rest * minv % P
-    t = _transform(V, _tables(pw, inverse), P)[:, 0]
+    t = _transform(V, inverse, P)[:, 0]
     s = _reduce_rows(t, m) % P
     return [(rl, sl) if rl else (0, None)
             for rl, sl in zip(prod[:, 0].tolist(), s.tolist())]
+
+
+# The tables that _block_tables has built, keyed by (M, primes), least
+# recently used first. An entry holds read-only arrays and no modulus. At
+# most _TABLE_ENTRIES entries and _TABLE_BYTES bytes of arrays are kept,
+# the least recently used going first. A block of two or more primes has
+# tables of fewer than _NTT_BLOCK int64 entries (8 MiB; ntt_images sizes
+# the blocks), so the ceiling holds two of those, and a larger block of
+# one prime is evicted as soon as it is built; the generic route at
+# M = 35 or 63 uses one block of 15 or 37 KB.
+_TABLE_ENTRIES = 64
+_TABLE_BYTES = 2 ** 24
+_block_cache: OrderedDict = OrderedDict()
+_block_lock = threading.Lock()
+
+
+def _block_tables(m: CycloModulus, primes) -> tuple:
+    """(forward, inverse, minv) of a block of primes: each transform's
+    stage tables (_tables) at the primes' roots w and at w^-1, and the
+    column of M^-1 mod each prime. Built once per (M, primes) and then
+    read from the cache."""
+    key = (m.M, tuple(primes))
+    with _block_lock:
+        entry = _block_cache.get(key)
+        if entry is not None:
+            _block_cache.move_to_end(key)
+            return entry[0]
+    stages, inverse, _ = _plan(m.M)
+    P = np.array(primes, dtype=np.int64)[:, None]
+    pw = _power_rows(m, P)
+    minv = np.array([pow(m.M, -1, ell) for ell in primes],
+                    dtype=np.int64)[:, None]
+    tables = _tables(pw, stages), _tables(pw, inverse), minv
+    arrays = [minv] + [x for t in tables[:2] for (lo, hi), tw in t
+                       for x in (lo, hi, tw)]
+    for x in arrays:
+        x.setflags(write=False)
+    nbytes = sum(x.nbytes for x in arrays)
+    with _block_lock:
+        _block_cache[key] = tables, nbytes
+        size = sum(n for _, n in _block_cache.values())
+        while len(_block_cache) > _TABLE_ENTRIES or size > _TABLE_BYTES:
+            size -= _block_cache.popitem(last=False)[1][1]
+    return tables
 
 
 def _tables(pw: np.ndarray, stages) -> list:

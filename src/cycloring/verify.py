@@ -407,8 +407,7 @@ def _suite_expansion(m, rng, trials, long_division, matrix):
 
     def witness_attains():
         k = report().witness_k
-        factor, _ = expansion._factor_and_witness(
-            k, m, expansion._window(matrix().entries, k, m))
+        factor, _ = expansion._factor(k, m, m, matrix().entries)
         return factor == report().max_factor
 
     col.run("witness_attains_max", witness_attains)
@@ -431,10 +430,8 @@ def _suite_expansion(m, rng, trials, long_division, matrix):
             r_m = matrix().entries
             for k in range(rad.M):
                 km = k * m.inflation
-                fr, _ = expansion._factor_and_witness(
-                    k, rad, expansion._window(r_rad, k, rad))
-                fm, _ = expansion._factor_and_witness(
-                    km, m, expansion._window(r_m, km, m))
+                fr, _ = expansion._factor(k, rad, rad, r_rad)
+                fm, _ = expansion._factor(km, m, m, r_m)
                 if fr != fm:
                     return f"factor mismatch at k={k}"
             return True

@@ -14,8 +14,9 @@ schoolbook double loop, constructive inverses from the paper's formulas by
 long division, and the resultant with its Bezout cofactor from the
 extended Euclidean algorithm over Q, or over F_ell one prime at a time
 (the library's former scalar images), and the randomized expansion
-products x^k g as the integer matmul of a window of R_M (the library's
-former route), and the random subset sums of a stride family one trial at
+products x^k g as the integer matmul of a window of R_M, and the
+expansion factors with their witnesses from the prefix sums and windows
+of the full R_M (the library's former routes), and the random subset sums of a stride family one trial at
 a time (the library's former loop).
 """
 from __future__ import annotations
@@ -31,7 +32,9 @@ import numpy as np
 
 from cycloring.cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower,
                                   RingElement, _as_rows, _reduce_rows,
-                                  make_modulus, reduce, reduction_matrix)
+                                  make_modulus, monomial_reduce, reduce,
+                                  reduction_matrix, ring_mul)
+from cycloring.expansion import witness_exponent
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
 from cycloring.structure import _stride_family
@@ -579,6 +582,56 @@ def randomized_expansion_matmul(k: int, m: CycloModulus, trials: int,
     gs = np.concatenate(blocks)
     gs = gs[np.abs(gs).max(axis=1) > 0]
     return gs, (win.astype(np.int64) @ gs.T).T
+
+
+def expansion_by_matrix(m: CycloModulus):
+    """(per_k, max_factor, witness_k, witness_g) of
+    expansion.max_expansion_factor from the full R_M: each window's
+    largest row L1 from prefix sums over the columns of R_M, and the
+    witness of witness_k from R_M's window of it. The library's former
+    route."""
+    entries, csum = _matrix_prefix_sums(m)
+    M, phi = m.M, m.phi
+    inner = (csum[phi:] - csum[:M - phi + 1]).max(axis=1)
+    wrapped = (csum[M] - csum[M - phi + 1:M] + csum[1:phi]).max(axis=1)
+    per_k = tuple(np.concatenate([inner, wrapped]).tolist())
+    wk = witness_exponent(m)
+    if wk is None:
+        wk = per_k.index(max(per_k))
+    factor, g = _factor_by_matrix(wk, m, entries, csum)
+    return per_k, factor, wk, g
+
+
+def monomial_factors_by_matrix(m: CycloModulus):
+    """(factor, witness coefficients) of x^k for k = 0 .. M - 1, as
+    expansion.monomial_expansion_factor returns them, from R_M's window of
+    each k: the first row of largest L1 and its signs, checked by
+    ring_mul(monomial_reduce(k), g). The library's former route."""
+    entries, csum = _matrix_prefix_sums(m)
+    return [_factor_by_matrix(k, m, entries, csum) for k in range(m.M)]
+
+
+def _matrix_prefix_sums(m: CycloModulus):
+    """R_M's entries and csum, csum[c] the sum of columns 0 .. c - 1 of
+    |R_M|, so that the row L1 norms of a window are a difference."""
+    entries = reduction_matrix(m).entries
+    csum = np.zeros((m.M + 1, m.phi), dtype=np.int32)
+    np.cumsum(np.abs(entries.T), axis=0, dtype=np.int32, out=csum[1:])
+    return entries, csum
+
+
+def _factor_by_matrix(k: int, m: CycloModulus, entries, csum):
+    M, phi = m.M, m.phi
+    hi = k + phi
+    row_l1 = csum[min(hi, M)] - csum[k]
+    if hi > M:
+        row_l1 = row_l1 + csum[hi - M]
+    row = int(row_l1.argmax())
+    cols = (k + np.arange(phi)) % M
+    g = RingElement(m, tuple(np.sign(entries[row, cols]).tolist()))
+    factor = int(row_l1[row])
+    assert ring_mul(monomial_reduce(k, m), g).max_norm() == factor
+    return factor, g.coeffs
 
 
 def random_subset_norm_per_trial(j: int, m: CycloModulus, trials: int,

@@ -197,6 +197,13 @@ class TestExpansion:
         assert obj["max_factor"] == 6 and obj["witness_k"] == 11
         assert len(obj["per_k"]) == 21
 
+    def test_above_the_r_m_ceiling(self, capsys):
+        # read at the radical 3: R_59049 itself is never built
+        code, out, _ = run(capsys, "expansion", "59049", "--format", "json")
+        obj = json.loads(out)
+        assert code == 0 and obj["max_factor"] == 2
+        assert obj["witness_k"] == 39366 and len(obj["per_k"]) == 59049
+
 
 class TestSweep:
     def test_csv_header(self, capsys):

@@ -5,7 +5,9 @@ from cycloring import (cyclotomic, element, expansion, make_modulus,
                        max_expansion_factor, monomial_expansion_factor,
                        monomial_reduce, randomized_expansion_check,
                        reduction_matrix, ring_mul)
-from oracles import randomized_expansion_matmul
+from cycloring.errors import MatrixTooLarge, UnsupportedModulus
+from oracles import (expansion_by_matrix, monomial_factors_by_matrix,
+                     randomized_expansion_matmul)
 
 
 class TestPerExponentFactor:
@@ -92,20 +94,109 @@ class TestMaxFactor:
 
 
     def test_verify_builds_each_matrix_once_per_use(self, monkeypatch):
-        # run_verify(63, "expansion") builds R_M three times for the max
-        # sweeps, once per randomized or witness factor (at most 8 + 1) and
-        # R_63, R_21 once each for inflation_consistency: 14 at most
-        import numpy as np
+        # run_verify(63, "expansion") builds R_21 once for the max sweep,
+        # which the suite's checks share and which reads the factors at
+        # the radical, R_63 once for the checks' second route (the
+        # witness, the randomized factors and inflation_consistency), and
+        # R_21 once more for inflation_consistency: R_M = R_21 kron I_3
+        # is built once, R_21 = R_21 kron I_1 twice
         from cycloring.verify import run_verify
         real, builds = np.kron, []
 
         def counted(*args, **kwargs):
-            builds.append(args[0].shape)
+            builds.append(args[1].shape[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "kron", counted)
         assert run_verify(63, "expansion").all_passed
-        assert len(builds) <= 14
+        assert builds == [1, 3, 1]
+
+
+class TestRadicalAgainstMatrix:
+    """The factors read at the radical equal the former route's over the
+    full R_M (tests/oracles.py), witnesses included, bit for bit."""
+
+    def test_every_supported_modulus_below_700(self):
+        checked = 0
+        for M in range(2, 700):
+            try:
+                m = make_modulus(M)
+            except UnsupportedModulus:
+                continue
+            r = max_expansion_factor(m)
+            assert ((r.per_k, r.max_factor, r.witness_k, r.witness_g.coeffs)
+                    == expansion_by_matrix(m)), M
+            checked += 1
+        assert checked == 511
+
+    @pytest.mark.parametrize("M", [12, 63, 72, 100, 125, 243, 2187])
+    def test_every_exponent(self, M):
+        m = make_modulus(M)
+        got = [monomial_expansion_factor(k, m) for k in range(M)]
+        assert ([(f, w.coeffs) for f, w in got]
+                == monomial_factors_by_matrix(m))
+
+
+def _one_entry(g):
+    g = g.copy()
+    g[np.flatnonzero(g)[1:]] = 0
+    return g
+
+
+class TestReverification:
+    """A factor or a witness that the shifted reduction of x^k g does not
+    confirm raises, on the radical's route and on R_M's."""
+
+    @pytest.mark.parametrize("tamper", [
+        lambda f, g: (f + 1, g),
+        # cut to its first nonzero entry, a monomial of norm 1 < factor
+        lambda f, g: (f, _one_entry(g))])
+    @pytest.mark.parametrize("M, k", [(63, 33), (2187, 1458), (35, 11)])
+    def test_tampered_witness_raises(self, M, k, tamper, monkeypatch):
+        real = expansion._verified
+        monkeypatch.setattr(expansion, "_verified",
+                            lambda k, m, f, g: real(k, m, *tamper(f, g)))
+        m = make_modulus(M)
+        with pytest.raises(AssertionError, match="re-verification"):
+            monomial_expansion_factor(k, m)
+        with pytest.raises(AssertionError, match="re-verification"):
+            expansion._factor(k, m, m, reduction_matrix(m).entries)
+
+
+class TestBuildsOnlyTheRadical:
+    ROUTES = [max_expansion_factor,
+              lambda m: monomial_expansion_factor(m.M // 3 + 1, m),
+              lambda m: randomized_expansion_check(m.M // 3 + 1, m, 20)]
+
+    @pytest.mark.parametrize("M", [63, 2187, 59049])
+    @pytest.mark.parametrize("route", range(len(ROUTES)))
+    def test_no_r_m(self, M, route, monkeypatch):
+        built, real = [], expansion.reduction_matrix
+        monkeypatch.setattr(expansion, "reduction_matrix",
+                            lambda m: built.append(m.M) or real(m))
+        m = make_modulus(M)
+        self.ROUTES[route](m)
+        assert built == [m.radical]
+
+    def test_59049_above_the_r_m_ceiling(self):
+        # R_59049 would have 59049 * 39366 cells, 550 times the ceiling
+        m = make_modulus(59049)
+        with pytest.raises(MatrixTooLarge):
+            cyclotomic.check_matrix_cells(m)
+        report = max_expansion_factor(m)
+        assert report.max_factor == 2 and report.witness_k == 39366
+        assert len(report.per_k) == 59049
+
+    def test_refused_by_the_radicals_cells(self, monkeypatch):
+        """M = 4 * 262139 is not squarefree, but its radical's R_rad is
+        above the ceiling: refused before any allocation."""
+        def allocate(*args):
+            raise AssertionError("allocated")
+        monkeypatch.setattr(cyclotomic, "_monomial_rows", allocate)
+        m = make_modulus(4 * 262139)
+        for route in self.ROUTES:
+            with pytest.raises(MatrixTooLarge, match="M=524278"):
+                route(m)
 
 
 class TestRandomizedOracle:
@@ -128,16 +219,19 @@ class TestRandomizedOracle:
     def test_products_match_matmul_oracle(self, M, k, trials, seed,
                                           monkeypatch):
         """One batched reduction gives the R_M-window matmul's products
-        for the same random g, and the same verdict."""
+        for the same random g, and the same verdict. The first shifted
+        reduction is the witness's re-verification."""
         m = make_modulus(M)
         gs, want = randomized_expansion_matmul(k, m, trials, seed)
         assert np.array_equal(expansion._shifted_products(k, m, gs), want)
+        _, witness = monomial_expansion_factor(k, m)
         seen = []
         real = expansion._shifted_products
         monkeypatch.setattr(expansion, "_shifted_products",
                             lambda k, m, g: seen.append(g) or real(k, m, g))
         assert randomized_expansion_check(k, m, trials, seed) is True
-        assert np.array_equal(np.concatenate(seen), gs)
+        assert seen[0].tolist() == [list(witness.coeffs)]
+        assert np.array_equal(np.concatenate(seen[1:]), gs)
 
     def test_one_block_draws_ternary_then_bounded(self):
         """A check that fits in one block (verify's default trials) draws
@@ -156,7 +250,8 @@ class TestRandomizedOracle:
     def test_trials_drawn_in_blocks(self, M, k, trials, monkeypatch):
         """Many trials are drawn and reduced in blocks: no _shifted_products
         call takes more than _UNIT_BLOCK // M rows, and together they take
-        the oracle's g (1024: 8 blocks of 256; 35: 3 of 7489)."""
+        the oracle's g (1024: 8 blocks of 256; 35: 3 of 7489), after the
+        witness's one-row re-verification."""
         m = make_modulus(M)
         gs, _ = randomized_expansion_matmul(k, m, trials, 1729)
         seen = []
@@ -164,6 +259,7 @@ class TestRandomizedOracle:
         monkeypatch.setattr(expansion, "_shifted_products",
                             lambda k, m, g: seen.append(g) or real(k, m, g))
         assert randomized_expansion_check(k, m, trials) is True
+        assert len(seen.pop(0)) == 1
         step = cyclotomic._UNIT_BLOCK // M
         assert len(seen) == -(-trials // step) > 1
         assert all(len(g) <= step for g in seen)

@@ -173,6 +173,84 @@ def test_dead_prime_is_skipped(monkeypatch):
         35, sum(map(len, batches)) - 1)
 
 
+@pytest.fixture
+def cold_tables():
+    """An empty cache of block tables (ntt._block_tables) before the test
+    and after it."""
+    ntt._block_cache.clear()
+    yield
+    ntt._block_cache.clear()
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestTableCache:
+    @pytest.mark.parametrize("M", [35, 63, 143, 1024, 2057])
+    def test_cached_equals_uncached(self, M, monkeypatch):
+        """Images from cached tables, built by one element and read by the
+        next, equal those of tables rebuilt on every call (a cache that
+        keeps no entry), and the tables are built once per block."""
+        m, rng = make_modulus(M), random.Random(M)
+        primes = top_primes(M, 40)
+        elements = [dense(m, rng).coeffs for _ in range(3)]
+        built, real = [], ntt._power_rows
+        monkeypatch.setattr(ntt, "_power_rows",
+                            lambda m, P: built.append(len(P)) or real(m, P))
+        warm = [ntt_images(a, m, primes) for a in elements]
+        assert sum(built) == 40 and len(ntt._block_cache) == len(built)
+        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 0)
+        ntt._block_cache.clear()
+        cold = [ntt_images(a, m, primes) for a in elements]
+        assert not ntt._block_cache and sum(built) == 4 * 40
+        assert warm == cold
+
+    @pytest.mark.parametrize("M", [35, 63])
+    def test_generic_route_unchanged(self, M, monkeypatch):
+        """point's generic pools: a warm cache gives the inverses of an
+        empty one."""
+        m, rng = make_modulus(M), random.Random(f"generic-{M}")
+        xs = [element(m, [rng.randint(-5, 5) for _ in range(m.phi)])
+              for _ in range(8)]
+        warm = [generic_scaled_inverse(x) for x in xs + xs]
+        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 0)
+        ntt._block_cache.clear()
+        assert warm == [generic_scaled_inverse(x) for x in xs + xs]
+
+    def test_tables_are_read_only(self):
+        m = make_modulus(35)
+        forward, inverse, minv = ntt._block_tables(m, top_primes(35, 2))
+        for (lo, hi), twiddle in forward + inverse:
+            for x in (lo, hi, twiddle):
+                assert not x.flags.writeable
+        assert not minv.flags.writeable
+
+    def test_bounded_by_entries_least_recent_first(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 2)
+        m = make_modulus(35)
+        p1, p2, p3 = ([ell] for ell in top_primes(35, 3))
+        for primes in (p1, p2, p3):
+            ntt._block_tables(m, primes)
+        assert list(ntt._block_cache) == [(35, tuple(p2)), (35, tuple(p3))]
+        ntt._block_tables(m, p2)                # a hit moves p2 last
+        ntt._block_tables(m, p1)                # p1 evicts p3
+        assert list(ntt._block_cache) == [(35, tuple(p2)), (35, tuple(p1))]
+
+    def test_bounded_by_bytes(self, monkeypatch):
+        m = make_modulus(63)
+        p1, p2, p3 = ([ell] for ell in top_primes(63, 3))
+        ntt._block_tables(m, p1)
+        (_, one), = ntt._block_cache.values()
+        monkeypatch.setattr(ntt, "_TABLE_BYTES", 2 * one)
+        ntt._block_tables(m, p2)
+        ntt._block_tables(m, p3)
+        assert list(ntt._block_cache) == [(63, tuple(p2)), (63, tuple(p3))]
+        assert sum(n for _, n in ntt._block_cache.values()) == 2 * one
+        # a block above the ceiling alone is built, used and not kept
+        monkeypatch.setattr(ntt, "_TABLE_BYTES", one - 1)
+        assert ntt_images((1, 1), m, p1) == [bezout_image(
+            (1, 1), m.poly.coeffs, p1[0])]
+        assert not ntt._block_cache
+
+
 # the bench ladder, 63 (point's other generic modulus), and small and
 # prime moduli that keep the EEA
 KERNEL_OF = {35: True, 63: True, 143: True, 323: True, 1024: True,
