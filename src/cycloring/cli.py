@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterator
 
 from . import expansion as expansion_mod
 from . import scaled_inverse as sinv
@@ -55,8 +56,49 @@ def _int_at_least(option: str, low: int):
     return parse
 
 
-def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+# Entries of a long list of integers that the CLI renders and writes as
+# one string
+_PRINT_BLOCK = 4096
+
+# Between two entries of a top-level list in a document of indent 2
+_ITEM_SEP = ",\n    "
+
+
+def _blocks(values, sep: str):
+    """The integers of values as strings of up to _PRINT_BLOCK entries,
+    each joined by sep: join them by sep again for the whole list."""
+    for lo in range(0, len(values), _PRINT_BLOCK):
+        yield sep.join(map(str, values[lo:lo + _PRINT_BLOCK]))
+
+
+def _write_joined(parts, sep: str) -> None:
+    """Write the strings of parts to stdout one at a time, sep between
+    each two, so a long list is never held as one string."""
+    out = sys.stdout
+    for k, part in enumerate(parts):
+        if k:
+            out.write(sep)
+        out.write(part)
+
+
+def _print_json(obj: dict):
+    """Print json.dumps(obj, indent=2). A top-level value of obj that is an
+    iterator is a nonempty list written as it is read: it yields strings of
+    one or more entries, each rendered at the list's depth but for the
+    indent of its first line, and joined by _ITEM_SEP."""
+    lists = [v for v in obj.values() if isinstance(v, Iterator)]
+    # each list's place in the document, marked by a string that no value
+    # of the CLI's documents holds
+    doc = json.dumps({k: "\0" if isinstance(v, Iterator) else v
+                      for k, v in obj.items()}, indent=2)
+    pieces = doc.split(json.dumps("\0"))
+    out = sys.stdout
+    out.write(pieces[0])
+    for parts, piece in zip(lists, pieces[1:]):
+        out.write("[\n    ")
+        _write_joined(parts, _ITEM_SEP)
+        out.write("\n  ]" + piece)
+    out.write("\n")
 
 
 def _print_poly(fmt, m, poly):
@@ -85,18 +127,12 @@ def _cmd_matrix(args, m) -> int:
     if args.format == "csv":
         print(R.to_csv())
     elif args.format == "json":
-        # the bytes of _print_json(R.to_json_obj()), printed a row of
-        # entries at a time: the document is laid out around a 1 x 1 matrix
-        # and the rows go where its one row was
-        one = dataclasses.replace(R, entries=R.entries[:1, :1])
-        head, tail = json.dumps(one.to_json_obj(), indent=2).split(
-            "\n    [\n      " + str(R.entries[0, 0]) + "\n    ]\n")
-        print(head)
-        last = len(R.entries) - 1
-        for k, row in enumerate(R.entries):
-            text = json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
-            print("    " + text + ("," if k < last else ""))
-        print(tail)
+        # the rows of entries are rendered and written one at a time
+        obj = dataclasses.replace(R, entries=R.entries[:0]).to_json_obj()
+        obj["entries"] = (
+            json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
+            for row in R.entries)
+        _print_json(obj)
     else:
         cuts = set()
         if args.blocks and R.blocks is not None:
@@ -155,20 +191,23 @@ def _cmd_expansion(args, m) -> int:
         factor, witness = expansion_mod.monomial_expansion_factor(args.k, m)
         if args.format == "json":
             _print_json({"M": m.M, "k": args.k % m.M, "factor": factor,
-                         "witness_g": list(witness.coeffs)})
+                         "witness_g": _blocks(witness.coeffs, _ITEM_SEP)})
         else:
             print(f"k = {args.k % m.M}: factor {factor}, witness g = {witness}")
         return 0
     report = expansion_mod.max_expansion_factor(m)
     if args.format == "json":
-        _print_json({"M": m.M, "per_k": list(report.per_k),
+        _print_json({"M": m.M, "per_k": _blocks(report.per_k, _ITEM_SEP),
                      "max_factor": report.max_factor,
                      "witness_k": report.witness_k,
-                     "witness_g": list(report.witness_g.coeffs)})
+                     "witness_g": _blocks(report.witness_g.coeffs,
+                                          _ITEM_SEP)})
     else:
         print(f"max factor: {report.max_factor} at k = {report.witness_k}")
         print(f"witness g = {report.witness_g}")
-        print("per-k:", ",".join(str(v) for v in report.per_k))
+        sys.stdout.write("per-k: ")
+        _write_joined(_blocks(report.per_k, ","), ",")
+        print()
     return 0
 
 
@@ -197,30 +236,20 @@ def _cmd_sweep(args, m) -> int:
     profile = sinv.norm_profile(m)
     case_max = {case.value: {"norm": norm, "i": i, "j": j}
                 for case, (norm, i, j) in profile.case_max.items()}
-    out = sys.stdout
     if args.format == "json":
-        # the bytes of _print_json of the whole document (every constructed
-        # scale is minimal, so nothing is ever flagged), printed a row of i
-        # at a time: the document is laid out around one row, 0, and the
-        # rows go where it was
-        head, end = json.dumps({"M": m.M, "rows": [0], "case_max": case_max,
-                                "flagged": []}, indent=2).split("\n    0\n")
-        print(head)
-        rows = _sweep_text(
-            profile, lambda i: f"    [\n      {i},\n      ",
+        # every constructed scale is minimal, so nothing is ever flagged;
+        # the rows are written a row of i at a time
+        _print_json({"M": m.M, "rows": _sweep_text(
+            profile, lambda i: f"[\n      {i},\n      ",
             lambda scale, norm, case: (f",\n      {scale},\n      {norm},\n"
                                        f"      {json.dumps(case.value)}\n    ]"),
-            ",\n")
-        for k, text in enumerate(rows):
-            out.write(",\n" + text if k else text)
-        print("\n" + end)
+            _ITEM_SEP), "case_max": case_max, "flagged": []})
     else:
         print("i,j,scale,norm,case")
-        for text in _sweep_text(
-                profile, lambda i: f"{i},",
-                lambda scale, norm, case: f",{scale},{norm},{case.value}\n",
-                ""):
-            out.write(text)
+        _write_joined(_sweep_text(
+            profile, lambda i: f"{i},",
+            lambda scale, norm, case: f",{scale},{norm},{case.value}\n",
+            ""), "")
         for case, info in sorted(case_max.items()):
             print(f"# max {case}: norm {info['norm']} at "
                   f"(i,j)=({info['i']},{info['j']})", file=sys.stderr)

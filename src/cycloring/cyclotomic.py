@@ -47,13 +47,18 @@ stay below (4q + 2p) b, and those of p - 1 terms after them below
 the independent check of R_M (kron_check, verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
-a bounded cache of the moduli it built. reduction_matrix and kron_check
-refuse an R_M of more than MAX_MATRIX_CELLS cells before any allocation
-(the expansion factors ask reduction_matrix only for R_rad).
+a bounded cache of the moduli it built. The tables built per modulus, the
+constructive route's case cores (scaled_inverse._case_core) and the NTT's
+block tables (ntt._block_tables), share one bounded cache (_cached), keyed
+by tuples of integers, so it keeps no modulus alive. reduction_matrix and
+kron_check refuse an R_M of more than MAX_MATRIX_CELLS cells before any
+allocation (the expansion factors ask reduction_matrix only for R_rad).
 """
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +75,43 @@ MAX_MODULUS = 2 ** 20
 
 # Entries of unit rows that _monomial_rows reduces in one block (2 MiB).
 _UNIT_BLOCK = 2 ** 18
+
+# The tables that _cached has built, keyed by a kind and integers, least
+# recently used first: ("core", M, d) for a case core, a -Q row of fewer
+# than M int64 entries (8 MiB at most, at M = MAX_MODULUS), and
+# ("ntt", M, *primes) for a block's NTT tables, fewer than ntt._NTT_BLOCK
+# int64 entries (8 MiB) for a block of two or more primes. At most
+# _TABLE_ENTRIES entries and _TABLE_BYTES bytes of arrays are kept over
+# both kinds, so the ceiling holds two of the largest of either; an entry
+# above it alone is built, used and not kept. The cores of every divisor
+# of a few moduli up to 2187 take under 1 MB, and point's generic route at
+# M = 35 or 63 one block of tables of 8 or 19 KB.
+_TABLE_ENTRIES = 256
+_TABLE_BYTES = 2 ** 24
+_table_cache: OrderedDict = OrderedDict()
+_table_lock = threading.Lock()
+
+
+def _cached(key: tuple, build):
+    """The table of key, a tuple of integers led by its kind, built by
+    build() on a miss and then read from the cache. build returns the table
+    and the numpy arrays it holds, which are made read-only and counted
+    against _TABLE_BYTES. build runs outside the lock, so two threads that
+    miss the same key at once both build the same table."""
+    with _table_lock:
+        entry = _table_cache.get(key)
+        if entry is not None:
+            _table_cache.move_to_end(key)
+            return entry[0]
+    table, arrays = build()
+    for x in arrays:
+        x.setflags(write=False)
+    with _table_lock:
+        _table_cache[key] = table, sum(x.nbytes for x in arrays)
+        size = sum(n for _, n in _table_cache.values())
+        while len(_table_cache) > _TABLE_ENTRIES or size > _TABLE_BYTES:
+            size -= _table_cache.popitem(last=False)[1][1]
+    return table
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,14 @@ and s, of degree < phi, is the integral cofactor with s a = r (mod Phi_M)
 reduced mod ell. ntt_images takes the values a(w^e) from one length-M
 number-theoretic transform (NTT) of a, forms every product of all the
 values but one by a product tree (so no modular inverse is taken),
-puts them at the units of a length-M row, zero elsewhere, and runs one
-inverse NTT: that gives a polynomial t of degree < M with t(w^e) = s(w^e)
-at every unit e, so s = t mod Phi_M (one _reduce_rows).
+and takes one inverse NTT of the length-M row that holds them at the
+units, zero elsewhere: that gives a polynomial t of degree < M with
+t(w^e) = s(w^e) at every unit e, so s = t mod Phi_M (one _reduce_rows).
+The inverse NTT is the forward one with its input reindexed by e -> -e
+mod M and scaled by M^-1 (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 8): t_n = M^-1 sum_e s(w^e) w^(-e n) is the forward
+transform of the row that holds s(w^e) M^-1 at column -e mod M, so one
+set of tables, at the roots w, serves both transforms.
 
 The transform is mixed-radix (Cooley-Tukey): M = N1 N2 splits into N1
 transforms of length N2, a twiddle by w^(n1 e2) and N2 transforms of
@@ -29,20 +34,20 @@ The primes are poly.root_primes(M), ell = 1 (mod M) between 2^30 and
 them, skips those dividing lc(a) as it does for the EEA, joins the images
 by the CRT (poly._multimodular) and certifies the inverse; it prices the
 work before it starts (scaled_inverse.check_generic_cost). The tables of
-a block of primes (each stage's DFT matrix and twiddles at the roots w and
-at w^-1, and M^-1 mod each prime) depend on M and the primes alone, so
-they are built once and kept in a bounded cache (_block_tables).
+a block of primes (each stage's DFT matrix and twiddles at the roots w,
+M^-1 mod each prime, and the units and their negatives mod M) depend on M
+and the primes alone, so they are built once and kept in the bounded
+table cache that the case cores share (cyclotomic._cached, through
+_block_tables).
 """
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
-from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycloModulus, PrimePower, _reduce_rows, make_modulus
+from .cyclotomic import (CycloModulus, PrimePower, _cached, _reduce_rows,
+                         make_modulus)
 from .poly import _residues
 
 # Largest radix of one stage: prime factors are grouped, smallest first,
@@ -88,7 +93,6 @@ def ntt_cost(m: CycloModulus) -> int:
     return m.M * sum(_radices(m))
 
 
-@lru_cache(maxsize=2 ** 12)
 def _root(ell: int, M: int) -> int:
     """A primitive M-th root of unity mod the prime ell = 1 (mod M)."""
     factors = _prime_factors(make_modulus(M))
@@ -98,27 +102,22 @@ def _root(ell: int, M: int) -> int:
             return w
 
 
-@lru_cache(maxsize=16)
-def _plan(M: int):
-    """The exponent tables of the length-M transform and of its inverse,
-    and the units mod M.
+def _plan(m: CycloModulus) -> list:
+    """The exponent tables of the length-M transform.
 
     Stage t has radix N1 = radices[t] and splits a length N = N1 N2 (N2
     the product of the later radices): its DFT matrix is w^((M/N1) e1 n1)
     and its twiddles w^((M/N) n1 e2), held as exponents mod M so that one
-    gather from a prime's powers of w gives the stage's table; the inverse
-    transform's are their negatives mod M (w^-1 for w).
+    gather from a prime's powers of w gives the stage's table.
     """
-    stages, N = [], M
-    for N1 in _radices(make_modulus(M)):
+    stages, M, N = [], m.M, m.M
+    for N1 in _radices(m):
         N2 = N // N1
         n1 = np.arange(N1)
         stages.append(((M // N1) * (np.outer(n1, n1) % N1),
                        (M // N) * (np.outer(n1, np.arange(N2)) % N)))
         N = N2
-    inverse = tuple((-dft % M, -twiddle % M) for dft, twiddle in stages)
-    units = np.flatnonzero(np.gcd(np.arange(M), M) == 1)
-    return tuple(stages), inverse, units
+    return stages
 
 
 def _power_rows(m: CycloModulus, P: np.ndarray) -> np.ndarray:
@@ -190,11 +189,10 @@ def ntt_images(a: tuple[int, ...], m: CycloModulus, primes):
     phi. See the module docstring for the method. The primes run in
     blocks of about _NTT_BLOCK table and row entries.
     """
-    stages, _, _ = _plan(m.M)
-    # per prime: the DFT matrices and their limbs, the twiddles, both ways,
-    # and about ten length-M rows of powers, transforms and reduction
-    width = (6 * sum(dft.size for dft, _ in stages)
-             + m.M * (2 * len(stages) + 10))
+    radices = _radices(m)
+    # per prime: the DFT matrices and their limbs, the twiddles, and about
+    # ten length-M rows of powers, transforms and reduction
+    width = 3 * sum(r * r for r in radices) + m.M * (len(radices) + 10)
     step = max(1, _NTT_BLOCK // width)
     return [img for lo in range(0, len(primes), step)
             for img in _block_images(a, m, primes[lo:lo + step])]
@@ -203,75 +201,46 @@ def ntt_images(a: tuple[int, ...], m: CycloModulus, primes):
 def _block_images(a: tuple[int, ...], m: CycloModulus, primes):
     """ntt_images of one block of primes."""
     M, phi = m.M, m.phi
-    _, _, units = _plan(M)
     P = np.array(primes, dtype=np.int64)[:, None]
     k = P.shape[0]
-    forward, inverse, minv = _block_tables(m, primes)
+    tables, minv, units, negated = _block_tables(m, primes)
     X = np.zeros((k, 1, M), dtype=np.int64)
     X[:, 0, :len(a)] = _residues(a, P)
-    vals = _transform(X, forward, P)[:, 0, units]
+    vals = _transform(X, tables, P)[:, 0, units]
     prod, rest = _all_but_one(vals, P)
     if (len(a) - 1) * phi % 2:
         prod = (P - prod) % P
         rest = (P - rest) % P
-    # t(w^e) = s(w^e) at the units and 0 elsewhere; the inverse transform
-    # is the forward one at w^-1, divided by M
+    # t(w^e) = s(w^e) at the units and 0 elsewhere: t_n = M^-1 sum_e
+    # s(w^e) w^(-e n), the forward transform of s(w^e) M^-1 at column -e
     V = np.zeros((k, 1, M), dtype=np.int64)
-    V[:, 0, units] = rest * minv % P
-    t = _transform(V, inverse, P)[:, 0]
+    V[:, 0, negated] = rest * minv % P
+    t = _transform(V, tables, P)[:, 0]
     s = _reduce_rows(t, m) % P
     return [(rl, sl) if rl else (0, None)
             for rl, sl in zip(prod[:, 0].tolist(), s.tolist())]
 
 
-# The tables that _block_tables has built, keyed by (M, primes), least
-# recently used first. An entry holds read-only arrays and no modulus. At
-# most _TABLE_ENTRIES entries and _TABLE_BYTES bytes of arrays are kept,
-# the least recently used going first. A block of two or more primes has
-# tables of fewer than _NTT_BLOCK int64 entries (8 MiB; ntt_images sizes
-# the blocks), so the ceiling holds two of those, and a larger block of
-# one prime is evicted as soon as it is built; the generic route at
-# M = 35 or 63 uses one block of 15 or 37 KB.
-_TABLE_ENTRIES = 64
-_TABLE_BYTES = 2 ** 24
-_block_cache: OrderedDict = OrderedDict()
-_block_lock = threading.Lock()
-
-
 def _block_tables(m: CycloModulus, primes) -> tuple:
-    """(forward, inverse, minv) of a block of primes: each transform's
-    stage tables (_tables) at the primes' roots w and at w^-1, and the
-    column of M^-1 mod each prime. Built once per (M, primes) and then
-    read from the cache."""
-    key = (m.M, tuple(primes))
-    with _block_lock:
-        entry = _block_cache.get(key)
-        if entry is not None:
-            _block_cache.move_to_end(key)
-            return entry[0]
-    stages, inverse, _ = _plan(m.M)
-    P = np.array(primes, dtype=np.int64)[:, None]
-    pw = _power_rows(m, P)
-    minv = np.array([pow(m.M, -1, ell) for ell in primes],
-                    dtype=np.int64)[:, None]
-    tables = _tables(pw, stages), _tables(pw, inverse), minv
-    arrays = [minv] + [x for t in tables[:2] for (lo, hi), tw in t
-                       for x in (lo, hi, tw)]
-    for x in arrays:
-        x.setflags(write=False)
-    nbytes = sum(x.nbytes for x in arrays)
-    with _block_lock:
-        _block_cache[key] = tables, nbytes
-        size = sum(n for _, n in _block_cache.values())
-        while len(_block_cache) > _TABLE_ENTRIES or size > _TABLE_BYTES:
-            size -= _block_cache.popitem(last=False)[1][1]
-    return tables
-
-
-def _tables(pw: np.ndarray, stages) -> list:
-    """Each stage's DFT matrix, as its limbs, and twiddles, gathered from
-    the powers pw of the block's roots."""
-    return [(_limbs(pw[:, dft]), pw[:, twiddle]) for dft, twiddle in stages]
+    """(tables, minv, units, negated) of a block of primes: each stage's
+    DFT matrix, as its limbs, and twiddles, gathered at the exponents of
+    _plan from the powers of the primes' roots w (_power_rows); the column
+    of M^-1 mod each prime; the units e mod M; and -e mod M for each.
+    Built once per (M, primes) and then read from the table cache
+    (cyclotomic._cached, key ("ntt", M, *primes))."""
+    def build():
+        P = np.array(primes, dtype=np.int64)[:, None]
+        pw = _power_rows(m, P)
+        tables = [(_limbs(pw[:, dft]), pw[:, twiddle])
+                  for dft, twiddle in _plan(m)]
+        minv = np.array([pow(m.M, -1, ell) for ell in primes],
+                        dtype=np.int64)[:, None]
+        units = np.flatnonzero(np.gcd(np.arange(m.M), m.M) == 1)
+        negated = -units % m.M
+        arrays = [minv, units, negated] + [
+            x for (lo, hi), twiddle in tables for x in (lo, hi, twiddle)]
+        return (tables, minv, units, negated), arrays
+    return _cached(("ntt", m.M, *primes), build)
 
 
 def _all_but_one(vals: np.ndarray, P: np.ndarray):

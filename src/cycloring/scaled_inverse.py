@@ -28,9 +28,11 @@ with no long division; the route is orders of magnitude faster than the
 generic one. Q depends on d only, so its case core (case, scale, bound,
 -Q) is built once per (M, d), by one cumulative sum down the columns of
 the (-1, d) view of N - scale and the exactness check of its top row, and
-kept in a cache bounded by entries and bytes (_case_core), which holds no
-modulus. One routine, _construct, builds a range of consecutive gaps at
-one shift j, or at one shift per row, as int64 rows: each group of gaps
+kept in the table cache that it shares with the NTT's block tables
+(cyclotomic._cached, bounded by entries and bytes over both kinds, keyed
+by integers, so it holds no modulus). One routine, _construct, builds a
+range of consecutive gaps at one shift j, or at one shift per row, as
+int64 rows: each group of gaps
 that share d reads its core from the cache, and one fancy assignment
 folds the exponents e a - j mod M of every gap of the group, a the first
 of k/d, k/d + M/d that is prime to M, so a d = k mod M. The automorphism
@@ -94,15 +96,13 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower, RingElement,
-                         TwoPrime, _as_rows, _reduce_rows, _rows_dtype,
-                         _times_cofactor, make_modulus, ring_mul)
+                         TwoPrime, _as_rows, _cached, _reduce_rows,
+                         _rows_dtype, _times_cofactor, make_modulus, ring_mul)
 from .errors import (BadRange, GenericTooLarge, NotApplicable, SweepTooLarge,
                      ZeroElement)
 from .ntt import ntt_cost, ntt_images, ntt_wins
@@ -262,24 +262,12 @@ def _case(d: int, m: CycloModulus):
     return InverseCase.COPRIME, m.poly_row, 1, p - 1
 
 
-# The case cores that _case_core has built, keyed by (M, d), least recently
-# used first. An entry holds ints and a read-only -Q row, no modulus. At most
-# _CORE_ENTRIES entries and _CORE_BYTES bytes of -Q rows are kept, the least
-# recently used going first: a -Q row has fewer than M int64 entries, at
-# most 8 MiB at M = MAX_MODULUS = 2^20, so the ceiling holds two of the
-# largest; the cores of every divisor of a few moduli up to 2187 take
-# under 1 MB.
-_CORE_ENTRIES = 256
-_CORE_BYTES = 2 ** 24
-_cores: OrderedDict = OrderedDict()
-_cores_lock = threading.Lock()
-
-
 def _case_core(d: int, m: CycloModulus):
     """(case, scale, bound, -Q) of the gaps k with gcd(k, M) = d: the row
     of the case table at d (_case) and -Q, Q = (N - scale)/(x^d - 1), as a
     read-only int64 row. Built once per (M, d) and then read from the
-    cache, for a single pair and for a sweep's blocks alike.
+    table cache (cyclotomic._cached, key ("core", M, d)), for a single pair
+    and for a sweep's blocks alike.
 
     N - scale, padded with zeros to whole rows of d, becomes -Q by one
     cumulative sum down the columns of its (-1, d) view: the stride
@@ -290,32 +278,21 @@ def _case_core(d: int, m: CycloModulus):
     int64 is exact: |N - scale| <= scale + 1 <= q + 1 (p + 1 for p^s), and
     each prefix sum adds at most M such terms, so |Q| <= M (q + 1).
     """
-    key = (m.M, d)
-    with _cores_lock:
-        core = _cores.get(key)
-        if core is not None:
-            _cores.move_to_end(key)
-            return core
-    case, num, scale, bound = _case(d, m)
-    n = len(num)
-    neg = np.zeros(-(-n // d) * d, dtype=np.int64)
-    neg[:n] = num
-    neg[0] -= scale
-    cols = neg.reshape(-1, d)
-    np.add.accumulate(cols, axis=0, out=cols)
-    if cols[-1].any():
-        raise AssertionError(
-            f"(N - c)/(x^{d} - 1) is not exact for M={m.M}, "
-            f"case {case.value}")
-    negq = neg[:n - d].copy()
-    negq.setflags(write=False)
-    core = case, scale, bound, negq
-    with _cores_lock:
-        _cores[key] = core
-        size = sum(c[3].nbytes for c in _cores.values())
-        while len(_cores) > _CORE_ENTRIES or size > _CORE_BYTES:
-            size -= _cores.popitem(last=False)[1][3].nbytes
-    return core
+    def build():
+        case, num, scale, bound = _case(d, m)
+        n = len(num)
+        neg = np.zeros(-(-n // d) * d, dtype=np.int64)
+        neg[:n] = num
+        neg[0] -= scale
+        cols = neg.reshape(-1, d)
+        np.add.accumulate(cols, axis=0, out=cols)
+        if cols[-1].any():
+            raise AssertionError(
+                f"(N - c)/(x^{d} - 1) is not exact for M={m.M}, "
+                f"case {case.value}")
+        negq = neg[:n - d].copy()
+        return (case, scale, bound, negq), [negq]
+    return _cached(("core", m.M, d), build)
 
 
 def _construct(gaps: range, j, m: CycloModulus):

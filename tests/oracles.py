@@ -17,7 +17,8 @@ extended Euclidean algorithm over Q, or over F_ell one prime at a time
 products x^k g as the integer matmul of a window of R_M, and the
 expansion factors with their witnesses from the prefix sums and windows
 of the full R_M (the library's former routes), and the random subset sums of a stride family one trial at
-a time (the library's former loop).
+a time (the library's former loop), and the NTT's inverse transform by
+a second set of tables at w^-1 (the library's former inverse).
 """
 from __future__ import annotations
 
@@ -34,9 +35,10 @@ from cycloring.cyclotomic import (_UNIT_BLOCK, CycloModulus, PrimePower,
                                   RingElement, _as_rows, _reduce_rows,
                                   make_modulus, monomial_reduce, reduce,
                                   reduction_matrix, ring_mul)
+from cycloring import ntt
 from cycloring.expansion import witness_exponent
 from cycloring.errors import InexactDivision, NotCoprime
-from cycloring.poly import NEG_INF, IntPoly, divrem, exact_div
+from cycloring.poly import NEG_INF, IntPoly, _residues, divrem, exact_div
 from cycloring.structure import _stride_family
 from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
                                       check_gap_block,
@@ -647,3 +649,32 @@ def random_subset_norm_per_trial(j: int, m: CycloModulus, trials: int,
         if total.size and np.abs(total).max() > 1:
             return False
     return True
+
+
+def ntt_rows_by_inverse_tables(a: tuple[int, ...], m: CycloModulus,
+                               primes) -> np.ndarray:
+    """The rows t of ntt.ntt_images at one block of primes, before their
+    reduction mod Phi_M, by the library's former inverse transform: a
+    second set of stage tables, gathered at w^-1 (each exponent of
+    ntt._plan negated mod M) from the powers of the roots w, run on the
+    row that holds s(w^e) M^-1 at the unit e itself. Nothing is cached."""
+    M = m.M
+    P = np.array(primes, dtype=np.int64)[:, None]
+    pw = ntt._power_rows(m, P)
+    stages = ntt._plan(m)
+    forward = [(ntt._limbs(pw[:, dft]), pw[:, twiddle])
+               for dft, twiddle in stages]
+    inverse = [(ntt._limbs(pw[:, -dft % M]), pw[:, -twiddle % M])
+               for dft, twiddle in stages]
+    units = np.flatnonzero(np.gcd(np.arange(M), M) == 1)
+    X = np.zeros((len(primes), 1, M), dtype=np.int64)
+    X[:, 0, :len(a)] = _residues(a, P)
+    vals = ntt._transform(X, forward, P)[:, 0, units]
+    _, rest = ntt._all_but_one(vals, P)
+    if (len(a) - 1) * m.phi % 2:
+        rest = (P - rest) % P
+    minv = np.array([pow(M, -1, ell) for ell in primes],
+                    dtype=np.int64)[:, None]
+    V = np.zeros((len(primes), 1, M), dtype=np.int64)
+    V[:, 0, units] = rest * minv % P
+    return ntt._transform(V, inverse, P)[:, 0]

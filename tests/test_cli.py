@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloring import cli, cyclotomic, make_modulus, reduction_matrix
+from cycloring import expansion as expansion_mod
 from cycloring.errors import UnsupportedModulus
 from cycloring.poly import IntPoly, divrem
 from cycloring import scaled_inverse as sinv
@@ -203,6 +204,34 @@ class TestExpansion:
         obj = json.loads(out)
         assert code == 0 and obj["max_factor"] == 2
         assert obj["witness_k"] == 39366 and len(obj["per_k"]) == 59049
+
+    @pytest.mark.parametrize("M", [2, 15, 4096, 16384])
+    def test_streamed_as_one_document(self, capsys, M):
+        # per_k and witness_g are written in blocks of cli._PRINT_BLOCK
+        # entries (16384 entries and a witness of 8192 make several); the
+        # bytes are those of each document printed at once
+        m = make_modulus(M)
+        report = expansion_mod.max_expansion_factor(m)
+        g = list(report.witness_g.coeffs)
+        want = {
+            "json": json.dumps({"M": M, "per_k": list(report.per_k),
+                                "max_factor": report.max_factor,
+                                "witness_k": report.witness_k,
+                                "witness_g": g}, indent=2) + "\n",
+            "text": f"max factor: {report.max_factor} at k = "
+                    f"{report.witness_k}\nwitness g = {report.witness_g}\n"
+                    f"per-k: {','.join(map(str, report.per_k))}\n",
+        }
+        for fmt, text in want.items():
+            code, out, _ = run(capsys, "expansion", str(M), "--format", fmt)
+            assert code == 0 and out == text, fmt
+        k = 3 % M
+        factor, witness = expansion_mod.monomial_expansion_factor(k, m)
+        code, out, _ = run(capsys, "expansion", str(M), "--k", "3",
+                           "--format", "json")
+        assert code == 0 and out == json.dumps(
+            {"M": M, "k": k, "factor": factor,
+             "witness_g": list(witness.coeffs)}, indent=2) + "\n"
 
 
 class TestSweep:

@@ -8,15 +8,16 @@ import random
 import numpy as np
 import pytest
 
-from cycloring import (construct_scaled_inverse, element,
-                       generic_scaled_inverse, make_modulus, monomial_diff,
-                       ntt, poly, resultant_bezout, scaled_inverse)
+from cycloring import (InverseCase, construct_scaled_inverse, cyclotomic,
+                       element, generic_scaled_inverse, make_modulus,
+                       monomial_diff, ntt, poly, resultant_bezout,
+                       scaled_inverse)
 from cycloring.cli import main
 from cycloring.errors import GenericTooLarge, UnsupportedModulus
 from cycloring.ntt import ntt_images, ntt_wins
 from cycloring.poly import (IntPoly, _bezout_images, _hadamard_need,
                             _multimodular, root_primes)
-from oracles import bezout_image
+from oracles import bezout_image, ntt_rows_by_inverse_tables
 
 
 def supported(lo, hi):
@@ -175,11 +176,15 @@ def test_dead_prime_is_skipped(monkeypatch):
 
 @pytest.fixture
 def cold_tables():
-    """An empty cache of block tables (ntt._block_tables) before the test
-    and after it."""
-    ntt._block_cache.clear()
+    """An empty table cache (cyclotomic._cached), which holds the block
+    tables of ntt._block_tables, before the test and after it."""
+    cyclotomic._table_cache.clear()
     yield
-    ntt._block_cache.clear()
+    cyclotomic._table_cache.clear()
+
+
+def block_key(M, primes):
+    return ("ntt", M, *primes)
 
 
 @pytest.mark.usefixtures("cold_tables")
@@ -196,11 +201,11 @@ class TestTableCache:
         monkeypatch.setattr(ntt, "_power_rows",
                             lambda m, P: built.append(len(P)) or real(m, P))
         warm = [ntt_images(a, m, primes) for a in elements]
-        assert sum(built) == 40 and len(ntt._block_cache) == len(built)
-        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 0)
-        ntt._block_cache.clear()
+        assert sum(built) == 40 and len(cyclotomic._table_cache) == len(built)
+        monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 0)
+        cyclotomic._table_cache.clear()
         cold = [ntt_images(a, m, primes) for a in elements]
-        assert not ntt._block_cache and sum(built) == 4 * 40
+        assert not cyclotomic._table_cache and sum(built) == 4 * 40
         assert warm == cold
 
     @pytest.mark.parametrize("M", [35, 63])
@@ -211,44 +216,123 @@ class TestTableCache:
         xs = [element(m, [rng.randint(-5, 5) for _ in range(m.phi)])
               for _ in range(8)]
         warm = [generic_scaled_inverse(x) for x in xs + xs]
-        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 0)
-        ntt._block_cache.clear()
+        monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 0)
+        cyclotomic._table_cache.clear()
         assert warm == [generic_scaled_inverse(x) for x in xs + xs]
 
     def test_tables_are_read_only(self):
         m = make_modulus(35)
-        forward, inverse, minv = ntt._block_tables(m, top_primes(35, 2))
-        for (lo, hi), twiddle in forward + inverse:
+        tables, minv, units, negated = ntt._block_tables(m, top_primes(35, 2))
+        for (lo, hi), twiddle in tables:
             for x in (lo, hi, twiddle):
                 assert not x.flags.writeable
-        assert not minv.flags.writeable
+        for x in (minv, units, negated):
+            assert not x.flags.writeable
+        assert negated.tolist() == [-e % 35 for e in units.tolist()]
 
     def test_bounded_by_entries_least_recent_first(self, monkeypatch):
-        monkeypatch.setattr(ntt, "_TABLE_ENTRIES", 2)
+        monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 2)
         m = make_modulus(35)
         p1, p2, p3 = ([ell] for ell in top_primes(35, 3))
         for primes in (p1, p2, p3):
             ntt._block_tables(m, primes)
-        assert list(ntt._block_cache) == [(35, tuple(p2)), (35, tuple(p3))]
+        assert list(cyclotomic._table_cache) == [block_key(35, p2),
+                                                 block_key(35, p3)]
         ntt._block_tables(m, p2)                # a hit moves p2 last
         ntt._block_tables(m, p1)                # p1 evicts p3
-        assert list(ntt._block_cache) == [(35, tuple(p2)), (35, tuple(p1))]
+        assert list(cyclotomic._table_cache) == [block_key(35, p2),
+                                                 block_key(35, p1)]
 
     def test_bounded_by_bytes(self, monkeypatch):
         m = make_modulus(63)
         p1, p2, p3 = ([ell] for ell in top_primes(63, 3))
         ntt._block_tables(m, p1)
-        (_, one), = ntt._block_cache.values()
-        monkeypatch.setattr(ntt, "_TABLE_BYTES", 2 * one)
+        (_, one), = cyclotomic._table_cache.values()
+        monkeypatch.setattr(cyclotomic, "_TABLE_BYTES", 2 * one)
         ntt._block_tables(m, p2)
         ntt._block_tables(m, p3)
-        assert list(ntt._block_cache) == [(63, tuple(p2)), (63, tuple(p3))]
-        assert sum(n for _, n in ntt._block_cache.values()) == 2 * one
+        assert list(cyclotomic._table_cache) == [block_key(63, p2),
+                                                 block_key(63, p3)]
+        assert sum(n for _, n in cyclotomic._table_cache.values()) == 2 * one
         # a block above the ceiling alone is built, used and not kept
-        monkeypatch.setattr(ntt, "_TABLE_BYTES", one - 1)
+        monkeypatch.setattr(cyclotomic, "_TABLE_BYTES", one - 1)
         assert ntt_images((1, 1), m, p1) == [bezout_image(
             (1, 1), m.poly.coeffs, p1[0])]
-        assert not ntt._block_cache
+        assert not cyclotomic._table_cache
+
+    def test_one_set_of_tables(self):
+        """A block's entry holds the stage tables at the roots w alone:
+        the two limbs of each DFT matrix and the twiddles, M^-1, and the
+        units and their negatives."""
+        m = make_modulus(63)
+        primes = top_primes(63, 3)
+        tables, _, _, _ = ntt._block_tables(m, primes)
+        (_, nbytes), = cyclotomic._table_cache.values()
+        radices = ntt._radices(m)
+        assert radices == (9, 7) and len(tables) == 2
+        # per prime: two limbs of each DFT matrix, twiddles (9, 7) and (7, 1)
+        per_prime = 2 * (9 * 9 + 7 * 7) + 9 * 7 + 7
+        assert nbytes == 8 * (3 * per_prime + 3 + 2 * m.phi)
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestSharedTableCache:
+    """Case cores and NTT block tables share one cache (cyclotomic._cached):
+    one entry ceiling, one byte ceiling and one recency order over both
+    kinds, each key led by its kind."""
+
+    def test_core_and_block_evict_each_other(self, monkeypatch):
+        # at M = 63 a block of one prime (about 3 KB) outweighs a core (288
+        # bytes); the ceiling holds two blocks, or one and a core
+        m = make_modulus(63)
+        p1, p2 = ([ell] for ell in top_primes(63, 2))
+        ntt._block_tables(m, p1)
+        (_, block), = cyclotomic._table_cache.values()
+        monkeypatch.setattr(cyclotomic, "_TABLE_BYTES", 2 * block)
+        cyclotomic._table_cache.clear()
+        scaled_inverse._case_core(1, m)
+        ntt._block_tables(m, p1)
+        ntt._block_tables(m, p2)                # a block evicts the core
+        assert list(cyclotomic._table_cache) == [block_key(63, p1),
+                                                 block_key(63, p2)]
+        ntt._block_tables(m, p1)                # a hit moves p1 last
+        construct_scaled_inverse(10, 0, m)      # the core evicts p2
+        assert list(cyclotomic._table_cache) == [block_key(63, p1),
+                                                 ("core", 63, 1)]
+        ntt._block_tables(m, p2)                # p2 evicts p1, then fits
+        assert list(cyclotomic._table_cache) == [("core", 63, 1),
+                                                 block_key(63, p2)]
+
+    def test_kinds_never_collide(self):
+        """A core (M, d) and a block of primes with the same integers are
+        two entries, each read by its own kind. No prime = 1 (mod M) is a
+        divisor of M, so a block of the number 1, no prime but one whose
+        tables build, stands in for a block that shares the core's
+        integers."""
+        m = make_modulus(35)
+        core = scaled_inverse._case_core(1, m)
+        tables = ntt._block_tables(m, [1])
+        assert list(cyclotomic._table_cache) == [("core", 35, 1),
+                                                 ("ntt", 35, 1)]
+        assert scaled_inverse._case_core(1, m) is core
+        assert ntt._block_tables(m, [1]) is tables
+        assert core[0] is InverseCase.COPRIME and len(tables[0]) == 2
+
+    def test_keys_of_both_routes(self):
+        # every gap constructed and two generic inverses at 35: the cores
+        # of its divisors and the block of the route's primes, by kind
+        m = make_modulus(35)
+        for k in range(1, 35):
+            construct_scaled_inverse(k, 0, m)
+        generic_scaled_inverse(monomial_diff(5, 1, m))
+        generic_scaled_inverse(monomial_diff(9, 2, m))
+        cores = [key for key in cyclotomic._table_cache if key[0] == "core"]
+        blocks = [key for key in cyclotomic._table_cache if key[0] == "ntt"]
+        assert sorted(cores) == [("core", 35, d) for d in (1, 5, 7)]
+        # the route's batches, each a run of the top primes
+        assert blocks and all(
+            key[1] == 35 and list(key[2:]) == top_primes(35, len(key) - 2)
+            for key in blocks)
 
 
 # the bench ladder, 63 (point's other generic modulus), and small and
@@ -281,6 +365,32 @@ class TestKernelSelection:
         generic_scaled_inverse(monomial_diff(5, 1, m))
         assert calls == ["ntt_images" if KERNEL_OF[M]
                          else "_bezout_images"]
+
+
+class TestForwardTablesInvert:
+    """The inverse NTT is the forward one at the negated units: the rows t
+    of each block equal those of the former transform at w^-1
+    (oracles.ntt_rows_by_inverse_tables), at every modulus that takes the
+    NTT kernel, and the images equal the EEA's."""
+
+    @pytest.mark.parametrize("M", [M for M in sorted(KERNEL_OF)
+                                   if KERNEL_OF[M]])
+    def test_rows_match_the_inverse_tables(self, M, monkeypatch):
+        m, rng = make_modulus(M), random.Random(f"negated-{M}")
+        a = dense(m, rng).coeffs
+        primes = top_primes(M, 40)
+        rows, real = [], ntt._reduce_rows
+        monkeypatch.setattr(ntt, "_reduce_rows",
+                            lambda t, m: rows.append(t.copy()) or real(t, m))
+        images = ntt_images(a, m, primes)
+        # 2057 and 2187 split the 40 primes into two blocks
+        step = len(rows[0])
+        assert len(rows) == -(-40 // step) == (2 if M > 2000 else 1)
+        for lo, t in zip(range(0, 40, step), rows):
+            assert np.array_equal(
+                t, ntt_rows_by_inverse_tables(a, m, primes[lo:lo + step]))
+        assert images == _bezout_images(a, m.poly.coeffs, primes)
+        assert images[:1] == [bezout_image(a, m.poly.coeffs, primes[0])]
 
 
 def _refuse_work(monkeypatch):

@@ -16,7 +16,8 @@ from cycloring import (CycloModulus, InverseCase, PrimePower, RingElement,
 from cycloring.cyclotomic import MAX_MODULUS
 from cycloring.errors import (BadRange, SweepTooLarge, UnsupportedModulus,
                               ZeroElement)
-from cycloring import scaled_inverse
+from cycloring import cyclotomic, scaled_inverse
+from cycloring.ntt import ntt_wins
 from cycloring.poly import IntPoly, exact_div, root_primes
 from cycloring.scaled_inverse import (MAX_SWEEP_COST, _case, check_gap_block,
                                       sweep_cost)
@@ -58,19 +59,28 @@ def one(m):
 
 @pytest.fixture
 def cold_cores():
-    """An empty cache of case cores (scaled_inverse._case_core) before the
-    test and after it: a _case the test patches is reached, and no core
-    built from it outlives the test."""
-    scaled_inverse._cores.clear()
+    """An empty table cache (cyclotomic._cached), which holds the case
+    cores of scaled_inverse._case_core, before the test and after it: a
+    _case the test patches is reached, and no core built from it outlives
+    the test."""
+    cyclotomic._table_cache.clear()
     yield
-    scaled_inverse._cores.clear()
+    cyclotomic._table_cache.clear()
 
 
 @pytest.fixture
 def uncached_cores(cold_cores, monkeypatch):
-    """A cache of case cores that keeps no entry: every _construct in the
-    test builds its cores from _case, patched or not."""
-    monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 0)
+    """A table cache that keeps no entry: every _construct in the test
+    builds its cores from _case, patched or not."""
+    monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 0)
+
+
+def cached_cores():
+    """The case cores in the table cache, least recently used first, as
+    {(M, d): (case, scale, bound, -Q)}."""
+    return {key[1:]: table
+            for key, (table, _) in cyclotomic._table_cache.items()
+            if key[0] == "core"}
 
 
 # the generic route's image kernels, by the name scaled_inverse calls each by
@@ -487,6 +497,21 @@ class TestModulusLifetime:
         alive = [o for o in gc.get_objects()
                  if isinstance(o, CycloModulus) and o.M == 2057]
         cached = make_modulus(2057)
+        assert [o for o in alive if o is not cached] == []
+
+    def test_generic_inverses_keep_no_modulus_alive(self):
+        # the NTT's block tables share the constructs' table cache, keyed
+        # by integers: an uncached 63 (NTT kernel) is freed after use
+        m = make_modulus.__wrapped__(63)
+        assert ntt_wins(m)
+        for i, j in ((5, 1), (30, 2)):
+            generic_scaled_inverse(monomial_diff(i, j, m))
+        assert any(key[:2] == ("ntt", 63) for key in cyclotomic._table_cache)
+        del m
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, CycloModulus) and o.M == 63]
+        cached = make_modulus(63)
         assert [o for o in alive if o is not cached] == []
 
 
@@ -1551,8 +1576,8 @@ class TestCaseTableByGcd:
 
 class TestCaseCoreCache:
     """_case_core builds (case, scale, bound, -Q) once per (M, d) and keeps
-    it in a cache bounded by entries and by bytes, with read-only rows and
-    no modulus."""
+    it in the table cache (cyclotomic._cached), bounded by entries and by
+    bytes, with read-only rows and no modulus."""
 
     @pytest.mark.parametrize("M", [12, 45, 125, 143, 1024, 2057])
     @pytest.mark.usefixtures("cold_cores")
@@ -1565,14 +1590,14 @@ class TestCaseCoreCache:
             assert core[3].dtype == np.int64 and not core[3].flags.writeable
             neg = [-c for c in v.coeffs]
             assert core[3].tolist() == neg + [0] * (len(core[3]) - len(neg))
-        assert set(scaled_inverse._cores) == {(M, math.gcd(k, M))
-                                              for k in range(1, M)}
+        assert set(cyclotomic._table_cache) == {("core", M, math.gcd(k, M))
+                                                for k in range(1, M)}
 
     @pytest.mark.usefixtures("cold_cores")
     def test_rows_are_read_only(self):
         m = make_modulus(63)
         construct_scaled_inverse(10, 1, m)
-        (_, _, _, negq), = scaled_inverse._cores.values()
+        (_, _, _, negq), = cached_cores().values()
         with pytest.raises(ValueError):
             negq[0] += 1
 
@@ -1587,46 +1612,49 @@ class TestCaseCoreCache:
 
     @pytest.mark.usefixtures("cold_cores")
     def test_bounded_by_entries_least_recent_first(self, monkeypatch):
-        monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 3)
+        monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 3)
         m = make_modulus(1024)
         for e in range(6):
             construct_scaled_inverse(2 ** e + 1, 1, m)
-        assert list(scaled_inverse._cores) == [(1024, 8), (1024, 16),
-                                               (1024, 32)]
+        assert list(cyclotomic._table_cache) == [
+            ("core", 1024, 8), ("core", 1024, 16), ("core", 1024, 32)]
         construct_scaled_inverse(9, 1, m)       # a hit moves d = 8 last
         construct_scaled_inverse(3, 2, m)       # d = 1 evicts d = 16
-        assert list(scaled_inverse._cores) == [(1024, 32), (1024, 8),
-                                               (1024, 1)]
+        assert list(cyclotomic._table_cache) == [
+            ("core", 1024, 32), ("core", 1024, 8), ("core", 1024, 1)]
 
     @pytest.mark.usefixtures("cold_cores")
     def test_bounded_by_bytes(self, monkeypatch):
         # at 2187 = 3^7 the row of d = 3^e has phi + 1 - 3^e entries
         m = make_modulus(2187)
         size = lambda d: 8 * (m.phi + 1 - d)
-        monkeypatch.setattr(scaled_inverse, "_CORE_BYTES", size(1) + size(3))
+        monkeypatch.setattr(cyclotomic, "_TABLE_BYTES", size(1) + size(3))
         for d in (1, 3, 9, 27):
             construct_scaled_inverse(d + 5, 5, m)
-            kept = scaled_inverse._cores.values()
+            kept = cached_cores().values()
             assert sum(core[3].nbytes for core in kept) <= size(1) + size(3)
-            assert (2187, d) in scaled_inverse._cores
-        assert list(scaled_inverse._cores) == [(2187, 9), (2187, 27)]
+            assert sum(n for _, n in cyclotomic._table_cache.values()) == \
+                sum(core[3].nbytes for core in kept)
+            assert (2187, d) in cached_cores()
+        assert list(cached_cores()) == [(2187, 9), (2187, 27)]
 
     def test_ceiling_holds_two_of_the_largest_rows(self):
         # a -Q row has fewer than M int64 entries, at most 8 MiB at 2^20
-        assert 2 * 8 * MAX_MODULUS <= scaled_inverse._CORE_BYTES
-        assert scaled_inverse._CORE_BYTES == 2 ** 24
+        assert 2 * 8 * MAX_MODULUS <= cyclotomic._TABLE_BYTES
+        assert cyclotomic._TABLE_BYTES == 2 ** 24
+        assert cyclotomic._TABLE_ENTRIES == 256
 
     @pytest.mark.usefixtures("cold_cores")
     def test_concurrent_constructs_match_serial(self, monkeypatch):
         # four threads on two cores build, read and evict the same cores
         # at once, switching every microsecond; a cache of four entries
         # evicts on most misses
-        monkeypatch.setattr(scaled_inverse, "_CORE_ENTRIES", 4)
+        monkeypatch.setattr(cyclotomic, "_TABLE_ENTRIES", 4)
         pairs = [(M, i, j) for M in (63, 675, 1147)
                  for i, j in point_pairs(M)[:40]]
         serial = [construct_scaled_inverse(i, j, make_modulus(M))
                   for M, i, j in pairs]
-        scaled_inverse._cores.clear()
+        cyclotomic._table_cache.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1638,10 +1666,10 @@ class TestCaseCoreCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 2
-        kept = list(scaled_inverse._cores.items())
-        assert len(kept) <= 4
+        kept = list(cached_cores().items())
+        assert len(kept) == len(cyclotomic._table_cache) <= 4
         for (M, d), core in kept:
-            scaled_inverse._cores.clear()
+            cyclotomic._table_cache.clear()
             fresh = scaled_inverse._case_core(d, make_modulus(M))
             assert core[:3] == fresh[:3] and np.array_equal(core[3], fresh[3])
 
