@@ -43,8 +43,9 @@ With |v| <= b after folding mod x^M - 1, no entry exceeds 2b for p^s
 |v (1 - y^p)| <= 2b and |v E| <= 4b, the entry at y^0 with the wrapped
 term added back is at most (4 + 2p) b, the prefix sums of q terms mod p
 stay below (4q + 2p) b, and those of p - 1 terms after them below
-(p - 1)(4q + 2p) b < 4pq^2 b, with p < q. Long division (poly.divrem) is
-the independent check of R_M (kron_check, verify).
+(p - 1)(4q + 2p) b < 4pq^2 b, with p < q. Synthetic division by Phi_M
+(long_division_rows) is the independent check of R_M (kron_check,
+verify).
 
 make_modulus refuses M above MAX_MODULUS before any factorization, and keeps
 a bounded cache of the moduli it built. The tables built per modulus, the
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import (MatrixTooLarge, ModulusMismatch, ModulusTooLarge,
                      NotApplicable, UnsupportedModulus)
-from .poly import IntPoly, _int64_row, _magnitude, divrem, kron_mul
+from .poly import IntPoly, _int64_row, _magnitude, kron_mul
 
 # Largest supported M. Up to here trial division takes at most 2^10 steps
 # and Phi_M has at most 2^20 coefficients; a prime M near 2^61 would need
@@ -457,9 +458,9 @@ class ReductionMatrix:
 # smallest power of two that keeps M = 2187 (3.2e6 cells), chosen when the
 # bench's `expansion 2187` built R_M; expansion now builds only R_rad (and
 # is refused by its cells), so the largest R_M the bench builds is
-# `verify 1024 --suite matrix`'s (5.2e5 cells, 48 MB peak RSS). Measured
+# `verify 1024 --suite matrix`'s (5.2e5 cells, 37 MB peak RSS). Measured
 # on a 2-core host at M = 2039 (4.16e6 cells, just below it): `verify
-# --suite expansion` 16 s, `verify --suite matrix` 2.9 s and 57 MB peak
+# --suite expansion` 16 s, `verify --suite matrix` 1.5 s and 46 MB peak
 # RSS, `matrix --format json` 3.2 s and 43 MB, pretty `matrix` 2.3 s,
 # `expansion` 0.5 s.
 MAX_MATRIX_CELLS = 2 ** 22
@@ -500,15 +501,30 @@ def reduction_matrix(m: CycloModulus) -> ReductionMatrix:
 
 
 def long_division_rows(m: CycloModulus) -> np.ndarray:
-    """x^k mod Phi_M by long division (poly.divrem) for k = 0 .. M - 1, as
-    an (M, phi) int8 array, row k the remainder of x^k: the independent
-    route to the columns of R_M (kron_check, verify). Every entry of R_M
-    lies in {-1, 0, 1}, and a remainder entry outside int8 raises
-    OverflowError, so the narrow storage can hide no disagreement."""
-    out = np.zeros((m.M, m.phi), dtype=np.int8)
-    for k in range(m.M):
-        rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
-        out[k, :len(rem)] = np.array(rem, dtype=np.int8)
+    """x^k mod Phi_M for k = 0 .. M - 1 by synthetic division, as an
+    (M, phi) int8 array, row k the remainder of x^k: the independent route
+    to the columns of R_M (kron_check, verify), read from the coefficients
+    of Phi_M alone. Rows below phi are the unit rows; above, row k is
+    x row(k - 1) - lead Phi_M, lead the top entry of row(k - 1), one step
+    of long division. The step runs on one int64 row, range-checked before
+    it is narrowed: every entry of R_M lies in {-1, 0, 1}, and a remainder
+    entry outside int8 raises OverflowError, so the narrow storage can
+    hide no disagreement. Phi_M's coefficients lie in {-1, 0, 1}, so the
+    step from a checked row stays below 2^8 in magnitude."""
+    M, phi = m.M, m.phi
+    out = np.zeros((M, phi), dtype=np.int8)
+    out[np.arange(phi), np.arange(phi)] = 1
+    low = m.poly_row[:phi]
+    row = np.zeros(phi, dtype=np.int64)
+    row[-1] = 1
+    for k in range(phi, M):
+        lead = row[-1]
+        row[1:] = row[:-1]
+        row[0] = 0
+        row -= lead * low
+        if row.min() < -128 or row.max() > 127:
+            raise OverflowError(f"x^{k} mod Phi_{M} has an entry outside int8")
+        out[k] = row
     return out
 
 

@@ -5,7 +5,9 @@ value (closed form vs direct reduction, construction vs Bezout oracle,
 reduction matrix vs long division) and reports pass/fail with witness data
 on failure. Checks are wrapped so an exception inside one check fails that
 check by name instead of aborting the run. Randomized checks draw from one
-seeded generator, so a report is reproducible given (seed, trials).
+seeded generator, so a report is reproducible given (seed, trials); it is
+built at the first draw, so a run that draws nothing (the matrix suite)
+never imports numpy.random.
 """
 from __future__ import annotations
 
@@ -26,6 +28,13 @@ from .poly import IntPoly
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 1000
 SUITE_NAMES = ("lemmas", "theorems", "matrix", "expansion")
+
+# Entries of R_M in one part of the matrix suite's round trips. A part's
+# entries are held several times over while it is checked (Python ints,
+# text, the parsed lists and an int64 array): at M = 1024 a part's JSON
+# round trip peaks at 4.0 MB traced and its CSV one at 1.1 MB, against
+# 6.2 and 4.6 MB at parts of 2^18 entries.
+_ROUNDTRIP_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,12 @@ def _suite_lemmas(m, rng, trials, long_division, matrix):
 
     col.run("stride_pattern_classes", patterns)
     col.run("stride_subset_norm",
-            lambda: all(structure.random_subset_norm_check(j, rad, trials, rng)
-                        for j in range(p)))
+            lambda: all(structure.random_subset_norm_check(
+                j, rad, trials, rng()) for j in range(p)))
     if m.inflation > 1:
         col.run("inflated_subset_norm",
                 lambda: structure.inflated_pattern_check(
-                    m, max(10, trials // 10), rng))
+                    m, max(10, trials // 10), rng()))
         col.run("kronecker_factorization",
                 lambda: cyclotomic.kron_check(m, long_division()))
     return col.results
@@ -266,10 +275,10 @@ def _suite_matrix(m, rng, trials, long_division, matrix):
 
         col.run("block_rotation", rotation_blocks)
 
-    # the round trips serialize R_M in blocks of rows of at most
-    # _UNIT_BLOCK entries, each block its own document, so no whole
+    # the round trips serialize R_M in parts of rows of at most
+    # _ROUNDTRIP_ENTRIES entries, each part its own document, so no whole
     # document or its parse is held at once
-    step = max(1, cyclotomic._UNIT_BLOCK // m.M)
+    step = max(1, _ROUNDTRIP_ENTRIES // m.M)
     parts = [dataclasses.replace(R, entries=R.entries[lo:lo + step])
              for lo in range(0, m.phi, step)]
 
@@ -370,7 +379,7 @@ def _suite_theorems(m, rng, trials, long_division, matrix):
         # n = i (i - 1) / 2 + j, found without listing the M^2/2 pairs
         pairs = m.M * (m.M - 1) // 2
         count = min(pairs, max(8, trials // 100))
-        idx = rng.choice(pairs, size=count, replace=False)
+        idx = rng().choice(pairs, size=count, replace=False)
         for n in map(int, idx):
             i = (1 + math.isqrt(1 + 8 * n)) // 2
             j = n - i * (i - 1) // 2
@@ -413,10 +422,10 @@ def _suite_expansion(m, rng, trials, long_division, matrix):
     col.run("witness_attains_max", witness_attains)
 
     def randomized():
-        ks = {int(k) for k in rng.integers(0, m.M, size=7)}
+        ks = {int(k) for k in rng().integers(0, m.M, size=7)}
         ks.add(report().witness_k)
         per_k = max(1, trials // len(ks))
-        seed = int(rng.integers(0, 2 ** 31))
+        seed = int(rng().integers(0, 2 ** 31))
         return all(expansion.randomized_expansion_check(
             k, m, per_k, seed, matrix().entries) for k in ks)
 
@@ -478,8 +487,11 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
         {"lemmas"} if m.inflation > 1 else set())
     if builds_matrix & set(names):
         cyclotomic.check_matrix_cells(m)
-    rng = np.random.default_rng(seed)
-    # the M long divisions of x^k, shared by the lemmas suite's
+    # one seeded generator, built at its first draw and shared by every
+    # suite, so it draws as one built up front would; a run that draws
+    # nothing never imports numpy.random
+    rng = functools.cache(lambda: np.random.default_rng(seed))
+    # the M remainders of x^k by long division, shared by the lemmas suite's
     # kronecker_factorization and the matrix suite's column check
     long_division = functools.cache(
         lambda: cyclotomic.long_division_rows(m))

@@ -1,24 +1,26 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's closed forms: the cyclotomic
-polynomial comes from the iterated divisor loop on x^n - 1, the resultant
-from a fraction-free determinant of the Sylvester matrix, the norm
-profile from one constructed and verified inverse per (i, j) pair or from
-every rotation reduced at full length M (the library's former sweep), the
-rotations of a sweep block from a copied step of exact division by y at
-every radical (the library's former chain), the reduction of whole rows
-by the library's former row-major divide or by long division one row at
-a time, the zero test by the library's former cofactor D, polynomial
-products from the
-schoolbook double loop, constructive inverses from the paper's formulas by
-long division, and the resultant with its Bezout cofactor from the
+polynomial comes from the iterated divisor loop on x^n - 1, the
+resultant from a fraction-free determinant of the Sylvester matrix, the
+norm profile from one constructed and verified inverse per (i, j) pair
+or from every rotation reduced at full length M (the library's former
+sweep), the rotations of a sweep block from a copied step of exact
+division by y at every radical (the library's former chain), the
+reduction of whole rows by the library's former row-major divide or by
+long division one row at a time, the long-division rows of R_M's check
+by one poly.divrem per x^k (the library's former route), the zero test
+by the library's former cofactor D, polynomial products from the
+schoolbook double loop, constructive inverses from the paper's formulas
+by long division, and the resultant with its Bezout cofactor from the
 extended Euclidean algorithm over Q, or over F_ell one prime at a time
 (the library's former scalar images), and the randomized expansion
 products x^k g as the integer matmul of a window of R_M, and the
 expansion factors with their witnesses from the prefix sums and windows
-of the full R_M (the library's former routes), and the random subset sums of a stride family one trial at
-a time (the library's former loop), and the NTT's inverse transform by
-a second set of tables at w^-1 (the library's former inverse).
+of the full R_M (the library's former routes), and the random subset
+sums of a stride family one trial at a time (the library's former loop),
+and the NTT's inverse transform by a second set of tables at w^-1 (the
+library's former inverse).
 """
 from __future__ import annotations
 
@@ -114,6 +116,18 @@ def long_division_remainders(V, m: CycloModulus) -> np.ndarray:
     for r, row in enumerate(V):
         rem = divrem(IntPoly([int(c) for c in row]), m.poly)[1].coeffs
         out[r, :len(rem)] = rem
+    return out
+
+
+def long_division_rows_by_divrem(m: CycloModulus) -> np.ndarray:
+    """x^k mod Phi_M by one poly.divrem per k = 0 .. M - 1, as the (M, phi)
+    int8 array of cyclotomic.long_division_rows, which takes one step of
+    synthetic division per k instead. An entry outside int8 raises
+    OverflowError."""
+    out = np.zeros((m.M, m.phi), dtype=np.int8)
+    for k in range(m.M):
+        rem = divrem(IntPoly.monomial(k), m.poly)[1].coeffs
+        out[k, :len(rem)] = np.array(rem, dtype=np.int8)
     return out
 
 

@@ -21,7 +21,8 @@ from cycloring.poly import IntPoly, divrem
 from cycloring.verify import run_verify
 
 from oracles import (cyclotomic_divisor_loop, long_division_remainders,
-                     reduce_rows_row_major, schoolbook_mul, times_cofactor_d)
+                     long_division_rows_by_divrem, reduce_rows_row_major,
+                     schoolbook_mul, times_cofactor_d)
 
 
 def all_supported_upto(limit):
@@ -746,10 +747,43 @@ class TestReductionMatrixChecksStayIndependent:
                 "kronecker_factorization"} <= failed
 
 
+class TestLongDivisionRows:
+    """long_division_rows, one step of synthetic division per x^k, against
+    one poly.divrem per x^k (the library's former route)."""
+
+    @pytest.mark.parametrize("M", SUPPORTED_UPTO_300)
+    def test_matches_divrem_below_300(self, M):
+        m = make_modulus(M)
+        assert np.array_equal(cyclotomic.long_division_rows(m),
+                              long_division_rows_by_divrem(m))
+
+    @pytest.mark.parametrize("M", [1024, 2039, 2187])
+    def test_matches_divrem_at_large_m(self, M):
+        m = make_modulus(M)
+        got = cyclotomic.long_division_rows(m)
+        assert got.dtype == np.int8 and got.shape == (M, m.phi)
+        assert np.array_equal(got, long_division_rows_by_divrem(m))
+
+    @pytest.mark.parametrize("M", [9, 63, 125])
+    def test_kron_check_rejects_flipped_row_entry(self, M):
+        m = make_modulus(M)
+        rows = cyclotomic.long_division_rows(m)
+        assert kron_check(m, rows) is True
+        rows[-1, 0] = 1 - rows[-1, 0]
+        assert kron_check(m, rows) is False
+
+    def test_row_outside_int8_raises(self):
+        # Phi = x^2 + 100x + 1: x^2 = -1 - 100x fits int8, x^3 = 100 + 9999x
+        # does not
+        m = cyclotomic.CycloModulus(4, None, 2, IntPoly((1, 100, 1)), 4, 1)
+        with pytest.raises(OverflowError, match=r"x\^3"):
+            cyclotomic.long_division_rows(m)
+
+
 class TestMatrixSuiteBlocks:
-    """The matrix suite's round trips serialize R_M in blocks of rows of at
-    most _UNIT_BLOCK entries, each its own document; entry_range reads the
-    stored int8 entries."""
+    """The matrix suite's round trips serialize R_M in parts of rows of at
+    most verify._ROUNDTRIP_ENTRIES entries, each its own document;
+    entry_range reads the stored int8 entries."""
 
     @staticmethod
     def _failed(M):
@@ -760,8 +794,9 @@ class TestMatrixSuiteBlocks:
     @pytest.mark.parametrize("method, check", [("to_json", "json_roundtrip"),
                                                ("to_csv", "csv_roundtrip")])
     def test_corrupt_second_block_fails(self, monkeypatch, method, check):
-        # M = 1024: phi = 512 rows of 1024 entries, two blocks of 256 rows;
-        # the serializer adds 1 to one entry of the second block only
+        # M = 1024: phi = 512 rows of 1024 entries, parts of 64 rows; the
+        # serializer adds 1 to one entry of the second part only, and the
+        # round trip stops there
         real = getattr(cyclotomic.ReductionMatrix, method)
         shapes = []
 
@@ -775,7 +810,22 @@ class TestMatrixSuiteBlocks:
 
         monkeypatch.setattr(cyclotomic.ReductionMatrix, method, corrupt)
         assert self._failed(1024) == {check}
-        assert shapes == [(256, 1024), (256, 1024)]
+        assert shapes == [(64, 1024)] * 2
+
+    @pytest.mark.parametrize("M", [1024, 2039])
+    def test_parts_within_budget_cover_every_row(self, monkeypatch, M):
+        parts = []
+        for method in ("to_json", "to_csv"):
+            real, seen = getattr(cyclotomic.ReductionMatrix, method), []
+            monkeypatch.setattr(cyclotomic.ReductionMatrix, method,
+                                lambda R, real=real, seen=seen:
+                                seen.append(R.entries) or real(R))
+            parts.append(seen)
+        assert not self._failed(M)
+        whole = reduction_matrix(make_modulus(M)).entries
+        for seen in parts:
+            assert all(p.size <= verify._ROUNDTRIP_ENTRIES for p in seen)
+            assert np.array_equal(np.concatenate(seen), whole)
 
     @pytest.mark.parametrize("bad", [2, -128])
     def test_entry_range_rejects_int8_entry(self, monkeypatch, bad):
@@ -793,19 +843,34 @@ class TestMatrixSuiteBlocks:
 
 def test_verify_runs_each_long_division_once(monkeypatch):
     """kron_check (lemmas) and the matrix suite's column check read one
-    shared set of long-division rows: M divisions of x^k per run, not 2M."""
-    divisions = []
-
-    def counted(a, b):
-        divisions.append(a)
-        return divrem(a, b)
-
-    for mod in (cyclotomic, verify):
-        if hasattr(mod, "divrem"):
-            monkeypatch.setattr(mod, "divrem", counted)
+    shared set of long-division rows: one long_division_rows per run, not
+    one per check."""
+    builds, build = [], cyclotomic.long_division_rows
+    monkeypatch.setattr(cyclotomic, "long_division_rows",
+                        lambda m: builds.append(m.M) or build(m))
     report = run_verify(63, trials=10)
     assert report.all_passed
-    assert sorted(a.degree for a in divisions) == list(range(63))
+    assert builds == [63]
+
+
+class TestLazyGenerator:
+    """run_verify builds its seeded generator at the first draw."""
+
+    @pytest.fixture
+    def no_generator(self, monkeypatch):
+        def refuse(seed=None):
+            raise AssertionError("generator built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def test_matrix_suite_never_draws(self, no_generator):
+        assert run_verify(63, "matrix").all_passed
+
+    def test_a_refused_draw_fails_only_its_check(self, no_generator):
+        report = run_verify(63, "theorems", trials=10)
+        failed = {c.name for s in report.suites for c in s.checks
+                  if not c.passed}
+        assert failed == {"bezout_agreement_sampled"}
 
 
 def test_verify_builds_each_shared_table_once(monkeypatch):
