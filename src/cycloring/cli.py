@@ -214,17 +214,15 @@ def _cmd_expansion(args, m) -> int:
 def _sweep_text(profile, head, tail, sep):
     """The rows of profile as text, one string per i in `for i: for j < i`
     order: the rows head(i) + str(j) + tail(scale, norm, case) of the pairs
-    (i, j), joined by sep. Each (scale, case) renders its tails once, one
-    per norm value up to its largest, and each gap's norms are read in
-    place, through a memoryview."""
+    (i, j), joined by sep. Each case, which fixes its scale, renders its
+    tails once, one per norm value up to its maximum in profile.case_max,
+    and each gap's norms are read in place, through a memoryview."""
     M = profile.modulus.M
-    tops = {}
-    for scale, case, norms in profile.gaps:
-        tops[scale, case] = max(tops.get((scale, case), 0), int(norms.max()))
-    tails = {(scale, case): [tail(scale, v, case) for v in range(top + 1)]
-             for (scale, case), top in tops.items()}
-    gaps = [None] + [(tails[scale, case], memoryview(norms))
-                     for scale, case, norms in profile.gaps]
+    scales = {case: scale for scale, case, _ in profile.gaps}
+    tails = {case: [tail(scales[case], v, case) for v in range(top + 1)]
+             for case, (top, _, _) in profile.case_max.items()}
+    gaps = [None] + [(tails[case], memoryview(norms))
+                     for _, case, norms in profile.gaps]
     js = [str(j) for j in range(M)]
     for i in range(1, M):
         pre = head(i)

@@ -528,15 +528,11 @@ def long_division_rows(m: CycloModulus) -> np.ndarray:
     return out
 
 
-def kron_check(m: CycloModulus, rows: np.ndarray | None = None) -> bool:
+def kron_check(m: CycloModulus) -> bool:
     """Whether R_M, built as R_rad kron I_M', equals long division of every
-    x^k by Phi_M; needs a non-squarefree M. rows, when given, are the
-    long-division rows of m (long_division_rows), computed once by a
-    caller that also needs them. Raises MatrixTooLarge before any work
-    (check_matrix_cells)."""
+    x^k by Phi_M (long_division_rows); needs a non-squarefree M. Raises
+    MatrixTooLarge before any work (check_matrix_cells)."""
     if m.inflation == 1:
         raise NotApplicable(f"M={m.M} is squarefree")
     check_matrix_cells(m)
-    if rows is None:
-        rows = long_division_rows(m)
-    return np.array_equal(reduction_matrix(m).entries.T, rows)
+    return np.array_equal(reduction_matrix(m).entries.T, long_division_rows(m))

@@ -88,9 +88,10 @@ M^2 rad / 4 entries in all, instead of O(M^3). The block's one check
 takes the chain's last rotation as the pair at its own shift; every step
 is exact for any integer rows, so a wrong start or step fails it (see
 norm_profile). At a prime radical it takes the reduced rows, as there is
-no chain. The sweep keeps one small norm array per gap; the (i, j) rows
-are built only when read. A sweep whose cost M^2 rad is above
-MAX_SWEEP_COST is refused (SweepTooLarge) before any work.
+no chain. The sweep keeps one norm array, of which each gap's norms are
+a view; the (i, j) rows are built only when read. A sweep whose cost
+M^2 rad is above MAX_SWEEP_COST is refused (SweepTooLarge) before any
+work.
 """
 from __future__ import annotations
 
@@ -781,12 +782,13 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     rotation at length M; at a prime radical the closed form is O(M) a
     gap, O(M^2) in all. sweep_cost prices both at M^2 rad, and a sweep
     above MAX_SWEEP_COST raises SweepTooLarge before any work. The norm
-    rows are written a block at a time into one array per norm dtype,
-    which is made read-only before the per-gap views are cut from it. Each
-    case maximum keeps the first pair in `for i: for j < i` order to reach
-    it: the largest (norm, -i, -j) over the first largest pair of each
-    row, with cases in the order of their smallest gap, which is at most
-    M/2.
+    rows are written a block at a time, each after its bound check, into
+    one (floor(M/2), M) array in the narrowest unsigned dtype of the
+    largest bound of M's case table, which is made read-only before every
+    gap's two views are cut from it. Each case maximum keeps the first pair
+    in `for i: for j < i` order to reach it: the largest
+    (norm, -(i M + j)) over the first largest pair of each row, with cases
+    in the order of their smallest gap, which is at most M/2.
     """
     check_sweep_cost(m)
     M = m.M
@@ -796,14 +798,17 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     step = max(1, _UNIT_BLOCK // 16 // M)
     half = M // 2
     cols = np.arange(M)
-    # per gap g <= M/2: its (case, scale, bound), and (top, first) of its
+    # per gap g <= M/2: its (case, scale, bound), and (top, -first) of its
     # row, top the row's largest norm and first = i M + j of the first pair
     # in `for i: for j < i` order to reach it
     table, firsts = [], []
-    # each norm dtype's rows in one array, allocated once: a row allocated
-    # per gap interleaves with the blocks' temporaries on the heap and
-    # raises the peak RSS (178 against 162 MB at 16384)
-    kept, dtype_of = {}, {}
+    # every gap's rows in one array, allocated once, in the dtype of the
+    # largest bound of M's case table (q - 1 at p^s q^t, p - 1 at p^s): a
+    # row allocated per gap interleaves with the blocks' temporaries on the
+    # heap and raises the peak RSS (178 against 162 MB at 16384)
+    sh = m.shape
+    top_bound = (sh.p if isinstance(sh, PrimePower) else sh.q) - 1
+    norms = np.empty((half, M), dtype=np.min_scalar_type(top_bound))
     for lo in range(1, half + 1, step):
         block = range(lo, min(half + 1, lo + step))
         j = _chain_shifts(m, block)
@@ -817,37 +822,28 @@ def norm_profile(m: CycloModulus) -> NormProfile:
         order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
         tops = W.max(axis=1)
         first = np.where(W == tops[:, None], order, M * M).min(axis=1)
-        bounds = np.array([bound for _, _, bound in entries])
-        over = tops > bounds
+        over = tops > np.array([bound for _, _, bound in entries])
         if over.any():
             r = int(over.argmax())
             i, j = divmod(int(first[r]), M)
             raise AssertionError(
                 f"sweep check failed: norm {int(tops[r])} > bound "
                 f"{entries[r][2]} for M={M}, (i, j)=({i}, {j})")
-        firsts += zip(tops.tolist(), first.tolist())
-        # the block's rows, a bound at a time, into their dtype's array
-        for bound in {bound for _, _, bound in entries}:
-            dt = dtype_of.setdefault(bound, np.min_scalar_type(bound))
-            if dt not in kept:
-                kept[dt] = np.empty((half, M), dtype=dt)
-            np.copyto(kept[dt][lo - 1:lo - 1 + len(block)], W,
-                      casting="unsafe", where=(bounds == bound)[:, None])
+        firsts += zip(tops.tolist(), (-first).tolist())
+        # checked in W's own dtype above, so the narrowing hides nothing
+        norms[lo - 1:lo - 1 + len(block)] = W
         table += entries
-    for norms in kept.values():
-        norms.setflags(write=False)
+    norms.setflags(write=False)
     gaps = [None] * (M - 1)
     best: dict = {}
-    for g, (case, scale, bound), (top, ij) in zip(range(1, half + 1), table,
-                                                  firsts):
-        norms = kept[dtype_of[bound]][g - 1]
+    for g, (case, scale, _), row, key in zip(range(1, half + 1), table,
+                                             norms, firsts):
         # gap M - g first, so that g = M/2 keeps its own pairs
-        gaps[M - g - 1] = (scale, case, norms[M - g:])
-        gaps[g - 1] = (scale, case, norms[:M - g])
-        i, j = divmod(ij, M)
-        key = (top, -i, -j)
+        gaps[M - g - 1] = (scale, case, row[M - g:])
+        gaps[g - 1] = (scale, case, row[:M - g])
         best[case] = max(best.get(case, key), key)
-    case_max = {case: (norm, -i, -j) for case, (norm, i, j) in best.items()}
+    case_max = {case: (top, *divmod(-first, M))
+                for case, (top, first) in best.items()}
     return NormProfile(m, tuple(gaps), case_max)
 
 

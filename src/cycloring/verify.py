@@ -25,7 +25,7 @@ from . import cyclotomic, expansion, scaled_inverse, structure
 from .cyclotomic import PrimePower, TwoPrime, make_modulus
 from .poly import IntPoly
 
-DEFAULT_SEED = 1729
+DEFAULT_SEED = expansion.DEFAULT_SEED
 DEFAULT_TRIALS = 1000
 SUITE_NAMES = ("lemmas", "theorems", "matrix", "expansion")
 
@@ -140,7 +140,8 @@ def _suite_lemmas(m, rng, trials, long_division, matrix):
                 lambda: m.poly == IntPoly((1,) * p).inflate(p ** (s - 1)))
         if s > 1:
             col.run("kronecker_factorization",
-                    lambda: cyclotomic.kron_check(m, long_division()))
+                    lambda: np.array_equal(matrix().entries.T,
+                                           long_division()))
         return col.results
 
     p, q = sh.p, sh.q
@@ -209,7 +210,7 @@ def _suite_lemmas(m, rng, trials, long_division, matrix):
                 lambda: structure.inflated_pattern_check(
                     m, max(10, trials // 10), rng()))
         col.run("kronecker_factorization",
-                lambda: cyclotomic.kron_check(m, long_division()))
+                lambda: np.array_equal(matrix().entries.T, long_division()))
     return col.results
 
 
@@ -467,7 +468,8 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
     requested and its exhaustive sweep is above the ceiling (see
     norm_profile), and MatrixTooLarge when a requested suite builds an R_M
     above its ceiling (see reduction_matrix): the matrix and expansion
-    suites, and the lemmas suite's kron_check for a non-squarefree M.
+    suites, and the lemmas suite's kronecker_factorization for a
+    non-squarefree M.
     """
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}: expected 'all' or one of "
@@ -482,7 +484,8 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
         # refuse the theorems suite's exhaustive sweep before any suite runs
         scaled_inverse.check_sweep_cost(m)
     # R_M is built by the matrix and expansion suites, and by the lemmas
-    # suite's kron_check when M is not squarefree; refuse it up front too
+    # suite's kronecker_factorization when M is not squarefree; refuse it
+    # up front too
     builds_matrix = {"matrix", "expansion"} | (
         {"lemmas"} if m.inflation > 1 else set())
     if builds_matrix & set(names):
@@ -495,7 +498,8 @@ def run_verify(M: int, suite: str = "all", trials: int = DEFAULT_TRIALS,
     # kronecker_factorization and the matrix suite's column check
     long_division = functools.cache(
         lambda: cyclotomic.long_division_rows(m))
-    # R_M, shared by the matrix suite and the expansion suite's checks
+    # R_M, built once and shared by the lemmas suite's
+    # kronecker_factorization, the matrix suite and the expansion suite
     matrix = functools.cache(lambda: cyclotomic.reduction_matrix(m))
     suites = []
     for name in names:

@@ -765,12 +765,18 @@ class TestLongDivisionRows:
         assert np.array_equal(got, long_division_rows_by_divrem(m))
 
     @pytest.mark.parametrize("M", [9, 63, 125])
-    def test_kron_check_rejects_flipped_row_entry(self, M):
+    def test_kron_check_rejects_flipped_row_entry(self, monkeypatch, M):
         m = make_modulus(M)
-        rows = cyclotomic.long_division_rows(m)
-        assert kron_check(m, rows) is True
-        rows[-1, 0] = 1 - rows[-1, 0]
-        assert kron_check(m, rows) is False
+        assert kron_check(m) is True
+        good = cyclotomic.long_division_rows
+
+        def flip(m):
+            rows = good(m)
+            rows[-1, 0] = 1 - rows[-1, 0]
+            return rows
+
+        monkeypatch.setattr(cyclotomic, "long_division_rows", flip)
+        assert kron_check(m) is False
 
     def test_row_outside_int8_raises(self):
         # Phi = x^2 + 100x + 1: x^2 = -1 - 100x fits int8, x^3 = 100 + 9999x
@@ -842,15 +848,27 @@ class TestMatrixSuiteBlocks:
 
 
 def test_verify_runs_each_long_division_once(monkeypatch):
-    """kron_check (lemmas) and the matrix suite's column check read one
-    shared set of long-division rows: one long_division_rows per run, not
-    one per check."""
+    """kronecker_factorization (lemmas) and the matrix suite's column check
+    read one shared set of long-division rows: one long_division_rows per
+    run, not one per check."""
     builds, build = [], cyclotomic.long_division_rows
     monkeypatch.setattr(cyclotomic, "long_division_rows",
                         lambda m: builds.append(m.M) or build(m))
     report = run_verify(63, trials=10)
     assert report.all_passed
     assert builds == [63]
+
+
+def test_verify_builds_each_reduction_matrix_once(monkeypatch):
+    """kronecker_factorization (lemmas), the matrix suite and the
+    expansion suite read one shared R_M: one reduction_matrix(63) per
+    run."""
+    builds, build = [], cyclotomic.reduction_matrix
+    monkeypatch.setattr(cyclotomic, "reduction_matrix",
+                        lambda m: builds.append(m.M) or build(m))
+    report = run_verify(63, trials=10)
+    assert report.all_passed
+    assert builds.count(63) == 1
 
 
 class TestLazyGenerator:

@@ -482,24 +482,43 @@ class TestFoldByUnit:
 
 
 class TestModulusLifetime:
-    def test_constructs_keep_no_modulus_alive(self):
-        # 2057 = 11^2 * 17. Other tests build it through make_modulus, and
-        # whether its bounded cache still holds that instance depends on
-        # how many other moduli ran since, so the cached instance may
-        # survive; the uncached one built here may not.
+    """No CycloModulus of M built during a test outlives it. The instances
+    of M alive at the start are left out: a parameter list built at
+    collection may hold one after make_modulus's bounded cache has evicted
+    it. So is the cached instance, which the test may build through
+    make_modulus."""
+
+    @staticmethod
+    def _outliving(M, run, hold):
+        """The instances of M built while run() runs that are alive after
+        it, less make_modulus's cached one; hold builds an uncached instance
+        first and holds it throughout, as such a parameter list would."""
+        held = make_modulus.__wrapped__(M) if hold else None
+
+        def alive():
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if isinstance(o, CycloModulus) and o.M == M]
+
+        # the list holds its instances, so their ids stay unique
+        before = alive()
+        ids = {id(o) for o in before}
+        run()
+        cached = make_modulus(M)
+        assert held is None or id(held) in ids
+        return [o for o in alive() if id(o) not in ids and o is not cached]
+
+    @staticmethod
+    def _constructs():
+        # 2057 = 11^2 * 17: an uncached instance, freed after use
         m = make_modulus.__wrapped__(2057)
         rng = random.Random(2057)
         for _ in range(30):
             i = rng.randrange(1, m.M)
             construct_scaled_inverse(i, rng.randrange(i), m)
-        del m
-        gc.collect()
-        alive = [o for o in gc.get_objects()
-                 if isinstance(o, CycloModulus) and o.M == 2057]
-        cached = make_modulus(2057)
-        assert [o for o in alive if o is not cached] == []
 
-    def test_generic_inverses_keep_no_modulus_alive(self):
+    @staticmethod
+    def _generic_inverses():
         # the NTT's block tables share the constructs' table cache, keyed
         # by integers: an uncached 63 (NTT kernel) is freed after use
         m = make_modulus.__wrapped__(63)
@@ -507,12 +526,17 @@ class TestModulusLifetime:
         for i, j in ((5, 1), (30, 2)):
             generic_scaled_inverse(monomial_diff(i, j, m))
         assert any(key[:2] == ("ntt", 63) for key in cyclotomic._table_cache)
-        del m
-        gc.collect()
-        alive = [o for o in gc.get_objects()
-                 if isinstance(o, CycloModulus) and o.M == 63]
-        cached = make_modulus(63)
-        assert [o for o in alive if o is not cached] == []
+
+    def test_constructs_keep_no_modulus_alive(self):
+        assert self._outliving(2057, self._constructs, False) == []
+
+    def test_generic_inverses_keep_no_modulus_alive(self):
+        assert self._outliving(63, self._generic_inverses, False) == []
+
+    @pytest.mark.parametrize("M, run", [(2057, "_constructs"),
+                                        (63, "_generic_inverses")])
+    def test_instance_held_from_the_start_is_left_out(self, M, run):
+        assert self._outliving(M, getattr(self, run), True) == []
 
 
 class TestNormProfile:
@@ -735,6 +759,25 @@ class TestRadicalSweep:
             scale, case, norms = gaps[g - 1]
             assert (scale, case, int(norms[j])) == (si.scale, si.case,
                                                     si.norm), (j + g, j)
+
+    def test_wide_bound_storage(self):
+        # M = 514 = 2 257, the smallest M whose bounds p - 1 = 1 and
+        # q - 1 = 256 need different minimal dtypes: every gap's norms are
+        # uint16, and gaps g and M - g are the two parts of one row of the
+        # sweep's one array
+        M = 514
+        m = make_modulus(M)
+        got, want = norm_profile(m), norm_profile_blocks(m)
+        assert got.rows == want.rows
+        assert list(got.case_max.items()) == list(want.case_max.items())
+        assert {norms.dtype for _, _, norms in got.gaps} == {
+            np.dtype(np.uint16)}
+        base = got.gaps[0][2].base
+        assert base.shape == (M // 2, M)
+        for g in range(1, M // 2):
+            low, high = got.gaps[g - 1][2], got.gaps[M - g - 1][2]
+            assert low.base is base and high.base is base
+            assert high.ctypes.data == low.ctypes.data + low.nbytes
 
     def test_rows_built_when_read(self):
         prof = norm_profile(make_modulus(35))
