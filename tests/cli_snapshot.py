@@ -4,10 +4,10 @@
 
 Each line holds one invocation, its exit code and the sha256 of its stdout
 and its stderr; the last line digests them all. Run it on two checkouts and
-diff the files to see whether a change kept the CLI's output; CI pins the
-last line, so a change that means to alter the output updates the digest
-in .github/workflows/tier1.yml. Every command
-runs in this process through cli.main. Timings (verify's "completed in"
+diff the files to see whether a change kept the CLI's output; a gate of
+tests/gates.py pins the last line, so a change that means to alter the
+output updates the digest there. Every command runs in this process
+through cli.main. Timings (verify's "completed in"
 lines and "seconds" keys) are masked, and the options of argparse usage
 lines are sorted, so only their set is compared, not their order.
 

@@ -6,8 +6,8 @@ Each line holds one modulus and the sha256 of its norm_profile: every gap's
 scale, case, norms dtype and norms bytes, in gap order, then case_max in
 its own order. The last line digests them all. Run it on two checkouts and
 diff the files to see whether a change kept the sweep's output bit for bit;
-CI pins the last line, so a change that means to alter the output updates
-the digest in .github/workflows/tier1.yml.
+a gate of tests/gates.py pins the last line, so a change that means to
+alter the output updates the digest there.
 
 The list: every supported M < 300, then 1003 = 17 59, 1007 = 19 53 (the
 costliest accepted rotation chain), 2057 = 11^2 17 and 2187 = 3^7.

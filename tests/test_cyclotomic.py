@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import random
@@ -892,13 +893,41 @@ class TestLazyGenerator:
 
 
 def test_verify_builds_each_shared_table_once(monkeypatch):
-    """The lemmas suite's Diophantine table and the expansion suite's sweep
-    over k are each computed once per run, not once per check."""
+    """The lemmas suite's Diophantine table, the expansion suite's sweep
+    over k and each reduction matrix, R_63 and R_21, are each computed once
+    per run, not once per check."""
     sweeps, sweep = [], expansion.max_expansion_factor
     monkeypatch.setattr(expansion, "max_expansion_factor",
                         lambda m: sweeps.append(m.M) or sweep(m))
+    builds, build = collections.Counter(), cyclotomic.reduction_matrix
+
+    def counted(m):
+        builds[m.M] += 1
+        return build(m)
+
+    # expansion imports reduction_matrix by name
+    for module in (cyclotomic, expansion):
+        monkeypatch.setattr(module, "reduction_matrix", counted)
     structure.solvable_table.cache_clear()
     report = run_verify(63, trials=10)
     assert report.all_passed
     assert structure.solvable_table.cache_info().misses == 1
     assert sweeps == [63]
+    assert builds == {63: 1, 21: 1}
+
+
+def test_inflation_consistency_catches_a_wrong_matrix_factor(monkeypatch):
+    """A wrong factor read from R_63's window at k M' = 3 fails
+    inflation_consistency by name: the check compares R_M's windows with
+    the report's factors, which are read at the radical."""
+    real = expansion._factor
+
+    def wrong(k, m, base_m, base):
+        factor, g = real(k, m, base_m, base)
+        return factor + (base_m is m and k == 3), g
+
+    monkeypatch.setattr(expansion, "_factor", wrong)
+    report = run_verify(63, "expansion", trials=10)
+    failed = {c.name for s in report.suites for c in s.checks
+              if not c.passed}
+    assert failed == {"inflation_consistency"}

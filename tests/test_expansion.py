@@ -96,10 +96,9 @@ class TestMaxFactor:
     def test_verify_builds_each_matrix_once_per_use(self, monkeypatch):
         # run_verify(63, "expansion") builds R_21 once for the max sweep,
         # which the suite's checks share and which reads the factors at
-        # the radical, R_63 once for the checks' second route (the
-        # witness, the randomized factors and inflation_consistency), and
-        # R_21 once more for inflation_consistency: R_M = R_21 kron I_3
-        # is built once, R_21 = R_21 kron I_1 twice
+        # the radical, and R_63 once for the checks' second route (the
+        # witness, the randomized factors and inflation_consistency):
+        # R_21 = R_21 kron I_1 and R_M = R_21 kron I_3 are built once each
         from cycloring.verify import run_verify
         real, builds = np.kron, []
 
@@ -109,7 +108,7 @@ class TestMaxFactor:
 
         monkeypatch.setattr(np, "kron", counted)
         assert run_verify(63, "expansion").all_passed
-        assert builds == [1, 3, 1]
+        assert builds == [1, 3]
 
 
 class TestRadicalAgainstMatrix:
