@@ -14,8 +14,8 @@ from .cyclotomic import (MAX_MATRIX_CELLS, MAX_MODULUS, BlockRanges,
 from .errors import (BadRange, CycloringError, GenericTooLarge,
                      InexactDivision, MatrixTooLarge, ModulusMismatch,
                      ModulusTooLarge, NotApplicable, NotCoprime, OutOfRange,
-                     PatternViolation, SweepTooLarge, UnsupportedModulus,
-                     ZeroElement, ZeroPolynomial)
+                     PatternViolation, Refused, SweepTooLarge,
+                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
 from .expansion import (ExpansionReport, max_expansion_factor,
                         monomial_expansion_factor, randomized_expansion_check)
 from .poly import IntPoly, divrem, exact_div, resultant_bezout

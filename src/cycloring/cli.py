@@ -7,12 +7,14 @@ the parsed arguments and the modulus of M, built once. cyclo and reduce
 share one coeffs | pretty | json printer. Coefficient I/O is
 degree-ascending everywhere.
 
-Exit codes: 0 success, 1 failed check (including a failed internal
-self-check, reported on stderr without a traceback), 2 usage error
-(including a negative --seed or --trials below 1, M above the supported
-ceiling, an R_M above its cell ceiling, a sweep above its cost ceiling
-and a generic inverse (--method bezout or both) above its cost ceiling,
-each refused before any work), 3 unsupported modulus.
+Exit codes, by the type of what stopped the command: 0 success; 2 a usage
+error (argparse: a negative --seed, --trials below 1) or any
+errors.Refused (an input outside a stated precondition, or M, an R_M, a
+sweep or a generic inverse above its ceiling, each refused before any
+work), printed as `error: <Name>: <message>`; 3 UnsupportedModulus; 1 a
+failed check, any other CycloringError (`error: <message>`) or a failed
+internal self-check, an AssertionError (`error: self-check failed:
+<message>`), each on stderr without a traceback.
 """
 from __future__ import annotations
 
@@ -26,10 +28,7 @@ from . import expansion as expansion_mod
 from . import scaled_inverse as sinv
 from . import verify as verify_mod
 from .cyclotomic import make_modulus, monomial_diff, reduce, reduction_matrix
-from .errors import (BadRange, CycloringError, GenericTooLarge,
-                     InexactDivision, MatrixTooLarge, ModulusTooLarge,
-                     NotApplicable, OutOfRange, SweepTooLarge,
-                     UnsupportedModulus, ZeroElement, ZeroPolynomial)
+from .errors import CycloringError, Refused, UnsupportedModulus
 from .poly import IntPoly
 
 
@@ -124,25 +123,28 @@ def _cmd_reduce(args, m) -> int:
 
 def _cmd_matrix(args, m) -> int:
     R = reduction_matrix(m)
-    if args.format == "csv":
-        print(R.to_csv())
-    elif args.format == "json":
-        # the rows of entries are rendered and written one at a time
+    # every format renders and writes R_M a row at a time, from the int8
+    # entries, so the whole document is never held
+    if args.format == "json":
         obj = dataclasses.replace(R, entries=R.entries[:0]).to_json_obj()
         obj["entries"] = (
             json.dumps(row.tolist(), indent=2).replace("\n", "\n    ")
             for row in R.entries)
         _print_json(obj)
+        return 0
+    # csv and pretty: one format string for every row
+    if args.format == "csv":
+        line = ",".join(["{}"] * m.M)
     else:
         cuts = set()
         if args.blocks and R.blocks is not None:
             cuts = {R.blocks.b1[0], R.blocks.b2[0], R.blocks.b3[0]}
         width = max(len(str(v)) for v in (R.entries.min(), R.entries.max()))
-        # one format string for every row, "| " before each cut column
+        # "| " before each cut column
         line = " ".join(("| " if c in cuts else "") + f"{{:>{width}}}"
                         for c in range(m.M))
-        for row in R.entries.tolist():
-            print(line.format(*row))
+    for row in R.entries:
+        print(line.format(*row.tolist()))
     return 0
 
 
@@ -338,9 +340,7 @@ def main(argv=None) -> int:
     except UnsupportedModulus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BadRange, OutOfRange, NotApplicable, ZeroElement, ZeroPolynomial,
-            InexactDivision, ModulusTooLarge, SweepTooLarge,
-            MatrixTooLarge, GenericTooLarge) as exc:
+    except Refused as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CycloringError as exc:

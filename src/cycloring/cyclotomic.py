@@ -211,8 +211,10 @@ def make_modulus(M: int) -> CycloModulus:
             f"M={M} has {len(factors)} distinct prime factors; only p^s and "
             f"p^s q^t are supported")
     m = CycloModulus(M, shape, phi, poly, radical, inflation)
-    assert m.poly.coeffs[-1] == 1 and m.poly.coeffs[0] == 1
-    assert m.poly.degree == phi
+    if not (m.poly.coeffs[0] == m.poly.coeffs[-1] == 1
+            and m.poly.degree == phi):
+        raise AssertionError(f"Phi_{M} is not monic of degree phi = {phi} "
+                             f"with constant term 1")
     return m
 
 

@@ -1,15 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a CycloringError. A refusal, an input outside a stated
+precondition or above a cost ceiling (refused before any work), is a
+Refused; the CLI answers any Refused with exit 2, UnsupportedModulus with
+exit 3 and any other CycloringError with exit 1. A new refusal is declared
+by its base class alone.
+"""
 
 
 class CycloringError(Exception):
     """Base class for all cycloring errors."""
 
 
-class ZeroPolynomial(CycloringError, ValueError):
+class Refused(CycloringError, ValueError):
+    """Base class of the refusals: the CLI's exit 2."""
+
+
+class ZeroPolynomial(Refused):
     """An operation that needs a nonzero polynomial got the zero polynomial."""
 
 
-class InexactDivision(CycloringError, ArithmeticError):
+class InexactDivision(Refused, ArithmeticError):
     """Polynomial division left a remainder or a non-integer quotient.
 
     Raised when a divisibility hypothesis is violated.
@@ -24,21 +35,21 @@ class UnsupportedModulus(CycloringError, ValueError):
     """M is not of the form p^s or p^s q^t with p, q prime."""
 
 
-class ModulusTooLarge(CycloringError, ValueError):
+class ModulusTooLarge(Refused):
     """M is above the supported ceiling; refused before any factorization."""
 
 
-class SweepTooLarge(CycloringError, ValueError):
+class SweepTooLarge(Refused):
     """An exhaustive (i, j) sweep above the cost ceiling; refused before any
     allocation."""
 
 
-class MatrixTooLarge(CycloringError, ValueError):
+class MatrixTooLarge(Refused):
     """A reduction matrix R_M above the cell ceiling; refused before any
     allocation."""
 
 
-class GenericTooLarge(CycloringError, ValueError):
+class GenericTooLarge(Refused):
     """A generic (resultant/Bezout) inverse above the cost ceiling, or
     beyond the supply of its primes; refused before any allocation."""
 
@@ -47,19 +58,19 @@ class ModulusMismatch(CycloringError, ValueError):
     """Ring elements from different moduli were combined."""
 
 
-class ZeroElement(CycloringError, ValueError):
+class ZeroElement(Refused):
     """The zero ring element has no scaled inverse."""
 
 
-class BadRange(CycloringError, ValueError):
+class BadRange(Refused):
     """Exponents (i, j) outside the required range 0 <= j < i < M."""
 
 
-class NotApplicable(CycloringError, ValueError):
+class NotApplicable(Refused):
     """The requested structural check is undefined for this modulus shape."""
 
 
-class OutOfRange(CycloringError, ValueError):
+class OutOfRange(Refused):
     """An index parameter lies outside the range the closed form covers."""
 
 

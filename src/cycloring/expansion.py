@@ -175,7 +175,9 @@ def max_expansion_factor(m: CycloModulus) -> ExpansionReport:
     if wk is None:
         wk = int(per.argmax())
     factor, witness = _factor(wk, m, rad, base)
-    assert factor == max_factor
+    if factor != max_factor:
+        raise AssertionError(f"witness exponent {wk} for M={m.M} has factor "
+                             f"{factor}, not the maximum {max_factor}")
     return ExpansionReport(m, per_k, max_factor, wk, witness)
 
 

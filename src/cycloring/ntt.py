@@ -8,17 +8,22 @@ deg a < phi:
   s(w^e) = r / a(w^e) = (-1)^(deg a phi) prod_{e' != e} a(w^e')
 
 and s, of degree < phi, is the integral cofactor with s a = r (mod Phi_M)
-reduced mod ell. ntt_images takes the values a(w^e) from one length-M
-number-theoretic transform (NTT) of a, forms every product of all the
-values but one by a product tree (so no modular inverse is taken),
-and takes one inverse NTT of the length-M row that holds them at the
-units, zero elsewhere: that gives a polynomial t of degree < M with
-t(w^e) = s(w^e) at every unit e, so s = t mod Phi_M (one _reduce_rows).
-The inverse NTT is the forward one with its input reindexed by e -> -e
-mod M and scaled by M^-1 (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 8): t_n = M^-1 sum_e s(w^e) w^(-e n) is the forward
-transform of the row that holds s(w^e) M^-1 at column -e mod M, so one
-set of tables, at the roots w, serves both transforms.
+reduced mod ell. The sign (-1)^(deg a phi) is always +1: phi is even for
+M >= 3, and at M = 2 (phi = 1) a is a constant, so the images are the
+products alone (poly._bezout_images keeps its sign, which resultant_bezout
+needs when deg f is odd).
+
+ntt_images takes the values a(w^e) from one length-M number-theoretic
+transform (NTT) of a, forms every product of all the values but one by a
+product tree (so no modular inverse is taken), and takes one inverse NTT
+of the length-M row that holds them at the units, zero elsewhere: that
+gives a polynomial t of degree < M with t(w^e) = s(w^e) at every unit e,
+so s = t mod Phi_M (one _reduce_rows). The inverse NTT is the forward one
+with its input reindexed by e -> -e mod M and scaled by M^-1 (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 8): t_n = M^-1 sum_e
+s(w^e) w^(-e n) is the forward transform of the row that holds s(w^e)
+M^-1 at column -e mod M, so one set of tables, at the roots w, serves
+both transforms.
 
 The transform is mixed-radix (Cooley-Tukey): M = N1 N2 splits into N1
 transforms of length N2, a twiddle by w^(n1 e2) and N2 transforms of
@@ -200,7 +205,7 @@ def ntt_images(a: tuple[int, ...], m: CycloModulus, primes):
 
 def _block_images(a: tuple[int, ...], m: CycloModulus, primes):
     """ntt_images of one block of primes."""
-    M, phi = m.M, m.phi
+    M = m.M
     P = np.array(primes, dtype=np.int64)[:, None]
     k = P.shape[0]
     tables, minv, units, negated = _block_tables(m, primes)
@@ -208,9 +213,6 @@ def _block_images(a: tuple[int, ...], m: CycloModulus, primes):
     X[:, 0, :len(a)] = _residues(a, P)
     vals = _transform(X, tables, P)[:, 0, units]
     prod, rest = _all_but_one(vals, P)
-    if (len(a) - 1) * phi % 2:
-        prod = (P - prod) % P
-        rest = (P - rest) % P
     # t(w^e) = s(w^e) at the units and 0 elsewhere: t_n = M^-1 sum_e
     # s(w^e) w^(-e n), the forward transform of s(w^e) M^-1 at column -e
     V = np.zeros((k, 1, M), dtype=np.int64)

@@ -72,6 +72,11 @@ GATES = (
     # R_M at the cell ceiling (about 46 MB; 148 MB when the round trips
     # held each whole document, 57 MB with parts of 2^18 entries)
     _cli("verify 2039 --suite matrix", 60, 60),
+    # R_M at the cell ceiling in csv and pretty, printed a row at a time
+    # (about 41.5 MB each, as in json; 73 MB in csv and 65 MB in pretty
+    # when each converted the whole matrix to Python ints at once)
+    _cli("matrix 2039 --format csv", 60, 50),
+    _cli("matrix 2039 --format pretty", 60, 50),
     # the bench's costliest CLI command (about 37 MB; 48 MB when every run
     # imported numpy.random and the round trips took parts of 2^18 entries)
     _cli("verify 1024 --suite matrix", 60, 40),

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloring import cli, cyclotomic, make_modulus, reduction_matrix
+from cycloring import errors
 from cycloring import expansion as expansion_mod
 from cycloring.errors import UnsupportedModulus
 from cycloring.poly import IntPoly, divrem
@@ -19,6 +22,37 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestExitCodes:
+    """main answers by the type of what a handler raised alone: exit 2 for
+    any Refused, 3 for UnsupportedModulus, 1 for any other CycloringError
+    and for a failed self-check, each on stderr in its own format."""
+
+    REFUSALS = ("BadRange", "OutOfRange", "NotApplicable", "ZeroElement",
+                "ZeroPolynomial", "InexactDivision", "ModulusTooLarge",
+                "SweepTooLarge", "MatrixTooLarge", "GenericTooLarge")
+
+    def test_the_refusals_are_refused(self):
+        assert {e.__name__ for e in errors.Refused.__subclasses__()} >= set(
+            self.REFUSALS)
+        assert issubclass(errors.InexactDivision, ArithmeticError)
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        pytest.param(error, code, prefix, id=error.__name__)
+        for error, code, prefix in [
+            *((e, 2, f"{e.__name__}: ")
+              for e in errors.Refused.__subclasses__()),
+            (errors.NotCoprime, 1, ""), (errors.ModulusMismatch, 1, ""),
+            (UnsupportedModulus, 3, ""),
+            (AssertionError, 1, "self-check failed: ")]])
+    def test_exit_code_by_type(self, capsys, monkeypatch, error, code, prefix):
+        def handler(args, m):
+            raise error("raised by the handler")
+
+        monkeypatch.setattr(cli, "_cmd_cyclo", handler)
+        assert run(capsys, "cyclo", "7") == (
+            code, "", f"error: {prefix}raised by the handler\n")
 
 
 class TestCyclo:
@@ -141,6 +175,13 @@ class TestMatrix:
             "blocks"] is None
 
     @pytest.mark.parametrize("M", [2, 3, 9, 15, 21, 49, 221])
+    def test_csv_streamed_as_one_document(self, capsys, M):
+        code, out, _ = run(capsys, "matrix", str(M), "--format", "csv")
+        R = reduction_matrix(make_modulus(M))
+        assert code == 0
+        assert out == R.to_csv() + "\n"
+
+    @pytest.mark.parametrize("M", [2, 3, 9, 15, 21, 49, 221])
     def test_json_streamed_as_one_document(self, capsys, M):
         # the rows are printed one at a time; the bytes are those of the
         # whole document printed at once
@@ -232,6 +273,9 @@ class TestExpansion:
         assert code == 0 and out == json.dumps(
             {"M": M, "k": k, "factor": factor,
              "witness_g": list(witness.coeffs)}, indent=2) + "\n"
+        code, out, _ = run(capsys, "expansion", str(M), "--k", "3")
+        assert code == 0
+        assert out == f"k = {k}: factor {factor}, witness g = {witness}\n"
 
 
 class TestSweep:
@@ -288,6 +332,30 @@ class TestSelfCheckFailure:
         assert err.startswith("error: self-check failed: ")
         assert "M=15, (i, j)=(1, 0)" in err
         assert "Traceback" not in err
+
+    def test_expansion_witness_reported(self, capsys, monkeypatch):
+        # the witness's factor, read again, is not the maximum
+        real = expansion_mod._factor
+
+        def off_by_one(k, m, base_m, base):
+            factor, g = real(k, m, base_m, base)
+            return factor + 1, g
+
+        monkeypatch.setattr(expansion_mod, "_factor", off_by_one)
+        code, out, err = run(capsys, "expansion", "21")
+        assert (code, out) == (1, "")
+        assert err == ("error: self-check failed: witness exponent 11 for "
+                       "M=21 has factor 7, not the maximum 6\n")
+
+    def test_no_assert_statements(self):
+        # python -O strips assert statements: every self-check raises
+        # AssertionError itself
+        src = Path(cli.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestVerify:

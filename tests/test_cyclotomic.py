@@ -1,7 +1,9 @@
 import collections
 import dataclasses
 import json
+import operator
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +109,25 @@ class TestMakeModulus:
         assert m.shape == TwoPrime(3, 2, 5, 1)
         assert m.radical == 15 and m.inflation == 3
         assert m.phi == 24
+
+    def test_repr(self):
+        assert repr(make_modulus(45)) == (
+            "CycloModulus(M=45, shape=TwoPrime(p=3, s=2, q=5, t=1), phi=24)")
+
+    def test_hashes_agree_with_equality(self):
+        # a modulus built again, past the cache, and its elements
+        m, twin = make_modulus(15), make_modulus.__wrapped__(15)
+        assert m is not twin and m == twin and hash(m) == hash(twin)
+        assert m != make_modulus(21) and len({m, twin, make_modulus(21)}) == 2
+        a, b = element(m, range(8)), element(twin, range(8))
+        assert a == b and hash(a) == hash(b)
+
+    def test_self_check_raises_under_python_o(self, monkeypatch):
+        # an explicit raise, which python -O keeps, not an assert
+        monkeypatch.setattr(IntPoly, "inflate", lambda self, k: self)
+        with pytest.raises(AssertionError, match=r"Phi_9 is not monic of "
+                                                 r"degree phi = 6"):
+            make_modulus.__wrapped__(9)
 
 
 class TestReduce:
@@ -324,6 +345,26 @@ class TestRingMul:
         b = element(make_modulus(21), (1,) + (0,) * 11)
         with pytest.raises(ModulusMismatch):
             ring_mul(a, b)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul])
+    def test_operator_modulus_mismatch(self, op):
+        a = element(make_modulus(15), (1,) + (0,) * 7)
+        b = element(make_modulus(21), (1,) + (0,) * 11)
+        with pytest.raises(ModulusMismatch):
+            op(a, b)
+
+    def test_element_operators(self):
+        # + and - are coefficientwise; * of two elements is ring_mul
+        rng = np.random.default_rng(11)
+        m = make_modulus(21)
+        for _ in range(10):
+            a, b = (element(m, rng.integers(-4, 5, size=m.phi).tolist())
+                    for _ in range(2))
+            pairs = list(zip(a.coeffs, b.coeffs))
+            assert (a + b).coeffs == tuple(x + y for x, y in pairs)
+            assert (a - b).coeffs == tuple(x - y for x, y in pairs)
+            assert a * b == ring_mul(a, b)
 
     def test_monomial_diff(self):
         m = make_modulus(15)
@@ -931,3 +972,115 @@ def test_inflation_consistency_catches_a_wrong_matrix_factor(monkeypatch):
     failed = {c.name for s in report.suites for c in s.checks
               if not c.passed}
     assert failed == {"inflation_consistency"}
+
+
+def _failed(report):
+    """{name: witness} of the failed checks of a verify report."""
+    return {c.name: c.witness for s in report.suites for c in s.checks
+            if not c.passed}
+
+
+def _first_gap(edit):
+    """A change of NormProfile.gaps: edit(scale, case, norms) of gap 1."""
+    return lambda gaps: (edit(*gaps[0]),) + gaps[1:]
+
+
+class TestTheoremWitnesses:
+    """Each theorems check, fed a wrong answer by a patched route, fails
+    with its witness while the other checks pass: at M = 25 = 5^2 (scale
+    and bound 5 and 4 at every gap) and at M = 21 = 3 7."""
+
+    @pytest.mark.parametrize("edit, witness", [
+        (lambda gaps: gaps[:-1], "sweep has 23 gaps, not M - 1 = 24"),
+        (_first_gap(lambda scale, case, norms: (scale, case, norms[:-1])),
+         "gap 1: 23 pairs, not M - g = 24"),
+        (_first_gap(lambda scale, case, norms: (2 * scale, case, norms)),
+         f"(i,j)=(1,0): case {scaled_inverse.InverseCase.PRIME_POWER} "
+         f"scale 10"),
+        (_first_gap(lambda scale, case, norms: (
+            scale, case, np.where(np.arange(norms.size) == 3, 5, norms))),
+         "(i,j)=(4,3): norm 5 > bound 4")],
+        ids=["gap_count", "pair_count", "scale", "norm_above_bound"])
+    def test_construction_exhaustive(self, monkeypatch, edit, witness):
+        real = scaled_inverse.norm_profile
+
+        def wrong(m):
+            profile = real(m)
+            return dataclasses.replace(profile, gaps=edit(profile.gaps))
+
+        monkeypatch.setattr(scaled_inverse, "norm_profile", wrong)
+        assert _failed(run_verify(25, "theorems", trials=10)) == {
+            "construction_exhaustive": witness}
+
+    @pytest.mark.parametrize("alt_edit, u_edit, witness", [
+        (lambda c: (c[0] - 1,) + c[1:], None,
+         "alternative form constant -2 != -(p-2)"),
+        (None, lambda u: 0 * u, "norm 0 below p-2"),
+        (lambda c: c[:2] + (c[2] + 1,) + c[3:], None,
+         "alternative form differs from constructed inverse")],
+        ids=["constant", "norm", "differs"])
+    def test_near_tight_witness(self, monkeypatch, alt_edit, u_edit, witness):
+        # the pair (i, j) = (M'(p - 1), M'(p - 2)) = (2, 1) at M = 21
+        alt, construct = (scaled_inverse.alternative_coprime_form,
+                          scaled_inverse.construct_scaled_inverse)
+        if alt_edit:
+            monkeypatch.setattr(scaled_inverse, "alternative_coprime_form",
+                                lambda m: IntPoly(alt_edit(alt(m).coeffs)))
+        if u_edit:
+            def wrong(i, j, m):
+                si = construct(i, j, m)
+                if (i, j) != (2, 1):
+                    return si
+                return dataclasses.replace(si, u=u_edit(si.u))
+
+            monkeypatch.setattr(scaled_inverse, "construct_scaled_inverse",
+                                wrong)
+        assert _failed(run_verify(21, "theorems", trials=10)) == {
+            "near_tight_witness": witness}
+
+    def test_scale_minimality_u(self, monkeypatch):
+        # the first generic inverse, minimality's at (1, 0), returns 2u
+        real, calls = scaled_inverse.generic_scaled_inverse, []
+
+        def doubled_once(a):
+            gen = real(a)
+            calls.append(a)
+            if len(calls) == 1:
+                gen = dataclasses.replace(gen, u=2 * gen.u)
+            return gen
+
+        monkeypatch.setattr(scaled_inverse, "generic_scaled_inverse",
+                            doubled_once)
+        assert _failed(run_verify(25, "theorems", trials=10)) == {
+            "scale_minimality": "(i,j)=(1,0): constructed and minimal u differ"}
+
+    @pytest.mark.parametrize("edit, witness", [
+        (lambda si: dataclasses.replace(si, scale=si.scale + 1),
+         r"\(i,j\)=\(\d+,\d+\): scales 6 vs 5"),
+        (lambda si: dataclasses.replace(si, u=-si.u),
+         r"\(i,j\)=\(\d+,\d+\): residues not proportional")],
+        ids=["scales", "residues"])
+    def test_bezout_agreement_sampled(self, monkeypatch, edit, witness):
+        # every construct at j > 0, which only the sampled pairs ask for
+        construct = scaled_inverse.construct_scaled_inverse
+
+        def wrong(i, j, m):
+            si = construct(i, j, m)
+            return edit(si) if j else si
+
+        monkeypatch.setattr(scaled_inverse, "construct_scaled_inverse", wrong)
+        failed = _failed(run_verify(25, "theorems", trials=10))
+        assert list(failed) == ["bezout_agreement_sampled"]
+        assert re.fullmatch(witness, failed["bezout_agreement_sampled"])
+
+
+def test_factor_closed_form_witness(monkeypatch):
+    """A max factor above 2p fails factor_closed_form with its witness;
+    witness_attains_max, which reads the same maximum off R_M, fails too."""
+    real = expansion.max_expansion_factor
+    monkeypatch.setattr(
+        expansion, "max_expansion_factor",
+        lambda m: dataclasses.replace(real(m), max_factor=7))
+    assert _failed(run_verify(21, "expansion", trials=10)) == {
+        "factor_closed_form": "max factor 7 above the 2p row bound",
+        "witness_attains_max": "predicate returned false"}
