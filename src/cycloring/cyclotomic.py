@@ -1,7 +1,7 @@
 """Cyclotomic moduli Phi_M(x) for M = p^s or M = p^s q^t, with reduction.
 
-A CycloModulus validates the shape of M, carries Phi_M(x), both as an IntPoly
-and as a read-only int64 row, and is immutable.
+A CycloModulus validates the shape of M, carries Phi_M(x) once, as a
+read-only int8 row (poly builds the IntPoly from it), and is immutable.
 
 Every reduction mod Phi_M rests on one identity. With y = x^M',
 M' = M/rad(M), Phi_M(x) is Phi_p(y) or Phi_pq(y), so 1 - x^M = Phi_M(x) D(y)
@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -145,34 +145,27 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class CycloModulus:
-    """Validated cyclotomic modulus carrying Phi_M.
+    """Validated cyclotomic modulus carrying Phi_M, immutable.
 
-    poly_row holds the coefficients of poly as a read-only int64 array (they
-    lie in {-1, 0, 1}), the numerator the constructive inverses start from.
+    poly_row, the only copy of Phi_M, holds its phi + 1 coefficients as a
+    read-only int8 array (they lie in {-1, 0, 1}), the numerator the
+    constructive inverses start from; poly builds the IntPoly from it when
+    read. Equality and hashing go by value (the row is left out, as M
+    determines it).
     """
 
-    __slots__ = ("M", "shape", "phi", "poly", "poly_row", "radical",
-                 "inflation")
+    M: int
+    shape: PrimePower | TwoPrime
+    phi: int
+    radical: int = field(repr=False)
+    inflation: int = field(repr=False)
+    poly_row: np.ndarray = field(repr=False, compare=False)
 
-    def __init__(self, M, shape, phi, poly, radical, inflation):
-        self.M = M
-        self.shape = shape
-        self.phi = phi
-        self.poly = poly
-        self.poly_row = np.array(poly.coeffs, dtype=np.int64)
-        self.poly_row.setflags(write=False)
-        self.radical = radical
-        self.inflation = inflation
-
-    def __eq__(self, other):
-        return isinstance(other, CycloModulus) and self.M == other.M
-
-    def __hash__(self):
-        return hash(self.M)
-
-    def __repr__(self):
-        return f"CycloModulus(M={self.M}, shape={self.shape}, phi={self.phi})"
+    @property
+    def poly(self) -> IntPoly:
+        return IntPoly(self.poly_row.tolist())
 
 
 @lru_cache(maxsize=64)
@@ -180,6 +173,11 @@ def make_modulus(M: int) -> CycloModulus:
     """Build the modulus for M = p^s or p^s q^t; UnsupportedModulus otherwise.
 
     M above MAX_MODULUS raises ModulusTooLarge before M is factorized.
+    Phi_rad is built in numpy, as ones(p) or as Phi_pq from int64 prefix
+    sums, and checked to be monic of degree phi / M' with every coefficient
+    in {-1, 0, 1} before it is narrowed to int8 and written to every M'-th
+    entry of poly_row (Phi_M(x) = Phi_rad(x^M')); each cached modulus so
+    holds about phi bytes.
     """
     if M < 2:
         raise UnsupportedModulus(f"M={M} is below 2")
@@ -191,36 +189,43 @@ def make_modulus(M: int) -> CycloModulus:
         (p, s), = factors
         shape = PrimePower(p, s)
         phi = (p - 1) * p ** (s - 1)
-        poly = IntPoly((1,) * p).inflate(p ** (s - 1))
         radical, inflation = p, p ** (s - 1)
+        base = np.ones(p, dtype=np.int8)
     elif len(factors) == 2:
         (p, s), (q, t) = factors
         shape = TwoPrime(p, s, q, t)
         phi = (p - 1) * (q - 1) * p ** (s - 1) * q ** (t - 1)
+        radical, inflation = p * q, p ** (s - 1) * q ** (t - 1)
         # Phi_pq = (1 - x)(1 - x^pq)/((1 - x^p)(1 - x^q)) has degree < pq: the
         # series cut at x^pq, by prefix sums over residues mod p, then mod q
-        row = np.zeros(p * q, dtype=np.int64)
-        row[:2] = 1, -1
-        row = row.reshape(q, p).cumsum(axis=0).reshape(p, q).cumsum(axis=0)
-        phi_pq = IntPoly(row.ravel().tolist())
-        inflation = p ** (s - 1) * q ** (t - 1)
-        poly = phi_pq.inflate(inflation)
-        radical = p * q
+        base = np.zeros(p * q, dtype=np.int64)
+        base[:2] = 1, -1
+        base = base.reshape(q, p).cumsum(axis=0).reshape(p, q).cumsum(axis=0)
+        base = base.ravel()
     else:
         raise UnsupportedModulus(
             f"M={M} has {len(factors)} distinct prime factors; only p^s and "
             f"p^s q^t are supported")
-    m = CycloModulus(M, shape, phi, poly, radical, inflation)
-    if not (m.poly.coeffs[0] == m.poly.coeffs[-1] == 1
-            and m.poly.degree == phi):
+    deg = phi // inflation
+    if not (base[0] == base[deg] == 1 and not base[deg + 1:].any()
+            and base.min() >= -1 and base.max() <= 1):
         raise AssertionError(f"Phi_{M} is not monic of degree phi = {phi} "
-                             f"with constant term 1")
-    return m
+                             f"with constant term 1 and coefficients in "
+                             f"{{-1, 0, 1}}")
+    poly_row = np.zeros(phi + 1, dtype=np.int8)
+    poly_row[::inflation] = base[:deg + 1]
+    poly_row.setflags(write=False)
+    return CycloModulus(M, shape, phi, radical, inflation, poly_row)
 
 
 @dataclass(frozen=True)
 class RingElement:
-    """Fully reduced element of Z[x]/Phi_M(x): a length-phi coefficient vector."""
+    """Fully reduced element of Z[x]/Phi_M(x): a length-phi coefficient vector.
+
+    The coefficients are trusted to be reduced ints, as every construct
+    builds one; element() is the entry point for untrusted input, checked
+    and reduced through IntPoly.
+    """
 
     modulus: CycloModulus
     coeffs: tuple[int, ...]
@@ -508,7 +513,8 @@ def long_division_rows(m: CycloModulus) -> np.ndarray:
     to the columns of R_M (kron_check, verify), read from the coefficients
     of Phi_M alone. Rows below phi are the unit rows; above, row k is
     x row(k - 1) - lead Phi_M, lead the top entry of row(k - 1), one step
-    of long division. The step runs on one int64 row, range-checked before
+    of long division. The step runs on one int64 row, against Phi_M's int8
+    row widened to int64 once (int8 there is slower), range-checked before
     it is narrowed: every entry of R_M lies in {-1, 0, 1}, and a remainder
     entry outside int8 raises OverflowError, so the narrow storage can
     hide no disagreement. Phi_M's coefficients lie in {-1, 0, 1}, so the
@@ -516,7 +522,7 @@ def long_division_rows(m: CycloModulus) -> np.ndarray:
     M, phi = m.M, m.phi
     out = np.zeros((M, phi), dtype=np.int8)
     out[np.arange(phi), np.arange(phi)] = 1
-    low = m.poly_row[:phi]
+    low = m.poly_row[:phi].astype(np.int64)
     row = np.zeros(phi, dtype=np.int64)
     row[-1] = 1
     for k in range(phi, M):

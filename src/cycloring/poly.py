@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -43,12 +44,17 @@ NEG_INF = float("-inf")
 
 
 class IntPoly:
-    """Dense univariate polynomial with integer coefficients."""
+    """Dense univariate polynomial with integer coefficients.
+
+    The coefficients are normalized to Python ints by operator.index: a
+    float raises TypeError rather than being truncated, and a numpy
+    integer becomes a Python int, exact at any size.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

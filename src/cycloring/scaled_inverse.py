@@ -238,7 +238,8 @@ def _case(d: int, m: CycloModulus):
     """The paper's case table at d = gcd(k, M) of a shift k = i - j,
     0 < k < M.
 
-    Returns (case, N, scale, bound), N as an int64 coefficient row:
+    Returns (case, N, scale, bound), N as a coefficient row, int8 for
+    Phi_M and int64 for the combs:
 
       case             N(x)                scale  bound
       PRIME_POWER      Phi_M               p      p-1

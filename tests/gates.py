@@ -61,9 +61,11 @@ GATES = (
     Gate("tests/sweep_digest.py", (str(TESTS / "sweep_digest.py"),), 120,
          last="all 7124fcadd36631956ca0336fbaa83093738b3bff7289e411817596c87c8c2b13"),
     # an oversized R_M, an oversized generic inverse and a negative --seed
-    # exit 2 before any work
-    _cli("matrix 1048573", 20, code=2),
-    _cli("expansion 1048573 --k 3", 20, code=2),
+    # exit 2 before any work; the first two build Phi_M at the largest
+    # supported prime first (about 32 MB each; 46 MB when make_modulus
+    # built it as an IntPoly and an int64 copy)
+    _cli("matrix 1048573", 20, 40, code=2),
+    _cli("expansion 1048573 --k 3", 20, 40, code=2),
     _cli("scaled-inv 65537 5 0 --method bezout", 20, code=2),
     _cli("verify 35 --seed -1", 20, code=2),
     # the squarefree M = 1147 (about 0.5 s; the randomized subset check
@@ -87,7 +89,8 @@ GATES = (
     # 3^10, whose R_M is above the cell ceiling (about 33 MB and 0.25 s;
     # it read the factors from R_M and exited 2)
     _cli("expansion 59049 --format json", 20, 60),
-    # about 63 MB each; 127 MB in text and 182 MB in JSON when each long
+    # about 55 MB each (63 MB when make_modulus built Phi_M as an IntPoly
+    # and an int64 copy); 127 MB in text and 182 MB in JSON when each long
     # list was rendered as one string
     _cli("expansion 1048576 --format text", 20, 100),
     _cli("expansion 1048576 --format json", 20, 100),
@@ -108,7 +111,8 @@ GATES = (
     # streams its 2.1M rows (about 35 MB; 1.42 GB when it dumped the whole
     # document)
     _cli("sweep 2057 --format json", 120, 100),
-    # one construct in each of the 20 divisor classes (about 82 MB; 83-85
+    # one construct in each of the 20 divisor classes (about 78 MB; 82 MB
+    # when make_modulus built Phi_M as an IntPoly and an int64 copy, 83-85
     # MB before the case cores were cached, 101 = 85 plus the cache's
     # 16 MiB ceiling)
     Gate("one construct per divisor class at M = 2^20",

@@ -61,7 +61,10 @@ class TestMakeModulus:
 
     def test_closed_forms_match_divisor_loop(self):
         for m in all_supported_upto(200):
-            assert m.poly == cyclotomic_divisor_loop(m.M), f"M={m.M}"
+            want = cyclotomic_divisor_loop(m.M)
+            assert m.poly == want, f"M={m.M}"
+            assert m.poly_row.dtype == np.int8, f"M={m.M}"
+            assert m.poly_row.tolist() == list(want.coeffs), f"M={m.M}"
             assert m.poly.degree == m.phi
             assert m.poly.coeffs[0] == 1
 
@@ -99,10 +102,33 @@ class TestMakeModulus:
     @pytest.mark.parametrize("M", [2, 9, 15, 45, 1147])
     def test_poly_row_is_a_read_only_copy_of_poly(self, M):
         m = make_modulus(M)
-        assert m.poly_row.dtype == np.int64
-        assert tuple(m.poly_row.tolist()) == m.poly.coeffs
+        assert m.poly_row.dtype == np.int8
+        assert m.poly == IntPoly(m.poly_row.tolist())
         with pytest.raises(ValueError, match="read-only"):
             m.poly_row[0] = 2
+
+    def test_fields_are_frozen(self):
+        m = make_modulus.__wrapped__(15)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.M = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.poly_row = np.ones(9, dtype=np.int8)
+        assert m.M == 15 and m == make_modulus(15)
+        assert [f.name for f in dataclasses.fields(m)] == [
+            "M", "shape", "phi", "radical", "inflation", "poly_row"]
+
+    @pytest.mark.parametrize("M", [2 ** 20, 1048573])
+    def test_one_small_copy_of_phi_held(self, M):
+        # one int8 row of phi + 1 entries: 0.5 MB at 2^20 and 1.0 MB at the
+        # prime 1048573 (8.0 and 16.0 MB with a tuple and an int64 copy)
+        tracemalloc.start()
+        try:
+            m = make_modulus.__wrapped__(M)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.poly_row.nbytes == m.phi + 1
+        assert held <= 1.1 * 2 ** 20, held
 
     def test_shape_metadata(self):
         m = make_modulus(45)
@@ -123,14 +149,27 @@ class TestMakeModulus:
         assert a == b and hash(a) == hash(b)
 
     def test_self_check_raises_under_python_o(self, monkeypatch):
-        # an explicit raise, which python -O keeps, not an assert
-        monkeypatch.setattr(IntPoly, "inflate", lambda self, k: self)
+        # an explicit raise, which python -O keeps, not an assert: factors
+        # 3 * 3 give phi = 4, while their prefix sums give a row of degree
+        # 7 with the coefficients 2 and 3
+        monkeypatch.setattr(cyclotomic, "_factorize",
+                            lambda n: [(3, 1), (3, 1)])
         with pytest.raises(AssertionError, match=r"Phi_9 is not monic of "
-                                                 r"degree phi = 6"):
+                                                 r"degree phi = 4"):
             make_modulus.__wrapped__(9)
 
 
 class TestReduce:
+    def test_non_integer_coefficient_refused(self):
+        # 0.5 was truncated to 0 on the way to an int64 row
+        m = make_modulus(5)
+        with pytest.raises(TypeError):
+            reduce(IntPoly((0.5, 1)), m)
+        with pytest.raises(TypeError):
+            element(m, (1, 0.5))
+        assert element(m, np.array([2 ** 62, 0, 0, 0, 2 ** 62])).coeffs == (
+            0, -2 ** 62, -2 ** 62, -2 ** 62)
+
     def test_first_overflow_column(self):
         for M in (15, 21, 9):
             m = make_modulus(M)
@@ -823,7 +862,8 @@ class TestLongDivisionRows:
     def test_row_outside_int8_raises(self):
         # Phi = x^2 + 100x + 1: x^2 = -1 - 100x fits int8, x^3 = 100 + 9999x
         # does not
-        m = cyclotomic.CycloModulus(4, None, 2, IntPoly((1, 100, 1)), 4, 1)
+        m = cyclotomic.CycloModulus(4, None, 2, 4, 1,
+                                    np.array([1, 100, 1], dtype=np.int64))
         with pytest.raises(OverflowError, match=r"x\^3"):
             cyclotomic.long_division_rows(m)
 

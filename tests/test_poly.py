@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -40,6 +41,17 @@ class TestBasics:
 
     def test_canonical_trim(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 1), (1, 2.0), (Fraction(1, 2),)])
+    def test_non_integer_coefficient_refused(self, coeffs):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+
+    def test_numpy_integers_become_python_ints(self):
+        a = IntPoly(np.array([2 ** 62, 1, 0], dtype=np.int64))
+        assert a.coeffs == (2 ** 62, 1)
+        assert all(type(c) is int for c in a.coeffs)
+        assert (a + a).coeffs == (2 ** 63, 2)
 
     def test_mul_difference_of_squares(self):
         assert P(-1, 1) * P(1, 1) == P(-1, 0, 1)
