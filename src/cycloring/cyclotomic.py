@@ -31,10 +31,10 @@ as whole-row adds on wide ones.
 _reduce_rows folds a batch of rows mod x^M - 1 and reduces them, by the
 subtraction or by the product with E and the prefix sums; _monomial_rows
 reduces unit rows in blocks, the route of every x^k. An exhaustive sweep
-(scaled_inverse.norm_profile) reduces each subsequence once, at the
-radical, and takes the norms of its rotations with no second reduction:
-in closed form at a prime radical, by exact division by y at a two-prime
-one.
+(scaled_inverse.norm_profile) reduces each subsequence of one gap per
+orbit of the units = 1 (mod rad) once, at the radical, and takes the
+norms of its rotations with no second reduction: in closed form at a
+prime radical, by exact division by y at a two-prime one.
 
 Integers are exact. Rows are int64 when every step provably fits, and
 object arrays of Python ints, exact at any size, otherwise (_as_rows).
@@ -79,12 +79,14 @@ _UNIT_BLOCK = 2 ** 18
 
 # The tables that _cached has built, keyed by a kind and integers, least
 # recently used first: ("core", M, d) for a case core, a -Q row of fewer
-# than M int64 entries (8 MiB at most, at M = MAX_MODULUS), and
+# than M int64 entries (8 MiB at most, at M = MAX_MODULUS),
 # ("ntt", M, *primes) for a block's NTT tables, fewer than ntt._NTT_BLOCK
-# int64 entries (8 MiB) for a block of two or more primes. At most
-# _TABLE_ENTRIES entries and _TABLE_BYTES bytes of arrays are kept over
-# both kinds, so the ceiling holds two of the largest of either; an entry
-# above it alone is built, used and not kept. The cores of every divisor
+# int64 entries (8 MiB) for a block of two or more primes, and
+# ("orbits", M) for a sweep's orbit plan, three rows of M/2 entries
+# (scaled_inverse._orbit_plan; 0.13 MB at 16384). At most _TABLE_ENTRIES
+# entries and _TABLE_BYTES bytes of arrays are kept over all kinds, so
+# the ceiling holds two of the largest of any; an entry above it alone
+# is built, used and not kept. The cores of every divisor
 # of a few moduli up to 2187 take under 1 MB, and point's generic route at
 # M = 35 or 63 one block of tables of 8 or 19 KB.
 _TABLE_ENTRIES = 256

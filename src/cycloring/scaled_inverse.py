@@ -30,36 +30,37 @@ generic one. Q depends on d only, so its case core (case, scale, bound,
 the (-1, d) view of N - scale and the exactness check of its top row, and
 kept in the table cache that it shares with the NTT's block tables
 (cyclotomic._cached, bounded by entries and bytes over both kinds, keyed
-by integers, so it holds no modulus). One routine, _construct, builds a
-range of consecutive gaps at one shift j, or at one shift per row, as
-int64 rows: each group of gaps
-that share d reads its core from the cache, and one fancy assignment
-folds the exponents e a - j mod M of every gap of the group, a the first
-of k/d, k/d + M/d that is prime to M, so a d = k mod M. The automorphism
-x -> x^a of Z[x]/Phi_M sends x^d - 1 to x^k - 1, so -Q(x^a) is the
-inverse of x^k - 1 at the same scale, and as that inverse is unique it
-has the remainder of the paper's -Q(x^{k/d}); as a is a unit, no two
-exponents of a row collide. One reduction mod Phi_M follows. A single
-construct is a range of one gap at one j; a sweep's blocks are ranges of
-up to _UNIT_BLOCK / (16 M) gaps, at a shift per row (_chain_shifts, 0 at
-a prime radical). Entries stay below M (q + 1) (the bound is derived in
-_case_core), and each reduction falls back to Python ints when its own
-bound fails.
+by integers, so it holds no modulus). One routine, _construct, builds
+one gap per row, a range of consecutive gaps or an array of gaps, at one
+shift j or at one shift per row, as int64 rows: each group of gaps that
+share d reads its core from the cache, and one write through the flat
+index r M + (e a - j) mod M folds the exponents of every gap of the
+group, a the first of k/d, k/d + M/d that is prime to M, so a d = k mod M.
+The automorphism x -> x^a of Z[x]/Phi_M sends x^d - 1 to x^k - 1, so
+-Q(x^a) is the inverse of x^k - 1 at the same scale, and as that inverse
+is unique it has the remainder of the paper's -Q(x^{k/d}); as a is a
+unit, no two exponents of a row collide. One reduction mod Phi_M follows.
+A single construct is a range of one gap at one j; a sweep's blocks are
+the representatives among up to _UNIT_BLOCK / (16 M) consecutive gaps, at
+a shift per row (_chain_shifts, 0 at a prime radical). Entries stay below
+M (q + 1) (the bound is derived in _case_core), and each reduction falls
+back to Python ints when its own bound fails.
 
 Every inverse is re-verified by an exact product before it is returned: a
 generic one by a ring multiplication, a constructed one by check_gap_block,
 the one check of every constructed inverse, one row per pair. It takes the
-same block shape as _construct, a range of consecutive gaps at one j or a
-j per row, with a scale and a bound per row. As x is a unit, row r is the
-inverse of x^i - x^j at the scale c exactly when (1 - x^g) u + c x^{-j} = 0
-mod Phi_M, g = i - j; it forms that residual modulo x^M - 1 and tests that
-its product with E, (1 - y^p)(1 - y^q) or 1 - y at y = x^{M/rad}, is
-0 mod x^M - 1 (see cyclotomic), so no second reduction is needed. A block
-of one row, a single construct's, forms it by two slice subtractions of u
-from [u, 0], the second where x^g u wraps past x^M, and takes the row's
-norm and dtype from one max/min pass; a taller block, a sweep's, reads
-x^g u as windows of one padded buffer. The zero test, the bound test and
-the failure messages are shared.
+same block shape as _construct, one gap per row at one j or a j per row,
+with a scale and a bound per row. As x is a unit, row r is the inverse of
+x^i - x^j at the scale c exactly when (1 - x^g) u + c x^{-j} = 0 mod
+Phi_M, g = i - j; it forms that residual modulo x^M - 1 and tests that its
+product with E, (1 - y^p)(1 - y^q) or 1 - y at y = x^{M/rad}, is 0 mod
+x^M - 1 (see cyclotomic), so no second reduction is needed. A block of one
+row, a single construct's, forms it by two slice subtractions of u from
+[u, 0], the second where x^g u wraps past x^M, and takes the row's norm
+and dtype from one max/min pass; a taller block, a sweep's, reads x^g u as
+windows of one padded buffer, at a stride for a range of gaps and through
+an index for an array. The zero test, the bound test and the failure
+messages are shared.
 
 Exhaustive sweeps (norm_profile) construct only the gap inverses u(g, 0),
 g <= M/2, and obtain every other pair by the gap-shift identity
@@ -68,10 +69,24 @@ holds the pairs of gap g and, past j = M - g, those of gap M - g: with
 j = j' + M - g, (x^j - x^{j'}) (-x^{-j} u(g, 0)) = (x^g - 1) u(g, 0) mod
 x^M - 1, and gcd(M - g, M) = gcd(g, M), so both gaps share one row of the
 case table. They work at the radical rad = M/M': as
-Phi_M(x) = Phi_rad(x^{M'}), the norm of u(j + g, j) is the largest norm of
-M' consecutive rotations of the folded row's subsequences mod Phi_rad. A
-sweep takes its gaps in blocks; each block is built by one _construct call
-and checked by one check_gap_block call, on the last rows it computes. It
+Phi_M(x) = Phi_rad(y), y = x^{M'}, the norm of u(j + g, j) is the largest
+of M' consecutive entries of the gap's rotation-norm row N_g,
+N_g[s M' + b] the norm of y^{-s} times subsequence b of u(g, 0) mod
+Phi_rad.
+
+Of the gaps g <= M/2, a sweep constructs only one per orbit of the units
+U1 = {a : a = 1 (mod rad)}, rep(h) = h mod gcd(h rad, M) (_orbits). For
+a in U1, sigma_a: x -> x^a fixes y and sends u(g, 0) to u(a g, 0), and it
+only permutes the subsequences and multiplies each by a power of y:
+N_{ag}[t] = N_g[a^{-1} t mod M] (_gather_rows). So every gap's row is one
+gather of its representative's, in the norms' own dtype, and for every
+gap but the representative the automorphism is its certificate. At
+M' = 1 (squarefree M) U1 is trivial, every gap is its own representative
+and nothing is gathered. The sweep takes its gaps in blocks of
+consecutive gaps; each block's representatives are built by one
+_construct call and checked by one check_gap_block call, on the last
+rows it computes, and the block's gaps gather from representatives of
+this block or an earlier one. A representative
 reduces each subsequence once, with no second reduction for its rotations.
 At a prime radical p (every M = p^s) their norms take a closed form, O(M^2)
 in all: the rotation of [r, 0] by y^{-rho} reduces mod Phi_p to its entries
@@ -83,15 +98,14 @@ automorphism, which sends u(g, 0) to -x^g u(g, 0); hence the coefficients
 of x^{-j} u(g, 0) mod Phi_M, reversed, are those of -(x^{-(c0 - j)} u(g, 0)
 mod Phi_M), c0 = -(phi - 1 + g), and the two have one norm. Each gap's
 chain starts at its own shift (_chain_shifts) and takes ceil(rad/2) steps,
-an arc of the cycle that covers it together with its mirror: about
-M^2 rad / 4 entries in all, instead of O(M^3). The block's one check
-takes the chain's last rotation as the pair at its own shift; every step
-is exact for any integer rows, so a wrong start or step fails it (see
-norm_profile). At a prime radical it takes the reduced rows, as there is
-no chain. The sweep keeps one norm array, of which each gap's norms are
-a view; the (i, j) rows are built only when read. A sweep whose cost
-M^2 rad is above MAX_SWEEP_COST is refused (SweepTooLarge) before any
-work.
+an arc of the cycle that covers it together with its mirror. The block's
+one check takes the chain's last rotation as the pair at its own shift;
+every step is exact for any integer rows, so a wrong start or step fails
+it (see norm_profile). At a prime radical it takes the reduced rows, as
+there is no chain. The sweep keeps one norm array, of which each gap's
+norms are a view; the (i, j) rows are built only when read. A sweep whose
+cost M^2 rad is above MAX_SWEEP_COST is refused (SweepTooLarge) before
+any work.
 """
 from __future__ import annotations
 
@@ -297,12 +311,12 @@ def _case_core(d: int, m: CycloModulus):
     return _cached(("core", m.M, d), build)
 
 
-def _construct(gaps: range, j, m: CycloModulus):
+def _construct(gaps, j, m: CycloModulus):
     """The constructive inverses of x^(j+k) - x^j for each gap k of gaps,
-    a range of consecutive gaps, unreduced. j is one shift for every row,
-    0 <= j < j + k < M, or an array of one shift per row, 0 <= j_r < M, in
-    which case row r is x^{-j_r} u(k, 0) (a pair of gap M - k when
-    j_r + k >= M, see norm_profile).
+    one gap per row (a range of consecutive gaps or an array), unreduced.
+    j is one shift for every row, 0 <= j < j + k < M, or an array of one
+    shift per row, 0 <= j_r < M, in which case row r is x^{-j_r} u(k, 0) (a
+    pair of gap M - k when j_r + k >= M, see norm_profile).
 
     Returns (table, acc): table[r] = (case, scale, bound) of gap gaps[r],
     and row r of the (len(gaps), M) int64 block acc is -x^{-j} Q(x^a)
@@ -319,11 +333,12 @@ def _construct(gaps: range, j, m: CycloModulus):
     sigma_a(x^d - 1) = x^k - 1 at the scale of -Q; as the inverse at a
     given scale is unique, it has the remainder of the paper's
     -Q(x^{k/d}). The coefficient e of -Q goes to x^{(e a - j) mod M} of its
-    row, and as a is a unit, e -> e a mod M is injective, so one fancy
-    assignment writes every row of the group with no collisions. int64 is
-    exact here: every folded entry is one entry of -Q, at most M (q + 1)
-    (_case_core). The caller's _reduce_rows picks its own dtype (_as_rows)
-    and falls back to Python ints when its bound fails.
+    row, and as a is a unit, e -> e a mod M is injective, so one write
+    through the flat index r M + (e a - j) mod M of the block fills every
+    row of the group with no collisions. int64 is exact here: every folded
+    entry is one entry of -Q, at most M (q + 1) (_case_core). The caller's
+    _reduce_rows picks its own dtype (_as_rows) and falls back to Python
+    ints when its bound fails.
     """
     M = m.M
     shifts = np.full(len(gaps), j).tolist()
@@ -333,22 +348,23 @@ def _construct(gaps: range, j, m: CycloModulus):
         a = k // d
         if math.gcd(a, M) > 1:
             a += M // d
-        groups.setdefault(d, []).append((r, a, -shifts[r]))
+        groups.setdefault(d, []).append((r, a, -shifts[r], r * M))
     table = [None] * len(gaps)
-    acc = np.zeros((len(gaps), M), dtype=np.int64)
+    acc = np.zeros(len(gaps) * M, dtype=np.int64)
     for d, steps in groups.items():
         case, scale, bound, negq = _case_core(d, m)
-        # fold -x^{-j} Q(x^a) mod x^M - 1 into each row of the group:
-        # coefficient e of -Q goes to x^((e a - j) mod M), and no two
-        # exponents of a row collide
-        rows, a, off = np.array(steps).T[:, :, None]
+        # fold -x^{-j} Q(x^a) mod x^M - 1 into each row r of the group:
+        # coefficient e of -Q goes to x^((e a - j) mod M), flat index
+        # r M + (e a - j) mod M, and no two exponents of a row collide
+        rows, a, off, start = np.array(steps).T[:, :, None]
         for r in rows.ravel().tolist():
             table[r] = (case, scale, bound)
         idx = np.arange(len(negq)) * a
         idx += off
         idx %= M
-        acc[rows, idx] = negq
-    return table, acc
+        idx += start
+        acc[idx] = negq
+    return table, acc.reshape(-1, M)
 
 
 def construct_scaled_inverse(i: int, j: int, m: CycloModulus) -> ScaledInverse:
@@ -387,24 +403,28 @@ class ProfileRow:
 # Ceiling of sweep_cost that norm_profile accepts; a sweep above it raises
 # SweepTooLarge before any allocation. Measured on a 2-core host, one
 # process each: the costliest sweeps below it are those of a large M at a
-# small radical, where the per-gap work at length M dominates: 2^14 = 16384
-# (5.4e8) takes 5.3-5.7 s at 162 MB, and 2 3^8 = 13122 (1.03e9) 4.4-5.6 s.
-# The costliest rotation chain, at the two-prime radical 1007 = 19 53
-# (1.02e9), now half a cycle a gap, takes 0.33-0.39 s, 2057 0.5 s, 2187
-# 0.1-0.16 s and the prime M = 1021 (1.06e9) 0.03 s. The price M^2 rad is
-# now about four times the chain's entry count; the ceiling is kept, so
-# the same moduli are accepted and refused.
+# small radical, where each gap's gather and window maxima at length M
+# dominate: 2^14 = 16384 (5.4e8) takes 1.2 s at 162 MB, and 2 3^8 = 13122
+# (1.03e9) 0.9 s at 116 MB. The costliest rotation chain, at the
+# two-prime radical 1007 = 19 53 (1.02e9), M' = 1, half a cycle a gap,
+# takes 0.24 s in process, 2057 0.12 s, 2187 0.02 s and the prime
+# M = 1021 (1.06e9) 0.013 s. The price M^2 rad is at least four times the
+# chain's entry count; the ceiling is kept, so the same moduli are
+# accepted and refused.
 MAX_SWEEP_COST = 2 ** 30
 
 
 def sweep_cost(M: int, rad: int) -> int:
-    """O(1) cost of norm_profile at M with radical rad: floor(M/2) gaps of
-    M' subsequences, each taken through ceil(rad/2) steps of length
-    phi_rad by the chain at a two-prime radical, about M rad phi / 4
-    entries, at most about M^2 rad / 4. The price is M^2 rad, as it was
-    when the sweep took all M - 1 gaps through whole cycles, so the
-    ceiling admits the same moduli. A prime radical's closed form costs
-    O(M^2) in all, and is priced the same."""
+    """O(1) cost of norm_profile at M with radical rad: at most floor(M/2)
+    gaps of M' subsequences, each taken through ceil(rad/2) steps of
+    length phi_rad by the chain at a two-prime radical, about
+    M rad phi / 4 entries, at most about M^2 rad / 4. The price is M^2 rad,
+    as it was when the sweep took all M - 1 gaps through whole cycles. It
+    is unchanged now that the sweep constructs one gap per orbit of the
+    units = 1 (mod rad) and gathers the others, and so is MAX_SWEEP_COST,
+    so the same moduli are accepted and refused; a price that counts the
+    orbits is left open. A prime radical's closed form costs O(M^2) in
+    all, and is priced the same."""
     return M * M * rad
 
 
@@ -448,35 +468,39 @@ class NormProfile:
         return tuple(ProfileRow(*pair) for pair in self.pairs())
 
 
-def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
+def check_gap_block(m: CycloModulus, gaps, block: np.ndarray, scale,
                     bound, j=0) -> np.ndarray:
     """Batched exact check of one pair (i, j) per row of block.
 
-    gaps is a range of consecutive gaps, the block shape of _construct, and
-    j one shift for every row or an array of one shift per row: row r is
-    the pair (i, j) = ((j_r + gaps[r]) mod M, j_r). scale and bound are
-    ints or per-row arrays. Row r must be a reduced u with
-    (x^i - x^j) * u = scale (mod Phi_M) and max-norm(u) <= bound. As x is a
-    unit, that is (1 - x^g) u + scale x^{-j} = 0 with g = gaps[r], formed
-    per row in Z[x]/(x^M - 1); it is 0 mod Phi_M exactly when its product
-    with E, (1 - y^p)(1 - y^q) or 1 - y at y = x^{M/rad}, is 0 mod
-    x^M - 1 (see cyclotomic), so no division is needed. A block of one row
-    forms the residual by slice subtractions, taller blocks from one padded
-    buffer (see the module docstring). Returns the row norms; raises
-    AssertionError naming M and (i, j) of the first pair that fails, and
-    ValueError when gaps is not len(block) consecutive gaps.
+    gaps holds one gap per row, the block shape of _construct: a range of
+    consecutive gaps or an array. j is one shift for every row or an array
+    of one shift per row: row r is the pair (i, j) = ((j_r + gaps[r]) mod
+    M, j_r). scale and bound are ints or per-row arrays. Row r must be a
+    reduced u with (x^i - x^j) * u = scale (mod Phi_M) and
+    max-norm(u) <= bound. As x is a unit, that is (1 - x^g) u + scale x^{-j}
+    = 0 with g = gaps[r], formed per row in Z[x]/(x^M - 1); it is 0 mod
+    Phi_M exactly when its product with E, (1 - y^p)(1 - y^q) or 1 - y at
+    y = x^{M/rad}, is 0 mod x^M - 1 (see cyclotomic), so no division is
+    needed. A block of one row forms the residual by slice subtractions,
+    taller blocks from one padded buffer, read at a stride for a range and
+    through an index for an array (see the module docstring).
+    Returns the row norms; raises AssertionError naming M and (i, j) of the
+    first pair that fails, and ValueError when gaps is not len(block) gaps
+    or a range of step other than 1.
     """
     M, phi = m.M, m.phi
     n = block.shape[0]
-    if len(gaps) != n or gaps.step != 1:
-        raise ValueError(f"need {n} consecutive gaps, got {gaps}")
+    if len(gaps) != n or isinstance(gaps, range) and gaps.step != 1:
+        raise ValueError(f"need {n} consecutive gaps or an array of {n} "
+                         f"gaps, got {gaps}")
     # headroom: |(1 - x^g) u + scale x^{-j}| <= (2 + scale) max|u| for u != 0
     most = scale if isinstance(scale, int) else int(scale.max())
-    g0, shifts = gaps.start, np.asarray(j)
+    shifts = np.asarray(j)
     if n == 1:
         # one row: the norm and the dtype from one max/min pass, and
         # (1 - x^g) u + scale x^{-j} from two slice subtractions, x^g u
         # wrapping mod x^M - 1 when g + phi > M; most is the row's scale
+        g0 = int(gaps[0])
         norms = np.array([_magnitude(block)])
         u = block[0].astype(_rows_dtype(m, (2 + most) * int(norms[0])),
                             copy=False)
@@ -491,15 +515,24 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
         rows = _as_rows(block, m, 2 + most)
         # row r of pad is [u_r, u_r], so the length-M window of the flat
         # view starting at column M - e of row r is x^e u_r mod x^M - 1;
-        # rows are 2M apart, and x^g u, whose exponent grows by one per
-        # row, reads at the stride 2M - 1
+        # rows are 2M apart, so for consecutive gaps, whose exponent grows
+        # by one per row, x^g u reads at the stride 2M - 1, and for any
+        # other gaps through one index per entry. The strided read is a
+        # view, the index a copy: at M' = 1, where every sweep block is a
+        # range, the index alone made norm_profile(35) and (143) 2 to 4%
+        # slower (9.6 against 26.7 us for the 71 x 143 block)
         pad = np.zeros((n + 1, 2 * M), dtype=rows.dtype)
         pad[:n, :phi] = rows
         pad[:n, M:M + phi] = rows
-        sg = 2 * M - 1
+        if isinstance(gaps, range):
+            sg = 2 * M - 1
+            shifted = pad.ravel()[M - gaps.start:M - gaps.start + n * sg]
+            shifted = shifted.reshape(n, sg)[:, :M]
+        else:
+            starts = np.arange(M, (2 * n + 1) * M, 2 * M) - gaps
+            shifted = pad.ravel()[starts[:, None] + np.arange(M)]
         # the negated residual times x^{-j}: (1 - x^g) u + scale x^{-j}
-        res = (pad[:n, M:]
-               - pad.ravel()[M - g0:M - g0 + n * sg].reshape(n, sg)[:, :M])
+        res = pad[:n, M:] - shifted
         res[np.arange(n), -shifts % M] += np.asarray(scale, dtype=res.dtype)
     res = _times_cofactor(res, m)
     if res.any():
@@ -516,7 +549,7 @@ def check_gap_block(m: CycloModulus, gaps: range, block: np.ndarray, scale,
                 f"{int(np.broadcast_to(bound, (n,))[r])}")
     jr = int(np.broadcast_to(shifts, (n,))[r])
     raise AssertionError(f"batched check failed: {what} for M={M}, "
-                         f"(i, j)=({(jr + g0 + r) % M}, {jr})")
+                         f"(i, j)=({(jr + int(gaps[r])) % M}, {jr})")
 
 
 def _chain_dtype(bound: int) -> np.dtype:
@@ -602,11 +635,11 @@ def _rotation_norms(R0: np.ndarray, rad_m: CycloModulus):
     return A, last
 
 
-def _chain_shifts(m: CycloModulus, gaps: range):
-    """The shifts j_g at which a sweep constructs the gaps g of gaps, as an
-    array over gaps: 0 at a prime radical, and at a two-prime radical rad
-    the start of the arc of L = _half_cycle(rad) rotations that the chain
-    takes.
+def _chain_shifts(m: CycloModulus, gaps):
+    """The shifts j_g at which a sweep constructs the gaps g of gaps (a
+    range or an array), as an array over gaps: 0 at a prime radical, and
+    at a two-prime radical rad the start of the arc of L = _half_cycle(rad)
+    rotations that the chain takes.
 
     With w = M', the chain of the rows at shift j = rho w takes the
     rotations t in [j, j + L w) (see norm_profile), and the mirror
@@ -623,23 +656,25 @@ def _chain_shifts(m: CycloModulus, gaps: range):
     if isinstance(m.shape, PrimePower):
         return np.zeros(len(gaps), dtype=np.int64)
     L = _half_cycle(rad)
-    q = (w - L * w - (m.phi - 1) - np.arange(gaps.start, gaps.stop)) % M // w
+    q = (w - L * w - (m.phi - 1) - np.asarray(gaps)) % M // w
     low = rad - L
     return (q - low - (q - low) % 2) // 2 % rad * w
 
 
-def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
-                  table: list, acc: np.ndarray, j) -> np.ndarray:
-    """Window norms of the gaps g of gaps, a range of consecutive gaps.
+def _norm_rows(m: CycloModulus, rad_m: CycloModulus, gaps, table: list,
+               acc: np.ndarray, j) -> np.ndarray:
+    """The rotation-norm rows N_g of the gaps g of gaps (a range or an
+    array), before their window maxima.
 
     (table, acc) is _construct(gaps, j, m), j = _chain_shifts(m, gaps).
     Checks the block by one check_gap_block call on the last rows it
     computes: every row of acc, reduced, at its shift j at a prime radical,
     and at a two-prime one the chain's last rotation, at the shift
-    j + (L - 1) M' mod M, which certifies the start as well. Returns W, in
-    the dtype of the rotations (_rotation_norms), W[r, c] the max-norm of
-    x^{-c} u(g, 0), g = gaps[r], for every c < M: the pair (g + c, c) for
-    c < M - g. See norm_profile.
+    j + (L - 1) M' mod M, which certifies the start as well. Returns N, in
+    the dtype of the rotations (_rotation_norms), N[r, s M' + b] the
+    max-norm of y^{-s} R_b mod Phi_rad, R_b subsequence b of u(g, 0),
+    g = gaps[r]; the window of M' entries from column c holds the norms
+    of x^{-c} u(g, 0) (_window_maxima). See norm_profile.
     """
     M, w, rad, phi = m.M, m.inflation, m.radical, m.phi
     n = len(gaps)
@@ -662,41 +697,180 @@ def _window_norms(m: CycloModulus, rad_m: CycloModulus, gaps: range,
     # H[r, s w + b] is the max-norm of y^{-s} R0[r w + b] mod Phi_rad, the
     # rotation t = j_r + s w + b of gap gaps[r]
     H = A.reshape(L, n, w).transpose(1, 0, 2).reshape(n, L * w)
-    N = np.zeros((n, M + w), dtype=A.dtype)
     if last is None:
-        N[:, :M] = H
-    else:
-        # row r of N2 holds rotation t at column t or t + M: the arc,
-        # t = j_r + k for k < span = L w, then t = j_r + k for the other k
-        # from its mirror c0 + w - 1 - t, c0 = -(phi - 1 + g), which is
-        # arc offset top_r - (k - span), top_r = (c0 + w - 1 - 2 j_r - span)
-        # mod M; the cover keeps every such offset in [0, span)
-        span = L * w
-        N2 = np.zeros((n, 2 * M), dtype=H.dtype)
-        tops = (w - phi - span - np.arange(gaps.start, gaps.stop)
-                - 2 * j) % M
-        for r, (jr, top) in enumerate(zip(j.tolist(), tops.tolist())):
-            N2[r, jr:jr + span] = H[r]
-            N2[r, jr + span:jr + M] = H[r, top + span - M + 1:top + 1][::-1]
-        np.add(N2[:, :M], N2[:, M:], out=N[:, :M])
-    # t wraps mod M: the window of j reads t = j .. j + w - 1
-    N[:, M:M + w - 1] = N[:, :w - 1]
-    # window maxima by block prefix and suffix maxima, blocks of w
-    blocks = N.reshape(n, -1, w)
-    pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
-    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
-    return np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
+        return H
+    # row r of N2 holds rotation t at column t or t + M: the arc,
+    # t = j_r + k for k < span = L w, then t = j_r + k for the other k
+    # from its mirror c0 + w - 1 - t, c0 = -(phi - 1 + g), which is
+    # arc offset top_r - (k - span), top_r = (c0 + w - 1 - 2 j_r - span)
+    # mod M; the cover keeps every such offset in [0, span)
+    span = L * w
+    N2 = np.zeros((n, 2 * M), dtype=H.dtype)
+    tops = (w - phi - span - np.asarray(gaps) - 2 * j) % M
+    for r, (jr, top) in enumerate(zip(j.tolist(), tops.tolist())):
+        N2[r, jr:jr + span] = H[r]
+        N2[r, jr + span:jr + M] = H[r, top + span - M + 1:top + 1][::-1]
+    return N2[:, :M] + N2[:, M:]
+
+
+def _window_maxima(N: np.ndarray, w: int) -> np.ndarray:
+    """W[r, c] = max(N[r, c], ..., N[r, c + w - 1]), columns mod M, for
+    the rotation-norm rows N (_norm_rows, _gather_rows): the max-norm of
+    x^{-c} u(g, 0). For w = M' = 1 the window is one entry, and W is N.
+
+    By doubling: after the pass of span s, entry t holds the maximum over
+    [t, t + 2s), and the last span S, the largest power of two up to w,
+    gives the window as two overlapping spans, [c, c + S) and
+    [c + w - S, c + w). Each pass is one np.maximum over the rows, about
+    log2(w) in all; the prefix and suffix maxima of blocks of w, one
+    accumulate along each row, took three to five times as long on sweep
+    blocks (2 cores, numpy 2.4), 97 against 24 us at 16384.
+    """
+    if w == 1:
+        return N
+    n, M = N.shape
+    # t wraps mod M: the window of c reads t = c .. c + w - 1
+    P = np.empty((n, M + w - 1), dtype=N.dtype)
+    P[:, :M] = N
+    P[:, M:] = N[:, :w - 1]
+    span = 1
+    while 2 * span <= w:
+        P = np.maximum(P[:, :-span], P[:, span:])
+        span *= 2
+    return np.maximum(P[:, :M], P[:, w - span:w - span + M])
+
+
+def _orbits(M: int, rad: int, half: int):
+    """(rep, v) over the gaps h = 1 .. half, as arrays: rep[h - 1] the
+    representative of h's orbit under the units U1 = {a mod M : a = 1
+    (mod rad)}, and v[h - 1] a unit of U1 with v h = rep (mod M).
+
+    U1 = {1 + k rad : 0 <= k < M'} (every such a is prime to M, as every
+    prime of M divides rad), so the orbit of h is h plus the multiples of
+    h rad mod M, the class of h mod D = gcd(h rad, M), and rep = h mod D
+    is its least member. rep > 0: for a prime p of M with p^e || h,
+    e < v_p(M), p^(e+1) divides D, so D does not divide h. rep <= M/2:
+    rep = h when D = M, and rep < D <= M/2 otherwise. A unit does not
+    change gcd(h rad, M), so every gap of an orbit has the same D and rep.
+
+    v comes from walking U1 from every representative at once, at M' > 1
+    only (at M' = 1 every orbit is one gap, and v = 1): the gap a^{-1} rep
+    takes v = a, and a representative v = 1. The inverse of a = 1 + x,
+    x = k rad, is the finite sum 1 - x + x^2 - ..., as x^E = 0 (mod M)
+    once rad^E is.
+    """
+    h = np.arange(1, half + 1)
+    rep = h % np.gcd(h * rad, M)
+    v = np.ones(M, dtype=np.int64)
+    if M > rad:
+        units = np.arange(1, M, rad)
+        x, inverse = units - 1, np.ones_like(units)
+        power = rad
+        while power % M:
+            inverse = (1 - x * inverse) % M
+            power *= rad
+        own = h[rep == h]
+        v[np.outer(own, inverse) % M] = units
+        v[own] = 1
+    return rep, v[1:half + 1]
+
+
+def _orbit_plan(m: CycloModulus):
+    """(rep, v, slot, below) over the gaps h = 1 .. floor(M/2) of m: rep
+    and v of _orbits (v as int32, see _gather_rows), slot[h - 1] the row of
+    rep(h) among the representatives' rows, and below[h] the number of
+    representatives among the gaps 1 .. h, from below[0] = 0.
+    Built once per M and then read from the table cache
+    (cyclotomic._cached, key ("orbits", M)), like the case cores."""
+    def build():
+        rep, v = _orbits(m.M, m.radical, m.M // 2)
+        below = np.zeros(m.M // 2 + 1, dtype=np.int32)
+        np.cumsum(rep == np.arange(1, m.M // 2 + 1), out=below[1:])
+        slot = below[rep] - 1
+        v = v.astype(np.int32)
+        return (rep, v, slot, below), [rep, v, slot, below]
+    return _cached(("orbits", m.M), build)
+
+
+def _gather_rows(held: np.ndarray, slots: np.ndarray, v: np.ndarray,
+                 w: int) -> np.ndarray:
+    """The rotation-norm rows N_h (see _norm_rows) of the gaps h with
+    v h = rep (mod M), v = 1 (mod rad), one per entry of slots and v,
+    gathered from their representatives' rows, held[k] the doubled row
+    [N_rep, N_rep] of the representative in slot k: N_h[t] = N_rep[v t mod
+    M].
+
+    Let a = v^{-1}, so h = a rep, and y = x^{M'}. sigma_a: x -> x^a fixes
+    y (a M' = M' mod M) and, as x^M = 1 mod Phi_M, sends x^b to
+    y^e x^(ab mod M'), e = (ab mod M) // M': subsequence b of u(rep, 0)
+    becomes subsequence ab mod M' of sigma_a(u(rep, 0)) = u(h, 0) (the
+    inverse at a scale is unique), times y^e. So N_h[s M' + (ab mod M')] =
+    N_rep[((s - e) mod rad) M' + b], and that index is v t mod M for
+    t = s M' + (ab mod M'), as v M' = M' and v ab = b (mod M). Through the
+    (rad, M') view, v t mod M = s M' + (v c mod M) for column c, less M
+    at most once, which the doubled row absorbs: one base per column plus
+    s M', an index of one block's entries, and a gather in the rows' own
+    dtype.
+    """
+    M = held[0].size // 2
+    # int32 is exact: v c < M M' = M^2 / rad <= 2^28 and the slots' offsets
+    # below M^2 <= 2^30 / rad under MAX_SWEEP_COST
+    base = v.astype(np.int32, copy=False)[:, None] * np.arange(
+        w, dtype=np.int32)
+    base -= base // M * M
+    base += slots.astype(np.int32, copy=False)[:, None] * (2 * M)
+    return held.take(base[:, None, :] + np.arange(0, M, w, dtype=np.int32)[
+        :, None]).reshape(len(v), M)
+
+
+def _first_pairs(W: np.ndarray, lo: int, M: int) -> np.ndarray:
+    """One key per row of W, the window norms of the gaps g = lo + r (see
+    norm_profile): top M^2 + (M^2 - 1 - (i M + j)), top the row's largest
+    norm and (i, j) the first pair in `for i: for j < i` order to reach it,
+    so the larger key wins on the norm first and on the pair after.
+
+    Column c of row r holds the pair (c + g, c) of gap g for c < M - g,
+    part one, and (c, c - M + g) of gap M - g after it, part two; in each
+    part i M + j grows with c, so the first largest entry of each part is
+    its first pair, and the row's key is the larger of the parts' keys.
+    The rows are sheared, row r moved r columns to the right, so that part
+    one ends at column M - lo in every row: one max and one argmax over
+    each part. The zeros ahead of part one are below every norm of a
+    nonzero inverse, so an argmax never stops on them.
+    """
+    n = len(W)
+    sheared = np.zeros(n * (M + n + 1), dtype=W.dtype)
+    sheared.reshape(n, M + n + 1)[:, :M] = W
+    sheared = sheared[:n * (M + n)].reshape(n, M + n)
+    one, two = sheared[:, :M - lo], sheared[:, M - lo:]
+    MM, g = M * M, np.arange(lo, lo + n)
+    # part one: column k is i = k + lo, i M + j = i (M + 1) - g
+    key1 = (one.max(axis=1).astype(np.int64) * MM
+            - one.argmax(axis=1) * (M + 1) + (MM - 1 - lo * (M + 1)) + g)
+    # part two: column k is i = k + M - g, i M + j = i (M + 1) - M + g
+    key2 = (two.max(axis=1).astype(np.int64) * MM
+            - two.argmax(axis=1) * (M + 1) + g * M - 1)
+    return np.maximum(key1, key2)
+
+
+def _top_pair(key: int, M: int):
+    """(top, i, j) of a key of _first_pairs."""
+    top, first = divmod(key, M * M)
+    return (top, *divmod(M * M - 1 - first, M))
 
 
 def norm_profile(m: CycloModulus) -> NormProfile:
     """Sweep all 0 <= j < i < M; record per-gap norms and per-case maxima.
 
-    Only one inverse of each gap g <= M/2 is constructed, x^{-j_g} u(g, 0)
-    at the shift j_g = _chain_shifts(m, gaps) where its rotations start (0
-    at a prime radical), a block of consecutive gaps at a time by one
-    _construct call; each is reduced once, a block is checked by one
-    check_gap_block call (see Certification), and every other pair of gap
-    g follows by the gap-shift identity u(j + g, j) = x^{-j} u(g, 0).
+    Of the gaps g <= M/2 only one per orbit of the units
+    U1 = {a : a = 1 (mod rad)} is constructed (_orbit_plan), as
+    x^{-j_g} u(g, 0) at the shift j_g = _chain_shifts(m, gaps) where its
+    rotations start (0 at a prime radical), the representatives of a block
+    of consecutive gaps by one _construct call, each reduced once and
+    checked by one check_gap_block call (see Certification). Every gap of
+    the block then gathers its rotation norms from its representative's
+    (_gather_rows), and every other pair of gap g follows by the gap-shift
+    identity u(j + g, j) = x^{-j} u(g, 0).
 
     The gaps above M/2 are mirrors. The rotations x^{-j} u(g, 0) for
     M - g <= j < M are the pairs (j, j') of gap M - g, j' = j - M + g < g:
@@ -714,59 +888,68 @@ def norm_profile(m: CycloModulus) -> NormProfile:
 
     The sweep works at the radical rad = M/M'. With y = x^{M'},
     Phi_M(x) = Phi_rad(y), so a row v reduces mod Phi_M as its M'
-    subsequences S_b = v[b::M'] reduce mod Phi_rad(y): coefficient a M' + b
-    of the remainder is coefficient a of S_b mod Phi_rad. The rotation
+    subsequences S_b = v[b::M'] reduce mod Phi_rad(y). The rotation
     x^{-j} acc_g of the folded row of gap g has the subsequences
     y^{-rho} S_b, with rho M' + b running over the cyclic window [j, j + M').
     So the norm of u(j + g, j) is the maximum of N_g over that window, with
-    N_g[rho M' + b] the max-norm of y^{-rho} S_b mod Phi_rad; the window
-    maxima take one block prefix- and suffix-max pass (for M' = 1 the window
-    is one rotation). Each S_b is reduced once (_reduce_rows at the
-    radical), which gives R0, the interleaved u(g, 0), and the norms of its
-    rotations follow from R0 with no second reduction (_rotation_norms). At
-    a prime radical p they take a closed form: the rotation by y^{-rho} of
-    [R0, 0] has max-norm max(max S - S[c], S[c] - min S), c = rho - 1
-    mod p. At a two-prime radical the remainders follow one from the next
-    by y^{-1} r = (r - r_0 Phi_rad)/y (_next_rotation), a shift and a
-    subtraction of r_0 times the coefficients of Phi_rad, which lie in
-    {-1, 0, 1}, in place in one buffer. Gaps are stacked in blocks of
-    _UNIT_BLOCK / 16 / M, whose arrays peak near _UNIT_BLOCK / 2 entries.
+    N_g[rho M' + b] the max-norm of y^{-rho} S_b mod Phi_rad (_window_maxima,
+    about log2(M') passes; for M' = 1 the window is one rotation). Each S_b
+    of a representative is reduced once (_reduce_rows at the radical), which
+    gives R0, the interleaved u(g, 0), and the norms of its rotations follow
+    from R0 with no second reduction (_rotation_norms): at a prime radical
+    p in the closed form max(max S - S[c], S[c] - min S), c = rho - 1 mod
+    p, of the rotation of S = [R0, 0], and at a two-prime one by
+    y^{-1} r = (r - r_0 Phi_rad)/y (_next_rotation), in place in one
+    buffer. Gaps are stacked in blocks of _UNIT_BLOCK / 16 / M, whose
+    arrays peak near _UNIT_BLOCK / 2 entries.
+
+    Orbits. For a in U1, sigma_a: x -> x^a fixes y and sends u(g, 0) to
+    u(a g mod M, 0), of the same case, scale and bound; it permutes the
+    subsequences and multiplies each by a power of y, and the reduction
+    mod Phi_rad(y) commutes with both, so N_{ag}[t] = N_g[a^{-1} t mod M].
+    The representative of h, h mod gcd(h rad, M), is at most h (_orbits),
+    so a block gathers only from representatives of this block or an
+    earlier one. They are few where M' is large: 14 of the 8192 gaps
+    g <= M/2 at 16384 = 2^14, 13 of 1093 at 2187, 31 of 6561 at
+    13122 = 2 3^8, 10 of 62 at 125, 263 of 1028 at 2057 = 11^2 17; at
+    M' = 1 every gap is its own, and nothing is gathered.
 
     Half cycle. The chain of a two-prime radical walks L = ceil(rad/2) + 1
-    rotations of each gap, not rad. Phi_M is palindromic, so x -> x^{-1}
-    is an automorphism of Z[x]/Phi_M; it sends (x^g - 1) u = scale to
-    (x^g - 1) (-x^{-g} u') = scale, u' the image of u = u(g, 0), and as the
-    inverse at a given scale is unique, u' = -x^g u. Reversing the phi
-    coefficients of a remainder f is f -> x^(phi-1) f', so the remainder of
-    x^{-j} u, reversed, is x^(phi-1) x^j u' = -x^{-(c0 - j)} u, with
-    c0 = -(phi - 1 + g) mod M. Reversal sends subsequence b to subsequence
-    M' - 1 - b, so N_g[t] = N_g[c0 + M' - 1 - t mod M]. The chain of gap g
-    starts at the rotation t = j_g, a multiple of M', and takes the arc
-    [j_g, j_g + L M'); _chain_shifts picks j_g so that the arc and its
-    mirror cover Z_M, at an even M too, where the mirror need have no
-    fixed point. The other entries of N_g are read off the mirror.
+    rotations of each representative, not rad. Phi_M is palindromic, so
+    x -> x^{-1} is an automorphism of Z[x]/Phi_M; it sends
+    (x^g - 1) u = scale to (x^g - 1) (-x^{-g} u') = scale, u' the image of
+    u = u(g, 0), and as the inverse at a given scale is unique,
+    u' = -x^g u. Reversing the phi coefficients of a remainder f is
+    f -> x^(phi-1) f', so the remainder of x^{-j} u, reversed, is
+    x^(phi-1) x^j u' = -x^{-(c0 - j)} u, with c0 = -(phi - 1 + g) mod M.
+    Reversal sends subsequence b to subsequence M' - 1 - b, so
+    N_g[t] = N_g[c0 + M' - 1 - t mod M]. The chain of gap g starts at the
+    rotation t = j_g, a multiple of M', and takes the arc [j_g, j_g + L M');
+    _chain_shifts picks j_g so that the arc and its mirror cover Z_M, at an
+    even M too, where the mirror need have no fixed point. The other
+    entries of N_g are read off the mirror.
 
-    Certification. One check_gap_block call per block, on the last rows
-    the block computes, row r for gap g = lo + r with that gap's own scale
-    and bound; a failure names the first failing pair. At a prime radical
-    it takes R0 as the pairs (j_g + g, j_g) (mod M), which proves that R0
-    is x^{-j_g} u(g, 0), an exact inverse, with norm at most the bound; the
-    rotations' norms then follow from R0 by the closed form, an identity
-    mod Phi_p that needs no check of its own. At a two-prime radical it
-    takes the chain's last rotation, interleaved back to length phi, as the
-    pairs at its own shift j_g + (L - 1) M'. Each step is an integer
-    identity whose result has degree below phi_rad, so it is the exact
-    remainder of y^{-rho} R0 for any integer rows R0, right or wrong. As y
-    is a unit mod Phi_rad, the last rotation passes exactly when R0 is
-    x^{-j_g} u(g, 0): a wrong entry of R0, or of any step, carries to a
-    wrong last rotation, which fails the check, and a check of R0 itself
-    would prove nothing more. R0's norm is checked with every other entry
-    of W, as the window at c = j_g is R0. The mirrored norms are those of
-    exact remainders, reversed and negated, by the identity above. As
-    (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod x^M - 1, every pair's
-    product follows, that of a mirrored pair of gap M - g as well, and its
-    norm is taken from exact remainders and checked against the case's
-    bound, every entry of the block's rows at once.
+    Certification. One check_gap_block call per block with representatives,
+    on the last rows it computes, row r for representative g with that
+    gap's own scale and bound; a failure names the first failing pair. At a
+    prime radical it takes R0 as the pairs (j_g + g, j_g) (mod M), which
+    proves that R0 is x^{-j_g} u(g, 0), with norm at most the bound; the
+    rotations' norms then follow by the closed form, an identity mod Phi_p.
+    At a two-prime radical it takes the chain's last rotation, interleaved
+    back to length phi, as the pairs at its own shift j_g + (L - 1) M'.
+    Each step is an integer identity whose result has degree below
+    phi_rad, so it is the exact remainder of y^{-rho} R0 for any integer
+    rows R0, right or wrong, and as y is a unit mod Phi_rad, a wrong entry
+    of R0, or of any step, carries to a wrong last rotation, which fails
+    the check. The mirrored norms are those of exact remainders, reversed
+    and negated, and the gathered rows those of exact remainders permuted
+    and rotated by sigma_a: the two automorphisms are proofs, and need no
+    product of their own. As (x^{j+g} - x^j) x^{-j} u = (x^g - 1) u mod
+    x^M - 1, every pair's product follows. Every representative's row N is
+    checked against its bound, in N's own dtype, before it is narrowed or
+    gathered: its largest entry is its largest window, and a gathered row
+    has its representative's entries. A failure names the first pair of
+    the row, in `for i: for j < i` order, to reach its largest norm.
     Integers are exact: |R_rho| <= 2p max|R0| at a two-prime radical, the
     largest expansion factor of a monomial mod Phi_pq (expansion, checked
     by verify's expansion suite), and the closed form's entries are at most
@@ -777,32 +960,25 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     arithmetic is exact mod 2^bits, so exactness rests on that bound, which
     the tests check against the former chain on int64 rows.
 
-    Cost: floor(M/2) gaps of M' subsequences. At a two-prime radical each
-    is taken through ceil(rad/2) steps of length phi_rad, about
-    M rad phi / 4 <= M^2 rad / 4 entries, against O(M^3) for reducing every
-    rotation at length M; at a prime radical the closed form is O(M) a
-    gap, O(M^2) in all. sweep_cost prices both at M^2 rad, and a sweep
-    above MAX_SWEEP_COST raises SweepTooLarge before any work. The norm
-    rows are written a block at a time, each after its bound check, into
-    one (floor(M/2), M) array in the narrowest unsigned dtype of the
-    largest bound of M's case table, which is made read-only before every
-    gap's two views are cut from it. Each case maximum keeps the first pair
-    in `for i: for j < i` order to reach it: the largest
-    (norm, -(i M + j)) over the first largest pair of each row, with cases
-    in the order of their smallest gap, which is at most M/2.
+    Cost: M' subsequences per representative; at a two-prime radical each
+    takes ceil(rad/2) steps of length phi_rad, at most about M^2 rad / 4
+    entries, and at a prime radical the closed form is O(M) a gap. Every
+    gap takes a gather and its window maxima, O(M log M'). sweep_cost
+    still prices the sweep at M^2 rad, and a sweep above MAX_SWEEP_COST
+    raises SweepTooLarge before any work. The norm rows are written a block
+    at a time into one (floor(M/2), M) array in the narrowest unsigned
+    dtype of the largest bound of M's case table, made read-only before
+    every gap's two views are cut from it. Each case maximum is the largest
+    key (_first_pairs) over the gaps of the case, with cases in the order
+    of their smallest gap.
     """
     check_sweep_cost(m)
-    M = m.M
+    M, w = m.M, m.inflation
     rad_m = make_modulus(m.radical)
     # gaps per block: its arrays and temporaries, up to ten of M entries a
     # gap, peak at 0.5 to 0.65 _UNIT_BLOCK entries (traced at 35 to 2187)
     step = max(1, _UNIT_BLOCK // 16 // M)
     half = M // 2
-    cols = np.arange(M)
-    # per gap g <= M/2: its (case, scale, bound), and (top, -first) of its
-    # row, top the row's largest norm and first = i M + j of the first pair
-    # in `for i: for j < i` order to reach it
-    table, firsts = [], []
     # every gap's rows in one array, allocated once, in the dtype of the
     # largest bound of M's case table (q - 1 at p^s q^t, p - 1 at p^s): a
     # row allocated per gap interleaves with the blocks' temporaries on the
@@ -810,41 +986,70 @@ def norm_profile(m: CycloModulus) -> NormProfile:
     sh = m.shape
     top_bound = (sh.p if isinstance(sh, PrimePower) else sh.q) - 1
     norms = np.empty((half, M), dtype=np.min_scalar_type(top_bound))
+    reps, mults, slot, below = _orbit_plan(m)
+    if w > 1:
+        # the doubled rotation-norm rows of the representatives, which
+        # every gap of their orbits gathers from, row slot[h - 1] for gap h
+        held = np.empty((int(below[-1]), 2, M), dtype=norms.dtype)
+    # per gap g <= M/2: the index in kinds (case -> (index, scale)) of its
+    # case, numbered in the order of their smallest gap, a representative,
+    # and the key of its row (_first_pairs)
+    kinds, kind_of = {}, np.empty(half, dtype=np.int64)
+    keys = np.empty(half, dtype=np.int64)
     for lo in range(1, half + 1, step):
         block = range(lo, min(half + 1, lo + step))
-        j = _chain_shifts(m, block)
-        entries, acc = _construct(block, j, m)
-        W = _window_norms(m, rad_m, block, entries, acc, j)
-        # column c of row r, gap g = lo + r, is the pair (c + g, c) of gap g
-        # for c < M - g and (c, c - M + g) of gap M - g after it; order its
-        # pair (i, j) by i M + j, the `for i: for j < i` order, which grows
-        # with c in each part
-        gs = np.arange(lo, lo + len(block))[:, None]
-        order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
-        tops = W.max(axis=1)
-        first = np.where(W == tops[:, None], order, M * M).min(axis=1)
-        over = tops > np.array([bound for _, _, bound in entries])
-        if over.any():
-            r = int(over.argmax())
-            i, j = divmod(int(first[r]), M)
-            raise AssertionError(
-                f"sweep check failed: norm {int(tops[r])} > bound "
-                f"{entries[r][2]} for M={M}, (i, j)=({i}, {j})")
-        firsts += zip(tops.tolist(), (-first).tolist())
-        # checked in W's own dtype above, so the narrowing hides nothing
-        norms[lo - 1:lo - 1 + len(block)] = W
-        table += entries
+        n = len(block)
+        first, count = below[[lo - 1, lo - 1 + n]].tolist()
+        count -= first
+        if count:
+            # the block's representatives: constructed, reduced, checked
+            # and bound-checked here, the only gaps that are
+            gs = block if count == n else np.flatnonzero(
+                reps[lo - 1:lo - 1 + n] == block) + lo
+            j = _chain_shifts(m, gs)
+            entries, acc = _construct(gs, j, m)
+            N = _norm_rows(m, rad_m, gs, entries, acc, j)
+            kind_of[np.asarray(gs) - 1] = [
+                kinds.setdefault(case, (len(kinds), scale))[0]
+                for case, scale, _ in entries]
+            bound = np.array([bound for _, _, bound in entries])
+            # a row's largest entry is its largest window: the bound check
+            # of every rotation, before any entry is narrowed
+            over = N.max(axis=1) > bound
+            if over.any():
+                r = int(over.argmax())
+                top, i, j = _top_pair(int(_first_pairs(
+                    _window_maxima(N[r:r + 1], w), int(gs[r]), M)[0]), M)
+                raise AssertionError(
+                    f"sweep check failed: norm {top} > bound "
+                    f"{int(bound[r])} for M={M}, (i, j)=({i}, {j})")
+            if w > 1:
+                # their slots are the next count rows of held
+                held[first:first + count] = N[:, None]
+        if w > 1:
+            # every gap of the block, gathered from its representative's
+            # row, the representatives' own rows too
+            rep_rows = reps[lo - 1:lo - 1 + n] - 1
+            kind_of[lo - 1:lo - 1 + n] = kind_of[rep_rows]
+            N = _gather_rows(held, slot[lo - 1:lo - 1 + n],
+                             mults[lo - 1:lo - 1 + n], w)
+        W = _window_maxima(N, w)
+        keys[lo - 1:lo - 1 + n] = _first_pairs(W, lo, M)
+        # checked in N's own dtype above, so the narrowing hides nothing
+        norms[lo - 1:lo - 1 + n] = W
     norms.setflags(write=False)
+    cases = [(case, scale) for case, (_, scale) in kinds.items()]
     gaps = [None] * (M - 1)
-    best: dict = {}
-    for g, (case, scale, _), row, key in zip(range(1, half + 1), table,
-                                             norms, firsts):
+    for g, k, row in zip(range(1, half + 1), kind_of.tolist(), norms):
+        case, scale = cases[k]
         # gap M - g first, so that g = M/2 keeps its own pairs
         gaps[M - g - 1] = (scale, case, row[M - g:])
         gaps[g - 1] = (scale, case, row[:M - g])
-        best[case] = max(best.get(case, key), key)
-    case_max = {case: (top, *divmod(-first, M))
-                for case, (top, first) in best.items()}
+    # each case's maximum: the largest key over its gaps (keys are
+    # positive, so the zeros of the other cases never win)
+    best = (keys * (kind_of == np.arange(len(kinds))[:, None])).max(axis=1)
+    case_max = {case: _top_pair(key, M)
+                for case, key in zip(kinds, best.tolist())}
     return NormProfile(m, tuple(gaps), case_max)
 
 

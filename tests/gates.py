@@ -104,10 +104,16 @@ GATES = (
     # streams 2.1M CSV lines
     _cli("sweep 2057", 120),
     # the costliest accepted sweep of a large M at a small radical (about
-    # 163 MB and 3 s; 178 MB when each gap's norm row was allocated alone)
+    # 162 MB and 1.7 s, 4 s when every gap was constructed; 178 MB when
+    # each gap's norm row was allocated alone)
     Gate("norm_profile at M = 16384",
          ("-c", "from cycloring import make_modulus, norm_profile\n"
                 "norm_profile(make_modulus(16384))"), 60, 180),
+    # the tiny-radical sweep 2 3^8 = 13122 (rad 6, M' = 2187; about 116 MB
+    # and 1 s, 3.2 s when every gap was constructed)
+    Gate("norm_profile at M = 13122",
+         ("-c", "from cycloring import make_modulus, norm_profile\n"
+                "norm_profile(make_modulus(13122))"), 60, 128),
     # streams its 2.1M rows (about 35 MB; 1.42 GB when it dumped the whole
     # document)
     _cli("sweep 2057 --format json", 120, 100),

@@ -5,8 +5,11 @@ polynomial comes from the iterated divisor loop on x^n - 1, the
 resultant from a fraction-free determinant of the Sylvester matrix, the
 norm profile from one constructed and verified inverse per (i, j) pair
 or from every rotation reduced at full length M (the library's former
-sweep), the rotations of a sweep block from a copied step of exact
-division by y at every radical (the library's former chain), the
+sweep) or from one constructed, reduced and checked inverse per gap
+g <= M/2 (the library's former sweep before it gathered orbits), the
+rotations of a sweep block from a copied step of exact division by y at
+every radical (the library's former chain), window maxima from block
+prefix and suffix maxima (the library's former windows), the
 reduction of whole rows by the library's former row-major divide or by
 long division one row at a time, the long-division rows of R_M's check
 by one poly.divrem per x^k (the library's former route), the zero test
@@ -42,7 +45,8 @@ from cycloring.expansion import witness_exponent
 from cycloring.errors import InexactDivision, NotCoprime
 from cycloring.poly import NEG_INF, IntPoly, _residues, divrem, exact_div
 from cycloring.structure import _stride_family
-from cycloring.scaled_inverse import (InverseCase, ProfileRow, _construct,
+from cycloring.scaled_inverse import (InverseCase, NormProfile, ProfileRow,
+                                      _chain_shifts, _construct, _norm_rows,
                                       check_gap_block,
                                       construct_scaled_inverse)
 
@@ -283,16 +287,30 @@ def rotation_walk(R0: np.ndarray, rad_m: CycloModulus,
     return np.array(A), R
 
 
-def window_norms_by_division(m: CycloModulus, rad_m: CycloModulus,
-                             gaps: range, table: list, acc: np.ndarray, j=0,
-                             peaks: list | None = None) -> np.ndarray:
-    """scaled_inverse._window_norms as the library ran it before its
-    closed form, its in-place chain and its half cycle: the rows of acc
-    (built at the shifts j) turned back to u(g, 0), the same reduction at
-    the radical and check_gap_block call at j = 0, then rotation_walk over
-    the full cycle at every radical, its closure check and the same window
-    maxima. Appends (max |R_rho|, max |R0|) of the block to peaks when
-    given."""
+def window_maxima_by_blocks(N: np.ndarray, w: int) -> np.ndarray:
+    """scaled_inverse._window_maxima as the library ran it before its
+    doubling: W[r, c] = max(N[r, c .. c + w - 1]), columns mod M, from the
+    prefix and suffix maxima of blocks of w."""
+    n, M = N.shape
+    P = np.zeros((n, M + w), dtype=N.dtype)
+    P[:, :M] = N
+    P[:, M:M + w - 1] = N[:, :w - 1]
+    blocks = P.reshape(n, -1, w)
+    pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
+    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
+    return np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
+
+
+def norm_rows_by_division(m: CycloModulus, rad_m: CycloModulus, gaps,
+                          table: list, acc: np.ndarray, j=0,
+                          peaks: list | None = None) -> np.ndarray:
+    """scaled_inverse._norm_rows as the library ran it before its closed
+    form, its in-place chain and its half cycle: the rows of acc (built at
+    the shifts j) turned back to u(g, 0), the same reduction at the radical
+    and check_gap_block call at j = 0, then rotation_walk over the full
+    cycle at every radical and its closure check. Returns the int64 rows
+    N, N[r, s M' + b] the max-norm of y^{-s} R_b. Appends
+    (max |R_rho|, max |R0|) of the block to peaks when given."""
     M, w, rad = m.M, m.inflation, m.radical
     n = len(gaps)
     # row r of acc is x^{-j_r} acc0[r]: acc0[r, c] = acc[r, (c - j_r) mod M]
@@ -312,13 +330,58 @@ def window_norms_by_division(m: CycloModulus, rad_m: CycloModulus,
         raise AssertionError(
             f"sweep check failed: the rotations y^-rho u({g}, 0) mod "
             f"Phi_{rad}(y) do not close at rho = {rad} for M={M}, gap {g}")
-    N = np.zeros((n, M + w), dtype=np.int64)
-    N[:, :M].reshape(n, rad, w)[:] = A.reshape(rad, n, w).transpose(1, 0, 2)
-    N[:, M:M + w - 1] = N[:, :w - 1]
-    blocks = N.reshape(n, -1, w)
-    pre = np.maximum.accumulate(blocks, axis=2).reshape(n, -1)
-    suf = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
-    return np.maximum(suf.reshape(n, -1)[:, :M], pre[:, w - 1:w - 1 + M])
+    N = np.zeros((n, M), dtype=np.int64)
+    N.reshape(n, rad, w)[:] = A.reshape(rad, n, w).transpose(1, 0, 2)
+    return N
+
+
+def norm_profile_per_gap(m: CycloModulus) -> NormProfile:
+    """norm_profile as the library ran it before it gathered orbits: every
+    gap g <= M/2 constructed at its chain's shift, reduced and checked, in
+    blocks of consecutive gaps (_norm_rows), its window maxima by blocks
+    (window_maxima_by_blocks), each row's first largest pair by the minimum
+    of i M + j over the entries equal to the row's maximum, and the case
+    maxima kept per gap in a dict keyed by case."""
+    M, w = m.M, m.inflation
+    rad_m = make_modulus(m.radical)
+    step = max(1, _UNIT_BLOCK // 16 // M)
+    half = M // 2
+    cols = np.arange(M)
+    sh = m.shape
+    top_bound = (sh.p if isinstance(sh, PrimePower) else sh.q) - 1
+    norms = np.empty((half, M), dtype=np.min_scalar_type(top_bound))
+    table, firsts = [], []
+    for lo in range(1, half + 1, step):
+        block = range(lo, min(half + 1, lo + step))
+        j = _chain_shifts(m, block)
+        entries, acc = _construct(block, j, m)
+        W = window_maxima_by_blocks(_norm_rows(m, rad_m, block, entries, acc,
+                                               j), w)
+        gs = np.arange(lo, lo + len(block))[:, None]
+        order = cols * (M + 1) + np.where(cols < M - gs, gs * M, gs - M)
+        tops = W.max(axis=1)
+        first = np.where(W == tops[:, None], order, M * M).min(axis=1)
+        over = tops > np.array([bound for _, _, bound in entries])
+        if over.any():
+            r = int(over.argmax())
+            i, j = divmod(int(first[r]), M)
+            raise AssertionError(
+                f"sweep check failed: norm {int(tops[r])} > bound "
+                f"{entries[r][2]} for M={M}, (i, j)=({i}, {j})")
+        firsts += zip(tops.tolist(), (-first).tolist())
+        norms[lo - 1:lo - 1 + len(block)] = W
+        table += entries
+    norms.setflags(write=False)
+    gaps = [None] * (M - 1)
+    best: dict = {}
+    for g, (case, scale, _), row, key in zip(range(1, half + 1), table,
+                                             norms, firsts):
+        gaps[M - g - 1] = (scale, case, row[M - g:])
+        gaps[g - 1] = (scale, case, row[:M - g])
+        best[case] = max(best.get(case, key), key)
+    case_max = {case: (top, *divmod(-first, M))
+                for case, (top, first) in best.items()}
+    return NormProfile(m, tuple(gaps), case_max)
 
 
 def _largest_power_dividing(k: int, p: int) -> int:

@@ -24,8 +24,9 @@ from cycloring.scaled_inverse import (MAX_SWEEP_COST, _case, check_gap_block,
 from cycloring.verify import run_verify
 from oracles import (construct_by_long_division, fold_quotient,
                      fraction_bezout, long_division_quotient,
-                     norm_profile_blocks, norm_profile_per_pair,
-                     rotation_walk, window_norms_by_division)
+                     norm_profile_blocks, norm_profile_per_gap,
+                     norm_profile_per_pair, norm_rows_by_division,
+                     rotation_walk, window_maxima_by_blocks)
 
 
 def supported_upto(limit):
@@ -55,6 +56,14 @@ def rotated_inverse(g, j, m):
 
 def one(m):
     return element(m, (1,) + (0,) * (m.phi - 1))
+
+
+def representatives(m, upto=None):
+    """The gaps g <= upto (default M/2) that represent their orbit under
+    the units = 1 (mod rad), in order: the gaps a sweep constructs."""
+    half = m.M // 2
+    reps, _ = scaled_inverse._orbits(m.M, m.radical, half)
+    return [g for g in range(1, (upto or half) + 1) if reps[g - 1] == g]
 
 
 @pytest.fixture
@@ -592,17 +601,18 @@ class TestNormProfile:
 
     @pytest.mark.parametrize("M", [35, 45, 125, 143])
     def test_gap_rows_are_constructed_inverses(self, M, monkeypatch):
-        # each block's rows are checked by one call at per-row shifts: the
-        # starts of the gaps' chains at a prime radical (j = 0), and the
-        # chains' ends, (L - 1) M' further on, at a two-prime one; one row
-        # per gap, each gap g <= M/2 once. Every row is x^{-j} u(g, 0) as
-        # the construction returns it
+        # each block's representatives are checked by one call at per-row
+        # shifts: the starts of their chains at a prime radical (j = 0),
+        # and the chains' ends, (L - 1) M' further on, at a two-prime one;
+        # one row per representative, each once, a range of gaps where
+        # every gap of the block is one (all of 35 and 143, M' = 1). Every
+        # row is x^{-j} u(g, 0) as the construction returns it
         m = make_modulus(M)
         calls = []
         real = scaled_inverse.check_gap_block
 
         def spy(m, gaps, block, scale, bound, j=0):
-            assert isinstance(gaps, range) and len(gaps) == block.shape[0]
+            assert len(gaps) == block.shape[0]
             calls.append((gaps, np.broadcast_to(j, len(gaps)).tolist(),
                           block.tolist()))
             return real(m, gaps, block, scale, bound, j)
@@ -612,7 +622,9 @@ class TestNormProfile:
         monkeypatch.setattr(scaled_inverse, "check_gap_block", real)
         prime = isinstance(m.shape, PrimePower)
         assert [g for gaps, _, _ in calls for g in gaps] == \
-            list(range(1, M // 2 + 1))
+            representatives(m)
+        assert all(isinstance(gaps, range) for gaps, _, _ in calls) == (
+            m.inflation == 1)
         if prime:
             assert all(j == 0 for _, js, _ in calls for j in js)
         else:
@@ -627,10 +639,13 @@ class TestNormProfile:
 
 class TestOneCheckPerPair:
     """check_gap_block is the only check of a constructed inverse: a sweep
-    checks each gap g <= M/2 once, on the last rows its block computes (the
+    constructs and checks each representative g <= M/2 of an orbit of the
+    units = 1 (mod rad) once, on the last rows its block computes (the
     start of its rotations at a prime radical, the end of its chain at a
-    two-prime one), and reduces each of its subsequences once; the gaps
-    above M/2 are read off their rotations."""
+    two-prime one), and reduces each of its subsequences once; at M' > 1
+    every gap g <= M/2 is gathered from exactly one representative, its
+    own, and the gaps above M/2 are read off their rotations. At M' = 1
+    every gap is its own representative and nothing is gathered."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -653,24 +668,44 @@ class TestOneCheckPerPair:
         self._blocks_checked_once(monkeypatch, M, blocks)
 
     def _blocks_checked_once(self, monkeypatch, M, blocks):
-        # one construct and one check per block of gaps: the check reads
-        # the block's gaps, one row each, at the construct's shifts at a
-        # prime radical and at the chain's end shifts, (L - 1) M' further
-        # on, at a two-prime one; the blocks cover every gap g <= M/2 once
+        # the sweep takes the gaps g <= M/2 in `blocks` blocks, one window
+        # pass each; one construct and one check per block that holds a
+        # representative: the check reads the block's representatives, one
+        # row each, at the construct's shifts at a prime radical and at
+        # the chain's end shifts, (L - 1) M' further on, at a two-prime
+        # one; together they cover every representative once. At M' > 1
+        # every gap h is gathered once, in one call per block, from the
+        # held row of its own representative rep, at a unit v = 1 (mod rad)
+        # with v h = rep
         checks = self._count(monkeypatch, "check_gap_block")
         builds = self._count(monkeypatch, "_construct")
+        windows = self._count(monkeypatch, "_window_maxima")
+        gathers = self._count(monkeypatch, "_gather_rows")
         m = make_modulus(M)
         norm_profile(m)
         end = 0 if isinstance(m.shape, PrimePower) else (
             (scaled_inverse._half_cycle(m.radical) - 1) * m.inflation)
-        assert len(builds) == len(checks) == blocks
+        assert len(windows) == blocks
+        assert len(builds) == len(checks) <= blocks
         gaps = []
         for (ks, j, _), (_, g, block, scale, bound, j_) in zip(builds, checks):
-            assert g == ks and isinstance(g, range)
+            assert g is ks
             assert np.array_equal((j + end) % M, j_)
             assert block.shape[0] == len(scale) == len(bound) == len(g)
-            gaps += g
-        assert gaps == list(range(1, M // 2 + 1))
+            gaps += list(g)
+        reps = representatives(m)
+        assert gaps == reps
+        gathered = []
+        for _, slots, v, w in gathers:
+            assert w == m.inflation and np.all(v % m.radical == 1)
+            for k, vh in zip(slots.tolist(), v.tolist()):
+                # slot k holds the k-th representative
+                gathered.append((reps[k] * pow(vh, -1, M) % M, reps[k]))
+        assert len(gathers) == (blocks if m.inflation > 1 else 0)
+        if gathers:
+            assert [h for h, _ in gathered] == list(range(1, M // 2 + 1))
+        reps_of, _ = scaled_inverse._orbits(M, m.radical, M // 2)
+        assert all(reps_of[h - 1] == r for h, r in gathered)
 
     def test_sweep_reduces_each_gap_once(self, monkeypatch):
         # M' = 1: one subsequence per gap, its whole row
@@ -682,11 +717,11 @@ class TestOneCheckPerPair:
 
     def _reductions_checked_once(self, monkeypatch, M):
         # every _reduce_rows call of a sweep is at the radical, on rows of
-        # length rad: the M' subsequences of each gap g <= M/2 once, at
-        # the shift its chain starts from, in order, and nothing at length
-        # M; each block's rotations then take ceil(rad/2) exact steps at a
-        # two-prime radical, at most ceil(rad/2) + 2, and none at a prime
-        # one (a closed form)
+        # length rad: the M' subsequences of each representative g <= M/2
+        # once (every gap at M' = 1), at the shift its chain starts from,
+        # in order, and nothing at length M; each block's rotations then
+        # take ceil(rad/2) exact steps at a two-prime radical, at most
+        # ceil(rad/2) + 2, and none at a prime one (a closed form)
         reductions = self._count(monkeypatch, "_reduce_rows")
         steps = self._count(monkeypatch, "_next_rotation")
         m = make_modulus(M)
@@ -698,7 +733,7 @@ class TestOneCheckPerPair:
             scaled_inverse._construct(
                 gap, scaled_inverse._chain_shifts(m, gap), m)[1][0]
             .reshape(rad, w).T
-            for gap in (range(g, g + 1) for g in range(1, M // 2 + 1))])
+            for gap in (range(g, g + 1) for g in representatives(m))])
         assert np.array_equal(np.concatenate([V for V, _ in reductions]),
                               want)
         chains = 0 if isinstance(m.shape, PrimePower) else len(reductions)
@@ -880,10 +915,13 @@ class TestRadicalSweep:
     def test_seeded_wrong_start_is_caught(self, M, monkeypatch):
         # one seeded wrong entry of R0, at any row and column of the first
         # block, is caught by the check of the chain's last rotation alone:
-        # it names M and the pair of that row's gap at its end shift
+        # it names M and the pair of that row's gap at its end shift. The
+        # block's rows are the representatives' subsequences, M' a gap
         m = make_modulus(M)
         rng = random.Random(M)
         real, hit = scaled_inverse._reduce_rows, []
+        step = max(1, cyclotomic._UNIT_BLOCK // 16 // M)
+        first = representatives(m, min(step, M // 2))
 
         def wrong_entry(*args):
             out = real(*args)
@@ -891,7 +929,7 @@ class TestRadicalSweep:
                 out = out.copy()
                 row, col = (rng.randrange(n) for n in out.shape)
                 out[row, col] += rng.choice((-1, 1)) * rng.randint(1, 3)
-                hit.append(row // m.inflation + 1)
+                hit.append(first[row // m.inflation])
             return out
 
         monkeypatch.setattr(scaled_inverse, "_reduce_rows", wrong_entry)
@@ -957,29 +995,45 @@ class TestRadicalSweep:
                                           (1024, 500, 7), (100, 50, 49)])
     def test_mirrored_pair_above_bound_is_caught(self, M, g, jp,
                                                  monkeypatch):
-        real = scaled_inverse._window_norms
+        # the window norm at c = M - g + j' of gap g is the largest of
+        # N_g[c .. c + M' - 1], and N_g is the row of g's representative r
+        # read at v t (v g = r mod M): a spike at N_r[v c] reaches it. The
+        # sweep's one bound check, on the representative's own row, names
+        # the first pair of r's row whose window reads the spike, which is
+        # (j' + M - g, j') itself at M' = 1 (35 and 143), where every gap
+        # represents its orbit; gap 500 of 1024 is gathered from gap 4, and
+        # 50 of 100 is its own representative
+        m = make_modulus(M)
+        w = m.inflation
+        reps, v = scaled_inverse._orbits(M, m.radical, M // 2)
+        r, t = int(reps[g - 1]), int(v[g - 1]) * (M - g + jp) % M
+        bound = scaled_inverse._case(math.gcd(g, M), m)[3]
+        real = scaled_inverse._norm_rows
 
         def spiked(m, rad_m, gaps, table, acc, j):
-            W = real(m, rad_m, gaps, table, acc, j)
-            if g in gaps:
-                W[g - gaps.start, M - g + jp] = table[g - gaps.start][2] + 1
-            return W
+            N = real(m, rad_m, gaps, table, acc, j)
+            gaps = list(map(int, gaps))
+            if r in gaps:
+                N[gaps.index(r), t] = bound + 1
+            return N
 
-        monkeypatch.setattr(scaled_inverse, "_window_norms", spiked)
-        m = make_modulus(M)
-        bound = scaled_inverse._case(math.gcd(g, M), m)[3]
+        monkeypatch.setattr(scaled_inverse, "_norm_rows", spiked)
+        i, j = min((c + r, c) if c < M - r else (c, c - M + r)
+                   for c in range(M) if (t - c) % M < w)
+        assert ((i, j) == (jp + M - g, jp)) == (w == 1)
+        assert (r == g) == (M != 1024)
         with pytest.raises(AssertionError,
                            match=rf"^sweep check failed: norm {bound + 1} > "
                                  rf"bound {bound} for M={M}, "
-                                 rf"\(i, j\)=\({jp + M - g}, {jp}\)$"):
+                                 rf"\(i, j\)=\({i}, {j}\)$"):
             norm_profile(m)
 
 
 class TestRotationOracle:
     """The rotations of a sweep block, by the closed form at a prime
     radical and the in-place chain at a two-prime one, against the former
-    chain (rotation_walk), which copies every row at each step on int64
-    or Python ints."""
+    chain (rotation_walk, through norm_rows_by_division), which copies
+    every row at each step on int64 or Python ints."""
 
     @staticmethod
     def _growth(rad_m):
@@ -992,8 +1046,8 @@ class TestRotationOracle:
         m = make_modulus(M)
         got, peaks = norm_profile(m), []
         monkeypatch.setattr(
-            scaled_inverse, "_window_norms",
-            lambda *args: window_norms_by_division(*args, peaks=peaks))
+            scaled_inverse, "_norm_rows",
+            lambda *args: norm_rows_by_division(*args, peaks=peaks))
         want = norm_profile(m)
         assert len(got.gaps) == len(want.gaps) == M - 1
         for (scale, case, norms), (scale_, case_, norms_) in zip(got.gaps,
@@ -1014,10 +1068,9 @@ class TestRotationOracle:
         rad_m, block, peaks = make_modulus(m.radical), range(lo, lo + 8), []
         j = scaled_inverse._chain_shifts(m, block)
         table, acc = scaled_inverse._construct(block, j, m)
-        got = scaled_inverse._window_norms(m, rad_m, block, table,
-                                           acc.copy(), j)
-        want = window_norms_by_division(m, rad_m, block, table, acc, j,
-                                        peaks)
+        got = scaled_inverse._norm_rows(m, rad_m, block, table, acc.copy(),
+                                        j)
+        want = norm_rows_by_division(m, rad_m, block, table, acc, j, peaks)
         assert np.array_equal(got, want)
         [(peak, big)] = peaks
         assert peak <= self._growth(rad_m) * big
@@ -1061,7 +1114,7 @@ class TestHalfCycle:
     """At a two-prime radical norm_profile walks L = ceil(rad/2) + 1
     rotations of each gap from its own start shift and reads the others
     off the mirror N_g[t] = N_g[c0 + M' - 1 - t]: against the full cycle of
-    the former chain (rotation_walk, through window_norms_by_division) and
+    the former chain (rotation_walk, through norm_rows_by_division) and
     against the block oracle, which reduces every rotation at length M."""
 
     TWO_PRIME = two_prime_upto(199)
@@ -1079,8 +1132,8 @@ class TestHalfCycle:
             want = norm_profile_blocks(m)
             assert got.rows == want.rows
             assert list(got.case_max.items()) == list(want.case_max.items())
-        monkeypatch.setattr(scaled_inverse, "_window_norms",
-                            window_norms_by_division)
+        monkeypatch.setattr(scaled_inverse, "_norm_rows",
+                            norm_rows_by_division)
         want = norm_profile(m)
         for (scale, case, norms), (scale_, case_, norms_) in zip(got.gaps,
                                                                  want.gaps):
@@ -1101,6 +1154,155 @@ class TestHalfCycle:
             arc = {(j + k) % M for k in range(span)}
             c0 = -(phi - 1 + g) % M
             assert arc | {(c0 + w - 1 - t) % M for t in arc} == set(range(M))
+
+
+def inflated_upto(limit):
+    return [M for M in supported_upto(limit) if make_modulus(M).inflation > 1]
+
+
+def sweep_rows(m, gaps):
+    """The rotation-norm rows of a block of gaps, each constructed at its
+    chain's shift, reduced and checked (_norm_rows)."""
+    j = scaled_inverse._chain_shifts(m, gaps)
+    table, acc = scaled_inverse._construct(gaps, j, m)
+    return scaled_inverse._norm_rows(m, make_modulus(m.radical), gaps, table,
+                                     acc, j)
+
+
+class TestOrbitSweep:
+    """norm_profile constructs one representative per orbit of the units
+    a = 1 (mod rad) and gathers every other gap's rotation-norm row from
+    it (_gather_rows): against the former sweep, which constructs, reduces
+    and checks every gap g <= M/2 (oracles.norm_profile_per_gap)."""
+
+    @pytest.mark.parametrize(
+        "M", inflated_upto(299) + [1125, 2057, 2187, 3888, 8192])
+    def test_matches_per_gap_sweep(self, M):
+        m = make_modulus(M)
+        got, want = norm_profile(m), norm_profile_per_gap(m)
+        assert len(got.gaps) == len(want.gaps) == M - 1
+        for (scale, case, norms), (scale_, case_, norms_) in zip(got.gaps,
+                                                                 want.gaps):
+            assert (scale, case, norms.dtype) == (scale_, case_, norms_.dtype)
+            assert np.array_equal(norms, norms_)
+        assert list(got.case_max.items()) == list(want.case_max.items())
+
+    def test_representatives_match_brute_force_orbits(self):
+        # rep(h) = h mod gcd(h rad, M) is the least gap of h's orbit under
+        # U1 = {a : a = 1 (mod rad), gcd(a, M) = 1}, at every M < 400, and
+        # v is a unit of U1 that takes h to it, 1 for a representative
+        for M in range(2, 400):
+            rad = math.prod(p for p in range(2, M + 1)
+                            if M % p == 0 and all(p % d for d in range(2, p)))
+            units = [a for a in range(1, M)
+                     if a % rad == 1 % rad and math.gcd(a, M) == 1]
+            assert len(units) == M // rad
+            reps, v = scaled_inverse._orbits(M, rad, M // 2)
+            for h in range(1, M // 2 + 1):
+                orbit = {a * h % M for a in units}
+                assert reps[h - 1] == min(orbit) <= M // 2, (M, h)
+                assert v[h - 1] in units, (M, h)
+                assert v[h - 1] * h % M == reps[h - 1], (M, h)
+                assert v[h - 1] == 1 or reps[h - 1] != h, (M, h)
+
+    @pytest.mark.parametrize("M", [125, 1125, 2057])
+    def test_gathered_rows_match_construct(self, M):
+        # every gap h <= M/2 that is not a representative: its row gathered
+        # from its representative's against its own construct, reduction,
+        # check and rotations, row by row
+        m = make_modulus(M)
+        half, w = M // 2, m.inflation
+        rows = [sweep_rows(m, range(lo, min(half + 1, lo + 64)))
+                for lo in range(1, half + 1, 64)]
+        rows = np.concatenate([r.astype(np.int64) for r in rows])
+        reps, v = scaled_inverse._orbits(M, m.radical, half)
+        own = reps == np.arange(1, half + 1)
+        slot = np.cumsum(own) - 1
+        held = np.tile(rows[own], 2)
+        others = np.flatnonzero(~own)
+        assert len(others) > len(np.flatnonzero(own))
+        got = scaled_inverse._gather_rows(held, slot[reps[others] - 1],
+                                          v[others], w)
+        for h, row, want in zip((others + 1).tolist(), got, rows[others]):
+            assert np.array_equal(row, want), h
+
+    @pytest.mark.parametrize("M", [45, 125, 1125, 2187, 3888])
+    def test_seeded_wrong_representative_entry_fails_check(self, M,
+                                                           monkeypatch):
+        # one seeded wrong entry of one representative's R0, in any block
+        # of the sweep, fails that block's check, which names the gap's
+        # pair at its end shift (its start at a prime radical)
+        m = make_modulus(M)
+        rng = random.Random(M)
+        step = max(1, cyclotomic._UNIT_BLOCK // 16 // M)
+        blocks = [b for b in (
+            [g for g in representatives(m) if lo <= g < lo + step]
+            for lo in range(1, M // 2 + 1, step)) if b]
+        target = rng.randrange(len(blocks))
+        real, calls, hit = scaled_inverse._reduce_rows, [], []
+
+        def wrong_entry(*args):
+            out = real(*args)
+            if len(calls) == target:
+                out = out.copy()
+                row, col = (rng.randrange(n) for n in out.shape)
+                out[row, col] += rng.choice((-1, 1))
+                hit.append(blocks[target][row // m.inflation])
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(scaled_inverse, "_reduce_rows", wrong_entry)
+        with pytest.raises(AssertionError,
+                           match=rf"^batched check failed: .* for M={M}, "
+                           ) as err:
+            norm_profile(m)
+        [gap] = hit
+        j = TestRadicalSweep._end_shift(m, gap)
+        assert str(err.value).endswith(f"(i, j)=({(j + gap) % M}, {j})")
+        assert len(calls) == target + 1
+
+    def test_first_pair_ties_between_parts(self):
+        # M = 10, gaps 3 and 4: column c of gap g's row is the pair
+        # (c + g, c) for c < M - g and (c, c - M + g) after it. Gap 3's
+        # largest norm is at (8, 5) (c = 5) and (8, 1) (c = 8), and (8, 1)
+        # comes first; gap 4's at (6, 2) (c = 2) and (7, 1) (c = 7), and
+        # (6, 2) comes first
+        M, MM = 10, 100
+        W = np.ones((2, M), dtype=np.uint8)
+        W[0, [5, 8]] = 3
+        W[1, [2, 7]] = 3
+        keys = scaled_inverse._first_pairs(W, 3, M).tolist()
+        assert [key // MM for key in keys] == [3, 3]
+        assert [divmod(MM - 1 - key % MM, M) for key in keys] == [(8, 1),
+                                                                  (6, 2)]
+
+    @pytest.mark.parametrize("M, lo, n", [(10, 1, 5), (35, 1, 17), (36, 9, 10),
+                                          (125, 30, 7), (143, 1, 71)])
+    def test_first_pairs_match_pair_order(self, M, lo, n):
+        # rows of norms 1..3, full of ties within and across parts: each
+        # row's key against the first pair in `for i: for j < i` order to
+        # reach its largest norm
+        rng = np.random.default_rng(M * lo)
+        W = rng.integers(1, 4, (n, M)).astype(np.uint8)
+        keys = scaled_inverse._first_pairs(W, lo, M).tolist()
+        for r, key in enumerate(keys):
+            g = lo + r
+            pairs = [((c + g, c) if c < M - g else (c, c - M + g), int(x))
+                     for c, x in enumerate(W[r])]
+            top = max(x for _, x in pairs)
+            i, j = min(pair for pair, x in pairs if x == top)
+            assert key == top * M * M + M * M - 1 - (i * M + j), (M, g)
+
+    @pytest.mark.parametrize("M, w", [(6, 1), (8, 2), (12, 3), (50, 5),
+                                      (125, 25), (96, 48), (1024, 512),
+                                      (2057, 11)])
+    def test_window_maxima(self, M, w):
+        rng = np.random.default_rng(M)
+        N = rng.integers(0, 50, (3, M)).astype(np.int16)
+        want = [[max(N[r, (c + k) % M] for k in range(w)) for c in range(M)]
+                for r in range(3)]
+        assert scaled_inverse._window_maxima(N, w).tolist() == want
+        assert window_maxima_by_blocks(N, w).tolist() == want
 
 
 class TestMirrorLemma:
@@ -1283,6 +1485,43 @@ class TestPerRowShift:
                            match=rf"> bound {low} for M=45, "
                                  rf"\(i, j\)=\({(j + g) % 45}, {j}\)$"):
             check_gap_block(m, self.GAPS, U, scales, low, js)
+
+
+class TestGapArray:
+    """_construct and check_gap_block on an array of gaps, one per row and
+    not consecutive, the block shape of a sweep's representatives."""
+
+    M, GAPS, JS = 45, np.array([3, 8, 9, 20, 33]), [0, 44, 3, 30, 17]
+
+    def _block(self):
+        m = make_modulus(self.M)
+        js = np.array(self.JS)
+        table, acc = scaled_inverse._construct(self.GAPS, js, m)
+        _, scales, bounds = zip(*table)
+        return (m, js, scaled_inverse._reduce_rows(acc, m), np.array(scales),
+                np.array(bounds))
+
+    def test_rows_are_rotated_inverses(self):
+        m, js, U, scales, bounds = self._block()
+        for g, j, row in zip(self.GAPS.tolist(), self.JS, U):
+            assert tuple(row.tolist()) == rotated_inverse(g, j, m), (g, j)
+        norms = check_gap_block(m, self.GAPS, U, scales, bounds, js)
+        assert norms.tolist() == [int(np.abs(r).max()) for r in U]
+
+    @pytest.mark.parametrize("r", [0, 1, 3, 4])
+    def test_corrupted_row_names_its_own_pair(self, r):
+        m, js, U, scales, bounds = self._block()
+        U[r, 7] -= 1
+        g, j = int(self.GAPS[r]), self.JS[r]
+        with pytest.raises(AssertionError,
+                           match=rf"!= {scales[r]} for M=45, "
+                                 rf"\(i, j\)=\({(j + g) % 45}, {j}\)$"):
+            check_gap_block(m, self.GAPS, U, scales, bounds, js)
+
+    def test_gaps_must_match_rows(self):
+        m, js, U, scales, bounds = self._block()
+        with pytest.raises(ValueError, match="an array of 5 gaps"):
+            check_gap_block(m, self.GAPS[:4], U, scales, bounds, js)
 
 
 def point_pairs(M):
